@@ -58,6 +58,7 @@ from .solvers import (
     propagate_wavefunction,
     quantization_route_report,
     vanishing_momentum_scenario,
+    wall_violation,
 )
 
 EXIT_OK = 0
@@ -245,6 +246,30 @@ def _gaussian_state(cfg: dict, grid: GridSpec, errors: list):
                          RealField(grid, np.zeros(grid.shape)))
 
 
+def _initial_wavefunction(state: MadelungState, grid: GridSpec,
+                          errors: list) -> ComplexField:
+    """sqrt(rho) as the unitary route's start; lists a wall violation."""
+    psi = np.sqrt(state.density.values)
+    problem = wall_violation(psi, grid)
+    if problem:
+        errors.append(problem)
+    return ComplexField(grid, psi.astype(complex))
+
+
+def _check_levels(grid: GridSpec | None, levels: int | None, path: str,
+                  errors: list) -> None:
+    """eigensolve_1d needs hard walls and at most points - 2 levels."""
+    if grid is None or levels is None:
+        return
+    if grid.axes[0].boundary != DIRICHLET:
+        errors.append("grid.boundary must be 'dirichlet': eigenstates need "
+                      "hard walls")
+    n = grid.shape[0]
+    if levels > n - 2:
+        errors.append(f"{path} asks for {levels} levels, but {n} grid "
+                      f"points hold at most {n - 2}")
+
+
 def _stiffness_warnings(params: PhysicalParams, grid: GridSpec,
                         dt: float) -> list:
     v = potential_values(params.potential, grid)
@@ -264,6 +289,7 @@ def _run_eigen(cfg, seed, plots):
     k = _number(cfg, "count", errors, positive=True, integer=True,
                 required=False, default=1)
     richardson = bool(_get(cfg, "richardson") or False)
+    _check_levels(grid, k, "count", errors)
     if errors:
         return None, errors, []
     spec = eigensolve_1d(params, grid, k=k, richardson=richardson)
@@ -291,9 +317,11 @@ def _run_evolve(cfg, seed, plots):
     method = _get(cfg, "method") or "fields"
     if method not in ("fields", "unitary"):
         errors.append("method must be 'fields' or 'unitary'")
-    state = None
+    state = psi0 = None
     if grid is not None:
         state = _gaussian_state(cfg, grid, errors)
+    if state is not None and method == "unitary":
+        psi0 = _initial_wavefunction(state, grid, errors)
     if errors:
         return None, errors, []
     store = store or steps
@@ -314,8 +342,6 @@ def _run_evolve(cfg, seed, plots):
             ("x", "action"),
             np.column_stack([x, traj.states[-1].action.values]))
     else:
-        psi0 = ComplexField(grid, np.sqrt(state.density.values)
-                            .astype(complex))
         traj = propagate_wavefunction(psi0, params, dt, steps,
                                       store_every=store)
         rho_end = np.abs(traj.states[-1].values) ** 2
@@ -341,14 +367,15 @@ def _run_compare(cfg, seed, plots):
     params = _build_params(cfg, grid, errors)
     dt = _number(cfg, "dt", errors, positive=True)
     steps = _number(cfg, "steps", errors, positive=True, integer=True)
-    state = None
+    state = psi0 = None
     if grid is not None:
         state = _gaussian_state(cfg, grid, errors)
+    if state is not None:
+        psi0 = _initial_wavefunction(state, grid, errors)
     if errors:
         return None, errors, []
     warnings = _stiffness_warnings(params, grid, dt)
     traj_m = propagate_madelung(state, params, dt, steps, store_every=steps)
-    psi0 = ComplexField(grid, np.sqrt(state.density.values).astype(complex))
     traj_c = propagate_wavefunction(psi0, params, dt, steps,
                                     store_every=steps)
     rho_m = traj_m.states[-1].density.values
@@ -434,6 +461,8 @@ def _run_constraint_check(cfg, seed, plots):
                     default=0)
     if level is not None and level < 0:
         errors.append("level must be at least 0")
+    elif level is not None:
+        _check_levels(grid, level + 1, "level", errors)
     if errors:
         return None, errors, []
     spec = eigensolve_1d(params, grid, k=level + 1)
@@ -472,6 +501,7 @@ def _run_vanishing_momentum(cfg, seed, plots):
     params = _build_params(cfg, grid, errors)
     k = _number(cfg, "count", errors, positive=True, integer=True,
                 required=False, default=3)
+    _check_levels(grid, k, "count", errors)
     if errors:
         return None, errors, []
     res = vanishing_momentum_scenario(params, grid, k=k)

@@ -1,11 +1,13 @@
-"""Uniform 1D/2D grids, finite-difference calculus, and quadrature.
+"""Uniform 1D/2D grids, finite-difference operators, and quadrature.
 
-Fields live on tensor products of up to two uniform axes. Derivatives use
-central stencils of order 2 or 4 in the interior. Periodic axes wrap; on
-Dirichlet axes the boundary rows switch to one-sided stencils of the same
-order, so smooth fields that do not vanish at the edge keep full accuracy.
-Quadrature is the rectangle rule on periodic axes (every node carries dx)
-and the trapezoidal rule on Dirichlet axes.
+Fields live on tensor products of up to two uniform axes. Every stencil
+row comes from fd_weights (Fornberg's recursion), and each operator is a
+sparse matrix built once per axis. Derivatives use central rows of order
+2 or 4, wrapped on periodic axes; on Dirichlet axes the edge rows are
+one-sided of the same order, so smooth fields that do not vanish there
+keep full accuracy. The order-2 Hamiltonian's d2/dx2 has ghost-zero
+hard-wall rows instead. Quadrature is the rectangle rule on periodic axes
+(every node carries dx) and the trapezoidal rule on Dirichlet axes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -23,16 +26,9 @@ DIRICHLET = "dirichlet"
 # consistent with their own discretization).
 DEFAULT_ORDER = 4
 
-_ORDERS = (2, 4)
-
 
 class GridMismatchError(ValueError):
     """Two fields (or a field and an operator) disagree about the grid."""
-
-
-def _require_order(order: int) -> None:
-    if order not in _ORDERS:
-        raise ValueError(f"stencil order must be one of {_ORDERS}, got {order}")
 
 
 @dataclass(frozen=True)
@@ -123,11 +119,8 @@ class GridSpec:
 
     def node_volumes(self) -> np.ndarray:
         """Per-node quadrature weight (outer product of the axis weights)."""
-        if self.dimension == 1:
-            return self.axes[0].quadrature_weights()
-        wa = self.axes[0].quadrature_weights()
-        wb = self.axes[1].quadrature_weights()
-        return np.outer(wa, wb)
+        weights = [ax.quadrature_weights() for ax in self.axes]
+        return weights[0] if self.dimension == 1 else np.outer(*weights)
 
 
 def _check_same_grid(a, b) -> None:
@@ -136,14 +129,13 @@ def _check_same_grid(a, b) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class RealField:
-    """Real scalar samples on every node of a grid."""
-
+class _NodeField:
     grid: GridSpec
     values: np.ndarray
+    _dtype = float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values, dtype=self._dtype)
         if v.shape != self.grid.shape:
             raise GridMismatchError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}")
@@ -152,33 +144,22 @@ class RealField:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "RealField":
+    def from_function(cls, grid: GridSpec, fn):
         return cls(grid, fn(*grid.meshes()))
+
+
+class RealField(_NodeField):
+    """Real scalar samples on every node of a grid."""
 
     @classmethod
     def full(cls, grid: GridSpec, value: float) -> "RealField":
         return cls(grid, np.full(grid.shape, float(value)))
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexField:
+class ComplexField(_NodeField):
     """Complex scalar samples on every node of a grid."""
 
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"values shape {v.shape} does not match grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "ComplexField":
-        return cls(grid, fn(*grid.meshes()))
+    _dtype = complex
 
 
 Field = RealField | ComplexField
@@ -220,91 +201,106 @@ def fd_weights(offsets: tuple, deriv: int) -> np.ndarray:
     return res
 
 
-def _diff_periodic(v: np.ndarray, dx: float, order: int, deriv: int) -> np.ndarray:
-    # v has the differencing axis last; np.roll(v, -1) picks up v[i+1]
-    r = lambda s: np.roll(v, -s, axis=-1)
-    if deriv == 1:
-        if order == 2:
-            return (r(1) - r(-1)) / (2.0 * dx)
-        return (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * dx)
-    if order == 2:
-        return (r(1) - 2.0 * v + r(-1)) / (dx * dx)
-    return (-r(2) + 16.0 * r(1) - 30.0 * v + 16.0 * r(-1) - r(-2)) / (12.0 * dx * dx)
+@dataclass(frozen=True, eq=False)
+class Stencil:
+    """One derivative along one axis: numerators / (denominator dx^deriv).
+
+    The numerators are fd_weights times the denominator (small integers),
+    each row stored largest offset first. Dividing after the product keeps
+    constant fields cancelling exactly wherever the integer products are.
+    """
+
+    numerators: sparse.csr_array
+    denominator: float
+    divisor: float
+
+    def apply(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """The derivative along array axis 0 or 1 of a 1D or 2D array."""
+        if axis == 0:
+            return (self.numerators @ values) / self.divisor
+        return (self.numerators @ values.T).T / self.divisor
 
 
-def _diff_dirichlet(v: np.ndarray, dx: float, order: int, deriv: int) -> np.ndarray:
-    out = np.empty_like(v)
-    half = order // 2
-    scale = dx ** deriv
-    if deriv == 1:
-        if order == 2:
-            out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * dx)
-        else:
-            out[..., 2:-2] = (-v[..., 4:] + 8.0 * v[..., 3:-1]
-                              - 8.0 * v[..., 1:-3] + v[..., :-4]) / (12.0 * dx)
-    else:
-        if order == 2:
-            out[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (dx * dx)
-        else:
-            out[..., 2:-2] = (-v[..., 4:] + 16.0 * v[..., 3:-1] - 30.0 * v[..., 2:-2]
-                              + 16.0 * v[..., 1:-3] - v[..., :-4]) / (12.0 * dx * dx)
-    # one-sided rows of the same order at each edge
-    npts = order + deriv
-    for i in range(half):
-        wl = fd_weights(tuple(range(-i, npts - i)), deriv) / scale
-        out[..., i] = v[..., :npts] @ wl
-        wr = fd_weights(tuple(range(i - npts + 1, i + 1)), deriv) / scale
-        out[..., -1 - i] = v[..., -npts:] @ wr
-    return out
+# fd_weights times this are whole numbers for every built-in row
+_DENOMINATOR = {2: 2.0, 4: 12.0}
 
 
-def _diff_axis(values: np.ndarray, axis_spec: Axis, order: int, deriv: int,
-               axis: int) -> np.ndarray:
-    v = np.moveaxis(values, axis, -1)
-    if axis_spec.boundary == PERIODIC:
-        out = _diff_periodic(v, axis_spec.dx, order, deriv)
-    else:
-        out = _diff_dirichlet(v, axis_spec.dx, order, deriv)
-    return np.moveaxis(out, -1, axis)
+def _assemble(axis: Axis, order: int, deriv: int, one_sided: bool) -> Stencil:
+    n, half = axis.n_points, order // 2
+    width = order + deriv  # points of a one-sided edge row
+    # rows padded to `width` entries; zero weights are dropped below
+    offsets = np.zeros((n, width), dtype=int)
+    num = np.zeros((n, width))
+
+    def put(rows, row):
+        offsets[rows, :len(row)] = row
+        num[rows, :len(row)] = fd_weights(tuple(row), deriv)
+
+    put(slice(None), range(half, -half - 1, -1))
+    if one_sided and axis.boundary == DIRICHLET:
+        for i in range(half):
+            put(i, range(width - 1 - i, -i - 1, -1))
+            put(-1 - i, range(i, i - width, -1))
+    denominator = _DENOMINATOR[order]
+    num *= denominator
+    num = np.where(np.abs(num - np.rint(num)) < 1e-9, np.rint(num), num)
+    cols = np.arange(n)[:, None] + offsets
+    keep = num != 0
+    if axis.boundary == PERIODIC:
+        cols %= n
+    else:  # a hard wall drops the neighbours beyond it (ghost zero)
+        keep &= (cols >= 0) & (cols < n)
+    indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
+    mat = sparse.csr_array((num[keep], cols[keep], indptr), shape=(n, n))
+    divisor = denominator * axis.dx * (axis.dx if deriv == 2 else 1.0)
+    return Stencil(mat, denominator, divisor)
+
+
+@lru_cache(maxsize=128)
+def stencil_operator(axis: Axis, order: int, deriv: int) -> Stencil:
+    """d^deriv/dx^deriv along one axis, one-sided at Dirichlet edges."""
+    return _assemble(axis, order, deriv, one_sided=True)
+
+
+@lru_cache(maxsize=128)
+def hard_wall_laplacian(axis: Axis) -> Stencil:
+    """Order-2 d2/dx2 that takes the field beyond a Dirichlet wall as zero."""
+    return _assemble(axis, 2, 2, one_sided=False)
 
 
 def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,
                 order: int = DEFAULT_ORDER, deriv: int = 1) -> np.ndarray:
     """Array-level derivative along one axis (used by hot loops)."""
-    _require_order(order)
+    if order not in _DENOMINATOR:
+        raise ValueError(
+            f"stencil order must be one of {tuple(_DENOMINATOR)}, got {order}")
     if deriv not in (1, 2):
         raise ValueError("only first and second derivatives are provided")
     if not 0 <= axis < grid.dimension:
         raise ValueError(f"axis {axis} out of range for {grid.dimension}D grid")
-    return _diff_axis(values, grid.axes[axis], order, deriv, axis)
+    return stencil_operator(grid.axes[axis], order, deriv).apply(values, axis)
 
 
 def derivative(f: Field, axis: int = 0, order: int = DEFAULT_ORDER) -> Field:
     """First partial derivative of a field along the given axis."""
-    out = diff_values(f.values, f.grid, axis=axis, order=order, deriv=1)
-    return type(f)(f.grid, out)
+    return type(f)(f.grid, diff_values(f.values, f.grid, axis, order, 1))
 
 
 def second_derivative(f: Field, axis: int = 0, order: int = DEFAULT_ORDER) -> Field:
-    out = diff_values(f.values, f.grid, axis=axis, order=order, deriv=2)
-    return type(f)(f.grid, out)
+    return type(f)(f.grid, diff_values(f.values, f.grid, axis, order, 2))
 
 
 def laplacian(f: Field, order: int = DEFAULT_ORDER) -> Field:
     """Sum of unmixed second derivatives over every axis."""
-    _require_order(order)
-    total = np.zeros_like(f.values)
-    for ax in range(f.grid.dimension):
-        total = total + diff_values(f.values, f.grid, axis=ax, order=order, deriv=2)
-    return type(f)(f.grid, total)
+    return type(f)(f.grid, sum(
+        diff_values(f.values, f.grid, axis=ax, order=order, deriv=2)
+        for ax in range(f.grid.dimension)))
 
 
 def integrate(f: Field) -> float | complex:
     """Quadrature of the field over the whole grid."""
     total = np.sum(f.values * f.grid.node_volumes())
-    if isinstance(f, RealField):
-        return float(total)
-    return complex(total)
+    return float(total) if isinstance(f, RealField) else complex(total)
 
 
 def integrate_values(values: np.ndarray, grid: GridSpec) -> float:

@@ -1,13 +1,15 @@
 """Eigen and time-domain solvers for the 1D quantization scenarios.
 
-The eigensolver and the wavefunction propagator share one order-2
-discretization of H = -(hbar^2/2m) d2/dx2 + V with hard-wall (ghost
-zero) boundaries, so discrete eigenpairs are exact fixed points of the
-propagator and satisfy V + Q - E = 0 at the stencil level when Q is
-evaluated at the same order. The density/action propagator integrates
-the coupled quantum Hamilton-Jacobi and continuity equations directly
-with explicit RK4, internally substepping below the reporting cadence to
-stay inside the stability region of the stiffest grid mode.
+Every stencil row here comes from fd_weights through the operators of
+`grid`. H = -(hbar^2/2m) d2/dx2 + V takes its kinetic part from one
+order-2 operator with ghost-zero hard-wall rows; the eigensolver and the
+propagator use its interior block, so discrete eigenpairs are exact
+fixed points of the propagator and satisfy V + Q - E = 0 at the stencil
+level when Q is evaluated at the same order. The density/action
+propagator integrates the coupled quantum Hamilton-Jacobi and continuity
+equations directly with explicit RK4, internally substepping below the
+reporting cadence to stay inside the stability region of the stiffest
+grid mode.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .grid import (
     GridSpec,
     RealField,
     diff_values,
+    fd_weights,
+    hard_wall_laplacian,
     integrate_values,
     l2_norm,
 )
@@ -46,6 +50,10 @@ _DIP_WINDOW = 17
 
 # RK4 stays comfortably inside |lambda dt| < 2*sqrt(2) on the imaginary axis
 _CFL_MARGIN = 2.4
+
+# largest edge value, relative to the peak, that a wavefunction may start
+# with on a hard-wall grid
+_WALL_TOLERANCE = 1e-3
 
 
 class DensityFloorError(RuntimeError):
@@ -80,17 +88,28 @@ def _fix_sign(vec: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return vec if vec[big[0]] > 0 else -vec
 
 
-def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int):
+def _unknowns(grid: GridSpec) -> slice:
+    """The nodes a 1D solver evolves: all of a periodic axis, the interior
+    of a hard-wall one."""
+    return slice(None) if grid.axes[0].boundary == PERIODIC else slice(1, -1)
+
+
+def _hamiltonian_matrix(params: PhysicalParams,
+                        grid: GridSpec) -> sparse.csc_array:
+    """1D H on the unknowns, kinetic part from the hard-wall operator."""
     ax = grid.axes[0]
-    dx = ax.dx
-    m = params.mass_along(0)
+    lap = hard_wall_laplacian(ax)
+    coeff = params.hbar**2 / (2.0 * params.mass_along(0) * ax.dx * ax.dx
+                              * lap.denominator)
     v = potential_values(params.potential, grid)
-    coeff = params.hbar**2 / (2.0 * m * dx * dx)
-    diag = 2.0 * coeff + v[1:-1]
-    off = np.full(grid.shape[0] - 2, -coeff)
-    vals, vecs = eigh_tridiagonal(diag, off[:-1], select="i",
-                                  select_range=(0, k - 1))
-    return vals, vecs, dx
+    inner = _unknowns(grid)
+    return (sparse.diags_array(v) - coeff * lap.numerators)[inner, inner].tocsc()
+
+
+def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int):
+    h = _hamiltonian_matrix(params, grid)
+    return eigh_tridiagonal(h.diagonal(), h.diagonal(1), select="i",
+                            select_range=(0, k - 1))
 
 
 def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
@@ -105,7 +124,8 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
     n = grid.shape[0]
     if k < 1 or k > n - 2:
         raise ValueError(f"k must lie in 1..{n - 2}")
-    vals, vecs, dx = _interior_eigensolve(params, grid, k)
+    vals, vecs = _interior_eigensolve(params, grid, k)
+    dx = grid.axes[0].dx
     weights = grid.node_volumes()
     funcs = []
     residuals = np.empty(k)
@@ -113,15 +133,14 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
         full = np.zeros(n)
         full[1:-1] = vecs[:, j] / np.sqrt(dx)
         full = _fix_sign(full, weights)
-        f = RealField(grid, full)
         hpsi = apply_hamiltonian(full, grid, params)
         residuals[j] = float(np.sqrt(np.sum((hpsi - vals[j] * full) ** 2 * weights)))
-        funcs.append(f)
+        funcs.append(RealField(grid, full))
     refined = None
     if richardson:
         ax = grid.axes[0]
         fine = GridSpec.line(2 * (n - 1) + 1, ax.x_min, ax.x_max, DIRICHLET)
-        fvals, _, _ = _interior_eigensolve(params, fine, k)
+        fvals, _ = _interior_eigensolve(params, fine, k)
         refined = (4.0 * fvals - vals) / 3.0
     return SpectrumResult(grid=grid, params=params, eigenvalues=vals,
                           eigenfunctions=funcs, residuals=residuals,
@@ -131,19 +150,9 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
 def apply_hamiltonian(values: np.ndarray, grid: GridSpec,
                       params: PhysicalParams) -> np.ndarray:
     """H values with the propagator's own order-2, ghost-zero stencil."""
-    v = potential_values(params.potential, grid)
-    out = v * values
-    for ax_idx in range(grid.dimension):
-        ax = grid.axes[ax_idx]
-        w = np.moveaxis(values, ax_idx, -1)
-        d2 = np.empty_like(w)
-        if ax.boundary == PERIODIC:
-            d2 = np.roll(w, -1, axis=-1) - 2.0 * w + np.roll(w, 1, axis=-1)
-        else:
-            d2[..., 1:-1] = w[..., 2:] - 2.0 * w[..., 1:-1] + w[..., :-2]
-            d2[..., 0] = w[..., 1] - 2.0 * w[..., 0]
-            d2[..., -1] = w[..., -2] - 2.0 * w[..., -1]
-        d2 = np.moveaxis(d2, -1, ax_idx) / ax.dx**2
+    out = potential_values(params.potential, grid) * values
+    for ax_idx, ax in enumerate(grid.axes):
+        d2 = hard_wall_laplacian(ax).apply(values, ax_idx)
         out = out - params.hbar**2 * d2 / (2.0 * params.mass_along(ax_idx))
     return out
 
@@ -165,29 +174,21 @@ class WavefunctionTrajectory:
 
 
 def _cn_matrices(params: PhysicalParams, grid: GridSpec, dt: float):
-    ax = grid.axes[0]
-    dx = ax.dx
-    m = params.mass_along(0)
-    v = potential_values(params.potential, grid)
-    periodic = ax.boundary == PERIODIC
-    if periodic:
-        n = grid.shape[0]
-        vv = v
-    else:
-        n = grid.shape[0] - 2
-        vv = v[1:-1]
-    coeff = params.hbar**2 / (2.0 * m * dx * dx)
-    main = 2.0 * coeff + vv
-    h = sparse.diags_array(
-        [np.full(n - 1, -coeff), main, np.full(n - 1, -coeff)],
-        offsets=[-1, 0, 1], format="lil")
-    if periodic:
-        h[0, n - 1] = -coeff
-        h[n - 1, 0] = -coeff
-    h = h.tocsc()
+    h = _hamiltonian_matrix(params, grid)
     z = 0.5j * dt / params.hbar
-    eye = sparse.identity(n, format="csc")
-    return splu(eye + z * h), (eye - z * h).tocsr(), periodic
+    eye = sparse.identity(h.shape[0], format="csc")
+    return splu(eye + z * h), (eye - z * h).tocsr()
+
+
+def wall_violation(values: np.ndarray, grid: GridSpec) -> str | None:
+    """Why a 1D wavefunction cannot start on this grid, or None: small
+    tail values are clamped to a hard wall, large ones mean a mismatched
+    domain."""
+    edge, peak = max(abs(values[0]), abs(values[-1])), np.max(np.abs(values))
+    if grid.axes[0].boundary == DIRICHLET and edge > _WALL_TOLERANCE * peak:
+        return (f"initial state must vanish on the hard wall: its edge value "
+                f"is {edge / peak:.3g} of its peak (limit {_WALL_TOLERANCE:g})")
+    return None
 
 
 def propagate_wavefunction(psi0: ComplexField, params: PhysicalParams,
@@ -204,21 +205,16 @@ def propagate_wavefunction(psi0: ComplexField, params: PhysicalParams,
     if dt <= 0 or steps < 1:
         raise ValueError("need positive dt and at least one step")
     vals = psi0.values
-    ax = grid.axes[0]
-    if ax.boundary == DIRICHLET:
-        # small tail values are clamped to the wall; large ones are a
-        # mismatched domain
-        edge = max(abs(vals[0]), abs(vals[-1]))
-        if edge > 1e-3 * np.max(np.abs(vals)):
-            raise ValueError("initial state must vanish on the hard wall")
-    lu, b_mat, periodic = _cn_matrices(params, grid, dt)
-    cur = vals.copy() if periodic else vals[1:-1].copy()
+    problem = wall_violation(vals, grid)
+    if problem:
+        raise ValueError(problem)
+    lu, b_mat = _cn_matrices(params, grid, dt)
+    inner = _unknowns(grid)
+    cur = vals[inner].copy()
 
     def full_state(interior):
-        if periodic:
-            return ComplexField(grid, interior.copy())
         out = np.zeros(grid.shape, dtype=complex)
-        out[1:-1] = interior
+        out[inner] = interior
         return ComplexField(grid, out)
 
     states = [full_state(cur)]
@@ -249,6 +245,15 @@ class MadelungTrajectory:
     substeps_per_step: int
 
 
+def _pair_derivative(a: np.ndarray, b: np.ndarray, grid: GridSpec, axis: int,
+                     order: int, deriv: int):
+    """d^deriv of two fields along one axis from one operator product, the
+    two side by side across the other axis."""
+    pair = np.column_stack([a, b]) if axis == 0 else np.vstack([a, b])
+    d = diff_values(pair, grid, axis=axis, order=order, deriv=deriv)
+    return [half.reshape(grid.shape) for half in np.split(d, 2, 1 - axis)]
+
+
 def _madelung_rhs(log_rho: np.ndarray, s: np.ndarray, grid: GridSpec,
                   params: PhysicalParams, v: np.ndarray, order: int):
     """Time derivatives of (ln rho, S).
@@ -258,16 +263,12 @@ def _madelung_rhs(log_rho: np.ndarray, s: np.ndarray, grid: GridSpec,
     d(ln rho)/dt = -(d ln rho dS + d2 S)/m and the curvature potential
     into -(hbar^2/2m)(d2 ln rho / 2 + (d ln rho)^2 / 4).
     """
-    kin = np.zeros(grid.shape)
-    dlog = np.zeros(grid.shape)
-    q = np.zeros(grid.shape)
+    kin = dlog = q = 0.0
     hb2 = params.hbar**2
     for ax in range(grid.dimension):
         m = params.mass_along(ax)
-        ds1 = diff_values(s, grid, axis=ax, order=order)
-        ds2 = diff_values(s, grid, axis=ax, order=order, deriv=2)
-        dl1 = diff_values(log_rho, grid, axis=ax, order=order)
-        dl2 = diff_values(log_rho, grid, axis=ax, order=order, deriv=2)
+        dl1, ds1 = _pair_derivative(log_rho, s, grid, ax, order, 1)
+        dl2, ds2 = _pair_derivative(log_rho, s, grid, ax, order, 2)
         kin += ds1**2 / (2.0 * m)
         dlog += -(dl1 * ds1 + ds2) / m
         q += -hb2 * (0.5 * dl2 + 0.25 * dl1**2) / (2.0 * m)
@@ -288,16 +289,18 @@ def _stability_substeps(state: MadelungState, params: PhysicalParams,
     hbar = params.hbar
     rate = 0.0
     log_rho = np.log(state.density.values)
+    # the d2 symbol peaks at the grid's Nyquist mode, where it is the sum
+    # of the central row's |weights|
+    half = order // 2
+    peak = float(np.sum(np.abs(fd_weights(tuple(range(-half, half + 1)), 2))))
     for ax_idx in range(grid.dimension):
         dx = grid.axes[ax_idx].dx
         m = params.mass_along(ax_idx)
-        stencil = 16.0 / 3.0 if order == 4 else 4.0
-        rate += hbar * stencil / (2.0 * m * dx * dx)
-        speed = np.max(np.abs(diff_values(state.action.values, grid,
-                                          axis=ax_idx, order=order)))
-        drift = np.max(np.abs(diff_values(log_rho, grid, axis=ax_idx,
-                                          order=order)))
-        rate += (np.pi / dx) * (speed + 0.5 * hbar * drift) / m
+        rate += hbar * peak / (2.0 * m * dx * dx)
+        dl, ds = _pair_derivative(log_rho, state.action.values, grid, ax_idx,
+                                  order, 1)
+        rate += (np.pi / dx) * (np.max(np.abs(ds))
+                                + 0.5 * hbar * np.max(np.abs(dl))) / m
     v = potential_values(params.potential, grid)
     q0 = bohm_potential(state.density, params, order=order).values
     rate += (np.max(np.abs(v)) + np.max(np.abs(q0))) / hbar

@@ -6,6 +6,8 @@ the JSON reports, and the plot-data format.
 """
 
 import json
+import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -312,9 +314,101 @@ class TestScenarioOutputs:
         assert res["translation_force_vanishes"] is True
 
     def test_bundled_configs_parse(self, tmp_path):
-        import pathlib
         cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
         bundled = sorted(cfg_dir.glob("*.json"))
         assert len(bundled) >= 8
         for path in bundled:
             json.loads(path.read_text())
+
+
+class TestSolverPreconditions:
+    """Inputs the solvers reject must end in exit 2 before any solve."""
+
+    @staticmethod
+    def wide_packet(tmp_path, **extra):
+        # a wide packet in a weak trap, off center: its density at the
+        # near wall is about 1e-4 of the peak, so |psi| there is about 1e-2
+        k = 0.6
+        return write_config(tmp_path, {
+            "grid": {"points": 512, "min": -6.0, "max": 6.0,
+                     "boundary": "dirichlet"},
+            "system": {"hbar": 1.0, "mass": 1.0, "potential": {
+                "kind": "harmonic", "strength": k, "center": 0.0}},
+            "initial": {"center": 1.5,
+                        "width": 1.3 * math.sqrt(0.5 / math.sqrt(k))},
+            "dt": 1e-3,
+            "steps": 100,
+            **extra,
+        })
+
+    @pytest.mark.parametrize("scenario, extra", [
+        ("compare-propagators", {}),
+        ("evolve", {"method": "unitary"}),
+    ])
+    def test_packet_not_vanishing_on_wall(self, tmp_path, capsys, scenario,
+                                          extra):
+        cfg = self.wide_packet(tmp_path, **extra)
+        code = cli.main([scenario, "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "config error: initial state must vanish on the hard wall" \
+            in err
+        assert "Traceback" not in err
+
+    def test_fields_route_accepts_wide_packet(self, tmp_path):
+        # only the unitary route pins the wall values
+        cfg = self.wide_packet(tmp_path, method="fields", steps=5)
+        assert cli.main(["evolve", "--config", cfg,
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("scenario, overrides, message", [
+        ("eigen", {"count": 127}, "count asks for 127 levels, but 128 grid "
+         "points hold at most 126"),
+        ("eigen", {"grid": {"points": 128, "min": -8.0, "max": 8.0,
+                            "boundary": "periodic"}},
+         "grid.boundary must be 'dirichlet'"),
+        ("constraint-check", {"level": 126}, "level asks for 127 levels"),
+        ("vanishing-momentum", {"grid": {"points": 128, "min": -8.0,
+                                         "max": 8.0, "boundary": "periodic"}},
+         "grid.boundary must be 'dirichlet'"),
+    ])
+    def test_eigen_levels_checked(self, tmp_path, capsys, scenario,
+                                  overrides, message):
+        cfg = eigen_config(tmp_path, **overrides)
+        code = cli.main([scenario, "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_largest_level_count_accepted(self, tmp_path):
+        cfg = eigen_config(tmp_path, count=126)
+        assert cli.main(["eigen", "--config", cfg,
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+# the scenario each shipped config is written for (see the README table)
+CONFIG_SCENARIOS = {
+    "bipartite_ground.json": "bipartite",
+    "compare_propagators.json": "compare-propagators",
+    "constraint_ground.json": "constraint-check",
+    "eigen_harmonic.json": "eigen",
+    "evolve_coherent.json": "evolve",
+    "fluctuate_pair.json": "fluctuate",
+    "fluctuate_single.json": "fluctuate",
+    "three_route.json": "three-route",
+    "vanishing_momentum.json": "vanishing-momentum",
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda path: path.name)
+def test_shipped_config_runs(tmp_path, path):
+    assert path.name in CONFIG_SCENARIOS, f"no scenario listed for {path.name}"
+    scenario = CONFIG_SCENARIOS[path.name]
+    code = cli.main([scenario, "--config", str(path), "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    report = json.loads((tmp_path / f"{scenario}_report.json").read_text())
+    assert report["config"] == json.loads(path.read_text())

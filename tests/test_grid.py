@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varq.grid import (
+    DIRICHLET,
+    PERIODIC,
     Axis,
     ComplexField,
     GridMismatchError,
@@ -10,6 +14,7 @@ from varq.grid import (
     derivative,
     diff_values,
     fd_weights,
+    hard_wall_laplacian,
     integrate,
     l2_norm,
     laplacian,
@@ -260,3 +265,110 @@ def test_l2_norm_plane_wave():
     x = g.coordinates()[0]
     psi = ComplexField(g, np.exp(2j * np.pi * x))
     assert l2_norm(psi) == pytest.approx(1.0, abs=1e-12)
+
+
+# -- the operator layer: properties over random axes -------------------------
+
+@st.composite
+def stencil_cases(draw, boundaries=(PERIODIC, DIRICHLET)):
+    """A grid of one or two axes, the axis to differentiate, order, deriv."""
+    n = draw(st.integers(8, 64))
+    boundary = draw(st.sampled_from(boundaries))
+    x_min = draw(st.floats(-5.0, 5.0))
+    span = draw(st.floats(0.5, 20.0))
+    ax = Axis(n, x_min, x_min + span, boundary)
+    dim, axis = draw(st.sampled_from([(1, 0), (2, 0), (2, 1)]))
+    if dim == 1:
+        grid = GridSpec((ax,))
+    else:
+        # a different spacing and boundary on the other axis, so applying
+        # the operator along the wrong axis shows
+        other = Axis(draw(st.integers(8, 16)), 0.0, 3.7 * span,
+                     DIRICHLET if boundary == PERIODIC else PERIODIC)
+        grid = GridSpec((ax, other) if axis == 0 else (other, ax))
+    order = draw(st.sampled_from([2, 4]))
+    deriv = draw(st.sampled_from([1, 2]))
+    return grid, axis, order, deriv
+
+
+def expected_row(n, i, boundary, order, deriv, dx):
+    """fd_weights of row i's offsets over dx**deriv, laid out on the axis."""
+    half, width = order // 2, order + deriv
+    offsets = range(-half, half + 1)
+    if boundary == DIRICHLET and i < half:
+        offsets = range(-i, width - i)
+    elif boundary == DIRICHLET and i >= n - half:
+        offsets = range(n - i - width, n - i)
+    row = np.zeros(n)
+    for off, w in zip(offsets, fd_weights(tuple(offsets), deriv)):
+        row[(i + off) % n] += w / dx**deriv
+    return row
+
+
+def operator_matrix(grid, axis, order, deriv):
+    """The matrix diff_values applies, read off column by column from unit
+    impulses; every line across the other axis must see the same one."""
+    n = grid.shape[axis]
+    cols = []
+    for j in range(n):
+        impulse = np.zeros(grid.shape)
+        np.moveaxis(impulse, axis, 0)[j] = 1.0
+        out = diff_values(impulse, grid, axis=axis, order=order, deriv=deriv)
+        cols.append(np.moveaxis(out, axis, 0).reshape(n, -1))
+    lines = np.stack(cols, axis=1)
+    assert np.all(lines == lines[:, :, :1])
+    return lines[:, :, 0]
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@PROPERTY
+@given(stencil_cases())
+def test_operator_rows_are_fd_weights(case):
+    grid, axis, order, deriv = case
+    ax = grid.axes[axis]
+    mat = operator_matrix(grid, axis, order, deriv)
+    for i in range(ax.n_points):
+        want = expected_row(ax.n_points, i, ax.boundary, order, deriv, ax.dx)
+        scale = np.max(np.abs(want))
+        assert np.allclose(mat[i], want, rtol=0.0, atol=1e-13 * scale), i
+
+
+@PROPERTY
+@given(stencil_cases(boundaries=(DIRICHLET,)), st.data())
+def test_dirichlet_rows_exact_on_polynomials(case, data):
+    grid, axis, order, deriv = case
+    ax = grid.axes[axis]
+    degree = data.draw(st.integers(0, order + deriv - 1), label="degree")
+    mid, half_span = 0.5 * (ax.x_min + ax.x_max), 0.5 * ax.span
+    t = (grid.meshes()[axis] - mid) / half_span  # in [-1, 1]
+    poly = np.polynomial.Polynomial.basis(degree)
+    exact = poly.deriv(deriv)(t) / half_span**deriv
+    got = diff_values(poly(t), grid, axis=axis, order=order, deriv=deriv)
+    # roundoff of one row: eps times the row's |weights| times max |f|
+    row_l1 = np.max(np.abs(operator_matrix(grid, axis, order, deriv)).sum(1))
+    assert np.max(np.abs(got - exact)) <= 64 * np.finfo(float).eps * row_l1
+
+
+@PROPERTY
+@given(stencil_cases(), st.integers(-2**20, 2**20), st.integers(-8, 8))
+def test_constant_maps_to_exact_zero(case, mantissa, exponent):
+    # integer numerators times a constant with a short mantissa are exact
+    # products, so every row, periodic or one-sided, cancels exactly; an
+    # arbitrary float constant leaves roundoff in order-4 rows, where
+    # products such as 30 c round
+    grid, axis, order, deriv = case
+    const = np.full(grid.shape, mantissa * 2.0**exponent)
+    out = diff_values(const, grid, axis=axis, order=order, deriv=deriv)
+    assert np.all(out == 0.0)
+
+
+def test_hard_wall_laplacian_drops_neighbours_beyond_the_wall():
+    ax = Axis(8, 0.0, 7.0)
+    lap = hard_wall_laplacian(ax)
+    want = (np.diag(np.full(7, 1.0), 1) + np.diag(np.full(7, 1.0), -1)
+            - 2.0 * np.eye(8))
+    assert np.array_equal(lap.numerators.toarray() / lap.denominator, want)
+    assert lap.divisor == lap.denominator * ax.dx * ax.dx

@@ -27,6 +27,7 @@ from varq.solvers import (
     propagate_wavefunction,
     quantization_route_report,
     vanishing_momentum_scenario,
+    wall_violation,
 )
 
 HARMONIC = PhysicalParams(hbar=1.0, mass=1.0, potential=Harmonic(k=1.0))
@@ -111,6 +112,16 @@ class TestEigensolve:
 
 
 class TestWavefunctionPropagation:
+    def test_rejects_state_on_the_wall(self):
+        grid = harmonic_grid(128, 3.0)
+        x = grid.coordinates()[0]
+        psi0 = ComplexField(grid, np.exp(-x * x / 4.0).astype(complex))
+        assert wall_violation(psi0.values, grid) is not None
+        with pytest.raises(ValueError, match="vanish on the hard wall"):
+            propagate_wavefunction(psi0, HARMONIC, dt=1e-3, steps=1)
+        periodic = GridSpec.line(128, -3.0, 3.0, PERIODIC)
+        assert wall_violation(psi0.values, periodic) is None
+
     def test_eigenstate_is_stationary(self):
         grid = harmonic_grid(512, 8.0)
         spec = eigensolve_1d(HARMONIC, grid, k=1)
