@@ -60,13 +60,16 @@ def classical_action_density(state: MadelungState, params: PhysicalParams,
 
 def information_density(rho: RealField, params: PhysicalParams,
                         order: int = DEFAULT_ORDER,
-                        floor: float = DENSITY_FLOOR) -> RealField:
-    """sum_axes (hbar / 4 m_axis) (d rho/dx_axis)^2 / rho, floored at nodes."""
+                        floor: float = DENSITY_FLOOR,
+                        axis: int | None = None) -> RealField:
+    """sum_axes (hbar / 4 m_axis) (d rho/dx_axis)^2 / rho, floored at nodes
+    (only the given axis's term unless axis=None)."""
     grid = rho.grid
     dead = low_density_mask(rho, floor)
     safe = np.where(dead, 1.0, rho.values)
+    axes = range(grid.dimension) if axis is None else (axis,)
     total = np.zeros(grid.shape)
-    for ax in range(grid.dimension):
+    for ax in axes:
         dr = diff_values(rho.values, grid, axis=ax, order=order)
         total += params.hbar * dr**2 / (4.0 * params.mass_along(ax) * safe)
     total[dead] = 0.0
@@ -74,10 +77,11 @@ def information_density(rho: RealField, params: PhysicalParams,
 
 
 def information_metric(rho: RealField, params: PhysicalParams,
-                       order: int = DEFAULT_ORDER) -> float:
+                       order: int = DEFAULT_ORDER,
+                       axis: int | None = None) -> float:
     """Spatial integral of the information density (one time slice)."""
-    return integrate_values(information_density(rho, params, order).values,
-                            rho.grid)
+    return integrate_values(
+        information_density(rho, params, order, axis=axis).values, rho.grid)
 
 
 def bohm_potential(rho: RealField, params: PhysicalParams,
@@ -103,14 +107,11 @@ def bohm_potential(rho: RealField, params: PhysicalParams,
 
 @dataclass(frozen=True)
 class ActionBreakdown:
-    """Classical part, information part, their weighted total, and the
-    time-summed spatial densities of each part."""
+    """Classical part, information part, and their weighted total."""
 
     classical: float
     information: float
     total: float
-    classical_density: RealField
-    information_density: RealField
 
 
 def time_derivatives(slices: Sequence[np.ndarray], dt: float) -> list[np.ndarray]:
@@ -134,6 +135,13 @@ def time_derivatives(slices: Sequence[np.ndarray], dt: float) -> list[np.ndarray
     return out
 
 
+def trapezoid_weights(n: int, dt: float) -> np.ndarray:
+    """Trapezoid-rule weights of n equally spaced time slices."""
+    tw = np.full(n, dt)
+    tw[0] = tw[-1] = 0.5 * dt
+    return tw
+
+
 def total_action(states: Sequence[MadelungState], dt: float,
                  params: PhysicalParams,
                  order: int = DEFAULT_ORDER) -> ActionBreakdown:
@@ -143,27 +151,18 @@ def total_action(states: Sequence[MadelungState], dt: float,
         if st.grid != grid:
             raise GridMismatchError("trajectory states live on different grids")
     ds_dt = time_derivatives([st.action.values for st in states], dt)
-    n = len(states)
-    tw = np.full(n, dt)
-    tw[0] = tw[-1] = 0.5 * dt
+    tw = trapezoid_weights(len(states), dt)
     classical = 0.0
     info = 0.0
-    cls_dens = np.zeros(grid.shape)
-    inf_dens = np.zeros(grid.shape)
     for w, st, dsdt in zip(tw, states, ds_dt):
         cd = classical_action_density(st, params, RealField(grid, dsdt), order)
-        idn = information_density(st.density, params, order)
         classical += w * integrate_values(cd.values, grid)
-        info += w * integrate_values(idn.values, grid)
-        cls_dens += w * cd.values
-        inf_dens += w * idn.values
+        info += w * information_metric(st.density, params, order)
     hbar = params.hbar
     return ActionBreakdown(
         classical=classical,
         information=info,
         total=classical + 0.5 * hbar * info,
-        classical_density=RealField(grid, cls_dens),
-        information_density=RealField(grid, inf_dens),
     )
 
 
@@ -187,13 +186,20 @@ def continuity_residual(state: MadelungState, params: PhysicalParams,
     """d rho/dt + sum_axes d(rho dS/dx / m)/dx, which is dA_total/dS."""
     if drho_dt.grid != state.grid:
         raise GridMismatchError("drho_dt lives on a different grid")
+    return RealField(state.grid,
+                     drho_dt.values + flux_divergence(state, params, order))
+
+
+def flux_divergence(state: MadelungState, params: PhysicalParams,
+                    order: int = DEFAULT_ORDER) -> np.ndarray:
+    """sum_axes d(rho dS/dx / m)/dx, the divergence of the probability flux."""
     grid = state.grid
     div = np.zeros(grid.shape)
     for ax in range(grid.dimension):
         ds = diff_values(state.action.values, grid, axis=ax, order=order)
         flux = state.density.values * ds / params.mass_along(ax)
         div += diff_values(flux, grid, axis=ax, order=order)
-    return RealField(grid, drho_dt.values + div)
+    return div
 
 
 def functional_gradient(state: MadelungState, params: PhysicalParams,
@@ -265,13 +271,3 @@ def _with_component(state: MadelungState, component: str,
     return MadelungState(state.density, RealField(state.grid, values.copy()),
                          state.hbar)
 
-
-def directional_derivative(functional: Callable[[MadelungState], float],
-                           state: MadelungState, component: str,
-                           direction: np.ndarray, step: float = 1e-6) -> float:
-    """Two-sided derivative of the functional along one perturbation field."""
-    base = (state.density.values if component == "density"
-            else state.action.values)
-    fp = functional(_with_component(state, component, base + step * direction))
-    fm = functional(_with_component(state, component, base - step * direction))
-    return (fp - fm) / (2.0 * step)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import bohm_potential, low_density_mask
+from .action import bohm_potential
 from .constraints import (
     RelativeDensity,
     StationarityReport,
@@ -40,9 +40,10 @@ from .grid import (
 )
 from .solvers import (
     SpectrumResult,
-    _node_exclusion_mask,
     apply_hamiltonian,
     eigensolve_1d,
+    node_exclusion_mask,
+    resolved_energy,
 )
 
 
@@ -112,19 +113,12 @@ def _check_pair(pair: GridSpec) -> None:
         raise ValueError("pair grid needs an even point count")
 
 
-def _table_by_difference(values: np.ndarray, n: int) -> np.ndarray:
-    """Reindex separation-grid values by the wrapped difference d = i - j."""
-    d = np.arange(n)
-    q = np.where(d <= n // 2, d + n // 2, d - n // 2)
-    return values[q]
-
-
-def _difference_table(f: RealField, pair: GridSpec) -> np.ndarray:
+def _by_difference(values: np.ndarray, pair: GridSpec) -> np.ndarray:
+    """Separation-grid values at every pair node (i, j), by the index
+    difference d = i - j wrapped to the nearest image."""
     n = pair.axes[0].n_points
-    if f.grid.shape[0] != n + 1:
-        raise ValueError("profile does not live on the matching "
-                         "separation grid")
-    return _table_by_difference(f.values, n)
+    d = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return values[np.where(d <= n // 2, d + n // 2, d - n // 2)]
 
 
 def lift_relative(f: RealField, pair: GridSpec) -> RealField:
@@ -135,11 +129,12 @@ def lift_relative(f: RealField, pair: GridSpec) -> RealField:
     cell leaves the field exactly unchanged.
     """
     _check_pair(pair)
-    table = _difference_table(f, pair)
     n = pair.axes[0].n_points
-    dmat = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    if f.grid.shape[0] != n + 1:
+        raise ValueError("profile does not live on the matching "
+                         "separation grid")
     length = pair.axes[0].span
-    return RealField(pair, table[dmat] / np.sqrt(length))
+    return RealField(pair, _by_difference(f.values, pair) / np.sqrt(length))
 
 
 def translation_residual(values: np.ndarray, pair: GridSpec,
@@ -150,12 +145,6 @@ def translation_residual(values: np.ndarray, pair: GridSpec,
     num = np.sqrt(integrate_values((da + db) ** 2, pair))
     den = np.sqrt(integrate_values(da**2, pair))
     return float(num / max(den, 1e-300))
-
-
-def reduced_eigensolve(params: BipartiteParams, rgrid: GridSpec,
-                       k: int = 1) -> SpectrumResult:
-    """Lowest separation modes at the reduced mass."""
-    return eigensolve_1d(params.reduced_physical(), rgrid, k)
 
 
 @dataclass(frozen=True)
@@ -188,12 +177,6 @@ class ThreeRouteReport:
         return max(row.max_gap for row in self.rows)
 
 
-def _identity_energy(rho: RealField, v: np.ndarray, q: np.ndarray,
-                     keep: np.ndarray) -> float:
-    w = (rho.values * rho.grid.node_volumes())[keep]
-    return float(np.sum(w * (v + q)[keep]) / np.sum(w))
-
-
 def three_route_comparison(params: BipartiteParams, n: int, length: float,
                            k: int = 3, dt: float = 1e-3,
                            mask_floor: float = 1e-6) -> ThreeRouteReport:
@@ -209,10 +192,9 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
     """
     pair = pair_grid(n, length)
     rgrid = relative_grid(pair)
-    spec = reduced_eigensolve(params, rgrid, k)
+    spec = eigensolve_1d(params.reduced_physical(), rgrid, k)
     phys2 = params.as_physical()
     v2 = potential_values(phys2.potential, pair)
-    vols = pair.node_volumes()
 
     rows = []
     trans_max = 0.0
@@ -223,16 +205,14 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
         f = spec.eigenfunctions[j]
         psi = lift_relative(f, pair)
         trans_max = max(trans_max, translation_residual(psi.values, pair))
-        norm2 = float(np.sum(psi.values**2 * vols))
+        norm2 = integrate_values(psi.values**2, pair)
         hpsi = apply_hamiltonian(psi.values, pair, phys2)
-        e_op = float(np.sum(psi.values * hpsi * vols) / norm2)
+        e_op = integrate_values(psi.values * hpsi, pair) / norm2
 
         rho = RealField(pair, psi.values**2 / norm2)
         q2 = bohm_potential(rho, phys2, order=2).values
-        excl_q = _node_exclusion_mask(f.values)
-        excl = _table_by_difference(excl_q, n)[_difference_index(pair)]
-        keep = ~low_density_mask(rho, mask_floor) & ~excl
-        e_ext = _identity_energy(rho, v2, q2, keep)
+        excl = _by_difference(node_exclusion_mask(f.values), pair)
+        e_ext, keep = resolved_energy(rho, v2 + q2, excl, mask_floor)
         rows.append(ThreeRouteRow(index=j,
                                   energy_reduced=float(spec.eigenvalues[j]),
                                   energy_operator=e_op,
@@ -264,29 +244,3 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
                             relative_density=rel_d,
                             mass_ratio_deviation=ratio_dev)
 
-
-def _difference_index(pair: GridSpec) -> np.ndarray:
-    n = pair.axes[0].n_points
-    return (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-
-
-def pair_information_metrics(state: MadelungState,
-                             params: BipartiteParams) -> tuple[float, float]:
-    """Per-particle information terms (hbar / 4 m) integral rho (d ln rho)^2.
-
-    For a separation-only density the integrands coincide, so the two
-    terms sit in the exact inverse ratio of the masses.
-    """
-    grid = state.grid
-    if grid.dimension != 2:
-        raise ValueError("pair state must be two dimensional")
-    rho = state.density.values
-    out = []
-    for ax, m in ((0, params.mass_a), (1, params.mass_b)):
-        dr = diff_values(rho, grid, axis=ax, order=2)
-        dead = low_density_mask(state.density)
-        safe = np.where(dead, 1.0, rho)
-        dens = params.hbar * dr**2 / (4.0 * m * safe)
-        dens[dead] = 0.0
-        out.append(float(integrate_values(dens, grid)))
-    return tuple(out)

@@ -11,17 +11,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .action import bohm_potential
+from .action import information_metric
 from .bipartite import (
     BipartiteParams,
     lift_relative,
     pair_grid,
-    pair_information_metrics,
     relative_grid,
     three_route_comparison,
     translation_residual,
@@ -30,7 +30,6 @@ from .constraints import (
     EnsembleHamiltonian,
     LocalMomentum,
     classical_consistency,
-    evaluate_constraint,
     poisson_bracket,
     stationarity_residuals,
 )
@@ -101,6 +100,12 @@ def _get(cfg: dict, path: str):
     return cur
 
 
+def _is_number(val) -> bool:
+    """A finite JSON number (booleans, NaN and infinities are not)."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and (isinstance(val, int) or math.isfinite(val)))
+
+
 def _number(cfg, path, errors, *, positive=False, integer=False,
             required=True, default=None):
     val = _get(cfg, path)
@@ -108,7 +113,7 @@ def _number(cfg, path, errors, *, positive=False, integer=False,
         if required:
             errors.append(f"{path} is required")
         return default
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         errors.append(f"{path} must be a number")
         return default
     if integer and int(val) != val:
@@ -144,15 +149,20 @@ def _build_potential(section: dict | None, grid: GridSpec | None,
                      errors: list, path: str, pairwise: bool = False):
     if section is None:
         return Free()
+    if not isinstance(section, dict):
+        errors.append(f"{path} must be an object")
+        return None
     kind = section.get("kind")
     if kind == "free":
         return Free()
     if kind == "harmonic":
-        sub = dict(section)
-        strength = sub.get("strength", 1.0)
-        center = sub.get("center", 0.0)
-        if not isinstance(strength, (int, float)) or strength < 0:
+        strength = section.get("strength", 1.0)
+        center = section.get("center", 0.0)
+        if not _is_number(strength) or strength < 0:
             errors.append(f"{path}.strength must be a non-negative number")
+            return None
+        if not _is_number(center):
+            errors.append(f"{path}.center must be a number")
             return None
         return Harmonic(k=float(strength), center=float(center))
     if kind == "polynomial" and not pairwise:
@@ -164,8 +174,14 @@ def _build_potential(section: dict | None, grid: GridSpec | None,
         if grid is None:
             return None
         x = grid.coordinates()[0]
-        return Sampled(RealField(grid, np.polynomial.polynomial.polyval(
-            x, np.asarray(coeffs, dtype=float))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.polynomial.polynomial.polyval(
+                x, np.asarray(coeffs, dtype=float))
+        if not np.all(np.isfinite(v)):
+            errors.append(f"{path}.coefficients overflow on the grid: the "
+                          f"potential is not finite at every node")
+            return None
+        return Sampled(RealField(grid, v))
     allowed = "'free' or 'harmonic'" if pairwise \
         else "'free', 'harmonic' or 'polynomial'"
     errors.append(f"{path}.kind must be {allowed}")
@@ -191,7 +207,7 @@ def _build_params(cfg: dict, grid: GridSpec | None, errors: list,
             errors.append("system.mass entries must be positive")
             return None
         mass_val: float | tuple = (float(mass[0]), float(mass[1]))
-    elif isinstance(mass, (int, float)) and not isinstance(mass, bool):
+    elif _is_number(mass):
         if mass <= 0:
             errors.append("system.mass must be positive")
             return None
@@ -331,12 +347,8 @@ def _run_evolve(cfg, seed, plots):
         traj = propagate_madelung(state, params, dt, steps, store_every=store)
         rho_end = traj.states[-1].density.values
         results = {
-            "method": method,
-            "times": traj.times,
             "substeps_per_step": traj.substeps_per_step,
             "mass_drift": traj.mass_drift,
-            "final_mean": integrate_values(rho_end * x, grid),
-            "final_variance": None,
         }
         plots["final_action"] = (
             ("x", "action"),
@@ -345,17 +357,14 @@ def _run_evolve(cfg, seed, plots):
         traj = propagate_wavefunction(psi0, params, dt, steps,
                                       store_every=store)
         rho_end = np.abs(traj.states[-1].values) ** 2
-        results = {
-            "method": method,
-            "times": traj.times,
-            "norms": traj.norms,
-            "norm_drift": traj.norm_drift,
-            "final_mean": integrate_values(rho_end * x, grid),
-            "final_variance": None,
-        }
-    mean = results["final_mean"]
-    results["final_variance"] = integrate_values(rho_end * (x - mean) ** 2,
-                                                 grid)
+        results = {"norms": traj.norms, "norm_drift": traj.norm_drift}
+    mean = integrate_values(rho_end * x, grid)
+    results.update({
+        "method": method,
+        "times": traj.times,
+        "final_mean": mean,
+        "final_variance": integrate_values(rho_end * (x - mean) ** 2, grid),
+    })
     plots["final_density"] = (("x", "density"),
                               np.column_stack([x, rho_end]))
     return results, [], warnings
@@ -482,8 +491,8 @@ def _run_constraint_check(cfg, seed, plots):
     results = {
         "level": level,
         "energy": energy,
-        "local_momentum_value": evaluate_constraint(momentum, state),
-        "ensemble_energy": evaluate_constraint(hamiltonian, state),
+        "local_momentum_value": momentum.value(state),
+        "ensemble_energy": hamiltonian.value(state),
         "bracket_value": bracket.value,
         "bracket_scale": bracket.scale,
         "bracket_consistent": bracket.consistent,
@@ -535,6 +544,8 @@ def _run_three_route(cfg, seed, plots):
     pair, n, length = _build_pair(cfg, errors)
     k = _number(cfg, "count", errors, positive=True, integer=True,
                 required=False, default=3)
+    if pair is not None:
+        _check_levels(relative_grid(pair_grid(n, length)), k, "count", errors)
     if errors:
         return None, errors, []
     rep = three_route_comparison(pair, n=n, length=length, k=k)
@@ -568,11 +579,10 @@ def _run_bipartite(cfg, seed, plots):
     spec = eigensolve_1d(pair.reduced_physical(), rgrid, k=1)
     psi = lift_relative(spec.eigenfunctions[0], grid2)
     rho = RealField(grid2, psi.values**2)
-    state = MadelungState(rho, RealField(grid2, np.zeros(grid2.shape)),
-                          pair.hbar)
-    ia, ib = pair_information_metrics(state, pair)
-    force = classical_consistency("bipartite_translation",
-                                  pair.as_physical(), grid2)
+    phys2 = pair.as_physical()
+    ia, ib = (information_metric(rho, phys2, order=2, axis=ax)
+              for ax in (0, 1))
+    force = classical_consistency("bipartite_translation", phys2, grid2)
     results = {
         "ground_energy": float(spec.eigenvalues[0]),
         "information_a": ia,

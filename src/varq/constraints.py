@@ -26,6 +26,7 @@ from .action import (
     ActionBreakdown,
     bohm_potential,
     continuity_residual,
+    flux_divergence,
     hamilton_jacobi_residual,
     kinetic_density,
     information_metric,
@@ -33,6 +34,7 @@ from .action import (
     numeric_functional_gradient,
     time_derivatives,
     total_action,
+    trapezoid_weights,
 )
 from .fields import MadelungState, PhysicalParams, potential_values
 from .grid import (
@@ -117,6 +119,13 @@ class DensityStationarity(ConstraintFunctional):
         return RealField(state.grid, np.zeros(state.grid.shape))
 
 
+def _pair_sum_derivative(values: np.ndarray, grid: GridSpec,
+                         order: int) -> np.ndarray:
+    """d/dx_a + d/dx_b on a 2D pair grid, the joint-translation generator."""
+    return (diff_values(values, grid, axis=0, order=order)
+            + diff_values(values, grid, axis=1, order=order))
+
+
 @dataclass(frozen=True)
 class TotalMomentum(ConstraintFunctional):
     """integral rho (dS/dx_a + dS/dx_b): total momentum of a 2D pair."""
@@ -124,24 +133,20 @@ class TotalMomentum(ConstraintFunctional):
     order: int = DEFAULT_ORDER
     kind = "total_momentum"
 
-    def _sum_grad(self, values, grid):
-        return (diff_values(values, grid, axis=0, order=self.order)
-                + diff_values(values, grid, axis=1, order=self.order))
-
     def value(self, state, aux=None):
         if state.grid.dimension != 2:
             raise ValueError("total momentum constraint needs a 2D grid")
         return integrate_values(
-            state.density.values * self._sum_grad(state.action.values,
-                                                  state.grid), state.grid)
+            state.density.values * _pair_sum_derivative(
+                state.action.values, state.grid, self.order), state.grid)
 
     def gradient_density(self, state, aux=None):
-        return RealField(state.grid,
-                         self._sum_grad(state.action.values, state.grid))
+        return RealField(state.grid, _pair_sum_derivative(
+            state.action.values, state.grid, self.order))
 
     def gradient_action(self, state, aux=None):
-        return RealField(state.grid,
-                         -self._sum_grad(state.density.values, state.grid))
+        return RealField(state.grid, -_pair_sum_derivative(
+            state.density.values, state.grid, self.order))
 
 
 @dataclass(frozen=True)
@@ -160,10 +165,8 @@ class RelativeDensity(ConstraintFunctional):
     def value(self, state, aux=None):
         if state.grid.dimension != 2:
             raise ValueError("relative density constraint needs a 2D grid")
-        grad_sum = (diff_values(state.density.values, state.grid, axis=0,
-                                order=self.order)
-                    + diff_values(state.density.values, state.grid, axis=1,
-                                  order=self.order))
+        grad_sum = _pair_sum_derivative(state.density.values, state.grid,
+                                        self.order)
         return integrate_values(state.density.values * grad_sum, state.grid)
 
     def gradient_density(self, state, aux=None):
@@ -205,19 +208,8 @@ class EnsembleHamiltonian(ConstraintFunctional):
         return RealField(state.grid, out)
 
     def gradient_action(self, state, aux=None):
-        grid = state.grid
-        div = np.zeros(grid.shape)
-        for ax in range(grid.dimension):
-            ds = diff_values(state.action.values, grid, axis=ax,
-                             order=self.order)
-            flux = state.density.values * ds / self.params.mass_along(ax)
-            div += diff_values(flux, grid, axis=ax, order=self.order)
-        return RealField(grid, -div)
-
-
-def evaluate_constraint(func: ConstraintFunctional, state: MadelungState,
-                        aux: RealField | None = None) -> float:
-    return func.value(state, aux)
+        return RealField(state.grid,
+                         -flux_divergence(state, self.params, self.order))
 
 
 def functional_derivative(func: ConstraintFunctional, state: MadelungState,
@@ -241,8 +233,7 @@ def _gradient_scale(func: ConstraintFunctional, state: MadelungState,
                     aux: RealField | None) -> float:
     gr = func.gradient_density(state, aux).values
     ga = func.gradient_action(state, aux).values
-    vols = state.grid.node_volumes()
-    return float(np.sqrt(np.sum((gr**2 + ga**2) * vols)))
+    return float(np.sqrt(integrate_values(gr**2 + ga**2, state.grid)))
 
 
 @dataclass(frozen=True)
@@ -303,9 +294,7 @@ def augmented_total_action(states: Sequence[MadelungState], dt: float,
         raise ValueError("one multiplier per constraint required")
     base = total_action(states, dt, params, order)
     aux = _trajectory_aux(states, dt)
-    n = len(states)
-    tw = np.full(n, dt)
-    tw[0] = tw[-1] = 0.5 * dt
+    tw = trapezoid_weights(len(states), dt)
     terms = []
     for lam, c in zip(multipliers, constraints):
         ci = sum(w * c.value(st, a if c.requires_aux else None)
@@ -399,9 +388,7 @@ def classical_consistency(case: str, params: PhysicalParams,
     elif case == "bipartite_translation":
         if grid.dimension != 2:
             raise ValueError("bipartite_translation is a 2D case")
-        field = RealField(grid,
-                          -(diff_values(v, grid, axis=0, order=order)
-                            + diff_values(v, grid, axis=1, order=order)))
+        field = RealField(grid, -_pair_sum_derivative(v, grid, order))
     else:
         raise ValueError(f"unknown case {case!r}")
     peak = float(np.max(np.abs(field.values)))

@@ -16,7 +16,6 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import (
-    DIRICHLET,
     PERIODIC,
     ComplexField,
     GridMismatchError,
@@ -56,13 +55,6 @@ class Harmonic:
 
 
 @dataclass(frozen=True)
-class InfiniteWell:
-    """Hard-wall box of the given width; zero inside, enforced by the grid."""
-
-    length: float
-
-
-@dataclass(frozen=True)
 class Sampled:
     """Potential given by its samples on the target grid."""
 
@@ -80,7 +72,7 @@ class PairwiseRelative:
     inner: "PotentialSpec"
 
 
-PotentialSpec = Free | Harmonic | InfiniteWell | Sampled | PairwiseRelative
+PotentialSpec = Free | Harmonic | Sampled | PairwiseRelative
 
 
 def _eval_1d(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
@@ -88,9 +80,6 @@ def _eval_1d(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
     if isinstance(spec, Harmonic):
         return 0.5 * spec.k * (x - spec.center) ** 2
-    if isinstance(spec, InfiniteWell):
-        # walls live on the grid boundary; the interior is flat
-        return np.zeros_like(x)
     raise ValueError(f"cannot evaluate {type(spec).__name__} from coordinates alone")
 
 
@@ -137,9 +126,6 @@ class PhysicalParams:
             return float(self.mass[axis])
         return float(self.mass)
 
-    def axis_masses(self, grid: GridSpec) -> tuple[float, ...]:
-        return tuple(self.mass_along(ax) for ax in range(grid.dimension))
-
 
 # -- Madelung state ----------------------------------------------------------
 
@@ -166,11 +152,6 @@ class MadelungState:
 
     def mass_total(self) -> float:
         return integrate(self.density)
-
-
-def madelung_state(grid: GridSpec, rho: np.ndarray, s: np.ndarray,
-                   hbar: float = 1.0) -> MadelungState:
-    return MadelungState(RealField(grid, rho), RealField(grid, s), hbar)
 
 
 def normalize(state: MadelungState) -> MadelungState:
@@ -242,16 +223,15 @@ def from_wavefunction(psi: ComplexField, hbar: float = 1.0,
     for ax in range(psi.grid.dimension):
         _check_jumps(psi.values, valid, ax)
 
+    peak = np.unravel_index(np.argmax(rho), rho.shape)
     if psi.grid.dimension == 1:
         phase = _unwrap_1d(psi.values)
     else:
-        # unwrap the anchor column along axis 0, then every row along axis 1
-        anchor = np.unravel_index(np.argmax(rho), rho.shape)
-        col = _unwrap_1d(psi.values[:, anchor[1]])
+        # unwrap the peak's column along axis 0, then every row along axis 1
+        col = _unwrap_1d(psi.values[:, peak[1]])
         rows = _unwrap_1d(psi.values)
-        phase = rows + (col - rows[:, anchor[1]])[:, None]
+        phase = rows + (col - rows[:, peak[1]])[:, None]
 
-    peak = np.unravel_index(np.argmax(rho), rho.shape)
     phase = phase - phase[peak]
 
     mask = ~valid
@@ -274,15 +254,3 @@ def gaussian_density(grid: GridSpec, center: float = 0.0,
     rho /= np.sum(rho * grid.node_volumes())
     return RealField(grid, rho)
 
-
-def boundary_touch_check(rho: RealField, rel_floor: float = 1e-8) -> bool:
-    """True when the density at a Dirichlet edge stays below rel_floor * peak."""
-    v = rho.values
-    peak = np.max(v)
-    for ax_idx, ax in enumerate(rho.grid.axes):
-        if ax.boundary != DIRICHLET:
-            continue
-        edge = np.moveaxis(v, ax_idx, 0)
-        if max(np.max(edge[0]), np.max(edge[-1])) > rel_floor * peak:
-            return False
-    return True

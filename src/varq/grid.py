@@ -106,11 +106,6 @@ class GridSpec:
     def n_nodes(self) -> int:
         return int(np.prod(self.shape))
 
-    def axis(self, index: int) -> Axis:
-        if not 0 <= index < self.dimension:
-            raise ValueError(f"axis {index} out of range for {self.dimension}D grid")
-        return self.axes[index]
-
     def coordinates(self) -> tuple[np.ndarray, ...]:
         return tuple(ax.coordinates() for ax in self.axes)
 
@@ -121,11 +116,6 @@ class GridSpec:
         """Per-node quadrature weight (outer product of the axis weights)."""
         weights = [ax.quadrature_weights() for ax in self.axes]
         return weights[0] if self.dimension == 1 else np.outer(*weights)
-
-
-def _check_same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +132,6 @@ class _NodeField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn):
-        return cls(grid, fn(*grid.meshes()))
 
 
 class RealField(_NodeField):
@@ -284,10 +270,6 @@ def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,
 def derivative(f: Field, axis: int = 0, order: int = DEFAULT_ORDER) -> Field:
     """First partial derivative of a field along the given axis."""
     return type(f)(f.grid, diff_values(f.values, f.grid, axis, order, 1))
-
-
-def second_derivative(f: Field, axis: int = 0, order: int = DEFAULT_ORDER) -> Field:
-    return type(f)(f.grid, diff_values(f.values, f.grid, axis, order, 2))
 
 
 def laplacian(f: Field, order: int = DEFAULT_ORDER) -> Field:

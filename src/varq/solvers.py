@@ -407,9 +407,11 @@ class VanishingMomentumResult:
     spectrum: SpectrumResult
     reports: list[BranchReport]
     trivial: BranchReport
+    # density-weighted V + Q of each eigenstate over its resolved nodes
+    ensemble_energies: list[float]
 
 
-def _node_exclusion_mask(psi: np.ndarray, cells: int = 3) -> np.ndarray:
+def node_exclusion_mask(psi: np.ndarray, cells: int = 3) -> np.ndarray:
     """True within `cells` nodes of a sign change (or exact zero) of psi."""
     sg = np.sign(psi)
     flips = np.nonzero(sg[1:-2] * sg[2:-1] < 0)[0] + 1
@@ -418,6 +420,16 @@ def _node_exclusion_mask(psi: np.ndarray, cells: int = 3) -> np.ndarray:
     for f in np.concatenate([flips, zeros]):
         out[max(0, f - cells):min(psi.size, f + cells + 2)] = True
     return out
+
+
+def resolved_energy(rho: RealField, v_plus_q: np.ndarray,
+                    near_node: np.ndarray,
+                    floor: float) -> tuple[float, np.ndarray]:
+    """Density-weighted mean of V + Q over the resolved nodes (density at
+    least floor times its peak, outside near_node), and those nodes."""
+    keep = ~low_density_mask(rho, floor) & ~near_node
+    w = (rho.values * rho.grid.node_volumes())[keep]
+    return float(np.sum(w * v_plus_q[keep]) / np.sum(w)), keep
 
 
 def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
@@ -436,27 +448,29 @@ def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
     """
     spec = eigensolve_1d(params, grid, k)
     reports = []
+    energies = []
     span = grid.axes[0].span
     v = potential_values(params.potential, grid)
     for j in range(k):
         psi = spec.eigenfunctions[j]
         e = float(spec.eigenvalues[j])
-        rho = psi.values**2
+        rho = RealField(grid, psi.values**2)
         # same-order Q makes V + Q - E a stencil-level identity
-        q = bohm_potential(RealField(grid, rho), params, order=2).values
-        keep = (~low_density_mask(RealField(grid, rho), mask_floor)
-                & ~_node_exclusion_mask(psi.values, node_cells))
-        hj_max = float(np.max(np.abs((v + q - e)[keep])))
+        vq = v + bohm_potential(rho, params, order=2).values
+        ensemble_e, keep = resolved_energy(
+            rho, vq, node_exclusion_mask(psi.values, node_cells), mask_floor)
+        energies.append(ensemble_e)
+        hj_max = float(np.max(np.abs((vq - e)[keep])))
 
         traj = propagate_wavefunction(ComplexField(grid,
                                                    psi.values.astype(complex)),
                                       params, dt, steps, store_every=steps)
         rho_end = np.abs(traj.states[-1].values) ** 2
-        rate = float(np.max(np.abs(rho_end - rho)) / (steps * dt))
+        rate = float(np.max(np.abs(rho_end - rho.values)) / (steps * dt))
 
         s_grad = 0.0  # action field is identically zero by construction
-        dr = diff_values(rho, grid, order=2)
-        dr_scale = float(np.max(np.abs(dr)) * span / np.max(rho))
+        dr = diff_values(rho.values, grid, order=2)
+        dr_scale = float(np.max(np.abs(dr)) * span / np.max(rho.values))
         reports.append(BranchReport(
             branch="nontrivial" if dr_scale > 1e-6 else "trivial",
             label=f"eigenstate_{j}", energy=e, multiplier=0.0,
@@ -466,7 +480,7 @@ def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
 
     trivial = _trivial_branch_report(params)
     return VanishingMomentumResult(spectrum=spec, reports=reports,
-                                   trivial=trivial)
+                                   trivial=trivial, ensemble_energies=energies)
 
 
 def _trivial_branch_report(params: PhysicalParams,
@@ -526,34 +540,24 @@ def quantization_route_report(result: VanishingMomentumResult
     spec = result.spectrum
     grid = spec.grid
     params = spec.params
-    v = potential_values(params.potential, grid)
     rows = []
     for j, psi in enumerate(spec.eigenfunctions):
         rho = psi.values**2
         amp = np.abs(psi.values)
         dpsi = diff_values(psi.values.astype(complex), grid, order=2)
-        momentum_norm = params.hbar * float(
-            np.sqrt(np.sum(np.abs(dpsi) ** 2 * grid.node_volumes())))
+        momentum_norm = params.hbar * l2_norm(ComplexField(grid, dpsi))
         # psi is real: the classical momentum density sqrt(rho) dS/dx is zero
         s_grad = np.zeros(grid.shape)
         classical_norm = float(np.sqrt(np.sum(rho * s_grad**2
                                               * grid.node_volumes())))
         damp = diff_values(amp, grid, order=2)
-        amp_norm = params.hbar * float(
-            np.sqrt(np.sum(damp**2 * grid.node_volumes())))
+        amp_norm = params.hbar * l2_norm(RealField(grid, damp))
         nonlinear = float(np.max(np.abs(2.0 * s_grad)))
-        # energy the stationarity identity implies: density-weighted V + Q
-        # away from walls and amplitude kinks
-        q = bohm_potential(RealField(grid, rho), params, order=2).values
-        keep = (~low_density_mask(RealField(grid, rho), 1e-6)
-                & ~_node_exclusion_mask(psi.values))
-        w = (rho * grid.node_volumes())[keep]
-        ensemble_e = float(np.sum(w * (v + q)[keep]) / np.sum(w))
         rows.append(QuantizationRouteRow(
             label=f"eigenstate_{j}", momentum_norm=momentum_norm,
             classical_momentum_norm=classical_norm,
             amplitude_momentum_norm=amp_norm,
             nonlinear_residual_max=nonlinear,
             eigen_energy=float(spec.eigenvalues[j]),
-            ensemble_energy=ensemble_e))
+            ensemble_energy=result.ensemble_energies[j]))
     return QuantizationRouteReport(rows=rows, trivial_momentum_norm=0.0)

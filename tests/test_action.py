@@ -8,7 +8,6 @@ from varq.action import (
     bohm_potential,
     classical_action_density,
     continuity_residual,
-    directional_derivative,
     functional_gradient,
     hamilton_jacobi_residual,
     information_density,
@@ -261,23 +260,6 @@ def test_numeric_gradient_matches_analytic_action_component():
                               drho_dt=RealField.full(st.grid, 0.0))
     scale = max(np.max(np.abs(ana.values)), 1e-3)
     assert np.max(np.abs(num.values - ana.values)) <= 1e-5 * scale
-
-
-def test_directional_derivative_consistent_with_gradient():
-    rng = np.random.default_rng(23)
-    p = PhysicalParams()
-    st = random_smooth_state(rng, n=512)
-    ds_dt = RealField.full(st.grid, 0.0)
-
-    def slice_fn(s):
-        return action_slice(s, p, ds_dt)
-
-    x = st.grid.coordinates()[0]
-    direction = np.cos(3 * x)
-    dd = directional_derivative(slice_fn, st, "density", direction)
-    ana = functional_gradient(st, p, "density", ds_dt=ds_dt)
-    proj = integrate_values(ana.values * direction, st.grid)
-    assert dd == pytest.approx(proj, rel=1e-6, abs=1e-8)
 
 
 def test_functional_gradient_validation():

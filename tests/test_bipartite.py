@@ -13,14 +13,14 @@ from varq.bipartite import (
     BipartiteParams,
     lift_relative,
     pair_grid,
-    pair_information_metrics,
-    reduced_eigensolve,
     relative_grid,
     three_route_comparison,
     translation_residual,
 )
+from varq.action import information_metric
 from varq.constraints import classical_consistency
-from varq.fields import Harmonic, MadelungState, PhysicalParams
+from varq.fields import Harmonic
+from varq.solvers import eigensolve_1d
 from varq.grid import DIRICHLET, PERIODIC, GridSpec, RealField, integrate_values
 
 SPRING = BipartiteParams(mass_a=1.0, mass_b=2.0, interaction=Harmonic(k=1.0))
@@ -74,7 +74,8 @@ class TestLift:
 
     def test_translation_invariance_exact(self):
         pair = pair_grid(64, 8.0)
-        spec = reduced_eigensolve(SPRING, relative_grid(pair), k=2)
+        spec = eigensolve_1d(SPRING.reduced_physical(), relative_grid(pair),
+                             k=2)
         for f in spec.eigenfunctions:
             psi = lift_relative(f, pair)
             assert translation_residual(psi.values, pair) == 0.0
@@ -83,14 +84,16 @@ class TestLift:
 
     def test_lift_is_normalized(self):
         pair = pair_grid(64, 8.0)
-        spec = reduced_eigensolve(SPRING, relative_grid(pair), k=1)
+        spec = eigensolve_1d(SPRING.reduced_physical(), relative_grid(pair),
+                             k=1)
         psi = lift_relative(spec.eigenfunctions[0], pair)
         assert integrate_values(psi.values**2, pair) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_perturbed_lift_detected(self):
         pair = pair_grid(64, 8.0)
-        spec = reduced_eigensolve(SPRING, relative_grid(pair), k=1)
+        spec = eigensolve_1d(SPRING.reduced_physical(), relative_grid(pair),
+                             k=1)
         psi = lift_relative(spec.eigenfunctions[0], pair).values.copy()
         a = pair.meshes()[0]
         psi += 1e-3 * np.exp(-((a - 4.0) ** 2))
@@ -137,20 +140,23 @@ class TestThreeRoutes:
 class TestInformationSplit:
     def test_inverse_mass_ratio(self):
         pair = pair_grid(64, 8.0)
-        spec = reduced_eigensolve(SPRING, relative_grid(pair), k=1)
+        spec = eigensolve_1d(SPRING.reduced_physical(), relative_grid(pair),
+                             k=1)
         psi = lift_relative(spec.eigenfunctions[0], pair)
-        state = MadelungState(RealField(pair, psi.values**2),
-                              RealField(pair, np.zeros(pair.shape)))
-        ia, ib = pair_information_metrics(state, SPRING)
+        rho = RealField(pair, psi.values**2)
+        phys = SPRING.as_physical()
+        ia, ib = (information_metric(rho, phys, order=2, axis=ax)
+                  for ax in (0, 1))
         assert ia / ib == pytest.approx(SPRING.mass_b / SPRING.mass_a,
                                         rel=1e-12)
         assert ia > 0
+        # the per-axis terms split the axis=None total
+        total = information_metric(rho, phys, order=2)
+        assert ia + ib == pytest.approx(total, rel=1e-14)
 
     def test_rejects_1d_state(self):
         grid = GridSpec.line(64, -4.0, 4.0, DIRICHLET)
         x = grid.coordinates()[0]
-        rho = np.exp(-x * x)
-        state = MadelungState(RealField(grid, rho),
-                              RealField(grid, np.zeros(64)))
-        with pytest.raises(ValueError, match="two dimensional"):
-            pair_information_metrics(state, SPRING)
+        rho = RealField(grid, np.exp(-x * x))
+        with pytest.raises(ValueError, match="out of range"):
+            information_metric(rho, SPRING.as_physical(), axis=1)

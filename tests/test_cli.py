@@ -201,6 +201,52 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert "pair.points must be even" in capsys.readouterr().err
 
+    @staticmethod
+    def pair_config(tmp_path, interaction=None, **extra):
+        return write_config(tmp_path, {
+            "pair": {"mass_a": 1.0, "mass_b": 2.0,
+                     "interaction": interaction or {"kind": "harmonic",
+                                                    "strength": 1.0},
+                     "points": 96, "length": 12.0},
+            **extra,
+        })
+
+    @pytest.mark.parametrize("potential, message", [
+        ({"kind": "harmonic", "center": "abc"},
+         "system.potential.center must be a number"),
+        ({"kind": "harmonic", "center": math.nan},
+         "system.potential.center must be a number"),
+        ("harmonic", "system.potential must be an object"),
+        ({"kind": "harmonic", "strength": True},
+         "system.potential.strength must be a non-negative number"),
+        ({"kind": "polynomial", "coefficients": [0, 0, 1e308, 0, 0, 1e308]},
+         "system.potential.coefficients overflow on the grid"),
+    ])
+    def test_malformed_potential_rejected(self, tmp_path, capsys, potential,
+                                          message):
+        system = dict(HARMONIC_SYSTEM, potential=potential)
+        cfg = eigen_config(tmp_path, system=system)
+        code = cli.main(["eigen", "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario, interaction, extra, message", [
+        ("bipartite", {"kind": "harmonic", "center": [1]}, {},
+         "pair.interaction.center must be a number"),
+        ("three-route", None, {"count": 96},
+         "count asks for 96 levels, but 97 grid points hold at most 95"),
+    ])
+    def test_malformed_pair_rejected(self, tmp_path, capsys, scenario,
+                                     interaction, extra, message):
+        cfg = self.pair_config(tmp_path, interaction, **extra)
+        code = cli.main([scenario, "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+
     def test_stiff_dt_warns_but_succeeds(self, tmp_path, capsys):
         cfg = evolve_config(tmp_path, **{
             "grid": {"points": 64, "min": -20.0, "max": 20.0},

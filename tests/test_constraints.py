@@ -18,7 +18,6 @@ from varq.constraints import (
     TotalMomentum,
     augmented_total_action,
     classical_consistency,
-    evaluate_constraint,
     functional_derivative,
     poisson_bracket,
     stationarity_residuals,
@@ -51,16 +50,15 @@ def test_local_momentum_value_plane_phase():
     g = GridSpec.line(512, -8.0, 8.0)
     st = plane_phase_state(g, momentum=0.7)
     c = LocalMomentum(p_c=0.0)
-    assert evaluate_constraint(c, st) == pytest.approx(0.7, abs=1e-10)
+    assert c.value(st) == pytest.approx(0.7, abs=1e-10)
     c2 = LocalMomentum(p_c=0.7)
-    assert evaluate_constraint(c2, st) == pytest.approx(0.0, abs=1e-10)
+    assert c2.value(st) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_local_momentum_zero_on_real_state():
     g = GridSpec.line(512, -8.0, 8.0)
     st = harmonic_ground_state(g)
-    assert evaluate_constraint(LocalMomentum(), st) == pytest.approx(0.0,
-                                                                     abs=1e-12)
+    assert LocalMomentum().value(st) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_density_stationarity_value_and_aux_requirement():
@@ -68,31 +66,28 @@ def test_density_stationarity_value_and_aux_requirement():
     st = harmonic_ground_state(g)
     c = DensityStationarity()
     with pytest.raises(ValueError):
-        evaluate_constraint(c, st)
+        c.value(st)
     aux = RealField.full(g, 0.0)
-    assert evaluate_constraint(c, st, aux) == 0.0
+    assert c.value(st, aux) == 0.0
     x = g.coordinates()[0]
     aux2 = RealField(g, np.cos(x))
     expected = integrate_values(st.density.values * np.cos(x), g)
-    assert evaluate_constraint(c, st, aux2) == pytest.approx(expected, abs=1e-14)
+    assert c.value(st, aux2) == pytest.approx(expected, abs=1e-14)
 
 
 def test_total_momentum_value_2d():
     g = GridSpec.square(128, 0.0, 12.0, "periodic")
     st = relative_gaussian_2d(g)
-    assert evaluate_constraint(TotalMomentum(), st) == pytest.approx(0.0,
-                                                                     abs=1e-12)
+    assert TotalMomentum().value(st) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        evaluate_constraint(TotalMomentum(),
-                            harmonic_ground_state(GridSpec.line(64, -4, 4)))
+        TotalMomentum().value(harmonic_ground_state(GridSpec.line(64, -4, 4)))
 
 
 def test_relative_density_value_vanishes_for_relative_states():
     g = GridSpec.square(128, 0.0, 12.0, "periodic")
     st = relative_gaussian_2d(g)
     # the density depends on x_a - x_b only, so the transported sum cancels
-    assert evaluate_constraint(RelativeDensity(), st) == pytest.approx(0.0,
-                                                                       abs=1e-12)
+    assert RelativeDensity().value(st) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_relative_density_gradients_identically_zero():

@@ -5,16 +5,13 @@ from varq.grid import ComplexField, GridSpec, RealField, integrate, l2_norm
 from varq.fields import (
     Free,
     Harmonic,
-    InfiniteWell,
     MadelungState,
     PairwiseRelative,
     PhaseUnwrapError,
     PhysicalParams,
     Sampled,
-    boundary_touch_check,
     from_wavefunction,
     gaussian_density,
-    madelung_state,
     normalize,
     potential_values,
     to_wavefunction,
@@ -47,11 +44,6 @@ def test_harmonic_potential_2d_adds_per_axis():
     a, b = g.meshes()
     v = potential_values(Harmonic(k=1.0), g)
     assert np.allclose(v, 0.5 * (a**2 + b**2))
-
-
-def test_infinite_well_interior_is_flat():
-    g = GridSpec.line(64, 0.0, 1.0)
-    assert np.all(potential_values(InfiniteWell(1.0), g) == 0.0)
 
 
 def test_sampled_potential_grid_check():
@@ -105,7 +97,8 @@ def test_params_per_axis_mass():
 def test_state_rejects_negative_density():
     g = GridSpec.line(32, -1.0, 1.0)
     with pytest.raises(ValueError):
-        madelung_state(g, -np.ones(32), np.zeros(32))
+        MadelungState(RealField(g, -np.ones(32)),
+                      RealField(g, np.zeros(32)))
 
 
 def test_state_grid_mismatch():
@@ -118,14 +111,16 @@ def test_state_grid_mismatch():
 def test_normalize_scales_to_unit_mass():
     g = GridSpec.line(256, -8.0, 8.0)
     rho = gaussian_density(g).values * 7.0
-    st = normalize(madelung_state(g, rho, np.zeros(g.shape)))
+    st = normalize(MadelungState(RealField(g, rho),
+                                 RealField(g, np.zeros(g.shape))))
     assert st.mass_total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_zero_mass_raises():
     g = GridSpec.line(32, -1.0, 1.0)
     with pytest.raises(ValueError):
-        normalize(madelung_state(g, np.zeros(32), np.zeros(32)))
+        normalize(MadelungState(RealField(g, np.zeros(32)),
+                                RealField(g, np.zeros(32))))
 
 
 def test_to_wavefunction_norm_and_phase():
@@ -138,7 +133,8 @@ def test_to_wavefunction_norm_and_phase():
 
 def test_to_wavefunction_requires_normalized_state():
     g = GridSpec.line(64, -4.0, 4.0)
-    st = madelung_state(g, np.full(64, 5.0), np.zeros(64))
+    st = MadelungState(RealField(g, np.full(64, 5.0)),
+                       RealField(g, np.zeros(64)))
     with pytest.raises(ValueError):
         to_wavefunction(st)
 
@@ -220,8 +216,3 @@ def test_roundtrip_2d():
     diff = back.action.values[keep] - s[keep]
     assert np.max(np.abs(diff - diff[0])) <= 1e-9
 
-
-def test_boundary_touch_check():
-    g = GridSpec.line(512, -8.0, 8.0)
-    assert boundary_touch_check(gaussian_density(g, 0.0, 1.0))
-    assert not boundary_touch_check(gaussian_density(g, 7.5, 1.0))
