@@ -212,7 +212,7 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
         rho = RealField(pair, psi.values**2 / norm2)
         q2 = bohm_potential(rho, phys2, order=2).values
         excl = _by_difference(node_exclusion_mask(f.values), pair)
-        e_ext, keep = resolved_energy(rho, v2 + q2, excl, mask_floor)
+        e_ext, keep = resolved_energy(rho, v2 + q2, excl, mask_floor, j)
         rows.append(ThreeRouteRow(index=j,
                                   energy_reduced=float(spec.eigenvalues[j]),
                                   energy_operator=e_op,

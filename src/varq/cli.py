@@ -42,6 +42,7 @@ from .fields import (
     potential_values,
 )
 from .fluctuation import (
+    POINTS_PER_SIGMA,
     NonConvergenceError,
     fluctuation_sigma,
     kl_divergence,
@@ -52,6 +53,7 @@ from .fluctuation import (
 from .grid import DIRICHLET, PERIODIC, ComplexField, GridSpec, RealField, integrate_values
 from .solvers import (
     DensityFloorError,
+    UnresolvedLevelError,
     eigensolve_1d,
     propagate_madelung,
     propagate_wavefunction,
@@ -73,32 +75,10 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
-# -- config parsing ----------------------------------------------------------
-
-def _get(cfg: dict, path: str):
-    cur = cfg
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            return None
-        cur = cur[part]
-    return cur
-
+# -- field kinds -------------------------------------------------------------
+# A kind is a converter followed by checks: each check is a test and the
+# complaint that completes "<dotted path> ..." when the test fails. The
+# converter sees only values that pass every check.
 
 def _is_number(val) -> bool:
     """A finite JSON number (booleans, NaN and infinities are not)."""
@@ -106,184 +86,225 @@ def _is_number(val) -> bool:
             and (isinstance(val, int) or math.isfinite(val)))
 
 
-def _number(cfg, path, errors, *, positive=False, integer=False,
-            required=True, default=None):
-    val = _get(cfg, path)
-    if val is None:
-        if required:
-            errors.append(f"{path} is required")
-        return default
-    if not _is_number(val):
-        errors.append(f"{path} must be a number")
-        return default
-    if integer and int(val) != val:
-        errors.append(f"{path} must be an integer")
-        return default
-    if positive and val <= 0:
-        errors.append(f"{path} must be positive")
-        return default
-    return int(val) if integer else float(val)
+_NUMBER = (float, (_is_number, "must be a number"))
+_POSITIVE = _NUMBER + ((lambda x: x > 0, "must be positive"),)
+_NON_NEGATIVE = (float, (lambda x: _is_number(x) and x >= 0,
+                         "must be a non-negative number"))
+_INTEGER = (int, _NUMBER[1], (lambda x: int(x) == x, "must be an integer"))
+_COUNT = _INTEGER + ((lambda x: x > 0, "must be positive"),)
+_BOOLEAN = (bool, (lambda x: isinstance(x, bool), "must be a boolean"))
+_NUMBERS = (lambda x: tuple(map(float, x)),
+            (lambda x: isinstance(x, list) and x and all(map(_is_number, x)),
+             "must be a list of numbers"))
+# one mass, or a pair of them for two independent axes
+_MASSES = (lambda x: tuple(map(float, x)) if isinstance(x, list) else float(x),
+           (lambda x: _is_number(x) or (isinstance(x, list) and len(x) == 2
+                                        and all(map(_is_number, x))),
+            "must be a number or a pair of numbers"),
+           (lambda x: np.min(x) > 0, "must be positive"))
 
 
-def _build_grid(cfg: dict, errors: list) -> GridSpec | None:
-    n = _number(cfg, "grid.points", errors, positive=True, integer=True)
-    lo = _number(cfg, "grid.min", errors)
-    hi = _number(cfg, "grid.max", errors)
-    boundary = _get(cfg, "grid.boundary") or DIRICHLET
-    ok = True
-    if boundary not in (DIRICHLET, PERIODIC):
-        errors.append("grid.boundary must be 'dirichlet' or 'periodic'")
-        ok = False
-    if n is None or lo is None or hi is None:
-        return None
-    if hi <= lo:
-        errors.append("grid.max must exceed grid.min")
-        ok = False
-    if n < 8:
-        errors.append("grid.points must be at least 8")
-        ok = False
-    return GridSpec.line(n, lo, hi, boundary) if ok else None
+def _at_least(kind: tuple, low: int) -> tuple:
+    return kind + ((lambda x: x >= low, f"must be at least {low}"),)
 
 
-def _build_potential(section: dict | None, grid: GridSpec | None,
-                     errors: list, path: str, pairwise: bool = False):
-    if section is None:
-        return Free()
-    if not isinstance(section, dict):
-        errors.append(f"{path} must be an object")
-        return None
-    kind = section.get("kind")
-    if kind == "free":
-        return Free()
-    if kind == "harmonic":
-        strength = section.get("strength", 1.0)
-        center = section.get("center", 0.0)
-        if not _is_number(strength) or strength < 0:
-            errors.append(f"{path}.strength must be a non-negative number")
-            return None
-        if not _is_number(center):
-            errors.append(f"{path}.center must be a number")
-            return None
-        return Harmonic(k=float(strength), center=float(center))
-    if kind == "polynomial" and not pairwise:
-        coeffs = section.get("coefficients")
-        if (not isinstance(coeffs, list) or not coeffs
-                or not all(isinstance(c, (int, float)) for c in coeffs)):
-            errors.append(f"{path}.coefficients must be a list of numbers")
-            return None
-        if grid is None:
-            return None
-        x = grid.coordinates()[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = np.polynomial.polynomial.polyval(
-                x, np.asarray(coeffs, dtype=float))
-        if not np.all(np.isfinite(v)):
-            errors.append(f"{path}.coefficients overflow on the grid: the "
-                          f"potential is not finite at every node")
-            return None
-        return Sampled(RealField(grid, v))
-    allowed = "'free' or 'harmonic'" if pairwise \
-        else "'free', 'harmonic' or 'polynomial'"
-    errors.append(f"{path}.kind must be {allowed}")
-    return None
+def _one_of(*names: str) -> tuple:
+    quoted = [f"'{name}'" for name in names]
+    return (str, (lambda x: isinstance(x, str) and x in names,
+                  f"must be {', '.join(quoted[:-1])} or {quoted[-1]}"))
 
 
-def _build_params(cfg: dict, grid: GridSpec | None, errors: list,
-                  allow_pair_mass: bool = False) -> PhysicalParams | None:
-    hbar = _number(cfg, "system.hbar", errors, positive=True, required=False,
-                   default=1.0)
-    mass = _get(cfg, "system.mass")
-    if mass is None:
-        errors.append("system.mass is required")
-        return None
-    if isinstance(mass, list):
-        if not allow_pair_mass:
-            errors.append("system.mass must be a single number here")
-            return None
-        if len(mass) != 2 or not all(isinstance(m, (int, float)) for m in mass):
-            errors.append("system.mass must be a number or a pair of numbers")
-            return None
-        if any(m <= 0 for m in mass):
-            errors.append("system.mass entries must be positive")
-            return None
-        mass_val: float | tuple = (float(mass[0]), float(mass[1]))
-    elif _is_number(mass):
-        if mass <= 0:
-            errors.append("system.mass must be positive")
-            return None
-        mass_val = float(mass)
-    else:
-        errors.append("system.mass must be a number or a pair of numbers")
-        return None
-    pot = _build_potential(_get(cfg, "system.potential"), grid, errors,
-                           "system.potential")
-    if pot is None or hbar is None:
-        return None
-    return PhysicalParams(hbar=hbar, mass=mass_val, potential=pot)
+# -- the reader --------------------------------------------------------------
+
+class _Unparsed(Exception):
+    """A rule read a value whose own field did not parse."""
 
 
-def _build_pair(cfg: dict, errors: list) -> tuple:
-    ma = _number(cfg, "pair.mass_a", errors, positive=True)
-    mb = _number(cfg, "pair.mass_b", errors, positive=True)
-    hbar = _number(cfg, "pair.hbar", errors, positive=True, required=False,
-                   default=1.0)
-    n = _number(cfg, "pair.points", errors, positive=True, integer=True)
-    length = _number(cfg, "pair.length", errors, positive=True)
-    if n is not None and n % 2:
-        errors.append("pair.points must be even")
-        n = None
-    inter = _build_potential(_get(cfg, "pair.interaction"), None, errors,
-                             "pair.interaction", pairwise=True)
-    if None in (ma, mb, hbar, n, length) or inter is None:
-        return None, None, None
-    return BipartiteParams(mass_a=ma, mass_b=mb, interaction=inter,
-                           hbar=hbar), n, length
+class _Values(dict):
+    """Parsed values by dotted path, plus what the rules build from them."""
+
+    def __missing__(self, key):
+        raise _Unparsed(key)
 
 
-def _gaussian_state(cfg: dict, grid: GridSpec, errors: list):
-    center = _number(cfg, "initial.center", errors, required=False,
-                     default=0.0)
-    width = _number(cfg, "initial.width", errors, positive=True,
-                    required=False, default=1.0)
-    if center is None or width is None:
-        return None
-    x = grid.coordinates()[0]
-    rho = np.exp(-((x - center) ** 2) / (2.0 * width**2))
-    total = integrate_values(rho, grid)
-    if total <= 0:
-        errors.append("initial density vanishes on this grid")
-        return None
-    rho /= total
-    if np.min(rho) <= 0.0:
-        errors.append("initial.width is too narrow for this grid: the "
-                      "density underflows at the edges")
-        return None
-    return MadelungState(RealField(grid, rho),
-                         RealField(grid, np.zeros(grid.shape)))
+def _read(cfg: dict, rows) -> tuple[_Values, list]:
+    """Apply a field table of (dotted path, kind, default) rows. A missing
+    key takes the default; a default of ... marks it required. JSON null
+    is a value like any other."""
+    values, errors = _Values(), []
+    for path, (convert, *checks), default in rows:
+        *blocks, key = path.split(".")
+        node, complaint = cfg, None
+        for depth, block in enumerate(blocks):
+            node = node.get(block, {})
+            if not isinstance(node, dict):
+                complaint = f"{'.'.join(blocks[:depth + 1])} must be an object"
+                break
+        if complaint is None and key in node:
+            complaint = next((f"{path} {bad}" for test, bad in checks
+                              if not test(node[key])), None)
+            if complaint is None:
+                values[path] = convert(node[key])
+        elif complaint is None and default is ...:
+            complaint = f"{path} is required"
+        elif complaint is None:
+            values[path] = default
+        if complaint:
+            errors.append(complaint)
+    return values, list(dict.fromkeys(errors))
 
 
-def _initial_wavefunction(state: MadelungState, grid: GridSpec,
-                          errors: list) -> ComplexField:
-    """sqrt(rho) as the unitary route's start; lists a wall violation."""
-    psi = np.sqrt(state.density.values)
-    problem = wall_violation(psi, grid)
-    if problem:
-        errors.append(problem)
-    return ComplexField(grid, psi.astype(complex))
+# -- field tables per block --------------------------------------------------
+
+_GRID = (
+    ("grid.points", _at_least(_COUNT, 8), ...),
+    ("grid.min", _NUMBER, ...),
+    ("grid.max", _NUMBER, ...),
+    ("grid.boundary", _one_of(DIRICHLET, PERIODIC), DIRICHLET),
+)
+
+_SYSTEM = (
+    ("system.hbar", _POSITIVE, 1.0),
+    ("system.mass", _POSITIVE, ...),
+)
+
+_POTENTIAL = (
+    ("system.potential.kind", _one_of("free", "harmonic", "polynomial"),
+     "free"),
+    ("system.potential.strength", _NON_NEGATIVE, 1.0),
+    ("system.potential.center", _NUMBER, 0.0),
+    ("system.potential.coefficients", _NUMBERS, None),
+)
+
+_PAIR = (
+    ("pair.mass_a", _POSITIVE, ...),
+    ("pair.mass_b", _POSITIVE, ...),
+    ("pair.hbar", _POSITIVE, 1.0),
+    ("pair.points", _COUNT, ...),
+    ("pair.length", _POSITIVE, ...),
+    ("pair.interaction.kind", _one_of("free", "harmonic"), "free"),
+    ("pair.interaction.strength", _NON_NEGATIVE, 1.0),
+    ("pair.interaction.center", _NUMBER, 0.0),
+)
+
+_INITIAL = (
+    ("initial.center", _NUMBER, 0.0),
+    ("initial.width", _POSITIVE, 1.0),
+)
+
+# one particle on a line grid
+_PARTICLE = _GRID + _SYSTEM + _POTENTIAL
 
 
-def _check_levels(grid: GridSpec | None, levels: int | None, path: str,
-                  errors: list) -> None:
-    """eigensolve_1d needs hard walls and at most points - 2 levels."""
-    if grid is None or levels is None:
+# -- cross-field rules -------------------------------------------------------
+# A rule yields violations and stores what it builds in the values. A rule
+# that reads a value whose field did not parse is skipped: that field's
+# own violation is already listed.
+
+def _grid(v):
+    if v["grid.max"] <= v["grid.min"]:
+        yield "grid.max must exceed grid.min"
         return
+    v["grid"] = GridSpec.line(v["grid.points"], v["grid.min"], v["grid.max"],
+                              v["grid.boundary"])
+
+
+def _analytic(v, block: str):
+    """A table without the block's rows (fluctuate) gets a free particle."""
+    return Free() if v.get(f"{block}.kind", "free") == "free" else Harmonic(
+        k=v[f"{block}.strength"], center=v[f"{block}.center"])
+
+
+def _system(v):
+    """The physical parameters; a polynomial is sampled on the grid."""
+    if v.get("system.potential.kind") != "polynomial":
+        potential = _analytic(v, "system.potential")
+    elif v["system.potential.coefficients"] is None:
+        yield "system.potential.coefficients is required"
+        return
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sampled = np.polynomial.polynomial.polyval(
+                v["grid"].coordinates()[0],
+                np.asarray(v["system.potential.coefficients"]))
+        if not np.all(np.isfinite(sampled)):
+            yield ("system.potential.coefficients overflow on the grid: the "
+                   "potential is not finite at every node")
+            return
+        potential = Sampled(RealField(v["grid"], sampled))
+    v["params"] = PhysicalParams(hbar=v["system.hbar"], mass=v["system.mass"],
+                                 potential=potential)
+
+
+def _pair(v):
+    if v["pair.points"] % 2:
+        yield "pair.points must be even"
+        return
+    v["pair"] = BipartiteParams(
+        mass_a=v["pair.mass_a"], mass_b=v["pair.mass_b"],
+        interaction=_analytic(v, "pair.interaction"), hbar=v["pair.hbar"])
+    v["pair_grid"] = pair_grid(v["pair.points"], v["pair.length"])
+
+
+def _check_levels(grid: GridSpec, levels: int, path: str):
+    """eigensolve_1d needs hard walls and at most points - 2 levels."""
     if grid.axes[0].boundary != DIRICHLET:
-        errors.append("grid.boundary must be 'dirichlet': eigenstates need "
-                      "hard walls")
+        yield "grid.boundary must be 'dirichlet': eigenstates need hard walls"
     n = grid.shape[0]
     if levels > n - 2:
-        errors.append(f"{path} asks for {levels} levels, but {n} grid "
-                      f"points hold at most {n - 2}")
+        yield (f"{path} asks for {levels} levels, but {n} grid points hold "
+               f"at most {n - 2}")
+
+
+def _count_levels(v):
+    return _check_levels(v["grid"], v["count"], "count")
+
+
+def _richardson(v):
+    if v["richardson"] and v["system.potential.kind"] == "polynomial":
+        yield ("richardson needs a non-polynomial potential: a polynomial is "
+               "sampled on the config grid only, and the refinement solves "
+               "on the doubled grid")
+
+
+def _initial(v):
+    """The normalized Gaussian packet, which must not underflow anywhere."""
+    grid = v["grid"]
+    x = grid.coordinates()[0]
+    rho = np.exp(-((x - v["initial.center"]) ** 2)
+                 / (2.0 * v["initial.width"] ** 2))
+    total = integrate_values(rho, grid)
+    if total <= 0:
+        yield "initial density vanishes on this grid"
+        return
+    rho /= total
+    if np.min(rho) <= 0.0:
+        yield ("initial.width is too narrow for this grid: the density "
+               "underflows at the edges")
+        return
+    v["state"] = MadelungState(RealField(grid, rho),
+                               RealField(grid, np.zeros(grid.shape)))
+
+
+def _unitary_start(v):
+    """sqrt(rho) as the unitary route's start; it must vanish on the wall."""
+    psi = np.sqrt(v["state"].density.values)
+    problem = wall_violation(psi, v["grid"])
+    if problem:
+        yield problem
+        return
+    v["psi0"] = ComplexField(v["grid"], psi.astype(complex))
+
+
+def _window(v):
+    window, sig = v["window"], fluctuation_sigma(v["params"], v["dt"])
+    if window is not None and len(window) != len(sig):
+        yield "window must list one half-width per axis"
+        return
+    for ax, (w, s) in enumerate(zip(window or (), sig)):
+        if w < _MIN_WINDOW_SIGMAS * s:
+            yield (f"window[{ax}] = {w} is below {_MIN_WINDOW_SIGMAS} "
+                   f"standard deviations ({_MIN_WINDOW_SIGMAS * s:.6g})")
 
 
 def _stiffness_warnings(params: PhysicalParams, grid: GridSpec,
@@ -297,95 +318,59 @@ def _stiffness_warnings(params: PhysicalParams, grid: GridSpec,
 
 
 # -- scenarios ---------------------------------------------------------------
+# A runner takes the parsed values, fills plots, returns (results, warnings).
 
-def _run_eigen(cfg, seed, plots):
-    errors = []
-    grid = _build_grid(cfg, errors)
-    params = _build_params(cfg, grid, errors)
-    k = _number(cfg, "count", errors, positive=True, integer=True,
-                required=False, default=1)
-    richardson = bool(_get(cfg, "richardson") or False)
-    _check_levels(grid, k, "count", errors)
-    if errors:
-        return None, errors, []
-    spec = eigensolve_1d(params, grid, k=k, richardson=richardson)
-    results = {
-        "eigenvalues": spec.eigenvalues,
-        "residuals": spec.residuals,
-    }
-    if richardson:
+def _run_eigen(v, plots):
+    grid = v["grid"]
+    spec = eigensolve_1d(v["params"], grid, k=v["count"],
+                         richardson=v["richardson"])
+    results = {"eigenvalues": spec.eigenvalues, "residuals": spec.residuals}
+    if v["richardson"]:
         results["refined_eigenvalues"] = spec.refined_eigenvalues
     x = grid.coordinates()[0]
     for j, f in enumerate(spec.eigenfunctions):
         plots[f"state_{j}"] = (("x", "amplitude"),
                                np.column_stack([x, f.values]))
-    return results, [], []
+    return results, []
 
 
-def _run_evolve(cfg, seed, plots):
-    errors = []
-    grid = _build_grid(cfg, errors)
-    params = _build_params(cfg, grid, errors)
-    dt = _number(cfg, "dt", errors, positive=True)
-    steps = _number(cfg, "steps", errors, positive=True, integer=True)
-    store = _number(cfg, "store_every", errors, positive=True, integer=True,
-                    required=False)
-    method = _get(cfg, "method") or "fields"
-    if method not in ("fields", "unitary"):
-        errors.append("method must be 'fields' or 'unitary'")
-    state = psi0 = None
-    if grid is not None:
-        state = _gaussian_state(cfg, grid, errors)
-    if state is not None and method == "unitary":
-        psi0 = _initial_wavefunction(state, grid, errors)
-    if errors:
-        return None, errors, []
-    store = store or steps
+def _run_evolve(v, plots):
+    grid, params, dt, steps = v["grid"], v["params"], v["dt"], v["steps"]
+    store = steps if v["store_every"] is None else v["store_every"]
     warnings = _stiffness_warnings(params, grid, dt)
     x = grid.coordinates()[0]
-    if method == "fields":
-        traj = propagate_madelung(state, params, dt, steps, store_every=store)
+    if v["method"] == "fields":
+        traj = propagate_madelung(v["state"], params, dt, steps,
+                                  store_every=store)
         rho_end = traj.states[-1].density.values
-        results = {
-            "substeps_per_step": traj.substeps_per_step,
-            "mass_drift": traj.mass_drift,
-        }
+        results = {"substeps_per_step": traj.substeps_per_step,
+                   "mass_drift": traj.mass_drift}
         plots["final_action"] = (
             ("x", "action"),
             np.column_stack([x, traj.states[-1].action.values]))
     else:
-        traj = propagate_wavefunction(psi0, params, dt, steps,
+        traj = propagate_wavefunction(v["psi0"], params, dt, steps,
                                       store_every=store)
         rho_end = np.abs(traj.states[-1].values) ** 2
         results = {"norms": traj.norms, "norm_drift": traj.norm_drift}
     mean = integrate_values(rho_end * x, grid)
     results.update({
-        "method": method,
+        "method": v["method"],
         "times": traj.times,
         "final_mean": mean,
         "final_variance": integrate_values(rho_end * (x - mean) ** 2, grid),
     })
     plots["final_density"] = (("x", "density"),
                               np.column_stack([x, rho_end]))
-    return results, [], warnings
+    return results, warnings
 
 
-def _run_compare(cfg, seed, plots):
-    errors = []
-    grid = _build_grid(cfg, errors)
-    params = _build_params(cfg, grid, errors)
-    dt = _number(cfg, "dt", errors, positive=True)
-    steps = _number(cfg, "steps", errors, positive=True, integer=True)
-    state = psi0 = None
-    if grid is not None:
-        state = _gaussian_state(cfg, grid, errors)
-    if state is not None:
-        psi0 = _initial_wavefunction(state, grid, errors)
-    if errors:
-        return None, errors, []
+def _run_compare(v, plots):
+    grid, params, dt, steps = v["grid"], v["params"], v["dt"], v["steps"]
     warnings = _stiffness_warnings(params, grid, dt)
-    traj_m = propagate_madelung(state, params, dt, steps, store_every=steps)
-    traj_c = propagate_wavefunction(psi0, params, dt, steps,
+    traj_m = propagate_madelung(v["state"], params, dt, steps,
+                                store_every=steps)
+    traj_c = propagate_wavefunction(v["psi0"], params, dt, steps,
                                     store_every=steps)
     rho_m = traj_m.states[-1].density.values
     rho_c = np.abs(traj_c.states[-1].values) ** 2
@@ -401,38 +386,12 @@ def _run_compare(cfg, seed, plots):
         "norm_drift": traj_c.norm_drift,
         "elapsed_time": steps * dt,
     }
-    return results, [], warnings
+    return results, warnings
 
 
-def _run_fluctuate(cfg, seed, plots):
-    errors = []
-    params = _build_params(cfg, None, errors, allow_pair_mass=True)
-    dt = _number(cfg, "dt", errors, positive=True)
-    samples = _number(cfg, "samples", errors, positive=True, integer=True,
-                      required=False, default=100_000)
-    if seed is None:
-        errors.append("fluctuate needs a seed (config key 'seed' or --seed)")
-    window_cfg = _get(cfg, "window")
-    window = None
-    if window_cfg is not None:
-        if (not isinstance(window_cfg, list)
-                or not all(isinstance(w, (int, float)) for w in window_cfg)):
-            errors.append("window must be a list of numbers")
-        else:
-            window = tuple(float(w) for w in window_cfg)
-    if params is not None and dt is not None and window is not None:
-        sig = fluctuation_sigma(params, dt)
-        if len(window) != len(sig):
-            errors.append("window must list one half-width per axis")
-        else:
-            for ax, (w, s) in enumerate(zip(window, sig)):
-                if w < _MIN_WINDOW_SIGMAS * s:
-                    errors.append(
-                        f"window[{ax}] = {w} is below "
-                        f"{_MIN_WINDOW_SIGMAS} standard deviations "
-                        f"({_MIN_WINDOW_SIGMAS * s:.6g})")
-    if errors:
-        return None, errors, []
+def _run_fluctuate(v, plots):
+    params, dt, window = v["params"], v["dt"], v["window"]
+    samples, seed = v["samples"], v["seed"]
     closed = optimal_transition(params, dt, window)
     numeric, iterations = optimize_transition_numeric(params, dt, window)
     sample = sample_fluctuations(closed, samples, seed)
@@ -459,21 +418,17 @@ def _run_fluctuate(cfg, seed, plots):
             ("displacement", "density"),
             np.column_stack([grid.coordinates()[0],
                              closed.density().values]))
-    return results, [], []
+    # the point cap left fewer nodes than the window needs
+    warnings = [f"transition grid capped at {axis.n_points} nodes on axis "
+                f"{ax}: {s / axis.dx:.3g} nodes per sigma, below "
+                f"{POINTS_PER_SIGMA}"
+                for ax, (axis, s) in enumerate(zip(grid.axes, sig))
+                if axis.n_points * s < POINTS_PER_SIGMA * axis.span]
+    return results, warnings
 
 
-def _run_constraint_check(cfg, seed, plots):
-    errors = []
-    grid = _build_grid(cfg, errors)
-    params = _build_params(cfg, grid, errors)
-    level = _number(cfg, "level", errors, integer=True, required=False,
-                    default=0)
-    if level is not None and level < 0:
-        errors.append("level must be at least 0")
-    elif level is not None:
-        _check_levels(grid, level + 1, "level", errors)
-    if errors:
-        return None, errors, []
+def _run_constraint_check(v, plots):
+    grid, params, level = v["grid"], v["params"], v["level"]
     spec = eigensolve_1d(params, grid, k=level + 1)
     energy = float(spec.eigenvalues[level])
     rho = RealField(grid, spec.eigenfunctions[level].values ** 2)
@@ -501,32 +456,22 @@ def _run_constraint_check(cfg, seed, plots):
         "classical_force_vanishes": force.vanishes,
         "classical_force_peak": force.secondary_max,
     }
-    return results, [], []
+    return results, []
 
 
-def _run_vanishing_momentum(cfg, seed, plots):
-    errors = []
-    grid = _build_grid(cfg, errors)
-    params = _build_params(cfg, grid, errors)
-    k = _number(cfg, "count", errors, positive=True, integer=True,
-                required=False, default=3)
-    _check_levels(grid, k, "count", errors)
-    if errors:
-        return None, errors, []
-    res = vanishing_momentum_scenario(params, grid, k=k)
+def _run_vanishing_momentum(v, plots):
+    res = vanishing_momentum_scenario(v["params"], v["grid"], k=v["count"])
     routes = quantization_route_report(res)
-    rows = []
-    for rep in res.reports + [res.trivial]:
-        rows.append({
-            "label": rep.label,
-            "branch": rep.branch,
-            "energy": rep.energy,
-            "multiplier": rep.multiplier,
-            "stationarity_residual": rep.hj_residual_max,
-            "density_rate": rep.density_rate_max,
-            "momentum_gradient": rep.momentum_gradient_max,
-            "density_gradient_scale": rep.density_gradient_scale,
-        })
+    rows = [{
+        "label": rep.label,
+        "branch": rep.branch,
+        "energy": rep.energy,
+        "multiplier": rep.multiplier,
+        "stationarity_residual": rep.hj_residual_max,
+        "density_rate": rep.density_rate_max,
+        "momentum_gradient": rep.momentum_gradient_max,
+        "density_gradient_scale": rep.density_gradient_scale,
+    } for rep in res.reports + [res.trivial]]
     route_rows = [{
         "label": r.label,
         "momentum_norm": r.momentum_norm,
@@ -536,19 +481,12 @@ def _run_vanishing_momentum(cfg, seed, plots):
     } for r in routes.rows]
     results = {"branches": rows, "operator_route": route_rows,
                "nonlinear_ok": routes.nonlinear_ok}
-    return results, [], []
+    return results, []
 
 
-def _run_three_route(cfg, seed, plots):
-    errors = []
-    pair, n, length = _build_pair(cfg, errors)
-    k = _number(cfg, "count", errors, positive=True, integer=True,
-                required=False, default=3)
-    if pair is not None:
-        _check_levels(relative_grid(pair_grid(n, length)), k, "count", errors)
-    if errors:
-        return None, errors, []
-    rep = three_route_comparison(pair, n=n, length=length, k=k)
+def _run_three_route(v, plots):
+    rep = three_route_comparison(v["pair"], n=v["pair.points"],
+                                 length=v["pair.length"], k=v["count"])
     rows = [{
         "index": r.index,
         "energy_reduced": r.energy_reduced,
@@ -566,15 +504,11 @@ def _run_three_route(cfg, seed, plots):
         "relative_density": rep.relative_density,
         "mass_ratio_deviation": rep.mass_ratio_deviation,
     }
-    return results, [], []
+    return results, []
 
 
-def _run_bipartite(cfg, seed, plots):
-    errors = []
-    pair, n, length = _build_pair(cfg, errors)
-    if errors:
-        return None, errors, []
-    grid2 = pair_grid(n, length)
+def _run_bipartite(v, plots):
+    pair, grid2 = v["pair"], v["pair_grid"]
     rgrid = relative_grid(grid2)
     spec = eigensolve_1d(pair.reduced_physical(), rgrid, k=1)
     psi = lift_relative(spec.eigenfunctions[0], grid2)
@@ -597,19 +531,60 @@ def _run_bipartite(cfg, seed, plots):
     plots["separation_mode"] = (
         ("separation", "amplitude"),
         np.column_stack([r, spec.eigenfunctions[0].values]))
-    return results, [], []
+    return results, []
 
 
+# name -> (field table, cross-field rules, runner)
 SCENARIOS = {
-    "eigen": _run_eigen,
-    "evolve": _run_evolve,
-    "compare-propagators": _run_compare,
-    "fluctuate": _run_fluctuate,
-    "constraint-check": _run_constraint_check,
-    "vanishing-momentum": _run_vanishing_momentum,
-    "three-route": _run_three_route,
-    "bipartite": _run_bipartite,
+    "eigen": (
+        _PARTICLE + (("count", _COUNT, 1), ("richardson", _BOOLEAN, False)),
+        (_grid, _system, _count_levels, _richardson), _run_eigen),
+    "evolve": (
+        _PARTICLE + _INITIAL + (
+            ("method", _one_of("fields", "unitary"), "fields"),
+            ("dt", _POSITIVE, ...), ("steps", _COUNT, ...),
+            ("store_every", _COUNT, None)),
+        (_grid, _system, _initial,
+         lambda v: _unitary_start(v) if v["method"] == "unitary" else ()),
+        _run_evolve),
+    "compare-propagators": (
+        _PARTICLE + _INITIAL + (("dt", _POSITIVE, ...),
+                                ("steps", _COUNT, ...)),
+        (_grid, _system, _initial, _unitary_start), _run_compare),
+    "fluctuate": (
+        (("system.hbar", _POSITIVE, 1.0), ("system.mass", _MASSES, ...),
+         ("dt", _POSITIVE, ...), ("samples", _COUNT, 100_000),
+         ("window", _NUMBERS, None)),
+        (_system, _window, lambda v: () if v["seed"] is not None else (
+            "fluctuate needs a seed (config key 'seed' or --seed)",)),
+        _run_fluctuate),
+    "constraint-check": (
+        _PARTICLE + (("level", _at_least(_INTEGER, 0), 0),),
+        (_grid, _system,
+         lambda v: _check_levels(v["grid"], v["level"] + 1, "level")),
+        _run_constraint_check),
+    "vanishing-momentum": (
+        _PARTICLE + (("count", _COUNT, 3),),
+        (_grid, _system, _count_levels), _run_vanishing_momentum),
+    "three-route": (
+        _PAIR + (("count", _COUNT, 3),),
+        (_pair, lambda v: _check_levels(relative_grid(v["pair_grid"]),
+                                        v["count"], "count")),
+        _run_three_route),
+    "bipartite": (_PAIR, (_pair,), _run_bipartite),
 }
+
+
+def _parse(fields: tuple, rules: tuple, cfg: dict, seed) -> tuple:
+    """The parsed values and every violation of the table and the rules."""
+    values, errors = _read(cfg, fields)
+    values["seed"] = seed
+    for rule in rules:
+        try:
+            errors.extend(rule(values))
+        except _Unparsed:
+            pass
+    return values, errors
 
 
 # -- report and plot output --------------------------------------------------
@@ -620,11 +595,15 @@ def write_report(out_dir: Path, scenario: str, cfg: dict, results: dict,
         "scenario": scenario,
         "config_sha256": config_hash(cfg),
         "config": cfg,
-        "results": _jsonable(results),
+        "results": results,
         "warnings": list(warnings),
     }
     path = out_dir / f"{scenario}_report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    # numpy arrays and scalars become lists and numbers; a NaN or infinity
+    # raises rather than being written as a token standard JSON rejects
+    path.write_text(json.dumps(report, sort_keys=True, indent=2,
+                               default=lambda o: o.tolist(),
+                               allow_nan=False) + "\n")
     return path
 
 
@@ -669,10 +648,17 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
 
-    seed = args.seed if args.seed is not None else _get(cfg, "seed")
-    if seed is not None and (isinstance(seed, bool)
-                             or not isinstance(seed, int)):
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    if (seed is not None or "seed" in cfg) and (isinstance(seed, bool)
+                                                or not isinstance(seed, int)):
         print("config error: seed must be an integer", file=sys.stderr)
+        return EXIT_CONFIG
+
+    fields, rules, run = SCENARIOS[args.scenario]
+    values, errors = _parse(fields, rules, cfg, seed)
+    if errors:
+        for err in errors:
+            print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = Path(args.out)
@@ -684,20 +670,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     plots: dict = {}
-    runner = SCENARIOS[args.scenario]
     try:
-        results, errors, warnings = runner(cfg, seed, plots)
-    except (DensityFloorError, NonConvergenceError) as exc:
+        results, warnings = run(values, plots)
+    except (DensityFloorError, NonConvergenceError,
+            UnresolvedLevelError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if errors:
-        for err in errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    path = write_report(out_dir, args.scenario, cfg, results, warnings)
+    try:
+        path = write_report(out_dir, args.scenario, cfg, results, warnings)
+    except ValueError as exc:
+        print(f"runtime error: report not written: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"wrote {path}")
     if args.emit_plots:
         sha = config_hash(cfg)

@@ -29,7 +29,7 @@ _TAIL_LIMIT = 1e-8
 _WINDOW_FLOOR = 6.0
 _WINDOW_SIGMAS = 8.0
 
-_POINTS_PER_SIGMA = 10
+POINTS_PER_SIGMA = 10
 _MAX_POINTS_1D = 524_289
 _MAX_POINTS_2D = 2_049
 _MIN_POINTS = 129
@@ -80,7 +80,7 @@ def transition_grid(params: PhysicalParams, dt: float,
     axes = []
     for w, s in zip(window, sig):
         if n_points is None:
-            n = int(np.ceil(2.0 * w / s * _POINTS_PER_SIGMA))
+            n = int(np.ceil(2.0 * w / s * POINTS_PER_SIGMA))
             n = min(max(n | 1, _MIN_POINTS), cap)
         else:
             n = int(n_points)

@@ -66,6 +66,10 @@ class DensityFloorError(RuntimeError):
         self.value = value
 
 
+class UnresolvedLevelError(RuntimeError):
+    """No node of a level survives the resolved-node mask."""
+
+
 # -- eigensolver -------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -423,11 +427,16 @@ def node_exclusion_mask(psi: np.ndarray, cells: int = 3) -> np.ndarray:
 
 
 def resolved_energy(rho: RealField, v_plus_q: np.ndarray,
-                    near_node: np.ndarray,
-                    floor: float) -> tuple[float, np.ndarray]:
+                    near_node: np.ndarray, floor: float,
+                    level: int) -> tuple[float, np.ndarray]:
     """Density-weighted mean of V + Q over the resolved nodes (density at
-    least floor times its peak, outside near_node), and those nodes."""
+    least floor times its peak, outside near_node), and those nodes.
+    Raises UnresolvedLevelError when no node is resolved."""
     keep = ~low_density_mask(rho, floor) & ~near_node
+    if not keep.any():
+        raise UnresolvedLevelError(
+            f"level {level} is unresolved: every node has density below "
+            f"{floor:g} of its peak or lies next to a node of the state")
     w = (rho.values * rho.grid.node_volumes())[keep]
     return float(np.sum(w * v_plus_q[keep]) / np.sum(w)), keep
 
@@ -458,7 +467,8 @@ def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
         # same-order Q makes V + Q - E a stencil-level identity
         vq = v + bohm_potential(rho, params, order=2).values
         ensemble_e, keep = resolved_energy(
-            rho, vq, node_exclusion_mask(psi.values, node_cells), mask_floor)
+            rho, vq, node_exclusion_mask(psi.values, node_cells), mask_floor,
+            j)
         energies.append(ensemble_e)
         hj_max = float(np.max(np.abs((vq - e)[keep])))
 

@@ -5,12 +5,17 @@ exit codes, the full-violation listing on bad configs, determinism of
 the JSON reports, and the plot-data format.
 """
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from varq import cli
 
@@ -433,6 +438,104 @@ class TestSolverPreconditions:
                          "--out", str(tmp_path)]) == cli.EXIT_OK
 
 
+POLYNOMIAL_TRAP = {"mass": 1.0, "potential": {
+    "kind": "polynomial", "coefficients": [0, 0, 0.5]}}
+
+
+class TestFieldKinds:
+    """Every field accepts one JSON kind; booleans are never numbers."""
+
+    @staticmethod
+    def fluctuate_config(tmp_path, **overrides):
+        payload = {"system": {"mass": 1.0}, "dt": 0.1, "samples": 2000,
+                   "seed": 7}
+        payload.update(overrides)
+        return write_config(tmp_path, payload)
+
+    @pytest.mark.parametrize("scenario, overrides, message", [
+        ("eigen", {"system": {"mass": 1.0, "potential": {
+            "kind": "polynomial", "coefficients": [True, 0, 0.5]}}},
+         "system.potential.coefficients must be a list of numbers"),
+        ("fluctuate", {"system": {"mass": [True, 2.0]}},
+         "system.mass must be a number or a pair of numbers"),
+        ("eigen", {"richardson": "no"}, "richardson must be a boolean"),
+        ("evolve", {"method": []}, "method must be 'fields' or 'unitary'"),
+        ("eigen", {"grid": {"points": 128, "min": -8.0, "max": 8.0,
+                            "boundary": 0}},
+         "grid.boundary must be 'dirichlet' or 'periodic'"),
+        ("fluctuate", {"window": [math.nan]},
+         "window must be a list of numbers"),
+        ("eigen", {"richardson": True, "system": POLYNOMIAL_TRAP},
+         "richardson needs a non-polynomial potential"),
+    ])
+    def test_wrong_kind_rejected(self, tmp_path, capsys, scenario, overrides,
+                                 message):
+        make = {"eigen": eigen_config, "evolve": evolve_config,
+                "fluctuate": self.fluctuate_config}[scenario]
+        cfg = make(tmp_path, **overrides)
+        code = cli.main([scenario, "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_capped_transition_grid_warns(self, tmp_path, capsys):
+        # the default 6-unit window needs 1.7 million nodes at 10 per
+        # sigma = sqrt(hbar dt / 2m) = 7.1e-5; the 1D cap is 524,289
+        cfg = self.fluctuate_config(tmp_path, dt=1e-8)
+        out = tmp_path / "out"
+        assert cli.main(["fluctuate", "--config", cfg,
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert ("transition grid capped at 524289 nodes on axis 0: 3.09 "
+                "nodes per sigma, below 10") in capsys.readouterr().err
+        report = json.loads((out / "fluctuate_report.json").read_text())
+        assert len(report["warnings"]) == 1
+
+
+class TestRuntimeFailures:
+    @staticmethod
+    def small_pair(tmp_path, count):
+        return write_config(tmp_path, {
+            "pair": {"mass_a": 1.0, "mass_b": 2.0,
+                     "interaction": {"kind": "harmonic", "strength": 1.0},
+                     "points": 16, "length": 12.0},
+            "count": count,
+        })
+
+    def test_unresolved_level_exits_one(self, tmp_path, capsys):
+        # on 16 pair points every node of separation mode 7 lies next to
+        # one of its sign changes, so no node is left to read an energy from
+        out = tmp_path / "out"
+        assert cli.main(["three-route", "--config",
+                         self.small_pair(tmp_path, 7),
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert "NaN" not in (out / "three-route_report.json").read_text()
+        (out / "three-route_report.json").unlink()
+        code = cli.main(["three-route", "--config",
+                         self.small_pair(tmp_path, 8), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME
+        assert "runtime error: level 7 is unresolved" in err
+        assert not (out / "three-route_report.json").exists()
+
+    def test_non_finite_result_writes_no_report(self, tmp_path, capsys,
+                                                monkeypatch):
+        solve = cli.eigensolve_1d
+
+        def nan_solve(*args, **kwargs):
+            spec = solve(*args, **kwargs)
+            return dataclasses.replace(spec,
+                                       eigenvalues=spec.eigenvalues * np.nan)
+
+        monkeypatch.setattr(cli, "eigensolve_1d", nan_solve)
+        out = tmp_path / "out"
+        code = cli.main(["eigen", "--config", eigen_config(tmp_path),
+                         "--out", str(out)])
+        assert code == cli.EXIT_RUNTIME
+        assert "runtime error: report not written" in capsys.readouterr().err
+        assert not (out / "eigen_report.json").exists()
+
+
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 # the scenario each shipped config is written for (see the README table)
@@ -458,3 +561,66 @@ def test_shipped_config_runs(tmp_path, path):
     assert code == cli.EXIT_OK
     report = json.loads((tmp_path / f"{scenario}_report.json").read_text())
     assert report["config"] == json.loads(path.read_text())
+
+
+def config_fields(node, prefix=""):
+    """(dotted path, value) for every key of a config, blocks included."""
+    for key, value in node.items():
+        yield prefix + key, value
+        if isinstance(value, dict):
+            yield from config_fields(value, prefix + key + ".")
+
+
+def json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "array",
+            dict: "object"}[type(value)]
+
+
+JSON_KINDS = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=6),
+    "array": st.lists(st.text(max_size=3), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def replaced(cfg: dict, path: str, value) -> dict:
+    """A copy of cfg with the value at a dotted path replaced."""
+    cfg = json.loads(json.dumps(cfg))
+    *blocks, key = path.split(".")
+    node = cfg
+    for block in blocks:
+        node = node[block]
+    node[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_SCENARIOS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_wrong_json_kind_names_the_field(tmp_path, name, data):
+    scenario = CONFIG_SCENARIOS[name]
+    shipped = json.loads((CONFIG_DIR / name).read_text())
+    for path, value in config_fields(shipped):
+        accepted = {json_kind(value)}
+        if scenario == "fluctuate" and path == "system.mass":
+            accepted |= {"number", "array"}  # one mass or a pair of them
+        wrong = data.draw(st.one_of(*(strategy for kind, strategy
+                                      in JSON_KINDS.items()
+                                      if kind not in accepted)), label=path)
+        cfg_path = write_config(tmp_path, replaced(shipped, path, wrong))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([scenario, "--config", cfg_path,
+                             "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG, err.getvalue()
+        assert path in err.getvalue()
+        assert "Traceback" not in err.getvalue()
