@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import (
     PERIODIC,
@@ -236,9 +235,12 @@ def from_wavefunction(psi: ComplexField, hbar: float = 1.0,
 
     mask = ~valid
     if np.any(mask):
+        # imported on use, so that importing varq leaves scipy.ndimage out
+        from scipy.ndimage import distance_transform_edt
+
         # carry the action of the nearest valid node into floored regions
-        idx = ndimage.distance_transform_edt(mask, return_distances=False,
-                                             return_indices=True)
+        idx = distance_transform_edt(mask, return_distances=False,
+                                     return_indices=True)
         phase = phase[tuple(idx)]
     s_vals = hbar * phase
     return MadelungState(RealField(psi.grid, rho), RealField(psi.grid, s_vals),

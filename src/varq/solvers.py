@@ -9,7 +9,10 @@ level when Q is evaluated at the same order. The density/action
 propagator integrates the coupled quantum Hamilton-Jacobi and continuity
 equations directly with explicit RK4, internally substepping below the
 reporting cadence to stay inside the stability region of the stiffest
-grid mode.
+grid mode. It carries ln rho and S side by side in one array and takes
+both fields' first and second derivatives along an axis from one product
+with that axis's stacked operator, so each right-hand side costs one
+sparse product per axis.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.ndimage import maximum_filter1d
 from scipy.sparse.linalg import splu
 
 from .action import bohm_potential, low_density_mask
@@ -40,6 +42,7 @@ from .grid import (
     hard_wall_laplacian,
     integrate_values,
     l2_norm,
+    stencil_operator,
 )
 
 # a node announces itself as a narrow dip: abort once the density anywhere
@@ -249,37 +252,67 @@ class MadelungTrajectory:
     substeps_per_step: int
 
 
-def _pair_derivative(a: np.ndarray, b: np.ndarray, grid: GridSpec, axis: int,
-                     order: int, deriv: int):
-    """d^deriv of two fields along one axis from one operator product, the
-    two side by side across the other axis."""
-    pair = np.column_stack([a, b]) if axis == 0 else np.vstack([a, b])
-    d = diff_values(pair, grid, axis=axis, order=order, deriv=deriv)
-    return [half.reshape(grid.shape) for half in np.split(d, 2, 1 - axis)]
+def _pair_operators(grid: GridSpec, order: int) -> list:
+    """Per axis: the first- and second-derivative numerators stacked into
+    one CSR operator, with the divisor of each half.
+
+    sparse.vstack keeps every row's stored order, so each product sums a
+    row exactly as Stencil.apply does.
+    """
+    ops = []
+    for ax in grid.axes:
+        first = stencil_operator(ax, order, 1)
+        second = stencil_operator(ax, order, 2)
+        ops.append((sparse.vstack([first.numerators, second.numerators],
+                                  format="csr"),
+                    first.divisor, second.divisor))
+    return ops
 
 
-def _madelung_rhs(log_rho: np.ndarray, s: np.ndarray, grid: GridSpec,
-                  params: PhysicalParams, v: np.ndarray, order: int):
-    """Time derivatives of (ln rho, S).
+def _pair_derivatives(y: np.ndarray, ops: list, axis: int):
+    """First and second derivatives of both fields of y, shaped (n0, 2)
+    or (n0, 2, n1), along one axis, each shaped like y, from one operator
+    product."""
+    mat, div1, div2 = ops[axis]
+    if axis == 0:
+        d = (mat @ y.reshape(y.shape[0], -1)).reshape(2, *y.shape)
+    else:
+        # one row per (axis-0 node, field) pair, differentiated across
+        n0, _, n1 = y.shape
+        d = (mat @ y.reshape(-1, n1).T).T.reshape(n0, 2, 2, n1)
+        d = d.transpose(2, 0, 1, 3)
+    return d[0] / div1, d[1] / div2
 
-    The log-density form has no division by the amplitude, so thin tails
+
+def _madelung_rhs(y: np.ndarray, ops: list, params: PhysicalParams,
+                  v: np.ndarray) -> np.ndarray:
+    """Time derivative of the stacked state y = (ln rho, S).
+
+    y holds the two fields side by side along its second array axis. The
+    log-density form has no division by the amplitude, so thin tails
     near hard walls stay well conditioned: continuity turns into
     d(ln rho)/dt = -(d ln rho dS + d2 S)/m and the curvature potential
     into -(hbar^2/2m)(d2 ln rho / 2 + (d ln rho)^2 / 4).
     """
     kin = dlog = q = 0.0
     hb2 = params.hbar**2
-    for ax in range(grid.dimension):
+    for ax in range(len(ops)):
         m = params.mass_along(ax)
-        dl1, ds1 = _pair_derivative(log_rho, s, grid, ax, order, 1)
-        dl2, ds2 = _pair_derivative(log_rho, s, grid, ax, order, 2)
+        d1, d2 = _pair_derivatives(y, ops, ax)
+        dl1, ds1 = d1[:, 0], d1[:, 1]
         kin += ds1**2 / (2.0 * m)
-        dlog += -(dl1 * ds1 + ds2) / m
-        q += -hb2 * (0.5 * dl2 + 0.25 * dl1**2) / (2.0 * m)
-    return dlog, -(kin + v + q)
+        dlog += -(dl1 * ds1 + d2[:, 1]) / m
+        q += -hb2 * (0.5 * d2[:, 0] + 0.25 * dl1**2) / (2.0 * m)
+    out = np.empty_like(y)
+    out[:, 0] = dlog
+    out[:, 1] = -(kin + v + q)
+    return out
 
 
 def _neighborhood_max(log_rho: np.ndarray, grid: GridSpec) -> np.ndarray:
+    # imported on use, so that importing varq leaves scipy.ndimage out
+    from scipy.ndimage import maximum_filter1d
+
     out = log_rho
     for ax in range(grid.dimension):
         mode = "wrap" if grid.axes[ax].boundary == PERIODIC else "nearest"
@@ -287,12 +320,11 @@ def _neighborhood_max(log_rho: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _stability_substeps(state: MadelungState, params: PhysicalParams,
-                        dt: float, order: int) -> int:
+def _stability_substeps(state: MadelungState, y: np.ndarray, ops: list,
+                        params: PhysicalParams, dt: float, order: int) -> int:
     grid = state.grid
     hbar = params.hbar
     rate = 0.0
-    log_rho = np.log(state.density.values)
     # the d2 symbol peaks at the grid's Nyquist mode, where it is the sum
     # of the central row's |weights|
     half = order // 2
@@ -301,10 +333,9 @@ def _stability_substeps(state: MadelungState, params: PhysicalParams,
         dx = grid.axes[ax_idx].dx
         m = params.mass_along(ax_idx)
         rate += hbar * peak / (2.0 * m * dx * dx)
-        dl, ds = _pair_derivative(log_rho, state.action.values, grid, ax_idx,
-                                  order, 1)
-        rate += (np.pi / dx) * (np.max(np.abs(ds))
-                                + 0.5 * hbar * np.max(np.abs(dl))) / m
+        d1, _ = _pair_derivatives(y, ops, ax_idx)
+        rate += (np.pi / dx) * (np.max(np.abs(d1[:, 1]))
+                                + 0.5 * hbar * np.max(np.abs(d1[:, 0]))) / m
     v = potential_values(params.potential, grid)
     q0 = bohm_potential(state.density, params, order=order).values
     rate += (np.max(np.abs(v)) + np.max(np.abs(q0))) / hbar
@@ -331,16 +362,17 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
         raise ValueError(
             "initial density touches zero; the phase equations are "
             "singular at nodes")
+    ops = _pair_operators(grid, order)
+    y = np.stack([np.log(state0.density.values), state0.action.values],
+                 axis=1)
     if substeps is None:
-        substeps = _stability_substeps(state0, params, dt, order)
+        substeps = _stability_substeps(state0, y, ops, params, dt, order)
     h = dt / substeps
     v = potential_values(params.potential, grid)
-    log_rho = np.log(state0.density.values)
-    s = state0.action.values.copy()
     mass0 = integrate_values(state0.density.values, grid)
 
-    def rhs(lr, a):
-        return _madelung_rhs(lr, a, grid, params, v, order)
+    def rhs(z):
+        return _madelung_rhs(z, ops, params, v)
 
     log_floor = np.log(abort_floor)
 
@@ -362,25 +394,25 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
                 t, node, val)
 
     states = [MadelungState(RealField(grid, state0.density.values.copy()),
-                            RealField(grid, s.copy()), params.hbar)]
+                            RealField(grid, state0.action.values.copy()),
+                            params.hbar)]
     times = [0.0]
     drift = [0.0]
     for step in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             for sub in range(substeps):
-                k1r, k1s = rhs(log_rho, s)
-                k2r, k2s = rhs(log_rho + 0.5 * h * k1r, s + 0.5 * h * k1s)
-                k3r, k3s = rhs(log_rho + 0.5 * h * k2r, s + 0.5 * h * k2s)
-                k4r, k4s = rhs(log_rho + h * k3r, s + h * k3s)
-                log_rho = log_rho + (h / 6.0) * (k1r + 2.0 * k2r
-                                                 + 2.0 * k3r + k4r)
-                s = s + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-                check_floor(log_rho, (step - 1) * dt + (sub + 1) * h)
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                check_floor(y[:, 0], (step - 1) * dt + (sub + 1) * h)
         t = step * dt
         if step % store_every == 0 or step == steps:
-            rho = np.exp(log_rho)
+            rho = np.exp(y[:, 0])
             states.append(MadelungState(RealField(grid, rho),
-                                        RealField(grid, s.copy()), params.hbar))
+                                        RealField(grid, y[:, 1].copy()),
+                                        params.hbar))
             times.append(t)
             drift.append(integrate_values(rho, grid) - mass0)
     return MadelungTrajectory(grid=grid, params=params, dt=dt,

@@ -9,14 +9,19 @@ S = -x sin(t) + sin(2t)/4 - t/2 (unit parameters, unit displacement).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from varq import solvers
 from varq.fields import Harmonic, MadelungState, PhysicalParams, Sampled
 from varq.grid import (
     DIRICHLET,
     PERIODIC,
+    Axis,
     ComplexField,
     GridSpec,
     RealField,
+    diff_values,
     integrate_values,
 )
 from varq.solvers import (
@@ -298,6 +303,30 @@ class TestMadelungPropagation:
                                   substeps=7)
         assert traj.substeps_per_step == 7
 
+    def test_2d_separable_state_is_the_sum_of_two_1d_runs(self):
+        # ln rho = a(x) + b(y) and S = c(x) + d(y) in V = (x^2 + y^2)/2:
+        # every RHS term is a sum over axes, so each RK4 stage splits too
+        grid = GridSpec.square(96, -4.0, 4.0, PERIODIC)
+        line = GridSpec((grid.axes[0],))
+        x = line.coordinates()[0]
+        k = np.pi / 4.0
+        a, c = 1.5 * np.cos(k * x), 0.3 * np.sin(k * x)
+        b = 0.8 * np.sin(k * x) + 0.4 * np.cos(2.0 * k * x)
+        d = 0.2 * np.cos(k * x)
+
+        def run(g, log_rho, s):
+            state = MadelungState(RealField(g, np.exp(log_rho)),
+                                  RealField(g, s))
+            end = propagate_madelung(state, HARMONIC, dt=1e-2, steps=10,
+                                     store_every=10, substeps=8).states[-1]
+            return np.log(end.density.values), end.action.values
+
+        lr2, s2 = run(grid, a[:, None] + b[None, :], c[:, None] + d[None, :])
+        (lra, sa), (lrb, sb) = run(line, a, c), run(line, b, d)
+        assert np.max(np.abs(lr2 - (lra[:, None] + lrb[None, :]))) < 1e-12
+        assert np.max(np.abs(s2 - (sa[:, None] + sb[None, :]))) < 1e-12
+
+
 
 @pytest.fixture(scope="module")
 def result():
@@ -351,3 +380,51 @@ class TestVanishingMomentumScenario:
             assert row.energy_gap < 1e-9
         assert report.nonlinear_ok
         assert report.trivial_momentum_norm == 0.0
+
+
+# -- the fused right-hand side against per-field derivatives -----------------
+
+def reference_rhs(log_rho, s, grid, params, v, order):
+    """d(ln rho)/dt and dS/dt from one diff_values call per field, axis and
+    derivative, in the propagator's formula and operation order."""
+    kin = dlog = q = 0.0
+    for ax in range(grid.dimension):
+        m = params.mass_along(ax)
+        dl1 = diff_values(log_rho, grid, axis=ax, order=order, deriv=1)
+        ds1 = diff_values(s, grid, axis=ax, order=order, deriv=1)
+        dl2 = diff_values(log_rho, grid, axis=ax, order=order, deriv=2)
+        ds2 = diff_values(s, grid, axis=ax, order=order, deriv=2)
+        kin += ds1**2 / (2.0 * m)
+        dlog += -(dl1 * ds1 + ds2) / m
+        q += -params.hbar**2 * (0.5 * dl2 + 0.25 * dl1**2) / (2.0 * m)
+    return dlog, -(kin + v + q)
+
+
+@st.composite
+def rhs_cases(draw):
+    """A 1D or 2D grid (each axis its own size, span and boundary), an
+    order, parameters, and a seed for the random fields."""
+    axes = tuple(
+        Axis(draw(st.integers(8, 24)), 0.0,
+             draw(st.floats(0.5, 20.0, allow_nan=False)),
+             draw(st.sampled_from([PERIODIC, DIRICHLET])))
+        for _ in range(draw(st.integers(1, 2))))
+    masses = tuple(draw(st.floats(0.1, 10.0)) for _ in axes)
+    params = PhysicalParams(hbar=draw(st.floats(0.1, 10.0)),
+                            mass=masses if len(axes) == 2 else masses[0])
+    order = draw(st.sampled_from([2, 4]))
+    return GridSpec(axes), params, order, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rhs_cases())
+def test_fused_rhs_equals_per_field_derivatives_exactly(case):
+    grid, params, order, seed = case
+    rng = np.random.default_rng(seed)
+    log_rho, s, v = (rng.normal(0.0, 3.0, grid.shape) for _ in range(3))
+    y = np.stack([log_rho, s], axis=1)
+    got = solvers._madelung_rhs(y, solvers._pair_operators(grid, order),
+                                params, v)
+    want_log, want_s = reference_rhs(log_rho, s, grid, params, v, order)
+    assert np.array_equal(got[:, 0], want_log)
+    assert np.array_equal(got[:, 1], want_s)
