@@ -649,9 +649,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    if (seed is not None or "seed" in cfg) and (isinstance(seed, bool)
-                                                or not isinstance(seed, int)):
-        print("config error: seed must be an integer", file=sys.stderr)
+    # the sampler keys its generator with np.uint64(seed)
+    if (seed is not None or "seed" in cfg) and (
+            isinstance(seed, bool) or not isinstance(seed, int)
+            or not 0 <= seed < 2**64):
+        print("config error: seed must be an integer in 0..2**64 - 1",
+              file=sys.stderr)
         return EXIT_CONFIG
 
     fields, rules, run = SCENARIOS[args.scenario]

@@ -153,16 +153,6 @@ class MadelungState:
         return integrate(self.density)
 
 
-def normalize(state: MadelungState) -> MadelungState:
-    """Rescale the density to unit total mass."""
-    total = state.mass_total()
-    if total <= 0:
-        raise ValueError("cannot normalize a state with zero total mass")
-    return MadelungState(RealField(state.grid, state.density.values / total),
-                         state.action, state.hbar,
-                         low_density_mask=state.low_density_mask)
-
-
 def to_wavefunction(state: MadelungState, norm_tol: float = 1e-8) -> ComplexField:
     """psi = sqrt(rho) exp(i S / hbar); requires a normalized state."""
     total = state.mass_total()

@@ -9,10 +9,11 @@ level when Q is evaluated at the same order. The density/action
 propagator integrates the coupled quantum Hamilton-Jacobi and continuity
 equations directly with explicit RK4, internally substepping below the
 reporting cadence to stay inside the stability region of the stiffest
-grid mode. It carries ln rho and S side by side in one array and takes
-both fields' first and second derivatives along an axis from one product
-with that axis's stacked operator, so each right-hand side costs one
-sparse product per axis.
+grid mode. It carries both fields as one complex array
+u = ln(rho)/2 + i S/hbar, whose equation per axis is
+u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar, so each right-hand side costs
+two sparse products per axis. It never forms psi = exp(u), which keeps
+it independent of the wavefunction route it is compared with.
 """
 
 from __future__ import annotations
@@ -252,60 +253,24 @@ class MadelungTrajectory:
     substeps_per_step: int
 
 
-def _pair_operators(grid: GridSpec, order: int) -> list:
-    """Per axis: the first- and second-derivative numerators stacked into
-    one CSR operator, with the divisor of each half.
-
-    sparse.vstack keeps every row's stored order, so each product sums a
-    row exactly as Stencil.apply does.
-    """
-    ops = []
-    for ax in grid.axes:
-        first = stencil_operator(ax, order, 1)
-        second = stencil_operator(ax, order, 2)
-        ops.append((sparse.vstack([first.numerators, second.numerators],
-                                  format="csr"),
-                    first.divisor, second.divisor))
-    return ops
-
-
-def _pair_derivatives(y: np.ndarray, ops: list, axis: int):
-    """First and second derivatives of both fields of y, shaped (n0, 2)
-    or (n0, 2, n1), along one axis, each shaped like y, from one operator
-    product."""
-    mat, div1, div2 = ops[axis]
-    if axis == 0:
-        d = (mat @ y.reshape(y.shape[0], -1)).reshape(2, *y.shape)
-    else:
-        # one row per (axis-0 node, field) pair, differentiated across
-        n0, _, n1 = y.shape
-        d = (mat @ y.reshape(-1, n1).T).T.reshape(n0, 2, 2, n1)
-        d = d.transpose(2, 0, 1, 3)
-    return d[0] / div1, d[1] / div2
-
-
-def _madelung_rhs(y: np.ndarray, ops: list, params: PhysicalParams,
+def _madelung_rhs(u: np.ndarray, ops: list, params: PhysicalParams,
                   v: np.ndarray) -> np.ndarray:
-    """Time derivative of the stacked state y = (ln rho, S).
+    """Time derivative of u = ln(rho)/2 + i S/hbar.
 
-    y holds the two fields side by side along its second array axis. The
-    log-density form has no division by the amplitude, so thin tails
-    near hard walls stay well conditioned: continuity turns into
-    d(ln rho)/dt = -(d ln rho dS + d2 S)/m and the curvature potential
-    into -(hbar^2/2m)(d2 ln rho / 2 + (d ln rho)^2 / 4).
+    Per axis, u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar: the real part is
+    the continuity equation for ln rho, the imaginary part the quantum
+    Hamilton-Jacobi equation for S, curvature potential included. ops
+    holds each axis's first- and second-derivative stencils. Nothing
+    divides by the amplitude, but a density that starts far below its
+    peak still breaks the route: a squeezed packet (trap strength 1.5,
+    0.8 of the ground width, center 1) on [-6, 6] starts near 1e-41 of
+    its peak at the far wall and aborts there at t ~ 0.06.
     """
-    kin = dlog = q = 0.0
-    hb2 = params.hbar**2
-    for ax in range(len(ops)):
-        m = params.mass_along(ax)
-        d1, d2 = _pair_derivatives(y, ops, ax)
-        dl1, ds1 = d1[:, 0], d1[:, 1]
-        kin += ds1**2 / (2.0 * m)
-        dlog += -(dl1 * ds1 + d2[:, 1]) / m
-        q += -hb2 * (0.5 * d2[:, 0] + 0.25 * dl1**2) / (2.0 * m)
-    out = np.empty_like(y)
-    out[:, 0] = dlog
-    out[:, 1] = -(kin + v + q)
+    out = -1j * (v / params.hbar)
+    for ax, (first, second) in enumerate(ops):
+        d1 = first.apply(u, ax)
+        out = out + (0.5j * params.hbar / params.mass_along(ax)) * (
+            second.apply(u, ax) + d1 * d1)
     return out
 
 
@@ -320,7 +285,7 @@ def _neighborhood_max(log_rho: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _stability_substeps(state: MadelungState, y: np.ndarray, ops: list,
+def _stability_substeps(state: MadelungState, u: np.ndarray, ops: list,
                         params: PhysicalParams, dt: float, order: int) -> int:
     grid = state.grid
     hbar = params.hbar
@@ -333,9 +298,9 @@ def _stability_substeps(state: MadelungState, y: np.ndarray, ops: list,
         dx = grid.axes[ax_idx].dx
         m = params.mass_along(ax_idx)
         rate += hbar * peak / (2.0 * m * dx * dx)
-        d1, _ = _pair_derivatives(y, ops, ax_idx)
-        rate += (np.pi / dx) * (np.max(np.abs(d1[:, 1]))
-                                + 0.5 * hbar * np.max(np.abs(d1[:, 0]))) / m
+        d1 = ops[ax_idx][0].apply(u, ax_idx)
+        rate += (np.pi / dx) * hbar * (np.max(np.abs(d1.imag))
+                                       + np.max(np.abs(d1.real))) / m
     v = potential_values(params.potential, grid)
     q0 = bohm_potential(state.density, params, order=order).values
     rate += (np.max(np.abs(v)) + np.max(np.abs(q0))) / hbar
@@ -346,14 +311,15 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
                        dt: float, steps: int, store_every: int = 1,
                        order: int = 4, substeps: int | None = None,
                        abort_floor: float = ABORT_FLOOR) -> MadelungTrajectory:
-    """Explicit RK4 on the coupled log-density/phase equations.
+    """Explicit RK4 on u = ln(rho)/2 + i S/hbar (see _madelung_rhs).
 
     dt is the reporting cadence; each reported step internally takes as
     many RK4 substeps as the stiffest resolved mode requires. The density
     must start strictly positive. A narrow dip falling below abort_floor
     times its own neighborhood marks a forming node and raises
-    DensityFloorError with its location; smooth tails may run arbitrarily
-    deep. Total mass drift is logged, never corrected.
+    DensityFloorError with its location; a smooth tail alone does not
+    trip it, but one that starts far below the peak at a hard wall soon
+    develops such a dip. Total mass drift is logged, never corrected.
     """
     grid = state0.grid
     if dt <= 0 or steps < 1:
@@ -362,11 +328,12 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
         raise ValueError(
             "initial density touches zero; the phase equations are "
             "singular at nodes")
-    ops = _pair_operators(grid, order)
-    y = np.stack([np.log(state0.density.values), state0.action.values],
-                 axis=1)
+    ops = [(stencil_operator(ax, order, 1), stencil_operator(ax, order, 2))
+           for ax in grid.axes]
+    u = (0.5 * np.log(state0.density.values)
+         + 1j * (state0.action.values / params.hbar))
     if substeps is None:
-        substeps = _stability_substeps(state0, y, ops, params, dt, order)
+        substeps = _stability_substeps(state0, u, ops, params, dt, order)
     h = dt / substeps
     v = potential_values(params.potential, grid)
     mass0 = integrate_values(state0.density.values, grid)
@@ -401,17 +368,17 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     for step in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             for sub in range(substeps):
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * h * k1)
-                k3 = rhs(y + 0.5 * h * k2)
-                k4 = rhs(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                check_floor(y[:, 0], (step - 1) * dt + (sub + 1) * h)
+                k1 = rhs(u)
+                k2 = rhs(u + 0.5 * h * k1)
+                k3 = rhs(u + 0.5 * h * k2)
+                k4 = rhs(u + h * k3)
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                check_floor(2.0 * u.real, (step - 1) * dt + (sub + 1) * h)
         t = step * dt
         if step % store_every == 0 or step == steps:
-            rho = np.exp(y[:, 0])
+            rho = np.exp(2.0 * u.real)
             states.append(MadelungState(RealField(grid, rho),
-                                        RealField(grid, y[:, 1].copy()),
+                                        RealField(grid, params.hbar * u.imag),
                                         params.hbar))
             times.append(t)
             drift.append(integrate_values(rho, grid) - mass0)

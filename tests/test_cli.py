@@ -174,6 +174,25 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config_seed, flag", [
+        (7, ["--seed", "-1"]),
+        (7, ["--seed", str(2**64)]),
+        (-1, []),
+        (2**64, []),
+    ], ids=["flag_negative", "flag_2_64", "config_negative", "config_2_64"])
+    def test_seed_outside_uint64_rejected(self, tmp_path, capsys,
+                                          config_seed, flag):
+        cfg = write_config(tmp_path, {
+            "system": {"mass": 1.0}, "dt": 0.1, "samples": 10,
+            "seed": config_seed,
+        })
+        code = cli.main(["fluctuate", "--config", cfg, *flag,
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "config error: seed must be" in err
+        assert "Traceback" not in err
+
     def test_window_below_sigma_floor_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "system": {"mass": 1.0}, "dt": 0.1, "seed": 1,

@@ -12,7 +12,6 @@ from varq.fields import (
     Sampled,
     from_wavefunction,
     gaussian_density,
-    normalize,
     potential_values,
     to_wavefunction,
 )
@@ -106,21 +105,6 @@ def test_state_grid_mismatch():
     g2 = GridSpec.line(33, -1.0, 1.0)
     with pytest.raises(ValueError):
         MadelungState(RealField.full(g1, 1.0), RealField.full(g2, 0.0))
-
-
-def test_normalize_scales_to_unit_mass():
-    g = GridSpec.line(256, -8.0, 8.0)
-    rho = gaussian_density(g).values * 7.0
-    st = normalize(MadelungState(RealField(g, rho),
-                                 RealField(g, np.zeros(g.shape))))
-    assert st.mass_total() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_normalize_zero_mass_raises():
-    g = GridSpec.line(32, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        normalize(MadelungState(RealField(g, np.zeros(32)),
-                                RealField(g, np.zeros(32))))
 
 
 def test_to_wavefunction_norm_and_phase():

@@ -5,7 +5,9 @@ it; another varq module that needs it should get a public name instead.
 No linter runs on this repository, so the rule is checked here. Every
 CLI run pays for what `import varq.cli` loads, so scipy.ndimage, which
 only phase recovery and the propagator's dip check use, is imported
-where it is used.
+where it is used. The perfbench tracer and worker name varq functions
+in strings, so a rename must reach them too, or a per-layer metric reads
+zero.
 """
 
 import ast
@@ -14,7 +16,9 @@ import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "varq"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "varq"
+PERFBENCH = REPO / "perfbench"
 
 
 def private_imports(path: pathlib.Path) -> list[str]:
@@ -46,3 +50,39 @@ def test_importing_the_cli_does_not_load_ndimage():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def perfbench_names() -> tuple[set[str], set[str]]:
+    """The tracer's EXTRA kernels, and every `layer.function` perfbench
+    reads a metric from: EXTRA, the HOOKS keys, and each name the worker
+    passes to calls, incl or self_s."""
+    extra, names = set(), set()
+    for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = getattr(node.targets[0], "id", None)
+            if target == "EXTRA":
+                extra = set(ast.literal_eval(node.value))
+            elif target == "HOOKS":
+                names |= {ast.literal_eval(key) for key in node.value.keys}
+    for node in ast.walk(ast.parse((PERFBENCH / "worker.py").read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("calls", "incl", "self_s")):
+            names.add(ast.literal_eval(node.args[0]))
+    return extra, names | extra
+
+
+def module_functions(layer: str) -> set[str]:
+    tree = ast.parse((SRC / f"{layer}.py").read_text())
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_perfbench_name_is_a_traced_layer_function():
+    extra, names = perfbench_names()
+    assert len(names) >= 18
+    split = [qual.split(".") for qual in sorted(names)]
+    assert [f"{layer}.{name}" for layer, name in split
+            if name not in module_functions(layer)] == []
+    # the tracer wraps a private function only when EXTRA names it
+    assert [f"{layer}.{name}" for layer, name in split
+            if name.startswith("_") and f"{layer}.{name}" not in extra] == []
