@@ -1,16 +1,17 @@
 """Ensemble action functionals on the density/action field pair.
 
-The total action is the classical ensemble action plus hbar/2 times the
+The total action is the classical ensemble action, integral dt dx
+rho (dS/dt + sum_axes (dS/dx)^2 / 2 m + V), plus hbar/2 times the
 information metric
 
     I = integral dt dx (hbar / 4 m) (d rho / dx)^2 / rho,
 
-summed over axes with their own masses in 2D. Extremizing the total
-action in rho gives the quantum Hamilton-Jacobi equation (the classical
-one plus the Bohm potential Q = -(hbar^2/2m) lap(sqrt(rho))/sqrt(rho));
-extremizing in S gives the continuity equation. Both residual fields are
-available here, together with a slow node-by-node numeric gradient used
-to cross-check the analytic expressions.
+summed over axes with their own masses in 2D. Here are the local
+densities both are built from, the trapezoid-in-time total action, and
+a slow node-by-node numeric gradient that cross-checks analytic
+functional derivatives. The analytic ones, the quantum Hamilton-Jacobi
+and continuity expressions, are the gradients of
+`constraints.EnsembleHamiltonian`.
 """
 
 from __future__ import annotations
@@ -44,18 +45,6 @@ def kinetic_density(state: MadelungState, params: PhysicalParams,
         ds = diff_values(state.action.values, grid, axis=ax, order=order)
         total += ds**2 / (2.0 * params.mass_along(ax))
     return RealField(grid, total)
-
-
-def classical_action_density(state: MadelungState, params: PhysicalParams,
-                             ds_dt: RealField,
-                             order: int = DEFAULT_ORDER) -> RealField:
-    """rho (dS/dt + kinetic + V): spatial integrand of the classical action."""
-    if ds_dt.grid != state.grid:
-        raise GridMismatchError("ds_dt lives on a different grid")
-    v = potential_values(params.potential, state.grid)
-    kin = kinetic_density(state, params, order).values
-    return RealField(state.grid,
-                     state.density.values * (ds_dt.values + kin + v))
 
 
 def information_density(rho: RealField, params: PhysicalParams,
@@ -152,11 +141,13 @@ def total_action(states: Sequence[MadelungState], dt: float,
             raise GridMismatchError("trajectory states live on different grids")
     ds_dt = time_derivatives([st.action.values for st in states], dt)
     tw = trapezoid_weights(len(states), dt)
+    v = potential_values(params.potential, grid)
     classical = 0.0
     info = 0.0
     for w, st, dsdt in zip(tw, states, ds_dt):
-        cd = classical_action_density(st, params, RealField(grid, dsdt), order)
-        classical += w * integrate_values(cd.values, grid)
+        kin = kinetic_density(st, params, order).values
+        classical += w * integrate_values(
+            st.density.values * (dsdt + kin + v), grid)
         info += w * information_metric(st.density, params, order)
     hbar = params.hbar
     return ActionBreakdown(
@@ -164,30 +155,6 @@ def total_action(states: Sequence[MadelungState], dt: float,
         information=info,
         total=classical + 0.5 * hbar * info,
     )
-
-
-# -- variational residuals (analytic functional gradients) -------------------
-
-def hamilton_jacobi_residual(state: MadelungState, params: PhysicalParams,
-                             ds_dt: RealField,
-                             order: int = DEFAULT_ORDER) -> RealField:
-    """dS/dt + kinetic + V + Q, which is dA_total/d rho on a frozen slice."""
-    if ds_dt.grid != state.grid:
-        raise GridMismatchError("ds_dt lives on a different grid")
-    kin = kinetic_density(state, params, order).values
-    v = potential_values(params.potential, state.grid)
-    q = bohm_potential(state.density, params, order=order).values
-    return RealField(state.grid, ds_dt.values + kin + v + q)
-
-
-def continuity_residual(state: MadelungState, params: PhysicalParams,
-                        drho_dt: RealField,
-                        order: int = DEFAULT_ORDER) -> RealField:
-    """d rho/dt + sum_axes d(rho dS/dx / m)/dx, which is dA_total/dS."""
-    if drho_dt.grid != state.grid:
-        raise GridMismatchError("drho_dt lives on a different grid")
-    return RealField(state.grid,
-                     drho_dt.values + flux_divergence(state, params, order))
 
 
 def flux_divergence(state: MadelungState, params: PhysicalParams,
@@ -200,38 +167,6 @@ def flux_divergence(state: MadelungState, params: PhysicalParams,
         flux = state.density.values * ds / params.mass_along(ax)
         div += diff_values(flux, grid, axis=ax, order=order)
     return div
-
-
-def functional_gradient(state: MadelungState, params: PhysicalParams,
-                        component: str, ds_dt: RealField | None = None,
-                        drho_dt: RealField | None = None,
-                        order: int = DEFAULT_ORDER) -> RealField:
-    """Analytic gradient of the per-slice total action.
-
-    component="density": dS/dt + kinetic + V + Q
-    component="action":  -(d rho/dt + div(rho grad S / m))
-    Time derivatives of the frozen slice are supplied by the caller
-    (trajectory differencing), never recomputed from the equations of
-    motion themselves.
-    """
-    if component == "density":
-        if ds_dt is None:
-            raise ValueError("density gradient needs ds_dt")
-        return hamilton_jacobi_residual(state, params, ds_dt, order)
-    if component == "action":
-        if drho_dt is None:
-            raise ValueError("action gradient needs drho_dt")
-        res = continuity_residual(state, params, drho_dt, order)
-        return RealField(state.grid, -res.values)
-    raise ValueError(f"unknown component {component!r}")
-
-
-def action_slice(state: MadelungState, params: PhysicalParams,
-                 ds_dt: RealField, order: int = DEFAULT_ORDER) -> float:
-    """Spatial integral of the total-action integrand on one time slice."""
-    cd = classical_action_density(state, params, ds_dt, order)
-    info = information_metric(state.density, params, order)
-    return integrate_values(cd.values, state.grid) + 0.5 * params.hbar * info
 
 
 def numeric_functional_gradient(functional: Callable[[MadelungState], float],

@@ -1,9 +1,14 @@
 """Constraint functionals, Poisson brackets, and augmented actions.
 
 Constraints are scalar functionals of the (density, action) pair added to
-the total action with Lagrange multipliers. Each carries its analytic
-functional gradients; a numeric backend cross-checks them. The bracket of
-two functionals is
+the total action with Lagrange multipliers. Each defines a local
+`integrand`, whose value at a node reads the fields only within one
+stencil width of it; `value` is always the grid integral of the
+integrand. Each also carries analytic functional gradients, which a
+node-perturbation backend cross-checks. `EnsembleHamiltonian` is the one
+definition of the ensemble energy rho (kinetic + V) + (hbar/2) I; its
+gradients give the quantum Hamilton-Jacobi and continuity residuals.
+The bracket of two functionals is
 
     {F, G} = integral (dF/d rho dG/dS - dF/dS dG/d rho),
 
@@ -25,11 +30,9 @@ import numpy as np
 from .action import (
     ActionBreakdown,
     bohm_potential,
-    continuity_residual,
     flux_divergence,
-    hamilton_jacobi_residual,
+    information_density,
     kinetic_density,
-    information_metric,
     low_density_mask,
     numeric_functional_gradient,
     time_derivatives,
@@ -56,13 +59,18 @@ def weak_equality(value: float, scale: float,
 
 
 class ConstraintFunctional:
-    """Scalar functional with analytic gradients in density and action."""
+    """Grid integral of a local integrand, with analytic gradients in
+    density and action."""
 
     kind: str = "abstract"
     requires_aux: bool = False
 
-    def value(self, state: MadelungState, aux: RealField | None = None) -> float:
+    def integrand(self, state: MadelungState,
+                  aux: RealField | None = None) -> np.ndarray:
         raise NotImplementedError
+
+    def value(self, state: MadelungState, aux: RealField | None = None) -> float:
+        return integrate_values(self.integrand(state, aux), state.grid)
 
     def gradient_density(self, state: MadelungState,
                          aux: RealField | None = None) -> RealField:
@@ -85,10 +93,9 @@ class LocalMomentum(ConstraintFunctional):
     order: int = DEFAULT_ORDER
     kind = "local_momentum"
 
-    def value(self, state, aux=None):
+    def integrand(self, state, aux=None):
         ds = diff_values(state.action.values, state.grid, order=self.order)
-        return integrate_values(state.density.values * (ds - self.p_c),
-                                state.grid)
+        return state.density.values * (ds - self.p_c)
 
     def gradient_density(self, state, aux=None):
         ds = diff_values(state.action.values, state.grid, order=self.order)
@@ -107,9 +114,9 @@ class DensityStationarity(ConstraintFunctional):
     kind = "density_stationarity"
     requires_aux = True
 
-    def value(self, state, aux=None):
+    def integrand(self, state, aux=None):
         self._need_aux(aux)
-        return integrate_values(state.density.values * aux.values, state.grid)
+        return state.density.values * aux.values
 
     def gradient_density(self, state, aux=None):
         self._need_aux(aux)
@@ -133,12 +140,11 @@ class TotalMomentum(ConstraintFunctional):
     order: int = DEFAULT_ORDER
     kind = "total_momentum"
 
-    def value(self, state, aux=None):
+    def integrand(self, state, aux=None):
         if state.grid.dimension != 2:
             raise ValueError("total momentum constraint needs a 2D grid")
-        return integrate_values(
-            state.density.values * _pair_sum_derivative(
-                state.action.values, state.grid, self.order), state.grid)
+        return state.density.values * _pair_sum_derivative(
+            state.action.values, state.grid, self.order)
 
     def gradient_density(self, state, aux=None):
         return RealField(state.grid, _pair_sum_derivative(
@@ -162,12 +168,11 @@ class RelativeDensity(ConstraintFunctional):
     order: int = DEFAULT_ORDER
     kind = "relative_density"
 
-    def value(self, state, aux=None):
+    def integrand(self, state, aux=None):
         if state.grid.dimension != 2:
             raise ValueError("relative density constraint needs a 2D grid")
-        grad_sum = _pair_sum_derivative(state.density.values, state.grid,
-                                        self.order)
-        return integrate_values(state.density.values * grad_sum, state.grid)
+        return state.density.values * _pair_sum_derivative(
+            state.density.values, state.grid, self.order)
 
     def gradient_density(self, state, aux=None):
         return RealField(state.grid, np.zeros(state.grid.shape))
@@ -178,34 +183,28 @@ class RelativeDensity(ConstraintFunctional):
 
 @dataclass(frozen=True)
 class EnsembleHamiltonian(ConstraintFunctional):
-    """integral rho (kinetic + V [+ Q]) over the ensemble.
+    """integral rho (kinetic + V) + (hbar/2) information over the ensemble.
 
-    include_quantum adds the information-metric part, whose density
-    variation is exactly the Bohm potential.
+    The density variation of the information part is exactly the Bohm
+    potential Q, so gradient_density is kinetic + V + Q.
     """
 
     params: PhysicalParams
-    include_quantum: bool = True
     order: int = DEFAULT_ORDER
     kind = "ensemble_hamiltonian"
 
-    def value(self, state, aux=None):
+    def integrand(self, state, aux=None):
         kin = kinetic_density(state, self.params, self.order).values
         v = potential_values(self.params.potential, state.grid)
-        out = integrate_values(state.density.values * (kin + v), state.grid)
-        if self.include_quantum:
-            out += 0.5 * self.params.hbar * information_metric(
-                state.density, self.params, self.order)
-        return out
+        info = information_density(state.density, self.params,
+                                   self.order).values
+        return state.density.values * (kin + v) + 0.5 * self.params.hbar * info
 
     def gradient_density(self, state, aux=None):
         kin = kinetic_density(state, self.params, self.order).values
         v = potential_values(self.params.potential, state.grid)
-        out = kin + v
-        if self.include_quantum:
-            out = out + bohm_potential(state.density, self.params,
-                                       order=self.order).values
-        return RealField(state.grid, out)
+        q = bohm_potential(state.density, self.params, order=self.order).values
+        return RealField(state.grid, kin + v + q)
 
     def gradient_action(self, state, aux=None):
         return RealField(state.grid,
@@ -227,13 +226,6 @@ def functional_derivative(func: ConstraintFunctional, state: MadelungState,
         return numeric_functional_gradient(lambda s: func.value(s, aux),
                                            state, component, step)
     raise ValueError(f"unknown backend {backend!r}")
-
-
-def _gradient_scale(func: ConstraintFunctional, state: MadelungState,
-                    aux: RealField | None) -> float:
-    gr = func.gradient_density(state, aux).values
-    ga = func.gradient_action(state, aux).values
-    return float(np.sqrt(integrate_values(gr**2 + ga**2, state.grid)))
 
 
 @dataclass(frozen=True)
@@ -261,8 +253,8 @@ def poisson_bracket(f: ConstraintFunctional, g: ConstraintFunctional,
     g_rho = g.gradient_density(state, aux_g).values
     g_s = g.gradient_action(state, aux_g).values
     value = integrate_values(f_rho * g_s - f_s * g_rho, state.grid)
-    scale = max(_gradient_scale(f, state, aux_f),
-                _gradient_scale(g, state, aux_g))
+    scale = float(np.sqrt(max(integrate_values(f_rho**2 + f_s**2, state.grid),
+                              integrate_values(g_rho**2 + g_s**2, state.grid))))
     return BracketReport(
         left_kind=f.kind, right_kind=g.kind, value=value, scale=scale,
         consistent=weak_equality(value, scale, atol, rtol),
@@ -325,20 +317,21 @@ def stationarity_residuals(states: Sequence[MadelungState], dt: float,
                            mask_floor: float = 1e-6) -> StationarityReport:
     """Variational residuals at the middle slice of a trajectory.
 
-    density residual: dS/dt + kinetic + V + Q + sum lambda_i dC_i/d rho
-    action residual: -(continuity) + sum lambda_i dC_i/dS
+    density residual: dS/dt + dH/d rho + sum lambda_i dC_i/d rho
+    action residual: -d rho/dt + dH/dS + sum lambda_i dC_i/dS
+    with H the EnsembleHamiltonian, so the first is the quantum
+    Hamilton-Jacobi residual and the second minus the continuity one.
     Maxima are taken where rho >= mask_floor * peak.
     """
     if len(constraints) != len(multipliers):
         raise ValueError("one multiplier per constraint required")
     mid = len(states) // 2
     st = states[mid]
-    ds_dt = RealField(st.grid,
-                      time_derivatives([s.action.values for s in states],
-                                       dt)[mid])
+    ds_dt = time_derivatives([s.action.values for s in states], dt)[mid]
     drho_dt_field = _trajectory_aux(states, dt)[mid]
-    dens = hamilton_jacobi_residual(st, params, ds_dt, order).values
-    act = -continuity_residual(st, params, drho_dt_field, order).values
+    h = EnsembleHamiltonian(params, order)
+    dens = ds_dt + h.gradient_density(st).values
+    act = -drho_dt_field.values + h.gradient_action(st).values
     values = []
     for lam, c in zip(multipliers, constraints):
         aux = drho_dt_field if c.requires_aux else None

@@ -425,17 +425,24 @@ def node_exclusion_mask(psi: np.ndarray, cells: int = 3) -> np.ndarray:
     return out
 
 
-def resolved_energy(rho: RealField, v_plus_q: np.ndarray,
-                    near_node: np.ndarray, floor: float,
-                    level: int) -> tuple[float, np.ndarray]:
-    """Density-weighted mean of V + Q over the resolved nodes (density at
-    least floor times its peak, outside near_node), and those nodes.
-    Raises UnresolvedLevelError when no node is resolved."""
+def resolved_nodes(rho: RealField, near_node: np.ndarray, floor: float,
+                   level: int) -> np.ndarray:
+    """Nodes with density at least floor times its peak, outside near_node.
+    Raises UnresolvedLevelError when there is none."""
     keep = ~low_density_mask(rho, floor) & ~near_node
     if not keep.any():
         raise UnresolvedLevelError(
             f"level {level} is unresolved: every node has density below "
             f"{floor:g} of its peak or lies next to a node of the state")
+    return keep
+
+
+def resolved_energy(rho: RealField, v_plus_q: np.ndarray,
+                    near_node: np.ndarray, floor: float,
+                    level: int) -> tuple[float, np.ndarray]:
+    """Density-weighted mean of V + Q over the resolved nodes, and those
+    nodes."""
+    keep = resolved_nodes(rho, near_node, floor, level)
     w = (rho.values * rho.grid.node_volumes())[keep]
     return float(np.sum(w * v_plus_q[keep]) / np.sum(w)), keep
 

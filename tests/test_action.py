@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from varq.grid import GridSpec, RealField, integrate, integrate_values
+from varq.grid import (
+    GridMismatchError,
+    GridSpec,
+    RealField,
+    integrate,
+    integrate_values,
+)
 from varq.fields import Free, Harmonic, MadelungState, PhysicalParams
 from varq.action import (
-    action_slice,
     bohm_potential,
-    classical_action_density,
-    continuity_residual,
-    functional_gradient,
-    hamilton_jacobi_residual,
     information_density,
     information_metric,
     kinetic_density,
@@ -18,6 +19,7 @@ from varq.action import (
     time_derivatives,
     total_action,
 )
+from varq.constraints import EnsembleHamiltonian, functional_derivative
 
 from conftest import harmonic_ground_state, random_smooth_state
 
@@ -153,14 +155,20 @@ def test_kinetic_density_plane_phase():
 
 
 def test_classical_action_density_signs():
+    # S = -t/2 on a still Gaussian: every slice of the classical part is
+    # integral rho (dS/dt + V), here -0.5 + 0.5 * 0.7**2, so a dropped or
+    # sign-flipped term shows
     g = GridSpec.line(512, -8.0, 8.0)
-    st = gaussian_state(g)
     p = PhysicalParams(potential=Harmonic())
-    ds_dt = RealField.full(g, -0.5)
-    cd = classical_action_density(st, p, ds_dt)
+    dt = 0.1
+    states = [MadelungState(gaussian_state(g, sigma=0.7).density,
+                            RealField.full(g, -0.5 * j * dt))
+              for j in range(4)]
     x = g.coordinates()[0]
-    expected = st.density.values * (-0.5 + 0.5 * x**2)
-    assert np.allclose(cd.values, expected, atol=1e-12)
+    expected = integrate_values(states[0].density.values
+                                * (-0.5 + 0.5 * x**2), g)
+    assert total_action(states, dt, p).classical == pytest.approx(
+        3 * dt * expected, abs=1e-12)
 
 
 # -- total action over a trajectory ------------------------------------------
@@ -214,69 +222,73 @@ def test_total_action_vanishes_on_stationary_ground_state():
 
 # -- functional gradients ----------------------------------------------------
 
+def slice_action(state, params, ds_dt):
+    """Total-action integrand of one frozen slice: rho dS/dt plus the
+    ensemble Hamiltonian."""
+    return (integrate_values(state.density.values * ds_dt, state.grid)
+            + EnsembleHamiltonian(params).value(state))
+
+
 def test_hamilton_jacobi_residual_on_ground_state():
+    # dS/dt + kinetic + V + Q vanishes on the stationary ground state
     g = GridSpec.line(1024, -8.0, 8.0)
     st = harmonic_ground_state(g)
     p = PhysicalParams(potential=Harmonic())
-    res = hamilton_jacobi_residual(st, p, RealField.full(g, -0.5))
+    res = -0.5 + EnsembleHamiltonian(p).gradient_density(st).values
     keep = ~low_density_mask(st.density, floor=1e-6)
-    assert np.max(np.abs(res.values[keep])) <= 1e-5
+    assert np.max(np.abs(res[keep])) <= 1e-5
 
 
 def test_continuity_residual_stationary_state():
+    # d rho/dt + div(rho grad S / m) = d rho/dt - dH/dS, with d rho/dt = 0
     g = GridSpec.line(1024, -8.0, 8.0)
     st = harmonic_ground_state(g)
     p = PhysicalParams(potential=Harmonic())
-    res = continuity_residual(st, p, RealField.full(g, 0.0))
-    assert np.max(np.abs(res.values)) <= 1e-12
+    res = -EnsembleHamiltonian(p).gradient_action(st).values
+    assert np.max(np.abs(res)) <= 1e-12
 
 
 def test_numeric_gradient_matches_analytic_density_component():
     rng = np.random.default_rng(17)
     p = PhysicalParams(potential=Harmonic())
     st = random_smooth_state(rng, n=512)
-    ds_dt = RealField.full(st.grid, -0.3)
-
-    def slice_fn(s):
-        return action_slice(s, p, ds_dt)
-
-    num = numeric_functional_gradient(slice_fn, st, "density")
-    ana = functional_gradient(st, p, "density", ds_dt=ds_dt)
-    scale = np.max(np.abs(ana.values))
-    assert np.max(np.abs(num.values - ana.values)) <= 1e-5 * scale
+    ds_dt = np.full(st.grid.shape, -0.3)
+    num = numeric_functional_gradient(
+        lambda s: slice_action(s, p, ds_dt), st, "density")
+    ana = ds_dt + EnsembleHamiltonian(p).gradient_density(st).values
+    scale = np.max(np.abs(ana))
+    assert np.max(np.abs(num.values - ana)) <= 1e-5 * scale
 
 
 def test_numeric_gradient_matches_analytic_action_component():
+    # with d rho/dt = 0 the action gradient is dH/dS = -div(rho grad S / m)
     rng = np.random.default_rng(19)
     p = PhysicalParams(potential=Harmonic())
     st = random_smooth_state(rng, n=512)
-    ds_dt = RealField.full(st.grid, 0.0)
-
-    def slice_fn(s):
-        return action_slice(s, p, ds_dt)
-
-    num = numeric_functional_gradient(slice_fn, st, "action")
-    ana = functional_gradient(st, p, "action",
-                              drho_dt=RealField.full(st.grid, 0.0))
-    scale = max(np.max(np.abs(ana.values)), 1e-3)
-    assert np.max(np.abs(num.values - ana.values)) <= 1e-5 * scale
+    ds_dt = np.zeros(st.grid.shape)
+    num = numeric_functional_gradient(
+        lambda s: slice_action(s, p, ds_dt), st, "action")
+    ana = EnsembleHamiltonian(p).gradient_action(st).values
+    scale = max(np.max(np.abs(ana)), 1e-3)
+    assert np.max(np.abs(num.values - ana)) <= 1e-5 * scale
 
 
 def test_functional_gradient_validation():
     g = GridSpec.line(64, -1.0, 1.0)
     st = gaussian_state(g, sigma=0.3)
-    p = PhysicalParams()
+    h = EnsembleHamiltonian(PhysicalParams())
     with pytest.raises(ValueError):
-        functional_gradient(st, p, "density")
+        functional_derivative(h, st, "phase")
     with pytest.raises(ValueError):
-        functional_gradient(st, p, "phase", ds_dt=RealField.full(g, 0.0))
+        functional_derivative(h, st, "density", backend="symbolic")
     with pytest.raises(ValueError):
         numeric_functional_gradient(lambda s: 0.0, st, "phase")
 
 
 def test_grid_mismatch_in_residuals():
+    # a trajectory whose slices disagree about the grid has no dS/dt
     g1 = GridSpec.line(64, -1.0, 1.0)
     g2 = GridSpec.line(65, -1.0, 1.0)
-    st = gaussian_state(g1, sigma=0.3)
-    with pytest.raises(ValueError):
-        hamilton_jacobi_residual(st, PhysicalParams(), RealField.full(g2, 0.0))
+    states = [gaussian_state(g, sigma=0.3) for g in (g1, g1, g2)]
+    with pytest.raises(GridMismatchError):
+        total_action(states, 0.1, PhysicalParams())

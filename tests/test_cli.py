@@ -226,12 +226,12 @@ class TestValidation:
         assert "pair.points must be even" in capsys.readouterr().err
 
     @staticmethod
-    def pair_config(tmp_path, interaction=None, **extra):
+    def pair_config(tmp_path, interaction=None, points=96, **extra):
         return write_config(tmp_path, {
             "pair": {"mass_a": 1.0, "mass_b": 2.0,
                      "interaction": interaction or {"kind": "harmonic",
                                                     "strength": 1.0},
-                     "points": 96, "length": 12.0},
+                     "points": points, "length": 12.0},
             **extra,
         })
 
@@ -261,6 +261,9 @@ class TestValidation:
          "pair.interaction.center must be a number"),
         ("three-route", None, {"count": 96},
          "count asks for 96 levels, but 97 grid points hold at most 95"),
+        ("bipartite", None, {"points": 4}, "pair.points must be at least 8"),
+        ("three-route", None, {"points": 4},
+         "pair.points must be at least 8"),
     ])
     def test_malformed_pair_rejected(self, tmp_path, capsys, scenario,
                                      interaction, extra, message):
@@ -336,6 +339,22 @@ class TestScenarioOutputs:
         assert res["bracket_consistent"] is True
         assert res["classical_force_vanishes"] is False
         assert res["energy"] == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_constraint_check_excited_residuals_skip_the_nodes(
+            self, tmp_path, level):
+        # Q diverges at the nodes of an excited state; the residuals are
+        # read on the resolved nodes, as vanishing-momentum reads them
+        cfg = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                          / "configs" / "constraint_ground.json").read_text())
+        cfg = write_config(tmp_path, dict(cfg, level=level))
+        out = tmp_path / "out"
+        assert cli.main(["constraint-check", "--config", cfg,
+                         "--out", str(out)]) == 0
+        res = json.loads((out / "constraint-check_report.json")
+                         .read_text())["results"]
+        assert res["density_residual_max"] <= 1e-6
+        assert res["action_residual_max"] <= 1e-6
 
     def test_vanishing_momentum_lists_trivial_branch(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from varq.grid import GridSpec, RealField, integrate_values
+from varq.grid import (
+    DIRICHLET,
+    PERIODIC,
+    GridSpec,
+    RealField,
+    integrate_values,
+    stencil_operator,
+)
+from varq.action import information_metric
 from varq.fields import (
     Free,
     Harmonic,
@@ -102,11 +112,12 @@ def test_ensemble_hamiltonian_ground_state_energy():
     # stationary trap ground state: <V + Q> = hbar omega / 2
     g = GridSpec.line(1024, -8.0, 8.0)
     st = harmonic_ground_state(g)
-    h = EnsembleHamiltonian(PhysicalParams(potential=Harmonic()))
+    p = PhysicalParams(potential=Harmonic())
+    h = EnsembleHamiltonian(p)
     assert h.value(st) == pytest.approx(0.5, abs=1e-6)
-    h_cl = EnsembleHamiltonian(PhysicalParams(potential=Harmonic()),
-                               include_quantum=False)
-    assert h_cl.value(st) == pytest.approx(0.25, abs=1e-6)
+    # the classical part <V> alone, without (hbar/2) I = <Q>
+    classical = h.value(st) - 0.5 * p.hbar * information_metric(st.density, p)
+    assert classical == pytest.approx(0.25, abs=1e-6)
 
 
 # -- functional derivatives, numeric backend ---------------------------------
@@ -140,6 +151,90 @@ def test_functional_derivative_validation():
         functional_derivative(LocalMomentum(), st, "phase")
     with pytest.raises(ValueError):
         functional_derivative(LocalMomentum(), st, "density", backend="exact")
+
+
+# -- integrands are local ----------------------------------------------------
+
+# each functional, built at a stencil order, with the fields its integrand
+# reads; the pair functionals need a 2D grid
+LINE_FUNCTIONALS = [
+    (lambda order: LocalMomentum(p_c=0.3, order=order), ("density", "action")),
+    (lambda order: DensityStationarity(order=order), ("density",)),
+    (lambda order: EnsembleHamiltonian(PhysicalParams(potential=Harmonic()),
+                                       order=order), ("density", "action")),
+]
+PAIR_FUNCTIONALS = [
+    (lambda order: TotalMomentum(order=order), ("density", "action")),
+    (lambda order: RelativeDensity(order=order), ("density",)),
+]
+
+
+def axis_distance(axis, i, j):
+    """Node distance along one axis, the short way round on a ring."""
+    d = np.abs(np.asarray(i) - np.asarray(j))
+    return np.minimum(d, axis.n_points - d) if axis.boundary == PERIODIC else d
+
+
+def stencil_reach(axis, order):
+    """Farthest node any row of d/dx or d2/dx2 reads along the axis, wrap
+    rows and one-sided edge rows included."""
+    reach = 0
+    for deriv in (1, 2):
+        rows, cols = stencil_operator(axis, order, deriv).numerators.nonzero()
+        reach = max(reach, int(np.max(axis_distance(axis, rows, cols))))
+    return reach
+
+
+def smooth_field(grid, amps):
+    out = np.zeros(grid.shape)
+    for ax, x in enumerate(grid.meshes()):
+        for k, (a, b) in enumerate(amps, start=1):
+            out += a * np.cos(k * x + ax) + b * np.sin(k * x)
+    return out
+
+
+@hst.composite
+def locality_cases(draw):
+    order = draw(hst.sampled_from([2, 4]))
+    if draw(hst.booleans()):
+        boundary = draw(hst.sampled_from([PERIODIC, DIRICHLET]))
+        grid = GridSpec.line(draw(hst.integers(8, 40)), 0.0, 2 * np.pi,
+                             boundary)
+        make, reads = draw(hst.sampled_from(LINE_FUNCTIONALS))
+    else:
+        grid = GridSpec.square(draw(hst.integers(8, 16)), 0.0, 2 * np.pi,
+                               PERIODIC)
+        make, reads = draw(hst.sampled_from(PAIR_FUNCTIONALS))
+    amp = hst.floats(-0.5, 0.5)
+    modes = hst.lists(hst.tuples(amp, amp), min_size=1, max_size=3)
+    rho = np.exp(smooth_field(grid, draw(modes)))
+    # a fixed mode keeps dS/dx away from zero when the drawn ones vanish
+    s = smooth_field(grid, [(0.7, 0.0)] + draw(modes))
+    aux = RealField(grid, 1.0 + 0.5 * np.tanh(smooth_field(grid, draw(modes))))
+    node = tuple(draw(hst.integers(0, n - 1)) for n in grid.shape)
+    component = draw(hst.sampled_from(["density", "action"]))
+    state = MadelungState(RealField(grid, rho), RealField(grid, s))
+    return make(order), reads, state, aux, node, component
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(locality_cases())
+def test_integrand_moves_only_within_a_stencil_reach(case):
+    func, reads, state, aux, node, component = case
+    grid = state.grid
+    rho, s = state.density.values.copy(), state.action.values.copy()
+    if component == "density":
+        rho[node] *= 1.5
+    else:
+        s[node] += 0.5
+    nudged = MadelungState(RealField(grid, rho), RealField(grid, s))
+    moved = func.integrand(nudged, aux) != func.integrand(state, aux)
+    box = np.zeros(grid.shape, dtype=bool)
+    box[np.ix_(*(axis_distance(axis, np.arange(axis.n_points), j)
+                 <= stencil_reach(axis, func.order)
+                 for axis, j in zip(grid.axes, node)))] = True
+    assert not moved[~box].any()
+    assert moved[box].any() == (component in reads)
 
 
 # -- Poisson brackets --------------------------------------------------------

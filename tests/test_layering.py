@@ -16,6 +16,8 @@ import pathlib
 import subprocess
 import sys
 
+import varq
+
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "varq"
 PERFBENCH = REPO / "perfbench"
@@ -86,3 +88,10 @@ def test_every_perfbench_name_is_a_traced_layer_function():
     # the tracer wraps a private function only when EXTRA names it
     assert [f"{layer}.{name}" for layer, name in split
             if name.startswith("_") and f"{layer}.{name}" not in extra] == []
+
+
+def test_every_export_exists_once():
+    # a deletion that leaves its name in __all__ fails here, not only
+    # under `from varq import *`
+    assert [name for name in varq.__all__ if not hasattr(varq, name)] == []
+    assert len(varq.__all__) == len(set(varq.__all__))
