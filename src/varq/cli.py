@@ -68,6 +68,12 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
+# Largest grids a config may ask for: 64 times the largest shipped line
+# grid, and about a million pair nodes. Without a bound only the host's
+# memory would stop an oversized grid.
+MAX_LINE_POINTS = 65_536
+MAX_PAIR_POINTS = 1_024
+
 _STIFF_WARN = 0.1
 _MIN_WINDOW_SIGMAS = 6.0
 
@@ -108,6 +114,10 @@ _MASSES = (lambda x: tuple(map(float, x)) if isinstance(x, list) else float(x),
 
 def _at_least(kind: tuple, low: int) -> tuple:
     return kind + ((lambda x: x >= low, f"must be at least {low}"),)
+
+
+def _at_most(kind: tuple, high: int) -> tuple:
+    return kind + ((lambda x: x <= high, f"must be at most {high}"),)
 
 
 def _one_of(*names: str) -> tuple:
@@ -159,7 +169,7 @@ def _read(cfg: dict, rows) -> tuple[_Values, list]:
 # -- field tables per block --------------------------------------------------
 
 _GRID = (
-    ("grid.points", _at_least(_COUNT, 8), ...),
+    ("grid.points", _at_most(_at_least(_COUNT, 8), MAX_LINE_POINTS), ...),
     ("grid.min", _NUMBER, ...),
     ("grid.max", _NUMBER, ...),
     ("grid.boundary", _one_of(DIRICHLET, PERIODIC), DIRICHLET),
@@ -182,7 +192,7 @@ _PAIR = (
     ("pair.mass_a", _POSITIVE, ...),
     ("pair.mass_b", _POSITIVE, ...),
     ("pair.hbar", _POSITIVE, 1.0),
-    ("pair.points", _at_least(_COUNT, 8), ...),
+    ("pair.points", _at_most(_at_least(_COUNT, 8), MAX_PAIR_POINTS), ...),
     ("pair.length", _POSITIVE, ...),
     ("pair.interaction.kind", _one_of("free", "harmonic"), "free"),
     ("pair.interaction.strength", _NON_NEGATIVE, 1.0),

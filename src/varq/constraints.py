@@ -42,6 +42,7 @@ from .action import (
 from .fields import MadelungState, PhysicalParams, potential_values
 from .grid import (
     DEFAULT_ORDER,
+    GridMismatchError,
     GridSpec,
     RealField,
     diff_values,
@@ -80,9 +81,13 @@ class ConstraintFunctional:
                         aux: RealField | None = None) -> RealField:
         raise NotImplementedError
 
-    def _need_aux(self, aux):
-        if self.requires_aux and aux is None:
+    def _need_aux(self, state, aux):
+        if aux is None:
             raise ValueError(f"{self.kind} needs an auxiliary d rho/dt field")
+        if aux.grid != state.grid:
+            raise GridMismatchError(
+                f"{self.kind}: the auxiliary d rho/dt field lives on another "
+                "grid than the state")
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,11 @@ class DensityStationarity(ConstraintFunctional):
     requires_aux = True
 
     def integrand(self, state, aux=None):
-        self._need_aux(aux)
+        self._need_aux(state, aux)
         return state.density.values * aux.values
 
     def gradient_density(self, state, aux=None):
-        self._need_aux(aux)
+        self._need_aux(state, aux)
         return RealField(state.grid, aux.values.copy())
 
     def gradient_action(self, state, aux=None):
@@ -223,8 +228,8 @@ def functional_derivative(func: ConstraintFunctional, state: MadelungState,
             return func.gradient_density(state, aux)
         return func.gradient_action(state, aux)
     if backend == "numeric":
-        return numeric_functional_gradient(lambda s: func.value(s, aux),
-                                           state, component, step)
+        return numeric_functional_gradient(lambda s: func.integrand(s, aux),
+                                           state, component, func.order, step)
     raise ValueError(f"unknown backend {backend!r}")
 
 

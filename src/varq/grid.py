@@ -249,6 +249,20 @@ def stencil_operator(axis: Axis, order: int, deriv: int) -> Stencil:
 
 
 @lru_cache(maxsize=128)
+def stencil_reach(axis: Axis, order: int) -> int:
+    """Farthest node any row of d/dx or d2/dx2 reads along the axis: wrap
+    rows measured the short way round, one-sided edge rows included."""
+    reach = 0
+    for deriv in (1, 2):
+        rows, cols = stencil_operator(axis, order, deriv).numerators.nonzero()
+        dist = np.abs(rows - cols)
+        if axis.boundary == PERIODIC:
+            dist = np.minimum(dist, axis.n_points - dist)
+        reach = max(reach, int(np.max(dist)))
+    return reach
+
+
+@lru_cache(maxsize=128)
 def hard_wall_laplacian(axis: Axis) -> Stencil:
     """Order-2 d2/dx2 that takes the field beyond a Dirichlet wall as zero."""
     return _assemble(axis, 2, 2, one_sided=False)

@@ -225,6 +225,29 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert "pair.points must be even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, block, payload, bound", [
+        ("eigen", "grid",
+         {"grid": {"min": -8.0}, "system": HARMONIC_SYSTEM},
+         cli.MAX_LINE_POINTS),
+        ("three-route", "pair",
+         {"pair": {"mass_a": 1.0, "mass_b": 2.0}}, cli.MAX_PAIR_POINTS),
+    ])
+    def test_grid_size_bounded(self, tmp_path, capsys, scenario, block,
+                               payload, bound):
+        # the block lacks a required key, so no run builds its grid; only
+        # the point count above the bound is named
+        for points, over in ((bound + 1, True), (bound, False)):
+            cfg = json.loads(json.dumps(payload))
+            cfg[block]["points"] = points
+            code = cli.main([scenario, "--config", write_config(tmp_path, cfg),
+                             "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == cli.EXIT_CONFIG
+            assert "is required" in err
+            assert (f"config error: {block}.points must be at most {bound}"
+                    in err) == over
+            assert "Traceback" not in err
+
     @staticmethod
     def pair_config(tmp_path, interaction=None, points=96, **extra):
         return write_config(tmp_path, {

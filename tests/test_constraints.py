@@ -6,12 +6,13 @@ from hypothesis import strategies as hst
 from varq.grid import (
     DIRICHLET,
     PERIODIC,
+    GridMismatchError,
     GridSpec,
     RealField,
     integrate_values,
-    stencil_operator,
+    stencil_reach,
 )
-from varq.action import information_metric
+from varq.action import information_metric, numeric_functional_gradient
 from varq.fields import (
     Free,
     Harmonic,
@@ -83,6 +84,25 @@ def test_density_stationarity_value_and_aux_requirement():
     aux2 = RealField(g, np.cos(x))
     expected = integrate_values(st.density.values * np.cos(x), g)
     assert c.value(st, aux2) == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("aux_grid", [GridSpec.line(64, -5.0, 5.0),
+                                      GridSpec.line(65, -1.0, 1.0)],
+                         ids=["other_span", "other_count"])
+def test_aux_on_another_grid_rejected(aux_grid):
+    g = GridSpec.line(64, -1.0, 1.0)
+    st = harmonic_ground_state(g)
+    aux = RealField(aux_grid, np.cos(aux_grid.coordinates()[0]))
+    c = DensityStationarity()
+    h = EnsembleHamiltonian(PhysicalParams(potential=Harmonic()))
+    with pytest.raises(GridMismatchError):
+        c.value(st, aux)
+    with pytest.raises(GridMismatchError):
+        c.gradient_density(st, aux)
+    with pytest.raises(GridMismatchError):
+        poisson_bracket(c, h, st, aux_f=aux)
+    with pytest.raises(GridMismatchError):
+        poisson_bracket(h, c, st, aux_g=aux)
 
 
 def test_total_momentum_value_2d():
@@ -175,16 +195,6 @@ def axis_distance(axis, i, j):
     return np.minimum(d, axis.n_points - d) if axis.boundary == PERIODIC else d
 
 
-def stencil_reach(axis, order):
-    """Farthest node any row of d/dx or d2/dx2 reads along the axis, wrap
-    rows and one-sided edge rows included."""
-    reach = 0
-    for deriv in (1, 2):
-        rows, cols = stencil_operator(axis, order, deriv).numerators.nonzero()
-        reach = max(reach, int(np.max(axis_distance(axis, rows, cols))))
-    return reach
-
-
 def smooth_field(grid, amps):
     out = np.zeros(grid.shape)
     for ax, x in enumerate(grid.meshes()):
@@ -235,6 +245,111 @@ def test_integrand_moves_only_within_a_stencil_reach(case):
                  for axis, j in zip(grid.axes, node)))] = True
     assert not moved[~box].any()
     assert moved[box].any() == (component in reads)
+
+
+# -- colored node perturbation -----------------------------------------------
+
+def with_component(state, component, values):
+    fields = {"density": state.density.values, "action": state.action.values}
+    fields[component] = values
+    return MadelungState(RealField(state.grid, fields["density"]),
+                         RealField(state.grid, fields["action"]), state.hbar)
+
+
+def full_loop_gradient(integrand, state, component, step=1e-6):
+    """The O(N) central difference: two whole-grid integrand evaluations
+    per node. Their difference is integrated over the whole grid, which
+    keeps the loop's own roundoff far below the tolerance it is held to."""
+    grid = state.grid
+    base = (state.density if component == "density" else state.action).values
+    vols = grid.node_volumes()
+    out = np.zeros(grid.shape)
+    for node in np.ndindex(grid.shape):
+        ends = []
+        for sign in (1.0, -1.0):
+            nudged = base.copy()
+            nudged[node] += sign * step
+            ends.append(integrand(with_component(state, component, nudged)))
+        out[node] = (integrate_values(ends[0] - ends[1], grid)
+                     / (2.0 * step * vols[node]))
+    return out
+
+
+def smooth_state(grid):
+    # the density stays well away from zero, also at Dirichlet walls
+    rho = np.exp(smooth_field(grid, [(0.3, -0.2), (0.1, 0.2)]))
+    s = smooth_field(grid, [(0.7, 0.0), (0.2, -0.3)])
+    return MadelungState(RealField(grid, rho), RealField(grid, s))
+
+
+TRAP = PhysicalParams(potential=Harmonic())
+COLORED_CASES = [
+    (GridSpec.line(32, 0.0, 2 * np.pi, PERIODIC),
+     lambda order: EnsembleHamiltonian(TRAP, order=order)),
+    (GridSpec.line(32, 0.0, 2 * np.pi, DIRICHLET),
+     lambda order: EnsembleHamiltonian(TRAP, order=order)),
+    (GridSpec.line(32, 0.0, 2 * np.pi, DIRICHLET),
+     lambda order: LocalMomentum(p_c=0.3, order=order)),
+    (GridSpec.square(16, 0.0, 2 * np.pi, PERIODIC),
+     lambda order: TotalMomentum(order=order)),
+]
+
+
+@pytest.mark.parametrize("component", ["density", "action"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("grid, make", COLORED_CASES,
+                         ids=["line_periodic", "line_dirichlet",
+                              "momentum_dirichlet", "pair_periodic"])
+def test_colored_gradient_matches_full_loop(grid, make, order, component):
+    func = make(order)
+    state = smooth_state(grid)
+    colored = functional_derivative(func, state, component,
+                                    backend="numeric").values
+    loop = full_loop_gradient(func.integrand, state, component)
+    scale = np.max(np.abs(loop))
+    assert np.max(np.abs(colored - loop)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_nonlocal_integrand_raises(boundary):
+    grid = GridSpec.line(32, 0.0, 2 * np.pi, boundary)
+    state = smooth_state(grid)
+    reach = stencil_reach(grid.axes[0], 4)
+
+    def centered(s):
+        return s.density.values * (s.action.values - np.mean(s.action.values))
+
+    def shifted(s):
+        return np.roll(s.density.values, reach + 1)
+
+    with pytest.raises(ValueError, match="not local"):
+        numeric_functional_gradient(centered, state, "action", order=4)
+    with pytest.raises(ValueError, match="not local"):
+        numeric_functional_gradient(shifted, state, "density", order=4)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_numeric_backend_cost_set_by_stencil_width(order, monkeypatch):
+    calls = []
+    integrand = EnsembleHamiltonian.integrand
+
+    def counted(self, state, aux=None):
+        calls.append(state.grid.n_nodes)
+        return integrand(self, state, aux)
+
+    monkeypatch.setattr(EnsembleHamiltonian, "integrand", counted)
+    h = EnsembleHamiltonian(TRAP, order=order)
+    counts = []
+    for n in (64, 512):
+        state = random_smooth_state(np.random.default_rng(n), n=n)
+        calls.clear()
+        functional_derivative(h, state, "density", backend="numeric")
+        counts.append(len(calls))
+    # a color per offset in a block of 2 reach + 2 nodes, plus one where
+    # the blocks share a remainder; +-step per color and one unperturbed
+    reach = stencil_reach(state.grid.axes[0], order)
+    colors = 2 * reach + 3
+    assert counts[0] == counts[1] <= 2 * colors + 1
 
 
 # -- Poisson brackets --------------------------------------------------------

@@ -18,6 +18,7 @@ from varq.grid import (
     integrate,
     l2_norm,
     laplacian,
+    stencil_reach,
 )
 
 
@@ -371,3 +372,11 @@ def test_hard_wall_laplacian_drops_neighbours_beyond_the_wall():
             - 2.0 * np.eye(8))
     assert np.array_equal(lap.numerators.toarray() / lap.denominator, want)
     assert lap.divisor == lap.denominator * ax.dx * ax.dx
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_stencil_reach_counts_wrap_and_edge_rows(order):
+    # central rows reach order/2, also across the wrap; the one-sided
+    # d2/dx2 edge row of order + 2 points reaches order + 1 into the grid
+    assert stencil_reach(Axis(16, 0.0, 1.0, PERIODIC), order) == order // 2
+    assert stencil_reach(Axis(16, 0.0, 1.0, DIRICHLET), order) == order + 1
