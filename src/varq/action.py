@@ -191,9 +191,9 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
     axes) and a node is colored by its offset in its block, so the
     windows of one color are disjoint with at least one node between
     them. A whole color is perturbed at once, by +step and by -step, and
-    node j's partial derivative is sum over window(j) of vol (I+ - I-),
-    divided by 2 step. That is 2 colors + 1 integrand evaluations, a
-    number set by the stencil width, not the grid size.
+    node j's functional derivative is sum over window(j) of vol (I+ - I-),
+    divided by 2 step vol_j. That is 2 colors + 1 integrand evaluations,
+    a number set by the stencil width, not the grid size.
 
     Locality is checked, not assumed: if the integrand moved anywhere
     outside the windows of the perturbed color, a ValueError names the
