@@ -309,7 +309,12 @@ def _unitary_start(v):
 
 
 def _window(v):
-    window, sig = v["window"], fluctuation_sigma(v["params"], v["dt"])
+    window = v["window"]
+    try:
+        sig = fluctuation_sigma(v["params"], v["dt"])
+    except ValueError as exc:
+        yield str(exc)
+        return
     if window is not None and len(window) != len(sig):
         yield "window must list one half-width per axis"
         return
@@ -571,7 +576,7 @@ SCENARIOS = {
         (_grid, _system, _initial, _unitary_start), _run_compare),
     "fluctuate": (
         (("system.hbar", _POSITIVE, 1.0), ("system.mass", _MASSES, ...),
-         ("dt", _POSITIVE, ...), ("samples", _COUNT, 100_000),
+         ("dt", _POSITIVE, ...), ("samples", _at_least(_COUNT, 2), 100_000),
          ("window", _NUMBERS, None)),
         (_system, _window, lambda v: () if v["seed"] is not None else (
             "fluctuate needs a seed (config key 'seed' or --seed)",)),

@@ -9,7 +9,10 @@ entropy against a uniform prior. The extremum is Gaussian,
 one independent factor per axis in the bipartite case. This module
 carries the closed form, an iterative optimizer used to cross-check it,
 and a deterministic sampler with counter-based substreams so the draw
-does not depend on how the work is chunked.
+does not depend on how the work is chunked. The optimizer is entropic
+mirror descent (Beck & Teboulle 2003): it steps the log density along the
+functional derivative of transition_objective alone, so it reaches the
+Gaussian without being told where it lies.
 """
 
 from __future__ import annotations
@@ -46,7 +49,13 @@ def fluctuation_sigma(params: PhysicalParams, dt: float) -> tuple[float, ...]:
     if dt <= 0:
         raise ValueError("dt must be positive")
     masses = params.mass if isinstance(params.mass, tuple) else (params.mass,)
-    return tuple(float(np.sqrt(params.hbar * dt / (2.0 * m))) for m in masses)
+    sig = tuple(float(np.sqrt(params.hbar * dt / (2.0 * m))) for m in masses)
+    for ax, s in enumerate(sig):
+        if not 0.0 < s < np.inf:
+            raise ValueError(
+                f"sigma = sqrt(hbar dt / 2m) on axis {ax} evaluates to {s}; "
+                f"it must be positive and finite")
+    return sig
 
 
 def default_window(params: PhysicalParams, dt: float) -> tuple[float, ...]:
@@ -170,56 +179,81 @@ def transition_objective(dist: TransitionDistribution) -> float:
     return float(np.sum(dist.mass * cost) + 0.5 * dist.params.hbar * entropy.sum())
 
 
+def _normalize_and_score(lr: np.ndarray, vols: np.ndarray, cost: np.ndarray,
+                         half_hbar: float, w: np.ndarray,
+                         g: np.ndarray) -> float:
+    """Normalize the log density lr in place and return sum(w g).
+
+    Fills w with the normalized mass vols exp(lr - top) / z and g with
+    cost + (hbar/2) lr, the functional derivative of the objective in lr
+    up to a constant. Since w sums to one, the objective is the returned
+    value less (hbar/2) ln prior.
+    """
+    top = float(np.max(lr))
+    np.subtract(lr, top, out=w)
+    np.exp(w, out=w)
+    w *= vols
+    z = float(np.sum(w))
+    w /= z
+    lr -= top + float(np.log(z))
+    np.multiply(lr, half_hbar, out=g)
+    g += cost
+    return float(np.dot(w.ravel(), g.ravel()))
+
+
 def optimize_transition_numeric(params: PhysicalParams, dt: float,
                                 window: tuple[float, ...] | None = None,
                                 n_points: int | None = None,
                                 init: TransitionDistribution | None = None,
                                 step: float = 0.5, tol: float = 1e-12,
                                 max_iter: int = 100_000):
-    """Mirror-descent minimization of the transition objective.
+    """Entropic mirror descent on the transition objective.
 
-    Works on log densities: each iteration moves a fraction `step` of the
-    way to the closed-form log optimum, which is the entropic-gradient
-    update with rate 2*step/hbar. Returns (distribution, iterations).
-    Raises NonConvergenceError if the objective change never falls
-    below tol.
+    Works on log densities lr. Up to a constant that normalization
+    absorbs, the objective's functional derivative in lr is
+    g = cost + (hbar/2) lr, and each iteration steps
+    lr <- lr - (2 step / hbar) g and renormalizes; the closed form is
+    never consulted. One iteration makes one max pass, one exponential,
+    one weighted sum and one dot product over the grid. Returns
+    (distribution, iterations). Raises NonConvergenceError if the
+    objective is not finite or its change never falls below tol.
     """
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
     grid = transition_grid(params, dt, window, n_points)
     vols = grid.node_volumes()
     cost = _kinetic_cost(grid, params, dt)
-    target_log = -2.0 * cost / params.hbar
 
     if init is None:
-        log_rho = np.zeros(grid.shape)
+        lr = np.zeros(grid.shape)
     else:
         if init.grid != grid:
             raise ValueError("init lives on a different displacement grid")
         if np.any(init.mass <= 0):
             raise ValueError("init must be strictly positive everywhere")
-        log_rho = np.log(init.mass / vols)
+        lr = np.log(init.mass / vols)
 
     win = tuple(ax.x_max for ax in grid.axes)
-
-    def normalize(lr):
-        return lr - special.logsumexp(lr, b=vols)
-
-    def objective(lr):
-        dens = np.exp(lr)
-        prior = 1.0 / float(np.sum(vols))
-        terms = dens * (cost + 0.5 * params.hbar * (lr - np.log(prior)))
-        return float(np.sum(vols * terms))
-
-    log_rho = normalize(log_rho)
-    prev = objective(log_rho)
-    for it in range(1, max_iter + 1):
-        log_rho = normalize((1.0 - step) * log_rho + step * target_log)
-        cur = objective(log_rho)
-        if abs(cur - prev) < tol:
-            mass = np.exp(log_rho) * vols
-            dist = TransitionDistribution(grid, mass, dt, params, win)
-            return dist, it
+    half_hbar = 0.5 * params.hbar
+    # -(hbar/2) ln prior for the uniform prior 1 / sum(vols)
+    prior_term = half_hbar * float(np.log(np.sum(vols)))
+    rate = step / half_hbar
+    w = np.empty(grid.shape)
+    g = np.empty(grid.shape)
+    prev = 0.0
+    # iteration 0 only scores the start; each later one steps first
+    for it in range(max_iter + 1):
+        if it:
+            g *= rate
+            lr -= g
+        cur = (_normalize_and_score(lr, vols, cost, half_hbar, w, g)
+               + prior_term)
+        if not np.isfinite(cur):
+            raise NonConvergenceError(
+                f"objective is {cur} at iteration {it}: the kinetic cost or "
+                f"the log density overflows on this grid")
+        if it and abs(cur - prev) < tol:
+            return TransitionDistribution(grid, w, dt, params, win), it
         prev = cur
     raise NonConvergenceError(
         f"objective change still above {tol} after {max_iter} iterations")
@@ -291,6 +325,8 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
     The product estimate per axis is m * var(w) / dt, whose target is
     hbar/2 for the extremal distribution.
     """
+    if n < 2:
+        raise ValueError("a sample variance needs at least 2 draws")
     w = sample_displacements(dist, n, seed)
     mean = tuple(float(m) for m in w.mean(axis=0))
     var = tuple(float(v) for v in w.var(axis=0, ddof=1))

@@ -51,6 +51,8 @@ from .grid import (
 # smooth exponential tails alone no matter how deep they run
 ABORT_FLOOR = 1e-6
 _DIP_WINDOW = 17
+# relative slack by which the dip screen's bound must clear the floor
+_SCREEN_MARGIN = 1e-9
 
 # RK4 stays comfortably inside |lambda dt| < 2*sqrt(2) on the imaginary axis
 _CFL_MARGIN = 2.4
@@ -285,6 +287,33 @@ def _neighborhood_max(log_rho: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
+def _cannot_dip(log_rho: np.ndarray, grid: GridSpec,
+                log_floor: float) -> bool:
+    """True when no node can lie log_floor below its neighborhood maximum.
+
+    Every node of the 17-cell box is at most _DIP_WINDOW // 2 neighbour
+    steps away along each axis, wrap pairs included on periodic axes, so
+    no depth exceeds that reach times the largest step per axis, summed
+    over axes. The bound must clear |log_floor| by a relative margin that
+    dwarfs the few roundings in the steps, their sum and the filter's
+    subtraction. A non-finite value makes the bound NaN or infinite, so
+    such a field is never cleared here.
+    """
+    bound = 0.0
+    for ax, axis in enumerate(grid.axes):
+        head = (slice(None),) * ax
+        steps = np.subtract(log_rho[head + (slice(1, None),)],
+                            log_rho[head + (slice(None, -1),)])
+        big = float(np.abs(steps, out=steps).max())
+        if axis.boundary == PERIODIC:
+            # the interior steps touch every node, so a non-finite value
+            # has already made big non-finite
+            wrap = log_rho[head + (0,)] - log_rho[head + (-1,)]
+            big = max(big, float(np.abs(wrap).max()))
+        bound += (_DIP_WINDOW // 2) * big
+    return bound < -log_floor * (1.0 - _SCREEN_MARGIN)
+
+
 def _stability_substeps(state: MadelungState, u: np.ndarray, ops: list,
                         params: PhysicalParams, dt: float, order: int) -> int:
     grid = state.grid
@@ -344,6 +373,8 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     log_floor = np.log(abort_floor)
 
     def check_floor(lr, t):
+        if _cannot_dip(lr, grid, log_floor):
+            return
         if not np.isfinite(lr).all():
             bad = int(np.argmin(np.isfinite(lr).ravel()))
             raise DensityFloorError(

@@ -203,6 +203,26 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert "standard deviations" in capsys.readouterr().err
 
+    def test_fluctuate_needs_two_samples(self, tmp_path, capsys):
+        # a sample variance of one draw is NaN, so no report could be written
+        cfg = write_config(tmp_path, {
+            "system": {"mass": 1.0}, "dt": 0.1, "samples": 1, "seed": 1})
+        code = cli.main(["fluctuate", "--config", cfg,
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "config error: samples must be at least 2" in err
+
+    def test_fluctuate_sigma_underflow_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "system": {"mass": 1e30}, "dt": 1e-300, "samples": 10, "seed": 1})
+        code = cli.main(["fluctuate", "--config", cfg,
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "config error: sigma = sqrt(hbar dt / 2m) on axis 0" in err
+        assert "Traceback" not in err
+
     def test_pair_mass_entry_sign_checked(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "pair": {"mass_a": 1.0, "mass_b": -2.0,
@@ -579,6 +599,18 @@ class TestRuntimeFailures:
         assert "runtime error: level 7 is unresolved" in err
         assert not (out / "three-route_report.json").exists()
 
+    def test_overflowing_kinetic_cost_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "system": {"mass": 1.0}, "dt": 0.1, "samples": 10, "seed": 1,
+            "window": [1e200]})
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            code = cli.main(["fluctuate", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_RUNTIME
+        assert ("runtime error: objective is inf at iteration 0"
+                in capsys.readouterr().err)
+        assert not (out / "fluctuate_report.json").exists()
+
     def test_non_finite_result_writes_no_report(self, tmp_path, capsys,
                                                 monkeypatch):
         solve = cli.eigensolve_1d
@@ -685,3 +717,68 @@ def test_wrong_json_kind_names_the_field(tmp_path, name, data):
         assert code == cli.EXIT_CONFIG, err.getvalue()
         assert path in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+# -- fluctuate config fuzz ---------------------------------------------------
+
+# edge values first: zero, signs, the ends of the float range, a subnormal
+FUZZ_NUMBER = (st.sampled_from([0, 0.0, -1.0, 1.0, 2, 0.05, 1e-300, 5e-324,
+                                1e300, -1e300, 1e30, 1e-30])
+               | st.floats() | st.integers(-10**20, 10**20))
+FUZZ_NUMBERS = st.lists(FUZZ_NUMBER, min_size=1, max_size=3)
+# any JSON value, numbers twice as likely as each other kind
+FUZZ_ANY = (FUZZ_NUMBER | FUZZ_NUMBER | st.none() | st.booleans()
+            | st.text(max_size=4) | st.lists(FUZZ_NUMBER, max_size=3)
+            | st.dictionaries(st.text(max_size=3), FUZZ_NUMBER, max_size=2))
+# the draw count stays small, so a passing run takes milliseconds of sampling
+FUZZ_SAMPLES = (st.integers(-3, 1000) | st.floats(max_value=1000)
+                | st.none() | st.booleans() | st.text(max_size=4)
+                | st.lists(FUZZ_NUMBER, max_size=2))
+FUZZ_FIELDS = {
+    "hbar": FUZZ_NUMBER | FUZZ_ANY,
+    "dt": FUZZ_NUMBER | FUZZ_ANY,
+    "mass": FUZZ_NUMBER | FUZZ_NUMBERS | FUZZ_ANY,
+    "window": FUZZ_NUMBERS | FUZZ_ANY,
+    "samples": FUZZ_SAMPLES,
+}
+
+
+@st.composite
+def fluctuate_configs(draw) -> dict:
+    """A valid 1D or 2D config with one to three fields replaced by
+    arbitrary JSON, left out, or joined by a stray key."""
+    cfg = {"system": {"hbar": 1.0,
+                      "mass": draw(st.sampled_from([1.0, [1.0, 2.0]]))},
+           "dt": 0.1, "samples": 200, "seed": 3}
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(["system", "system.hbar", "system.mass",
+                                     "dt", "samples", "window", "seed"]))
+        *blocks, key = path.split(".")
+        node = cfg if not blocks else cfg.get(blocks[0])
+        if not isinstance(node, dict):
+            continue
+        action = draw(st.sampled_from(["replace", "replace", "drop",
+                                       "stray"]))
+        if action == "drop":
+            node.pop(key, None)
+        elif action == "stray":
+            node[draw(st.text(max_size=4))] = draw(FUZZ_ANY)
+        else:
+            node[key] = draw(FUZZ_FIELDS.get(key, FUZZ_ANY))
+    return cfg
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=fluctuate_configs())
+def test_fluctuate_config_fuzz(tmp_path, cfg):
+    path = write_config(tmp_path, cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+            io.StringIO()):
+        code = cli.main(["fluctuate", "--config", path,
+                         "--out", str(tmp_path / "out")])
+    assert code in (cli.EXIT_OK, cli.EXIT_RUNTIME, cli.EXIT_CONFIG)
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_CONFIG:
+        assert err.getvalue().startswith("config error: ")

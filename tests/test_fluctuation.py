@@ -1,6 +1,11 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
+from scipy import special
 
+from varq import fluctuation
 from varq.fields import PhysicalParams
 from varq.fluctuation import (
     FluctuationSample,
@@ -27,6 +32,15 @@ def test_sigma_formula():
     assert fluctuation_sigma(p, 0.2)[0] == pytest.approx(np.sqrt(2.0 * 0.2 / 8.0))
     with pytest.raises(ValueError):
         fluctuation_sigma(P1, 0.0)
+
+
+def test_sigma_that_underflows_or_overflows_is_rejected():
+    with pytest.raises(ValueError, match="sigma"):
+        fluctuation_sigma(PhysicalParams(mass=1e30), 1e-300)
+    with pytest.raises(ValueError, match="sigma"):
+        fluctuation_sigma(PhysicalParams(hbar=1e300, mass=1e-300), 1e300)
+    with pytest.raises(ValueError, match="sigma"):
+        transition_grid(PhysicalParams(mass=1e30), 1e-300)
 
 
 def test_default_window_floor_and_sigma_scaling():
@@ -141,6 +155,110 @@ def test_optimizer_bipartite():
     assert kl_divergence(num, closed) <= 1e-8
 
 
+def test_optimizer_overflowing_cost_stops_at_once():
+    # the kinetic cost at a 1e200 window edge overflows to inf, so the
+    # objective is not finite from the first evaluation on
+    with np.errstate(over="ignore"), pytest.raises(
+            NonConvergenceError, match="objective is inf at iteration 0"):
+        optimize_transition_numeric(P1, DT, window=(1e200,))
+
+
+def score_pieces(dist):
+    """Log density, volumes, cost and the two work arrays for one score."""
+    vols = dist.grid.node_volumes()
+    cost = fluctuation._kinetic_cost(dist.grid, dist.params, dist.dt)
+    return (np.log(dist.mass / vols), vols, cost,
+            np.empty(vols.shape), np.empty(vols.shape))
+
+
+def test_step_gradient_is_the_objective_derivative_up_to_a_constant():
+    # perturbing the log density at node j by +-h moves the objective by
+    # mass_j (g_j - c) per unit h, with one c for every node
+    p = PhysicalParams(hbar=1.3, mass=0.7)
+    grid = transition_grid(p, DT, window=(2.0,), n_points=17)
+    rng = np.random.default_rng(4)
+    mass = np.exp(rng.normal(0.0, 0.5, grid.shape)) * grid.node_volumes()
+    dist = TransitionDistribution(grid, mass, DT, p, (2.0,))
+    lr, vols, cost, w, g = score_pieces(dist)
+    fluctuation._normalize_and_score(lr, vols, cost, 0.5 * p.hbar, w, g)
+    h = 1e-6
+    shifted = []
+    for j in range(grid.shape[0]):
+        sides = []
+        for sign in (1.0, -1.0):
+            bumped = lr.copy()
+            bumped[j] += sign * h
+            sides.append(transition_objective(TransitionDistribution(
+                grid, np.exp(bumped) * vols, DT, p, (2.0,))))
+        shifted.append((sides[0] - sides[1]) / (2.0 * h * dist.mass[j]) - g[j])
+    assert np.ptp(shifted) <= 1e-6 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("params, window", [
+    (P1, None), (PhysicalParams(hbar=0.7, mass=(1.0, 2.0)), (1.5, 1.0))])
+def test_score_is_the_transition_objective(params, window):
+    dist, _ = optimize_transition_numeric(params, DT, window)
+    lr, vols, cost, w, g = score_pieces(dist)
+    half_hbar = 0.5 * params.hbar
+    score = (fluctuation._normalize_and_score(lr, vols, cost, half_hbar, w, g)
+             + half_hbar * np.log(np.sum(vols)))
+    assert np.allclose(w, dist.mass, rtol=1e-12, atol=0.0)
+    assert score == pytest.approx(transition_objective(dist), rel=1e-13)
+
+
+def blend_toward_closed_form(params, dt, window, step=0.5, tol=1e-12):
+    """The optimizer's earlier loop, kept as a reference: each iteration
+    moves the log density a fraction step of the way to the closed-form
+    optimum -2 cost / hbar. Returns (mass, iterations)."""
+    grid = transition_grid(params, dt, window)
+    vols = grid.node_volumes()
+    cost = fluctuation._kinetic_cost(grid, params, dt)
+    target = -2.0 * cost / params.hbar
+    log_prior = -np.log(np.sum(vols))
+
+    def normalize(lr):
+        return lr - special.logsumexp(lr, b=vols)
+
+    def objective(lr):
+        terms = np.exp(lr) * (cost + 0.5 * params.hbar * (lr - log_prior))
+        return float(np.sum(vols * terms))
+
+    lr = normalize(np.zeros(grid.shape))
+    prev = objective(lr)
+    for it in range(1, 1000):
+        lr = normalize((1.0 - step) * lr + step * target)
+        cur = objective(lr)
+        if abs(cur - prev) < tol:
+            return np.exp(lr) * vols, it
+        prev = cur
+    raise AssertionError("reference blend did not converge")
+
+
+@pytest.mark.parametrize("params, dt, window", [
+    (P1, DT, None), (PhysicalParams(hbar=0.7, mass=(1.0, 2.0)), 0.05,
+                     (1.0, 0.8))])
+def test_gradient_step_follows_the_blend_iterates(params, dt, window):
+    # in exact arithmetic the two updates give the same iterates
+    num, iters = optimize_transition_numeric(params, dt, window)
+    mass, ref_iters = blend_toward_closed_form(params, dt, window)
+    assert iters == ref_iters
+    assert np.max(np.abs(num.mass - mass)) <= 1e-12 * np.max(mass)
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", ["fluctuate_single.json",
+                                  "fluctuate_pair.json"])
+def test_shipped_configs_take_twenty_iterations(name):
+    cfg = json.loads((CONFIGS / name).read_text())
+    mass = cfg["system"]["mass"]
+    params = PhysicalParams(hbar=cfg["system"]["hbar"],
+                            mass=tuple(mass) if isinstance(mass, list) else mass)
+    _, iters = optimize_transition_numeric(params, cfg["dt"])
+    assert iters == 20
+
+
 def test_kl_divergence_properties():
     closed = optimal_transition(P1, DT)
     assert kl_divergence(closed, closed) == 0.0
@@ -203,3 +321,5 @@ def test_sample_count_validation():
     dist = optimal_transition(P1, DT)
     with pytest.raises(ValueError):
         sample_displacements(dist, 0, seed=1)
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        sample_fluctuations(dist, 1, seed=1)

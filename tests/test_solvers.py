@@ -436,3 +436,60 @@ def test_complex_rhs_matches_the_per_field_equations(case):
                          (params.hbar * got.imag, s_terms)):
         scale = sum(np.abs(t) for t in terms)
         assert np.all(np.abs(value - sum(terms)) <= 1e-13 * scale)
+
+
+@st.composite
+def dip_fields(draw):
+    """A 1D or 2D grid and a log density whose steps put the dip screen's
+    bound near the floor: a sum of random walks, a vee whose tip lies a
+    half-window of steps below its rim, or a ramp whose one large step is
+    the wrap pair."""
+    grid = GridSpec(tuple(
+        Axis(draw(st.integers(8, 30)), 0.0, 1.0,
+             draw(st.sampled_from([PERIODIC, DIRICHLET])))
+        for _ in range(draw(st.integers(1, 2)))))
+    kind = draw(st.sampled_from(["walk", "vee", "ramp"]))
+    reach = solvers._DIP_WINDOW // 2
+    total = -np.log(solvers.ABORT_FLOOR) / reach * draw(st.floats(0.8, 1.2))
+    share = draw(st.floats(0.05, 0.95)) if grid.dimension == 2 else 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = np.full(grid.shape, draw(st.floats(-50.0, 50.0)))
+    for ax, n in enumerate(grid.shape):
+        step = total * (share if ax == 0 else 1.0 - share)
+        k = np.arange(n)
+        if kind == "walk":
+            profile = np.cumsum(rng.uniform(-step, step, n))
+        elif kind == "vee":
+            profile = -step * np.abs(k - rng.integers(n))
+        else:
+            profile = step * k
+        field += profile.reshape([-1 if a == ax else 1
+                                  for a in range(grid.dimension)])
+    return grid, field
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dip_fields())
+def test_dip_screen_never_clears_a_dip(case):
+    # whenever the screen skips the filter, the filter would have found
+    # every node within the abort floor of its neighborhood
+    grid, field = case
+    log_floor = np.log(solvers.ABORT_FLOOR)
+    if solvers._cannot_dip(field, grid, log_floor):
+        depth = field - solvers._neighborhood_max(field, grid)
+        assert float(np.min(depth)) >= log_floor
+
+
+def test_dip_screen_clears_smooth_fields_only():
+    grid = harmonic_grid(512, 6.0)
+    log_floor = np.log(solvers.ABORT_FLOOR)
+    smooth = np.log(displaced_gaussian(grid))
+    assert solvers._cannot_dip(smooth, grid, log_floor)
+    for bad in (np.nan, np.inf, -np.inf):
+        field = smooth.copy()
+        field[100] = bad
+        assert not solvers._cannot_dip(field, grid, log_floor)
+    # a vee eight steps deep just past the floor must go to the filter
+    vee = -(1.0 + 1e-6) * log_floor / 8.0 * np.abs(np.arange(512) - 256.0)
+    assert not solvers._cannot_dip(vee, grid, log_floor)
+    assert float(np.min(vee - solvers._neighborhood_max(vee, grid))) < log_floor
