@@ -36,6 +36,9 @@ from .grid import (
     stencil_reach,
 )
 
+# absolute nudge of a node value in the node-perturbation gradient
+GRADIENT_STEP = 1e-6
+
 
 def low_density_mask(rho: RealField, floor: float = DENSITY_FLOOR) -> np.ndarray:
     """Nodes where the density is numerically zero (relative floor)."""
@@ -55,12 +58,12 @@ def kinetic_density(state: MadelungState, params: PhysicalParams,
 
 def information_density(rho: RealField, params: PhysicalParams,
                         order: int = DEFAULT_ORDER,
-                        floor: float = DENSITY_FLOOR,
                         axis: int | None = None) -> RealField:
-    """sum_axes (hbar / 4 m_axis) (d rho/dx_axis)^2 / rho, floored at nodes
-    (only the given axis's term unless axis=None)."""
+    """sum_axes (hbar / 4 m_axis) (d rho/dx_axis)^2 / rho, zero where the
+    density is below DENSITY_FLOOR of its peak (only the given axis's
+    term unless axis=None)."""
     grid = rho.grid
-    dead = low_density_mask(rho, floor)
+    dead = low_density_mask(rho)
     safe = np.where(dead, 1.0, rho.values)
     axes = range(grid.dimension) if axis is None else (axis,)
     total = np.zeros(grid.shape)
@@ -80,14 +83,15 @@ def information_metric(rho: RealField, params: PhysicalParams,
 
 
 def bohm_potential(rho: RealField, params: PhysicalParams,
-                   axis: int | None = None, order: int = DEFAULT_ORDER,
-                   floor: float = DENSITY_FLOOR) -> RealField:
-    """Q = -(hbar^2 / 2 m) (d2 sqrt(rho) / dx2) / sqrt(rho), set to 0 at nodes.
+                   axis: int | None = None,
+                   order: int = DEFAULT_ORDER) -> RealField:
+    """Q = -(hbar^2 / 2 m) (d2 sqrt(rho) / dx2) / sqrt(rho), set to 0 where
+    the density is below DENSITY_FLOOR of its peak.
 
     axis=None sums the per-axis contributions with their own masses.
     """
     grid = rho.grid
-    dead = low_density_mask(rho, floor)
+    dead = low_density_mask(rho)
     amp = np.sqrt(rho.values)
     # guard only the division; the stencil must see the true amplitudes
     denom = np.where(dead, 1.0, amp)
@@ -138,9 +142,9 @@ def trapezoid_weights(n: int, dt: float) -> np.ndarray:
 
 
 def total_action(states: Sequence[MadelungState], dt: float,
-                 params: PhysicalParams,
-                 order: int = DEFAULT_ORDER) -> ActionBreakdown:
-    """Trapezoid-in-time action over a trajectory of equally spaced states."""
+                 params: PhysicalParams) -> ActionBreakdown:
+    """Trapezoid-in-time action over a trajectory of equally spaced states,
+    with DEFAULT_ORDER stencils."""
     grid = states[0].grid
     for st in states:
         if st.grid != grid:
@@ -151,10 +155,10 @@ def total_action(states: Sequence[MadelungState], dt: float,
     classical = 0.0
     info = 0.0
     for w, st, dsdt in zip(tw, states, ds_dt):
-        kin = kinetic_density(st, params, order).values
+        kin = kinetic_density(st, params).values
         classical += w * integrate_values(
             st.density.values * (dsdt + kin + v), grid)
-        info += w * information_metric(st.density, params, order)
+        info += w * information_metric(st.density, params)
     hbar = params.hbar
     return ActionBreakdown(
         classical=classical,
@@ -177,8 +181,7 @@ def flux_divergence(state: MadelungState, params: PhysicalParams,
 
 def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray],
                                 state: MadelungState, component: str,
-                                order: int = DEFAULT_ORDER,
-                                step: float = 1e-6) -> RealField:
+                                order: int = DEFAULT_ORDER) -> RealField:
     """Colored central-difference gradient of the grid integral of a local
     integrand.
 
@@ -190,10 +193,13 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
     blocks of at least 2 reach + 2 nodes (around the ring on periodic
     axes) and a node is colored by its offset in its block, so the
     windows of one color are disjoint with at least one node between
-    them. A whole color is perturbed at once, by +step and by -step, and
-    node j's functional derivative is sum over window(j) of vol (I+ - I-),
-    divided by 2 step vol_j. That is 2 colors + 1 integrand evaluations,
-    a number set by the stencil width, not the grid size.
+    them. A whole color is perturbed at once, by +h and by -h with
+    h = GRADIENT_STEP, and node j's functional derivative is sum over
+    window(j) of vol (I+ - I-), divided by 2 h vol_j. That is 2 colors + 1
+    integrand evaluations, a number set by the stencil width, not the
+    grid size. The density component needs every density to be at least
+    h, so that the minus side stays a density; otherwise a ValueError
+    names both.
 
     Locality is checked, not assumed: if the integrand moved anywhere
     outside the windows of the perturbed color, a ValueError names the
@@ -205,6 +211,10 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
         raise ValueError(f"unknown component {component!r}")
     grid = state.grid
     base = (state.density if component == "density" else state.action).values
+    if component == "density" and np.min(base) < GRADIENT_STEP:
+        raise ValueError(
+            f"the density step {GRADIENT_STEP:g} exceeds the smallest density "
+            f"{np.min(base):.3g}: the minus side would be a negative density")
     reach = [stencil_reach(axis, order) for axis in grid.axes]
     colors = [_block_offsets(axis.n_points, 2 * r + 2)
               for axis, r in zip(grid.axes, reach)]
@@ -216,9 +226,9 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
     for color in np.unique(labels):
         picked = labels == color
         plus = integrand(_with_component(
-            state, component, np.where(picked, base + step, base)))
+            state, component, np.where(picked, base + GRADIENT_STEP, base)))
         minus = integrand(_with_component(
-            state, component, np.where(picked, base - step, base)))
+            state, component, np.where(picked, base - GRADIENT_STEP, base)))
         outside = _window_sum(picked, grid, reach) == 0
         if (np.any(plus[outside] != rest[outside])
                 or np.any(minus[outside] != rest[outside])):
@@ -227,7 +237,7 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
                 f"farther than the stencil reach {tuple(reach)} from every "
                 "perturbed node")
         moved = _window_sum(vols * (plus - minus), grid, reach)
-        out[picked] = moved[picked] / (2.0 * step * vols[picked])
+        out[picked] = moved[picked] / (2.0 * GRADIENT_STEP * vols[picked])
     return RealField(grid, out)
 
 

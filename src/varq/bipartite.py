@@ -18,13 +18,14 @@ import numpy as np
 
 from .action import bohm_potential
 from .constraints import (
+    SLICE_DT,
     RelativeDensity,
     StationarityReport,
     TotalMomentum,
     stationarity_residuals,
+    stationary_trajectory,
 )
 from .fields import (
-    MadelungState,
     PairwiseRelative,
     PhysicalParams,
     PotentialSpec,
@@ -137,11 +138,11 @@ def lift_relative(f: RealField, pair: GridSpec) -> RealField:
     return RealField(pair, _by_difference(f.values, pair) / np.sqrt(length))
 
 
-def translation_residual(values: np.ndarray, pair: GridSpec,
-                         order: int = 2) -> float:
-    """|(D_a + D_b) psi| relative to |D_a psi|; zero for genuine lifts."""
-    da = diff_values(values, pair, axis=0, order=order)
-    db = diff_values(values, pair, axis=1, order=order)
+def translation_residual(values: np.ndarray, pair: GridSpec) -> float:
+    """|(D_a + D_b) psi| relative to |D_a psi| with order-2 stencils; zero
+    for genuine lifts."""
+    da = diff_values(values, pair, axis=0, order=2)
+    db = diff_values(values, pair, axis=1, order=2)
     num = np.sqrt(integrate_values((da + db) ** 2, pair))
     den = np.sqrt(integrate_values(da**2, pair))
     return float(num / max(den, 1e-300))
@@ -162,7 +163,6 @@ class ThreeRouteRow:
 
 @dataclass(frozen=True, eq=False)
 class ThreeRouteReport:
-    params: BipartiteParams
     pair: GridSpec
     spectrum: SpectrumResult
     rows: list[ThreeRouteRow]
@@ -178,8 +178,7 @@ class ThreeRouteReport:
 
 
 def three_route_comparison(params: BipartiteParams, n: int, length: float,
-                           k: int = 3, dt: float = 1e-3,
-                           mask_floor: float = 1e-6) -> ThreeRouteReport:
+                           k: int = 3) -> ThreeRouteReport:
     """Energies of the lowest pair states under all three routes.
 
     Route one solves the separation eigenproblem at the reduced mass.
@@ -198,9 +197,6 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
 
     rows = []
     trans_max = 0.0
-    ground: MadelungState | None = None
-    ground_energy = 0.0
-    ratio_dev = 0.0
     for j in range(k):
         f = spec.eigenfunctions[j]
         psi = lift_relative(f, pair)
@@ -212,32 +208,24 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
         rho = RealField(pair, psi.values**2 / norm2)
         q2 = bohm_potential(rho, phys2, order=2).values
         excl = _by_difference(node_exclusion_mask(f.values), pair)
-        e_ext, keep = resolved_energy(rho, v2 + q2, excl, mask_floor, j)
+        e_ext, keep = resolved_energy(rho, v2 + q2, excl, j)
         rows.append(ThreeRouteRow(index=j,
                                   energy_reduced=float(spec.eigenvalues[j]),
                                   energy_operator=e_op,
                                   energy_extremal=e_ext))
         if j == 0:
-            ground = MadelungState(rho, RealField(pair, np.zeros(pair.shape)),
-                                   params.hbar)
-            ground_energy = e_ext
+            states = stationary_trajectory(rho, e_ext, params.hbar)
             qa = bohm_potential(rho, phys2, axis=0, order=2).values
             qb = bohm_potential(rho, phys2, axis=1, order=2).values
             num = np.abs(params.mass_a * qa - params.mass_b * qb)[keep]
             den = np.max(np.abs(params.mass_b * qb)[keep])
             ratio_dev = float(np.max(num) / den)
 
-    states = [MadelungState(ground.density,
-                            RealField(pair, np.full(pair.shape,
-                                                    -ground_energy * i * dt)),
-                            params.hbar)
-              for i in range(3)]
-    stat = stationarity_residuals(states, dt, phys2, order=2,
-                                  mask_floor=mask_floor)
+    stat = stationarity_residuals(states, SLICE_DT, phys2, order=2)
     mid = states[1]
     total_p = TotalMomentum().value(mid)
     rel_d = RelativeDensity().value(mid)
-    return ThreeRouteReport(params=params, pair=pair, spectrum=spec,
+    return ThreeRouteReport(pair=pair, spectrum=spec,
                             rows=rows, translation_residual_max=trans_max,
                             hj_residual_max=stat.density_residual_max,
                             stationarity=stat, total_momentum=total_p,

@@ -27,11 +27,13 @@ from .bipartite import (
     translation_residual,
 )
 from .constraints import (
+    SLICE_DT,
     EnsembleHamiltonian,
     LocalMomentum,
     classical_consistency,
     poisson_bracket,
     stationarity_residuals,
+    stationary_trajectory,
 )
 from .fields import (
     Free,
@@ -44,6 +46,7 @@ from .fields import (
 from .fluctuation import (
     POINTS_PER_SIGMA,
     NonConvergenceError,
+    default_window,
     fluctuation_sigma,
     kl_divergence,
     optimal_transition,
@@ -217,6 +220,9 @@ def _grid(v):
     if v["grid.max"] <= v["grid.min"]:
         yield "grid.max must exceed grid.min"
         return
+    if math.isinf(v["grid.max"] - v["grid.min"]):
+        yield "grid.max - grid.min overflows"
+        return
     v["grid"] = GridSpec.line(v["grid.points"], v["grid.min"], v["grid.max"],
                               v["grid.boundary"])
 
@@ -227,8 +233,21 @@ def _analytic(v, block: str):
         k=v[f"{block}.strength"], center=v[f"{block}.center"])
 
 
+def _finite_hamiltonian(params: PhysicalParams, grid: GridSpec, path: str):
+    """H = -(hbar^2 / 2m) d2/dx2 + V must have finite entries on the grid."""
+    dx = grid.axes[0].dx
+    scale = 2.0 * params.mass_along(0) * dx * dx
+    if scale == 0.0 or math.isinf(params.hbar * params.hbar / scale):
+        yield (f"the kinetic scale hbar^2 / (2 m dx^2) overflows at grid "
+               f"spacing {dx:.3g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(potential_values(params.potential, grid))):
+            yield f"{path} is not finite at every grid node"
+
+
 def _system(v):
-    """The physical parameters; a polynomial is sampled on the grid."""
+    """The physical parameters; a polynomial is sampled on the grid, and
+    a line grid must hold the Hamiltonian."""
     if v.get("system.potential.kind") != "polynomial":
         potential = _analytic(v, "system.potential")
     elif v["system.potential.coefficients"] is None:
@@ -246,6 +265,9 @@ def _system(v):
         potential = Sampled(RealField(v["grid"], sampled))
     v["params"] = PhysicalParams(hbar=v["system.hbar"], mass=v["system.mass"],
                                  potential=potential)
+    if "grid" in v:  # fluctuate has none
+        yield from _finite_hamiltonian(v["params"], v["grid"],
+                                       "system.potential")
 
 
 def _pair(v):
@@ -256,6 +278,10 @@ def _pair(v):
         mass_a=v["pair.mass_a"], mass_b=v["pair.mass_b"],
         interaction=_analytic(v, "pair.interaction"), hbar=v["pair.hbar"])
     v["pair_grid"] = pair_grid(v["pair.points"], v["pair.length"])
+    # the reduced problem has the smallest mass and every separation
+    yield from _finite_hamiltonian(v["pair"].reduced_physical(),
+                                   relative_grid(v["pair_grid"]),
+                                   "pair.interaction")
 
 
 def _check_levels(grid: GridSpec, levels: int, path: str):
@@ -283,8 +309,10 @@ def _initial(v):
     """The normalized Gaussian packet, which must not underflow anywhere."""
     grid = v["grid"]
     x = grid.coordinates()[0]
-    rho = np.exp(-((x - v["initial.center"]) ** 2)
-                 / (2.0 * v["initial.width"] ** 2))
+    # as a float64 a huge width squares to inf, a flat start, not an error
+    with np.errstate(over="ignore"):
+        rho = np.exp(-((x - v["initial.center"]) ** 2)
+                     / (2.0 * np.float64(v["initial.width"]) ** 2))
     total = integrate_values(rho, grid)
     if total <= 0:
         yield "initial density vanishes on this grid"
@@ -309,19 +337,29 @@ def _unitary_start(v):
 
 
 def _window(v):
-    window = v["window"]
+    """The window, given or default, must hold the fluctuation, and its
+    kinetic cost must be finite on the whole transition grid."""
+    params, dt, window = v["params"], v["dt"], v["window"]
     try:
-        sig = fluctuation_sigma(v["params"], v["dt"])
+        sig = fluctuation_sigma(params, dt)
     except ValueError as exc:
         yield str(exc)
         return
-    if window is not None and len(window) != len(sig):
+    if window is None:
+        window = default_window(params, dt)
+    elif len(window) != len(sig):
         yield "window must list one half-width per axis"
         return
-    for ax, (w, s) in enumerate(zip(window or (), sig)):
+    cost = 0.0  # the transition grid's kinetic cost at a corner, in its order
+    for ax, (w, s) in enumerate(zip(window, sig)):
         if w < _MIN_WINDOW_SIGMAS * s:
             yield (f"window[{ax}] = {w} is below {_MIN_WINDOW_SIGMAS} "
                    f"standard deviations ({_MIN_WINDOW_SIGMAS * s:.6g})")
+        cost += params.mass_along(ax) * (w * w) / (2.0 * dt)
+        if math.isinf(cost):
+            yield (f"window[{ax}] = {w:g} is too wide: the kinetic cost "
+                   f"m w^2 / (2 dt) overflows at the edge of the grid")
+            return
 
 
 def _stiffness_warnings(params: PhysicalParams, grid: GridSpec,
@@ -455,14 +493,12 @@ def _run_constraint_check(v, plots):
     momentum = LocalMomentum()
     hamiltonian = EnsembleHamiltonian(params)
     bracket = poisson_bracket(momentum, hamiltonian, state)
-    dt = 1e-3
-    states = [MadelungState(rho, RealField(grid, np.full(grid.shape,
-                                                         -energy * i * dt)),
-                            params.hbar) for i in range(3)]
-    stat = stationarity_residuals(states, dt, params, order=2)
+    stat = stationarity_residuals(
+        stationary_trajectory(rho, energy, params.hbar), SLICE_DT, params,
+        order=2)
     # Q diverges at the nodes of an excited state: read the residuals on
     # the resolved nodes, as vanishing-momentum does
-    keep = resolved_nodes(rho, node_exclusion_mask(psi), 1e-6, level)
+    keep = resolved_nodes(rho, node_exclusion_mask(psi), level)
     force = classical_consistency("vanishing_local_momentum", params, grid)
     results = {
         "level": level,
@@ -539,6 +575,10 @@ def _run_bipartite(v, plots):
     phys2 = pair.as_physical()
     ia, ib = (information_metric(rho, phys2, order=2, axis=ax)
               for ax in (0, 1))
+    if not (ia > 0.0 and ib > 0.0):
+        raise UnresolvedLevelError(
+            "level 0 is unresolved: the ground state has no density "
+            "gradient on the pair grid")
     force = classical_consistency("bipartite_translation", phys2, grid2)
     results = {
         "ground_energy": float(spec.eigenvalues[0]),
@@ -698,8 +738,8 @@ def main(argv: list[str] | None = None) -> int:
     plots: dict = {}
     try:
         results, warnings = run(values, plots)
-    except (DensityFloorError, NonConvergenceError,
-            UnresolvedLevelError) as exc:
+    except (DensityFloorError, NonConvergenceError, UnresolvedLevelError,
+            np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -39,7 +39,12 @@ from .action import (
     total_action,
     trapezoid_weights,
 )
-from .fields import MadelungState, PhysicalParams, potential_values
+from .fields import (
+    RESOLVED_FLOOR,
+    MadelungState,
+    PhysicalParams,
+    potential_values,
+)
 from .grid import (
     DEFAULT_ORDER,
     GridMismatchError,
@@ -52,11 +57,13 @@ from .grid import (
 WEAK_ATOL = 1e-6
 WEAK_RTOL = 1e-4
 
+# spacing of the three-slice trajectory of a stationary state
+SLICE_DT = 1e-3
 
-def weak_equality(value: float, scale: float,
-                  atol: float = WEAK_ATOL, rtol: float = WEAK_RTOL) -> bool:
+
+def weak_equality(value: float, scale: float) -> bool:
     """Small against the supplied field scale, in the Dirac sense."""
-    return abs(value) <= atol + rtol * abs(scale)
+    return abs(value) <= WEAK_ATOL + WEAK_RTOL * abs(scale)
 
 
 class ConstraintFunctional:
@@ -217,19 +224,18 @@ class EnsembleHamiltonian(ConstraintFunctional):
 
 
 def functional_derivative(func: ConstraintFunctional, state: MadelungState,
-                          component: str, aux: RealField | None = None,
-                          backend: str = "analytic",
-                          step: float = 1e-6) -> RealField:
+                          component: str,
+                          backend: str = "analytic") -> RealField:
     """Gradient of a constraint functional, analytic or node-perturbation."""
     if component not in ("density", "action"):
         raise ValueError(f"unknown component {component!r}")
     if backend == "analytic":
         if component == "density":
-            return func.gradient_density(state, aux)
-        return func.gradient_action(state, aux)
+            return func.gradient_density(state)
+        return func.gradient_action(state)
     if backend == "numeric":
-        return numeric_functional_gradient(lambda s: func.integrand(s, aux),
-                                           state, component, func.order, step)
+        return numeric_functional_gradient(func.integrand, state, component,
+                                           func.order)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -237,21 +243,15 @@ def functional_derivative(func: ConstraintFunctional, state: MadelungState,
 class BracketReport:
     """Poisson bracket value with the scale used to judge weak vanishing."""
 
-    left_kind: str
-    right_kind: str
     value: float
     scale: float
     consistent: bool
-    atol: float = WEAK_ATOL
-    rtol: float = WEAK_RTOL
 
 
 def poisson_bracket(f: ConstraintFunctional, g: ConstraintFunctional,
                     state: MadelungState,
                     aux_f: RealField | None = None,
-                    aux_g: RealField | None = None,
-                    atol: float = WEAK_ATOL,
-                    rtol: float = WEAK_RTOL) -> BracketReport:
+                    aux_g: RealField | None = None) -> BracketReport:
     """{F, G} on one state, classified against the gradient scale."""
     f_rho = f.gradient_density(state, aux_f).values
     f_s = f.gradient_action(state, aux_f).values
@@ -260,10 +260,8 @@ def poisson_bracket(f: ConstraintFunctional, g: ConstraintFunctional,
     value = integrate_values(f_rho * g_s - f_s * g_rho, state.grid)
     scale = float(np.sqrt(max(integrate_values(f_rho**2 + f_s**2, state.grid),
                               integrate_values(g_rho**2 + g_s**2, state.grid))))
-    return BracketReport(
-        left_kind=f.kind, right_kind=g.kind, value=value, scale=scale,
-        consistent=weak_equality(value, scale, atol, rtol),
-        atol=atol, rtol=rtol)
+    return BracketReport(value=value, scale=scale,
+                         consistent=weak_equality(value, scale))
 
 
 # -- augmented action and stationarity ---------------------------------------
@@ -284,12 +282,11 @@ def _trajectory_aux(states: Sequence[MadelungState], dt: float) -> list[RealFiel
 def augmented_total_action(states: Sequence[MadelungState], dt: float,
                            params: PhysicalParams,
                            constraints: Sequence[ConstraintFunctional],
-                           multipliers: Sequence[float],
-                           order: int = DEFAULT_ORDER) -> AugmentedActionResult:
+                           multipliers: Sequence[float]) -> AugmentedActionResult:
     """Total action plus sum_i lambda_i * time-integral of constraint_i."""
     if len(constraints) != len(multipliers):
         raise ValueError("one multiplier per constraint required")
-    base = total_action(states, dt, params, order)
+    base = total_action(states, dt, params)
     aux = _trajectory_aux(states, dt)
     tw = trapezoid_weights(len(states), dt)
     terms = []
@@ -310,23 +307,28 @@ class StationarityReport:
     density_residual_max: float
     action_residual_max: float
     constraint_values: tuple[float, ...]
-    multipliers: tuple[float, ...]
-    slice_index: int
+
+
+def stationary_trajectory(rho: RealField, energy: float,
+                          hbar: float) -> list[MadelungState]:
+    """Three slices SLICE_DT apart of a stationary state of the given
+    energy: density rho throughout, action S = -energy t."""
+    return [MadelungState(rho, RealField(rho.grid, np.full(
+        rho.grid.shape, -energy * i * SLICE_DT)), hbar) for i in range(3)]
 
 
 def stationarity_residuals(states: Sequence[MadelungState], dt: float,
                            params: PhysicalParams,
                            constraints: Sequence[ConstraintFunctional] = (),
                            multipliers: Sequence[float] = (),
-                           order: int = DEFAULT_ORDER,
-                           mask_floor: float = 1e-6) -> StationarityReport:
+                           order: int = DEFAULT_ORDER) -> StationarityReport:
     """Variational residuals at the middle slice of a trajectory.
 
     density residual: dS/dt + dH/d rho + sum lambda_i dC_i/d rho
     action residual: -d rho/dt + dH/dS + sum lambda_i dC_i/dS
     with H the EnsembleHamiltonian, so the first is the quantum
     Hamilton-Jacobi residual and the second minus the continuity one.
-    Maxima are taken where rho >= mask_floor * peak.
+    Maxima are taken where rho >= RESOLVED_FLOOR * peak.
     """
     if len(constraints) != len(multipliers):
         raise ValueError("one multiplier per constraint required")
@@ -343,15 +345,13 @@ def stationarity_residuals(states: Sequence[MadelungState], dt: float,
         dens = dens + lam * c.gradient_density(st, aux).values
         act = act + lam * c.gradient_action(st, aux).values
         values.append(c.value(st, aux))
-    keep = ~low_density_mask(st.density, mask_floor)
+    keep = ~low_density_mask(st.density, RESOLVED_FLOOR)
     return StationarityReport(
         density_residual=RealField(st.grid, dens),
         action_residual=RealField(st.grid, act),
         density_residual_max=float(np.max(np.abs(dens[keep]))),
         action_residual_max=float(np.max(np.abs(act[keep]))),
-        constraint_values=tuple(values),
-        multipliers=tuple(float(m) for m in multipliers),
-        slice_index=mid)
+        constraint_values=tuple(values))
 
 
 # -- classical consistency algorithm -----------------------------------------
@@ -360,7 +360,6 @@ def stationarity_residuals(states: Sequence[MadelungState], dt: float,
 class ClassicalConsistencyReport:
     """Outcome of one step of the classical constraint-consistency check."""
 
-    case: str
     secondary_field: RealField
     secondary_max: float
     vanishes: bool
@@ -368,9 +367,9 @@ class ClassicalConsistencyReport:
 
 
 def classical_consistency(case: str, params: PhysicalParams,
-                          grid: GridSpec,
-                          order: int = DEFAULT_ORDER) -> ClassicalConsistencyReport:
-    """Bracket of the primary constraint with the classical Hamiltonian.
+                          grid: GridSpec) -> ClassicalConsistencyReport:
+    """Bracket of the primary constraint with the classical Hamiltonian,
+    from DEFAULT_ORDER stencils.
 
     case "vanishing_local_momentum": primary p = 0 on a 1D system; the
     bracket is -dV/dx, a secondary constraint unless V is flat.
@@ -382,11 +381,11 @@ def classical_consistency(case: str, params: PhysicalParams,
     if case == "vanishing_local_momentum":
         if grid.dimension != 1:
             raise ValueError("vanishing_local_momentum is a 1D case")
-        field = RealField(grid, -diff_values(v, grid, order=order))
+        field = RealField(grid, -diff_values(v, grid))
     elif case == "bipartite_translation":
         if grid.dimension != 2:
             raise ValueError("bipartite_translation is a 2D case")
-        field = RealField(grid, -_pair_sum_derivative(v, grid, order))
+        field = RealField(grid, -_pair_sum_derivative(v, grid, DEFAULT_ORDER))
     else:
         raise ValueError(f"unknown case {case!r}")
     peak = float(np.max(np.abs(field.values)))
@@ -394,6 +393,5 @@ def classical_consistency(case: str, params: PhysicalParams,
     vanishes = peak <= 1e-10 * vscale + 1e-12
     note = ("no secondary constraint; the chain terminates" if vanishes
             else "force term must vanish, giving a secondary constraint")
-    return ClassicalConsistencyReport(case=case, secondary_field=field,
-                                      secondary_max=peak, vanishes=vanishes,
-                                      note=note)
+    return ClassicalConsistencyReport(secondary_field=field, secondary_max=peak,
+                                      vanishes=vanishes, note=note)

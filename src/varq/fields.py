@@ -26,6 +26,13 @@ from .grid import (
 # densities below this fraction of unity are treated as numerically zero
 DENSITY_FLOOR = 1e-12
 
+# a node is resolved where its density is at least this fraction of its
+# peak; residual maxima and ensemble energies are read on resolved nodes
+RESOLVED_FLOOR = 1e-6
+
+# largest |integral(rho) - 1| of a state that becomes a wavefunction
+_NORM_TOLERANCE = 1e-8
+
 # adjacent-node phase step that flags a branch ambiguity (close to pi)
 _UNWRAP_JUMP = 0.75 * np.pi
 
@@ -153,10 +160,10 @@ class MadelungState:
         return integrate(self.density)
 
 
-def to_wavefunction(state: MadelungState, norm_tol: float = 1e-8) -> ComplexField:
+def to_wavefunction(state: MadelungState) -> ComplexField:
     """psi = sqrt(rho) exp(i S / hbar); requires a normalized state."""
     total = state.mass_total()
-    if abs(total - 1.0) > norm_tol:
+    if abs(total - 1.0) > _NORM_TOLERANCE:
         raise ValueError(f"state is not normalized: integral(rho) = {total!r}")
     amp = np.sqrt(state.density.values)
     return ComplexField(state.grid,
@@ -195,20 +202,19 @@ def _unwrap_1d(psi_vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def from_wavefunction(psi: ComplexField, hbar: float = 1.0,
-                      floor: float = DENSITY_FLOOR) -> MadelungState:
+def from_wavefunction(psi: ComplexField, hbar: float = 1.0) -> MadelungState:
     """Recover (rho, S) from psi with S anchored to zero at the density peak.
 
-    Below-floor nodes take the action value of their nearest valid
-    neighbor and are flagged in low_density_mask. A near-pi phase step
-    between two valid neighbors raises PhaseUnwrapError instead of
-    guessing a branch.
+    Nodes below DENSITY_FLOOR times the peak take the action value of
+    their nearest valid neighbor and are flagged in low_density_mask. A
+    near-pi phase step between two valid neighbors raises
+    PhaseUnwrapError instead of guessing a branch.
     """
     rho = np.abs(psi.values) ** 2
     total = float(np.sum(rho * psi.grid.node_volumes()))
     if not total > 0 or not np.isfinite(total):
         raise ValueError("wavefunction has zero norm")
-    valid = rho >= floor * np.max(rho)
+    valid = rho >= DENSITY_FLOOR * np.max(rho)
     for ax in range(psi.grid.dimension):
         _check_jumps(psi.values, valid, ax)
 

@@ -39,6 +39,9 @@ _MIN_POINTS = 129
 
 _SAMPLE_CHUNK = 1 << 16
 
+# the optimizer stops once one step changes the objective by less
+_CONVERGED = 1e-12
+
 
 class NonConvergenceError(RuntimeError):
     """The iterative optimizer hit its iteration cap before converging."""
@@ -155,10 +158,10 @@ def _kinetic_cost(grid: GridSpec, params: PhysicalParams,
 
 
 def optimal_transition(params: PhysicalParams, dt: float,
-                       window: tuple[float, ...] | None = None,
-                       n_points: int | None = None) -> TransitionDistribution:
+                       window: tuple[float, ...] | None = None
+                       ) -> TransitionDistribution:
     """Closed-form extremal distribution, one Gaussian factor per axis."""
-    grid = transition_grid(params, dt, window, n_points)
+    grid = transition_grid(params, dt, window)
     cost = _kinetic_cost(grid, params, dt)
     log_density = -2.0 * cost / params.hbar
     log_density -= np.max(log_density)
@@ -203,10 +206,8 @@ def _normalize_and_score(lr: np.ndarray, vols: np.ndarray, cost: np.ndarray,
 
 def optimize_transition_numeric(params: PhysicalParams, dt: float,
                                 window: tuple[float, ...] | None = None,
-                                n_points: int | None = None,
                                 init: TransitionDistribution | None = None,
-                                step: float = 0.5, tol: float = 1e-12,
-                                max_iter: int = 100_000):
+                                step: float = 0.5, max_iter: int = 100_000):
     """Entropic mirror descent on the transition objective.
 
     Works on log densities lr. Up to a constant that normalization
@@ -216,11 +217,11 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
     never consulted. One iteration makes one max pass, one exponential,
     one weighted sum and one dot product over the grid. Returns
     (distribution, iterations). Raises NonConvergenceError if the
-    objective is not finite or its change never falls below tol.
+    objective is not finite or its change never falls below _CONVERGED.
     """
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
-    grid = transition_grid(params, dt, window, n_points)
+    grid = transition_grid(params, dt, window)
     vols = grid.node_volumes()
     cost = _kinetic_cost(grid, params, dt)
 
@@ -252,11 +253,12 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
             raise NonConvergenceError(
                 f"objective is {cur} at iteration {it}: the kinetic cost or "
                 f"the log density overflows on this grid")
-        if it and abs(cur - prev) < tol:
+        if it and abs(cur - prev) < _CONVERGED:
             return TransitionDistribution(grid, w, dt, params, win), it
         prev = cur
     raise NonConvergenceError(
-        f"objective change still above {tol} after {max_iter} iterations")
+        f"objective change still above {_CONVERGED} after {max_iter} "
+        f"iterations")
 
 
 def kl_divergence(p: TransitionDistribution, q: TransitionDistribution) -> float:
@@ -309,7 +311,6 @@ class FluctuationSample:
     """Summary statistics of a Monte Carlo draw from a transition law."""
 
     n: int
-    seed: int
     mean: tuple[float, ...]
     variance: tuple[float, ...]
     covariance: float | None
@@ -340,7 +341,7 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
         cov = None
         cov_sigma = None
     return FluctuationSample(
-        n=n, seed=seed, mean=mean, variance=var, covariance=cov,
+        n=n, mean=mean, variance=var, covariance=cov,
         covariance_mc_sigma=cov_sigma,
         position_momentum_product=prod,
         expected_product=0.5 * p.hbar,

@@ -281,18 +281,6 @@ def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,
     return stencil_operator(grid.axes[axis], order, deriv).apply(values, axis)
 
 
-def derivative(f: Field, axis: int = 0, order: int = DEFAULT_ORDER) -> Field:
-    """First partial derivative of a field along the given axis."""
-    return type(f)(f.grid, diff_values(f.values, f.grid, axis, order, 1))
-
-
-def laplacian(f: Field, order: int = DEFAULT_ORDER) -> Field:
-    """Sum of unmixed second derivatives over every axis."""
-    return type(f)(f.grid, sum(
-        diff_values(f.values, f.grid, axis=ax, order=order, deriv=2)
-        for ax in range(f.grid.dimension)))
-
-
 def integrate(f: Field) -> float | complex:
     """Quadrature of the field over the whole grid."""
     total = np.sum(f.values * f.grid.node_volumes())

@@ -27,12 +27,14 @@ from scipy.sparse.linalg import splu
 
 from .action import bohm_potential, low_density_mask
 from .fields import (
+    RESOLVED_FLOOR,
     Free,
     MadelungState,
     PhysicalParams,
     potential_values,
 )
 from .grid import (
+    DEFAULT_ORDER,
     DIRICHLET,
     PERIODIC,
     ComplexField,
@@ -53,6 +55,9 @@ ABORT_FLOOR = 1e-6
 _DIP_WINDOW = 17
 # relative slack by which the dip screen's bound must clear the floor
 _SCREEN_MARGIN = 1e-9
+
+# nodes on each side of a sign change of an eigenstate whose Q is not read
+_NODE_CELLS = 3
 
 # RK4 stays comfortably inside |lambda dt| < 2*sqrt(2) on the imaginary axis
 _CFL_MARGIN = 2.4
@@ -171,9 +176,6 @@ def apply_hamiltonian(values: np.ndarray, grid: GridSpec,
 
 @dataclass(frozen=True, eq=False)
 class WavefunctionTrajectory:
-    grid: GridSpec
-    params: PhysicalParams
-    dt: float
     times: np.ndarray
     states: list[ComplexField]
     norms: np.ndarray
@@ -237,8 +239,7 @@ def propagate_wavefunction(psi0: ComplexField, params: PhysicalParams,
             states.append(st)
             times.append(step * dt)
             norms.append(l2_norm(st))
-    return WavefunctionTrajectory(grid=grid, params=params, dt=dt,
-                                  times=np.asarray(times), states=states,
+    return WavefunctionTrajectory(times=np.asarray(times), states=states,
                                   norms=np.asarray(norms))
 
 
@@ -246,9 +247,6 @@ def propagate_wavefunction(psi0: ComplexField, params: PhysicalParams,
 
 @dataclass(frozen=True, eq=False)
 class MadelungTrajectory:
-    grid: GridSpec
-    params: PhysicalParams
-    dt: float
     times: np.ndarray
     states: list[MadelungState]
     mass_drift: np.ndarray
@@ -315,13 +313,13 @@ def _cannot_dip(log_rho: np.ndarray, grid: GridSpec,
 
 
 def _stability_substeps(state: MadelungState, u: np.ndarray, ops: list,
-                        params: PhysicalParams, dt: float, order: int) -> int:
+                        params: PhysicalParams, dt: float) -> int:
     grid = state.grid
     hbar = params.hbar
     rate = 0.0
     # the d2 symbol peaks at the grid's Nyquist mode, where it is the sum
     # of the central row's |weights|
-    half = order // 2
+    half = DEFAULT_ORDER // 2
     peak = float(np.sum(np.abs(fd_weights(tuple(range(-half, half + 1)), 2))))
     for ax_idx in range(grid.dimension):
         dx = grid.axes[ax_idx].dx
@@ -331,20 +329,20 @@ def _stability_substeps(state: MadelungState, u: np.ndarray, ops: list,
         rate += (np.pi / dx) * hbar * (np.max(np.abs(d1.imag))
                                        + np.max(np.abs(d1.real))) / m
     v = potential_values(params.potential, grid)
-    q0 = bohm_potential(state.density, params, order=order).values
+    q0 = bohm_potential(state.density, params).values
     rate += (np.max(np.abs(v)) + np.max(np.abs(q0))) / hbar
     return max(1, int(np.ceil(dt * rate / _CFL_MARGIN)))
 
 
 def propagate_madelung(state0: MadelungState, params: PhysicalParams,
                        dt: float, steps: int, store_every: int = 1,
-                       order: int = 4, substeps: int | None = None,
-                       abort_floor: float = ABORT_FLOOR) -> MadelungTrajectory:
-    """Explicit RK4 on u = ln(rho)/2 + i S/hbar (see _madelung_rhs).
+                       substeps: int | None = None) -> MadelungTrajectory:
+    """Explicit RK4 on u = ln(rho)/2 + i S/hbar (see _madelung_rhs), with
+    DEFAULT_ORDER stencils.
 
     dt is the reporting cadence; each reported step internally takes as
     many RK4 substeps as the stiffest resolved mode requires. The density
-    must start strictly positive. A narrow dip falling below abort_floor
+    must start strictly positive. A narrow dip falling below ABORT_FLOOR
     times its own neighborhood marks a forming node and raises
     DensityFloorError with its location; a smooth tail alone does not
     trip it, but one that starts far below the peak at a hard wall soon
@@ -357,12 +355,12 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
         raise ValueError(
             "initial density touches zero; the phase equations are "
             "singular at nodes")
-    ops = [(stencil_operator(ax, order, 1), stencil_operator(ax, order, 2))
-           for ax in grid.axes]
+    ops = [(stencil_operator(ax, DEFAULT_ORDER, 1),
+            stencil_operator(ax, DEFAULT_ORDER, 2)) for ax in grid.axes]
     u = (0.5 * np.log(state0.density.values)
          + 1j * (state0.action.values / params.hbar))
     if substeps is None:
-        substeps = _stability_substeps(state0, u, ops, params, dt, order)
+        substeps = _stability_substeps(state0, u, ops, params, dt)
     h = dt / substeps
     v = potential_values(params.potential, grid)
     mass0 = integrate_values(state0.density.values, grid)
@@ -370,7 +368,7 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     def rhs(z):
         return _madelung_rhs(z, ops, params, v)
 
-    log_floor = np.log(abort_floor)
+    log_floor = np.log(ABORT_FLOOR)
 
     def check_floor(lr, t):
         if _cannot_dip(lr, grid, log_floor):
@@ -387,7 +385,7 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
             val = float(np.exp(low))
             raise DensityFloorError(
                 f"density dipped to {val:.3e} of its neighborhood (abort "
-                f"floor {abort_floor:.1e}) at node {node}, t={t:.6g}: a node "
+                f"floor {ABORT_FLOOR:.1e}) at node {node}, t={t:.6g}: a node "
                 f"is forming and the phase representation breaks down",
                 t, node, val)
 
@@ -413,8 +411,7 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
                                         params.hbar))
             times.append(t)
             drift.append(integrate_values(rho, grid) - mass0)
-    return MadelungTrajectory(grid=grid, params=params, dt=dt,
-                              times=np.asarray(times), states=states,
+    return MadelungTrajectory(times=np.asarray(times), states=states,
                               mass_drift=np.asarray(drift),
                               substeps_per_step=substeps)
 
@@ -445,44 +442,44 @@ class VanishingMomentumResult:
     ensemble_energies: list[float]
 
 
-def node_exclusion_mask(psi: np.ndarray, cells: int = 3) -> np.ndarray:
-    """True within `cells` nodes of a sign change (or exact zero) of psi."""
+def node_exclusion_mask(psi: np.ndarray) -> np.ndarray:
+    """True within _NODE_CELLS nodes of a sign change (or exact zero) of
+    psi."""
     sg = np.sign(psi)
     flips = np.nonzero(sg[1:-2] * sg[2:-1] < 0)[0] + 1
     zeros = np.nonzero(sg[1:-1] == 0)[0] + 1
     out = np.zeros(psi.shape, dtype=bool)
     for f in np.concatenate([flips, zeros]):
-        out[max(0, f - cells):min(psi.size, f + cells + 2)] = True
+        out[max(0, f - _NODE_CELLS):min(psi.size, f + _NODE_CELLS + 2)] = True
     return out
 
 
-def resolved_nodes(rho: RealField, near_node: np.ndarray, floor: float,
+def resolved_nodes(rho: RealField, near_node: np.ndarray,
                    level: int) -> np.ndarray:
-    """Nodes with density at least floor times its peak, outside near_node.
-    Raises UnresolvedLevelError when there is none."""
-    keep = ~low_density_mask(rho, floor) & ~near_node
+    """Nodes with density at least RESOLVED_FLOOR times its peak, outside
+    near_node. Raises UnresolvedLevelError when there is none."""
+    keep = ~low_density_mask(rho, RESOLVED_FLOOR) & ~near_node
     if not keep.any():
         raise UnresolvedLevelError(
             f"level {level} is unresolved: every node has density below "
-            f"{floor:g} of its peak or lies next to a node of the state")
+            f"{RESOLVED_FLOOR:g} of its peak or lies next to a node of the "
+            f"state")
     return keep
 
 
 def resolved_energy(rho: RealField, v_plus_q: np.ndarray,
-                    near_node: np.ndarray, floor: float,
+                    near_node: np.ndarray,
                     level: int) -> tuple[float, np.ndarray]:
     """Density-weighted mean of V + Q over the resolved nodes, and those
     nodes."""
-    keep = resolved_nodes(rho, near_node, floor, level)
+    keep = resolved_nodes(rho, near_node, level)
     w = (rho.values * rho.grid.node_volumes())[keep]
     return float(np.sum(w * v_plus_q[keep]) / np.sum(w)), keep
 
 
 def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
                                 k: int = 5, dt: float = 1e-3,
-                                steps: int = 200,
-                                mask_floor: float = 1e-6,
-                                node_cells: int = 3) -> VanishingMomentumResult:
+                                steps: int = 200) -> VanishingMomentumResult:
     """Stationary states as extremals with the momentum field pinned to zero.
 
     Every eigenstate gives the branch with nonuniform density: the
@@ -504,8 +501,7 @@ def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
         # same-order Q makes V + Q - E a stencil-level identity
         vq = v + bohm_potential(rho, params, order=2).values
         ensemble_e, keep = resolved_energy(
-            rho, vq, node_exclusion_mask(psi.values, node_cells), mask_floor,
-            j)
+            rho, vq, node_exclusion_mask(psi.values), j)
         energies.append(ensemble_e)
         hj_max = float(np.max(np.abs((vq - e)[keep])))
 
@@ -530,10 +526,11 @@ def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
                                    trivial=trivial, ensemble_energies=energies)
 
 
-def _trivial_branch_report(params: PhysicalParams,
-                           length: float = 10.0, n: int = 256) -> BranchReport:
-    g = GridSpec.line(n, 0.0, length, PERIODIC)
-    rho = np.full(n, 1.0 / length)
+def _trivial_branch_report(params: PhysicalParams) -> BranchReport:
+    """The uniform density on a periodic line of length 10."""
+    length = 10.0
+    g = GridSpec.line(256, 0.0, length, PERIODIC)
+    rho = np.full(g.shape, 1.0 / length)
     flat = PhysicalParams(hbar=params.hbar, mass=params.mass_along(0),
                           potential=Free())
     v = potential_values(flat.potential, g)

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,65 @@ class TestValidation:
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         assert "standard deviations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, complaint", [
+        ({"window": [1e200]}, "window[0] = 1e+200 is too wide"),
+        # the default window of a heavy mass over a tiny step
+        ({"system": {"mass": 1e300}, "dt": 1e-10}, "window[0] = 6 is too wide"),
+        # each axis alone is finite; their sum overflows at the corners
+        ({"system": {"mass": [1.0, 1.0]}, "dt": 0.5,
+          "window": [1e154, 1e154]}, "window[1] = 1e+154 is too wide"),
+    ], ids=["explicit", "default", "corner"])
+    def test_overflowing_kinetic_cost_exits_two(self, tmp_path, capsys,
+                                               overrides, complaint):
+        cfg = write_config(tmp_path, {
+            "system": {"mass": 1.0}, "dt": 0.1, "samples": 10, "seed": 1,
+            **overrides})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["fluctuate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: ") and complaint in err
+        assert not (out / "fluctuate_report.json").exists()
+
+    @pytest.mark.parametrize("scenario, cfg, complaint", [
+        ("eigen", {"grid": {"points": 32, "min": -1e308, "max": 1e308}},
+         "grid.max - grid.min overflows"),
+        ("eigen", {"grid": {"points": 32, "min": -1e300, "max": 6.0}},
+         "system.potential is not finite at every grid node"),
+        ("eigen", {"grid": {"points": 32, "min": -1e-300, "max": 1e-300}},
+         "the kinetic scale hbar^2 / (2 m dx^2) overflows"),
+        ("bipartite", {"pair": {"mass_a": 1.0, "mass_b": 2.0, "points": 16,
+                                "length": 1e-300}},
+         "the kinetic scale hbar^2 / (2 m dx^2) overflows"),
+        ("three-route", {"pair": {"mass_a": 1.0, "mass_b": 2.0, "points": 16,
+                                  "length": 1e300,
+                                  "interaction": {"kind": "harmonic"}}},
+         "pair.interaction is not finite at every grid node"),
+    ], ids=["span", "potential", "spacing", "pair_spacing", "interaction"])
+    def test_unrepresentable_hamiltonian_rejected(self, tmp_path, capsys,
+                                                  scenario, cfg, complaint):
+        if "grid" in cfg:
+            cfg = {**cfg, "system": dict(HARMONIC_SYSTEM)}
+        out = tmp_path / "out"
+        code = cli.main([scenario, "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {complaint}" in err
+        assert not out.exists()
+
+    def test_huge_initial_width_is_a_flat_start(self, tmp_path):
+        # the squared width overflows to inf, not to an OverflowError
+        cfg = evolve_config(tmp_path, steps=2,
+                            initial={"center": 0.0, "width": 1e300})
+        out = tmp_path / "out"
+        assert cli.main(["evolve", "--config", cfg,
+                         "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads((out / "evolve_report.json").read_text())
+        assert report["results"]["final_mean"] == pytest.approx(0.0, abs=1e-9)
 
     def test_fluctuate_needs_two_samples(self, tmp_path, capsys):
         # a sample variance of one draw is NaN, so no report could be written
@@ -599,17 +659,29 @@ class TestRuntimeFailures:
         assert "runtime error: level 7 is unresolved" in err
         assert not (out / "three-route_report.json").exists()
 
-    def test_overflowing_kinetic_cost_exits_one(self, tmp_path, capsys):
+    def test_unconverged_eigensolve_exits_one(self, tmp_path, capsys):
+        # a mass of 1e-300 puts 1e300 entries in the tridiagonal matrix
         cfg = write_config(tmp_path, {
-            "system": {"mass": 1.0}, "dt": 0.1, "samples": 10, "seed": 1,
-            "window": [1e200]})
-        out = tmp_path / "out"
-        with np.errstate(over="ignore"):
-            code = cli.main(["fluctuate", "--config", cfg, "--out", str(out)])
+            "grid": {"points": 32, "min": -6.0, "max": 6.0},
+            "system": {"mass": 1e-300}, "count": 2})
+        code = cli.main(["eigen", "--config", cfg,
+                         "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_RUNTIME
-        assert ("runtime error: objective is inf at iteration 0"
+        assert capsys.readouterr().err.startswith(
+            "runtime error: stebz (eigh_tridiagonal) did not converge")
+
+    def test_single_node_ground_state_exits_one(self, tmp_path, capsys):
+        # a trap of strength 1e300 holds the separation mode on one node
+        cfg = write_config(tmp_path, {
+            "pair": {"mass_a": 1.0, "mass_b": 2.0, "points": 16,
+                     "length": 12.0,
+                     "interaction": {"kind": "harmonic", "strength": 1e300}}})
+        out = tmp_path / "out"
+        code = cli.main(["bipartite", "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_RUNTIME
+        assert ("runtime error: level 0 is unresolved"
                 in capsys.readouterr().err)
-        assert not (out / "fluctuate_report.json").exists()
+        assert not (out / "bipartite_report.json").exists()
 
     def test_non_finite_result_writes_no_report(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -782,3 +854,84 @@ def test_fluctuate_config_fuzz(tmp_path, cfg):
     assert "Traceback" not in err.getvalue()
     if code == cli.EXIT_CONFIG:
         assert err.getvalue().startswith("config error: ")
+
+
+# -- config fuzz of the other scenarios --------------------------------------
+
+_LINE = {"grid": {"points": 32, "min": -6.0, "max": 6.0},
+         "system": dict(HARMONIC_SYSTEM)}
+_PAIR_BLOCK = {"pair": {"mass_a": 1.0, "mass_b": 2.0, "points": 16,
+                        "length": 12.0, "interaction": {"kind": "harmonic"}}}
+_PACKET = {"initial": {"center": 0.5, "width": 0.8}, "dt": 0.01, "steps": 3}
+# test id -> (scenario, a small valid config); evolve once per method
+FUZZ_BASES = {
+    "eigen": ("eigen", {**_LINE, "count": 2}),
+    "evolve": ("evolve", {**_LINE, **_PACKET, "method": "fields"}),
+    "evolve-unitary": ("evolve", {**_LINE, **_PACKET, "method": "unitary"}),
+    "compare-propagators": ("compare-propagators", {**_LINE, **_PACKET}),
+    "constraint-check": ("constraint-check", {**_LINE, "level": 1}),
+    "vanishing-momentum": ("vanishing-momentum", {**_LINE, "count": 2}),
+    "three-route": ("three-route", {**_PAIR_BLOCK, "count": 2}),
+    "bipartite": ("bipartite", _PAIR_BLOCK),
+}
+
+
+def capped(cap: int):
+    """Any JSON value; the integers and floats stay at or below cap."""
+    return (st.integers(-3, cap) | st.floats(max_value=cap) | st.none()
+            | st.booleans() | st.text(max_size=4)
+            | st.lists(FUZZ_NUMBER, max_size=2))
+
+
+# keys whose size sets the run time, bounded like `samples` above
+FUZZ_CAPS = {"grid.points": capped(64), "pair.points": capped(16),
+             "count": capped(64), "level": capped(64), "steps": capped(5)}
+
+
+@st.composite
+def scenario_configs(draw, scenario: str, base: dict) -> dict:
+    """The base config with one to three of the scenario table's fields,
+    blocks or the seed replaced by arbitrary JSON, left out, or joined
+    by a stray key."""
+    cfg = json.loads(json.dumps(base))
+    table = [row[0] for row in cli.SCENARIOS[scenario][0]]
+    blocks = sorted({path.rsplit(".", 1)[0] for path in table if "." in path})
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(table + blocks + ["seed"]))
+        *parents, key = path.split(".")
+        node = cfg
+        for block in parents:
+            node = node.setdefault(block, {})
+            if not isinstance(node, dict):
+                break
+        if not isinstance(node, dict):
+            continue
+        action = draw(st.sampled_from(["replace", "replace", "drop",
+                                       "stray"]))
+        if action == "drop":
+            node.pop(key, None)
+        elif action == "stray":
+            node[draw(st.text(max_size=4))] = draw(FUZZ_ANY)
+        else:
+            node[key] = draw(FUZZ_CAPS.get(path, FUZZ_ANY))
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_BASES))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_scenario_config_fuzz(tmp_path, name, data):
+    scenario, base = FUZZ_BASES[name]
+    cfg = data.draw(scenario_configs(scenario, base), label="config")
+    path = write_config(tmp_path, cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+            io.StringIO()):
+        code = cli.main([scenario, "--config", path,
+                         "--out", str(tmp_path / "out")])
+    assert code in (cli.EXIT_OK, cli.EXIT_RUNTIME, cli.EXIT_CONFIG)
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_CONFIG:
+        assert all(line.startswith("config error: ")
+                   for line in err.getvalue().splitlines())

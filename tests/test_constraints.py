@@ -12,7 +12,11 @@ from varq.grid import (
     integrate_values,
     stencil_reach,
 )
-from varq.action import information_metric, numeric_functional_gradient
+from varq.action import (
+    GRADIENT_STEP,
+    information_metric,
+    numeric_functional_gradient,
+)
 from varq.fields import (
     Free,
     Harmonic,
@@ -326,6 +330,17 @@ def test_nonlocal_integrand_raises(boundary):
         numeric_functional_gradient(centered, state, "action", order=4)
     with pytest.raises(ValueError, match="not local"):
         numeric_functional_gradient(shifted, state, "density", order=4)
+
+
+def test_numeric_density_gradient_needs_densities_above_the_step():
+    # the Gaussian tail on [-8, 8] falls far below the absolute step, where
+    # the minus side of the perturbation would be a negative density
+    state = harmonic_ground_state(GridSpec.line(512, -8.0, 8.0))
+    h = EnsembleHamiltonian(TRAP)
+    smallest = f"{np.min(state.density.values):.3g}"
+    with pytest.raises(ValueError, match=f"step {GRADIENT_STEP:g} exceeds "
+                       f"the smallest density {smallest}"):
+        functional_derivative(h, state, "density", backend="numeric")
 
 
 @pytest.mark.parametrize("order", [2, 4])

@@ -7,7 +7,8 @@ CLI run pays for what `import varq.cli` loads, so scipy.ndimage, which
 only phase recovery and the propagator's dip check use, is imported
 where it is used. The perfbench tracer and worker name varq functions
 in strings, so a rename must reach them too, or a per-layer metric reads
-zero.
+zero. A default that no call in the repository overrides is a constant
+in the signature, so each one must be passed somewhere.
 """
 
 import ast
@@ -95,3 +96,47 @@ def test_every_export_exists_once():
     # under `from varq import *`
     assert [name for name in varq.__all__ if not hasattr(varq, name)] == []
     assert len(varq.__all__) == len(set(varq.__all__))
+
+
+def defaulted_parameters() -> dict[str, tuple[str, int | None, str]]:
+    """`module.function.parameter` -> (function, position, parameter) for
+    every defaulted parameter of a module-level varq function; keyword-only
+    parameters have no position."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(i, positional[i].arg)
+                      for i in range(first, len(positional))]
+            params += [(None, arg.arg) for arg, default
+                       in zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None]
+            found.update({f"{path.stem}.{fn.name}.{name}": (fn.name, pos, name)
+                          for pos, name in params})
+    return found
+
+
+def passed_arguments() -> set[tuple[str, int | str]]:
+    """(called name, position or keyword) of every argument that a call in
+    src/, tests/ or perfbench/ passes; calls are matched by name alone."""
+    passed = set()
+    for root in (SRC.parent, REPO / "tests", PERFBENCH):
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed |= {(name, i) for i in range(len(node.args))}
+                passed |= {(name, kw.arg) for kw in node.keywords
+                           if kw.arg is not None}
+    return passed
+
+
+def test_every_default_is_set_by_some_caller():
+    passed = passed_arguments()
+    assert [qual for qual, (fn, pos, name) in defaulted_parameters().items()
+            if (fn, name) not in passed and (fn, pos) not in passed] == []
