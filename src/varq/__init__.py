@@ -17,7 +17,6 @@ from .grid import (
     GridSpec,
     RealField,
     diff_values,
-    integrate,
     integrate_values,
     l2_norm,
 )
@@ -26,21 +25,15 @@ from .fields import (
     Harmonic,
     MadelungState,
     PairwiseRelative,
-    PhaseUnwrapError,
     PhysicalParams,
     Sampled,
-    from_wavefunction,
-    gaussian_density,
     potential_values,
-    to_wavefunction,
 )
 from .action import (
-    ActionBreakdown,
     bohm_potential,
     information_density,
     information_metric,
     numeric_functional_gradient,
-    total_action,
 )
 from .fluctuation import (
     FluctuationSample,
@@ -59,7 +52,6 @@ from .constraints import (
     LocalMomentum,
     RelativeDensity,
     TotalMomentum,
-    augmented_total_action,
     classical_consistency,
     functional_derivative,
     poisson_bracket,
@@ -94,26 +86,19 @@ __all__ = [
     "GridSpec",
     "RealField",
     "diff_values",
-    "integrate",
     "integrate_values",
     "l2_norm",
     "Free",
     "Harmonic",
     "MadelungState",
     "PairwiseRelative",
-    "PhaseUnwrapError",
     "PhysicalParams",
     "Sampled",
-    "from_wavefunction",
-    "gaussian_density",
     "potential_values",
-    "to_wavefunction",
-    "ActionBreakdown",
     "bohm_potential",
     "information_density",
     "information_metric",
     "numeric_functional_gradient",
-    "total_action",
     "FluctuationSample",
     "NonConvergenceError",
     "TransitionDistribution",
@@ -128,7 +113,6 @@ __all__ = [
     "LocalMomentum",
     "RelativeDensity",
     "TotalMomentum",
-    "augmented_total_action",
     "classical_consistency",
     "functional_derivative",
     "poisson_bracket",

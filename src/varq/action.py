@@ -6,29 +6,29 @@ information metric
 
     I = integral dt dx (hbar / 4 m) (d rho / dx)^2 / rho,
 
-summed over axes with their own masses in 2D. Here are the local
-densities both are built from, the trapezoid-in-time total action, and
-a node-perturbation numeric gradient that cross-checks analytic
-functional derivatives. It perturbs a whole color of nodes at once, far
-enough apart that their stencil windows cannot meet, so it costs a few
-integrand evaluations set by the stencil width instead of two per node,
-and it checks at run time that the integrand is as local as that
-requires. The analytic ones, the quantum Hamilton-Jacobi and continuity
-expressions, are the gradients of `constraints.EnsembleHamiltonian`.
+summed over axes with their own masses in 2D. Its integrand at one time
+slice is rho dS/dt plus `constraints.EnsembleHamiltonian.integrand`.
+Here are the local densities both are built from, the time derivatives
+of a trajectory's slices, and a node-perturbation numeric gradient that
+cross-checks analytic functional derivatives. It perturbs a whole color
+of nodes at once, far enough apart that their stencil windows cannot
+meet, so it costs a few integrand evaluations set by the stencil width
+instead of two per node, and it checks at run time that the integrand
+is as local as that requires. The analytic ones, the quantum
+Hamilton-Jacobi and continuity expressions, are the gradients of
+`constraints.EnsembleHamiltonian`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import DENSITY_FLOOR, MadelungState, PhysicalParams, potential_values
+from .fields import DENSITY_FLOOR, MadelungState, PhysicalParams
 from .grid import (
     DEFAULT_ORDER,
     PERIODIC,
-    GridMismatchError,
     GridSpec,
     RealField,
     diff_values,
@@ -104,15 +104,6 @@ def bohm_potential(rho: RealField, params: PhysicalParams,
     return RealField(grid, total)
 
 
-@dataclass(frozen=True)
-class ActionBreakdown:
-    """Classical part, information part, and their weighted total."""
-
-    classical: float
-    information: float
-    total: float
-
-
 def time_derivatives(slices: Sequence[np.ndarray], dt: float) -> list[np.ndarray]:
     """Second-order time derivative of each slice along a trajectory.
 
@@ -132,39 +123,6 @@ def time_derivatives(slices: Sequence[np.ndarray], dt: float) -> list[np.ndarray
             d = (slices[i + 1] - slices[i - 1]) / (2.0 * dt)
         out.append(d)
     return out
-
-
-def trapezoid_weights(n: int, dt: float) -> np.ndarray:
-    """Trapezoid-rule weights of n equally spaced time slices."""
-    tw = np.full(n, dt)
-    tw[0] = tw[-1] = 0.5 * dt
-    return tw
-
-
-def total_action(states: Sequence[MadelungState], dt: float,
-                 params: PhysicalParams) -> ActionBreakdown:
-    """Trapezoid-in-time action over a trajectory of equally spaced states,
-    with DEFAULT_ORDER stencils."""
-    grid = states[0].grid
-    for st in states:
-        if st.grid != grid:
-            raise GridMismatchError("trajectory states live on different grids")
-    ds_dt = time_derivatives([st.action.values for st in states], dt)
-    tw = trapezoid_weights(len(states), dt)
-    v = potential_values(params.potential, grid)
-    classical = 0.0
-    info = 0.0
-    for w, st, dsdt in zip(tw, states, ds_dt):
-        kin = kinetic_density(st, params).values
-        classical += w * integrate_values(
-            st.density.values * (dsdt + kin + v), grid)
-        info += w * information_metric(st.density, params)
-    hbar = params.hbar
-    return ActionBreakdown(
-        classical=classical,
-        information=info,
-        total=classical + 0.5 * hbar * info,
-    )
 
 
 def flux_divergence(state: MadelungState, params: PhysicalParams,

@@ -63,6 +63,7 @@ from .solvers import (
     propagate_wavefunction,
     quantization_route_report,
     resolved_nodes,
+    stability_substeps,
     vanishing_momentum_scenario,
     wall_violation,
 )
@@ -76,6 +77,10 @@ EXIT_CONFIG = 2
 # memory would stop an oversized grid.
 MAX_LINE_POINTS = 65_536
 MAX_PAIR_POINTS = 1_024
+# Most RK4 substeps (steps times substeps per step) one fields-route run
+# may take: about 50 times the acceptance test's longest propagation. A
+# large dt would otherwise ask for millions of substeps per step.
+MAX_RUN_SUBSTEPS = 1_000_000
 
 _STIFF_WARN = 0.1
 _MIN_WINDOW_SIGMAS = 6.0
@@ -263,11 +268,14 @@ def _system(v):
                    "potential is not finite at every node")
             return
         potential = Sampled(RealField(v["grid"], sampled))
-    v["params"] = PhysicalParams(hbar=v["system.hbar"], mass=v["system.mass"],
-                                 potential=potential)
-    if "grid" in v:  # fluctuate has none
-        yield from _finite_hamiltonian(v["params"], v["grid"],
-                                       "system.potential")
+    params = PhysicalParams(hbar=v["system.hbar"], mass=v["system.mass"],
+                            potential=potential)
+    # fluctuate has no grid; later rules may rely on a finite Hamiltonian
+    problems = list(_finite_hamiltonian(params, v["grid"], "system.potential")
+                    if "grid" in v else ())
+    yield from problems
+    if not problems:
+        v["params"] = params
 
 
 def _pair(v):
@@ -336,6 +344,23 @@ def _unitary_start(v):
     v["psi0"] = ComplexField(v["grid"], psi.astype(complex))
 
 
+def _substeps(v):
+    """The fields route's RK4 substeps per step; the whole run must stay
+    within MAX_RUN_SUBSTEPS."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_step = stability_substeps(v["state"], v["params"], v["dt"])
+    except ValueError as exc:
+        yield str(exc)
+        return
+    if per_step * v["steps"] > MAX_RUN_SUBSTEPS:
+        yield (f"dt = {v['dt']:g} needs {per_step:.3g} RK4 substeps per "
+               f"step, {per_step * v['steps']:.3g} in all, above "
+               f"{MAX_RUN_SUBSTEPS:,}")
+        return
+    v["substeps"] = per_step
+
+
 def _window(v):
     """The window, given or default, must hold the fluctuation, and its
     kinetic cost must be finite on the whole transition grid."""
@@ -396,7 +421,7 @@ def _run_evolve(v, plots):
     x = grid.coordinates()[0]
     if v["method"] == "fields":
         traj = propagate_madelung(v["state"], params, dt, steps,
-                                  store_every=store)
+                                  store_every=store, substeps=v["substeps"])
         rho_end = traj.states[-1].density.values
         results = {"substeps_per_step": traj.substeps_per_step,
                    "mass_drift": traj.mass_drift}
@@ -424,7 +449,7 @@ def _run_compare(v, plots):
     grid, params, dt, steps = v["grid"], v["params"], v["dt"], v["steps"]
     warnings = _stiffness_warnings(params, grid, dt)
     traj_m = propagate_madelung(v["state"], params, dt, steps,
-                                store_every=steps)
+                                store_every=steps, substeps=v["substeps"])
     traj_c = propagate_wavefunction(v["psi0"], params, dt, steps,
                                     store_every=steps)
     rho_m = traj_m.states[-1].density.values
@@ -607,13 +632,14 @@ SCENARIOS = {
             ("method", _one_of("fields", "unitary"), "fields"),
             ("dt", _POSITIVE, ...), ("steps", _COUNT, ...),
             ("store_every", _COUNT, None)),
-        (_grid, _system, _initial,
-         lambda v: _unitary_start(v) if v["method"] == "unitary" else ()),
+        (_grid, _system, _initial, lambda v: (
+            _unitary_start if v["method"] == "unitary" else _substeps)(v)),
         _run_evolve),
     "compare-propagators": (
         _PARTICLE + _INITIAL + (("dt", _POSITIVE, ...),
                                 ("steps", _COUNT, ...)),
-        (_grid, _system, _initial, _unitary_start), _run_compare),
+        (_grid, _system, _initial, _unitary_start, _substeps),
+        _run_compare),
     "fluctuate": (
         (("system.hbar", _POSITIVE, 1.0), ("system.mass", _MASSES, ...),
          ("dt", _POSITIVE, ...), ("samples", _at_least(_COUNT, 2), 100_000),

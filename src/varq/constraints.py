@@ -1,4 +1,4 @@
-"""Constraint functionals, Poisson brackets, and augmented actions.
+"""Constraint functionals, Poisson brackets, and stationarity residuals.
 
 Constraints are scalar functionals of the (density, action) pair added to
 the total action with Lagrange multipliers. Each defines a local
@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .action import (
-    ActionBreakdown,
     bohm_potential,
     flux_divergence,
     information_density,
@@ -36,8 +35,6 @@ from .action import (
     low_density_mask,
     numeric_functional_gradient,
     time_derivatives,
-    total_action,
-    trapezoid_weights,
 )
 from .fields import (
     RESOLVED_FLOOR,
@@ -264,39 +261,7 @@ def poisson_bracket(f: ConstraintFunctional, g: ConstraintFunctional,
                          consistent=weak_equality(value, scale))
 
 
-# -- augmented action and stationarity ---------------------------------------
-
-@dataclass(frozen=True)
-class AugmentedActionResult:
-    base: ActionBreakdown
-    constraint_terms: tuple[float, ...]
-    total: float
-
-
-def _trajectory_aux(states: Sequence[MadelungState], dt: float) -> list[RealField]:
-    grids = states[0].grid
-    drho = time_derivatives([st.density.values for st in states], dt)
-    return [RealField(grids, d) for d in drho]
-
-
-def augmented_total_action(states: Sequence[MadelungState], dt: float,
-                           params: PhysicalParams,
-                           constraints: Sequence[ConstraintFunctional],
-                           multipliers: Sequence[float]) -> AugmentedActionResult:
-    """Total action plus sum_i lambda_i * time-integral of constraint_i."""
-    if len(constraints) != len(multipliers):
-        raise ValueError("one multiplier per constraint required")
-    base = total_action(states, dt, params)
-    aux = _trajectory_aux(states, dt)
-    tw = trapezoid_weights(len(states), dt)
-    terms = []
-    for lam, c in zip(multipliers, constraints):
-        ci = sum(w * c.value(st, a if c.requires_aux else None)
-                 for w, st, a in zip(tw, states, aux))
-        terms.append(lam * ci)
-    return AugmentedActionResult(base=base, constraint_terms=tuple(terms),
-                                 total=base.total + sum(terms))
-
+# -- stationarity ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StationarityReport:
@@ -330,12 +295,15 @@ def stationarity_residuals(states: Sequence[MadelungState], dt: float,
     Hamilton-Jacobi residual and the second minus the continuity one.
     Maxima are taken where rho >= RESOLVED_FLOOR * peak.
     """
+    if any(s.grid != states[0].grid for s in states):
+        raise GridMismatchError("trajectory states live on different grids")
     if len(constraints) != len(multipliers):
         raise ValueError("one multiplier per constraint required")
     mid = len(states) // 2
     st = states[mid]
     ds_dt = time_derivatives([s.action.values for s in states], dt)[mid]
-    drho_dt_field = _trajectory_aux(states, dt)[mid]
+    drho_dt_field = RealField(st.grid, time_derivatives(
+        [s.density.values for s in states], dt)[mid])
     h = EnsembleHamiltonian(params, order)
     dens = ds_dt + h.gradient_density(st).values
     act = -drho_dt_field.values + h.gradient_action(st).values

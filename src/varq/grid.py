@@ -281,12 +281,6 @@ def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,
     return stencil_operator(grid.axes[axis], order, deriv).apply(values, axis)
 
 
-def integrate(f: Field) -> float | complex:
-    """Quadrature of the field over the whole grid."""
-    total = np.sum(f.values * f.grid.node_volumes())
-    return float(total) if isinstance(f, RealField) else complex(total)
-
-
 def integrate_values(values: np.ndarray, grid: GridSpec) -> float:
     return float(np.sum(values * grid.node_volumes()))
 

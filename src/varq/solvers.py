@@ -312,26 +312,34 @@ def _cannot_dip(log_rho: np.ndarray, grid: GridSpec,
     return bound < -log_floor * (1.0 - _SCREEN_MARGIN)
 
 
-def _stability_substeps(state: MadelungState, u: np.ndarray, ops: list,
-                        params: PhysicalParams, dt: float) -> int:
+def stability_substeps(state: MadelungState, params: PhysicalParams,
+                       dt: float) -> int:
+    """RK4 substeps per step of length dt that keep the stiffest resolved
+    mode of the fields route's start inside the stability region; a
+    ValueError when dt times that mode's rate is not finite."""
     grid = state.grid
     hbar = params.hbar
+    u = 0.5 * np.log(state.density.values) + 1j * (state.action.values / hbar)
     rate = 0.0
     # the d2 symbol peaks at the grid's Nyquist mode, where it is the sum
     # of the central row's |weights|
     half = DEFAULT_ORDER // 2
     peak = float(np.sum(np.abs(fd_weights(tuple(range(-half, half + 1)), 2))))
-    for ax_idx in range(grid.dimension):
-        dx = grid.axes[ax_idx].dx
+    for ax_idx, axis in enumerate(grid.axes):
+        dx = axis.dx
         m = params.mass_along(ax_idx)
         rate += hbar * peak / (2.0 * m * dx * dx)
-        d1 = ops[ax_idx][0].apply(u, ax_idx)
+        d1 = stencil_operator(axis, DEFAULT_ORDER, 1).apply(u, ax_idx)
         rate += (np.pi / dx) * hbar * (np.max(np.abs(d1.imag))
                                        + np.max(np.abs(d1.real))) / m
     v = potential_values(params.potential, grid)
     q0 = bohm_potential(state.density, params).values
     rate += (np.max(np.abs(v)) + np.max(np.abs(q0))) / hbar
-    return max(1, int(np.ceil(dt * rate / _CFL_MARGIN)))
+    scaled = dt * float(rate)
+    if not np.isfinite(scaled):
+        raise ValueError(f"dt = {dt:g} times the stiffest rate of the fields "
+                         "route is not finite")
+    return max(1, int(np.ceil(scaled / _CFL_MARGIN)))
 
 
 def propagate_madelung(state0: MadelungState, params: PhysicalParams,
@@ -340,8 +348,8 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     """Explicit RK4 on u = ln(rho)/2 + i S/hbar (see _madelung_rhs), with
     DEFAULT_ORDER stencils.
 
-    dt is the reporting cadence; each reported step internally takes as
-    many RK4 substeps as the stiffest resolved mode requires. The density
+    dt is the reporting cadence; each reported step internally takes
+    `substeps` RK4 substeps, by default stability_substeps. The density
     must start strictly positive. A narrow dip falling below ABORT_FLOOR
     times its own neighborhood marks a forming node and raises
     DensityFloorError with its location; a smooth tail alone does not
@@ -360,7 +368,7 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     u = (0.5 * np.log(state0.density.values)
          + 1j * (state0.action.values / params.hbar))
     if substeps is None:
-        substeps = _stability_substeps(state0, u, ops, params, dt)
+        substeps = stability_substeps(state0, params, dt)
     h = dt / substeps
     v = potential_values(params.potential, grid)
     mass0 = integrate_values(state0.density.values, grid)

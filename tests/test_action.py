@@ -5,7 +5,6 @@ from varq.grid import (
     GridMismatchError,
     GridSpec,
     RealField,
-    integrate,
     integrate_values,
 )
 from varq.fields import Free, Harmonic, MadelungState, PhysicalParams
@@ -17,9 +16,12 @@ from varq.action import (
     low_density_mask,
     numeric_functional_gradient,
     time_derivatives,
-    total_action,
 )
-from varq.constraints import EnsembleHamiltonian, functional_derivative
+from varq.constraints import (
+    EnsembleHamiltonian,
+    functional_derivative,
+    stationarity_residuals,
+)
 
 from conftest import harmonic_ground_state, random_smooth_state
 
@@ -154,24 +156,7 @@ def test_kinetic_density_plane_phase():
     assert np.allclose(kin.values, 1.5**2 / 4.0, atol=1e-8)
 
 
-def test_classical_action_density_signs():
-    # S = -t/2 on a still Gaussian: every slice of the classical part is
-    # integral rho (dS/dt + V), here -0.5 + 0.5 * 0.7**2, so a dropped or
-    # sign-flipped term shows
-    g = GridSpec.line(512, -8.0, 8.0)
-    p = PhysicalParams(potential=Harmonic())
-    dt = 0.1
-    states = [MadelungState(gaussian_state(g, sigma=0.7).density,
-                            RealField.full(g, -0.5 * j * dt))
-              for j in range(4)]
-    x = g.coordinates()[0]
-    expected = integrate_values(states[0].density.values
-                                * (-0.5 + 0.5 * x**2), g)
-    assert total_action(states, dt, p).classical == pytest.approx(
-        3 * dt * expected, abs=1e-12)
-
-
-# -- total action over a trajectory ------------------------------------------
+# -- time derivatives along a trajectory -------------------------------------
 
 def test_time_derivatives_exact_on_quadratic():
     dt = 0.1
@@ -187,37 +172,6 @@ def test_time_derivatives_validation():
         time_derivatives([np.zeros(3)] * 2, 0.1)
     with pytest.raises(ValueError):
         time_derivatives([np.zeros(3)] * 3, -0.1)
-
-
-def test_total_action_breakdown_consistency():
-    rng = np.random.default_rng(9)
-    p = PhysicalParams(potential=Harmonic())
-    g = GridSpec.line(256, -8.0, 8.0)
-    dt = 0.05
-    states = []
-    for j in range(4):
-        st = gaussian_state(g, momentum=0.1 * j)
-        states.append(st)
-    bd = total_action(states, dt, p)
-    assert bd.total == pytest.approx(bd.classical + 0.5 * p.hbar * bd.information,
-                                     abs=1e-12)
-    assert bd.information >= 0.0
-
-
-def test_total_action_vanishes_on_stationary_ground_state():
-    # S(t) = -E0 t makes every slice integrand integrate to zero
-    g = GridSpec.line(1024, -8.0, 8.0)
-    p = PhysicalParams(potential=Harmonic())
-    dt = 0.01
-    e0 = 0.5
-    states = []
-    for j in range(5):
-        base = harmonic_ground_state(g)
-        s = np.full(g.shape, -e0 * j * dt)
-        states.append(MadelungState(base.density, RealField(g, s)))
-    bd = total_action(states, dt, p)
-    elapsed = 4 * dt
-    assert abs(bd.total) / elapsed <= 1e-6
 
 
 # -- functional gradients ----------------------------------------------------
@@ -287,9 +241,10 @@ def test_functional_gradient_validation():
 
 
 def test_grid_mismatch_in_residuals():
-    # a trajectory whose slices disagree about the grid has no dS/dt
-    g1 = GridSpec.line(64, -1.0, 1.0)
-    g2 = GridSpec.line(65, -1.0, 1.0)
-    states = [gaussian_state(g, sigma=0.3) for g in (g1, g1, g2)]
-    with pytest.raises(GridMismatchError):
-        total_action(states, 0.1, PhysicalParams())
+    # a trajectory whose slices disagree about the grid has no dS/dt, also
+    # when the slices have one shape and would difference silently
+    g = GridSpec.line(64, -1.0, 1.0)
+    for other in (GridSpec.line(65, -1.0, 1.0), GridSpec.line(64, -2.0, 2.0)):
+        states = [gaussian_state(grid, sigma=0.3) for grid in (g, g, other)]
+        with pytest.raises(GridMismatchError):
+            stationarity_residuals(states, 0.1, PhysicalParams())

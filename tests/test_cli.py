@@ -390,6 +390,42 @@ class TestValidation:
         report = json.loads((out / "evolve_report.json").read_text())
         assert len(report["warnings"]) == 1
 
+    @staticmethod
+    def periodic_packet(tmp_path, dt):
+        return evolve_config(tmp_path, **{
+            "grid": {"points": 32, "min": -8.0, "max": 8.0,
+                     "boundary": "periodic"},
+            "initial": {"center": 0.0, "width": 2.0},
+            "dt": dt, "steps": 1,
+        })
+
+    @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])
+    def test_fields_route_substeps_bounded(self, tmp_path, capsys, scenario):
+        # dt = 1e6 asks for 2.18e7 RK4 substeps in one step
+        out = tmp_path / "out"
+        code = cli.main([scenario, "--config",
+                         self.periodic_packet(tmp_path, 1e6), "--out",
+                         str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err == ("config error: dt = 1e+06 needs 2.18e+07 RK4 substeps "
+                       "per step, 2.18e+07 in all, above "
+                       f"{cli.MAX_RUN_SUBSTEPS:,}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])
+    def test_overflowing_dt_rejected(self, tmp_path, capsys, scenario):
+        # dt times the stiffest rate is inf, which no substep count holds
+        out = tmp_path / "out"
+        code = cli.main([scenario, "--config",
+                         self.periodic_packet(tmp_path, 1e308), "--out",
+                         str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err == ("config error: dt = 1e+308 times the stiffest rate of "
+                       "the fields route is not finite\n")
+        assert not out.exists()
+
 
 class TestPlotData:
     def test_plot_files_reference_config_hash(self, tmp_path):

@@ -31,7 +31,6 @@ from varq.constraints import (
     LocalMomentum,
     RelativeDensity,
     TotalMomentum,
-    augmented_total_action,
     classical_consistency,
     functional_derivative,
     poisson_bracket,
@@ -430,7 +429,7 @@ def test_weak_equality_rule():
     assert not weak_equality(2e-4, 1.0)
 
 
-# -- augmented action --------------------------------------------------------
+# -- stationarity residuals --------------------------------------------------
 
 def _stationary_trajectory(g, n_slices=5, dt=0.01, e0=0.5):
     states = []
@@ -440,41 +439,6 @@ def _stationary_trajectory(g, n_slices=5, dt=0.01, e0=0.5):
         states.append(MadelungState(base.density, RealField(g, s)))
     return states
 
-
-def test_augmented_action_reduces_to_base_at_zero_multipliers():
-    g = GridSpec.line(512, -8.0, 8.0)
-    p = PhysicalParams(potential=Harmonic())
-    states = _stationary_trajectory(g)
-    res = augmented_total_action(states, 0.01, p,
-                                 [LocalMomentum(), DensityStationarity()],
-                                 [0.0, 0.0])
-    assert res.total == res.base.total
-    assert res.constraint_terms == (0.0, 0.0)
-
-
-def test_augmented_action_linear_in_multiplier():
-    g = GridSpec.line(512, -8.0, 8.0)
-    p = PhysicalParams(potential=Harmonic())
-    states = _stationary_trajectory(g)
-    c = LocalMomentum(p_c=0.3)
-    r1 = augmented_total_action(states, 0.01, p, [c], [2.0])
-    r2 = augmented_total_action(states, 0.01, p, [c], [4.0])
-    assert r2.constraint_terms[0] == pytest.approx(2.0 * r1.constraint_terms[0],
-                                                   rel=1e-12)
-    # d(total)/d(lambda) equals the time-integrated constraint
-    dt_total = r2.total - r1.total
-    assert dt_total == pytest.approx(r1.constraint_terms[0], rel=1e-9)
-
-
-def test_augmented_action_multiplier_count_mismatch():
-    g = GridSpec.line(256, -8.0, 8.0)
-    states = _stationary_trajectory(g)
-    with pytest.raises(ValueError):
-        augmented_total_action(states, 0.01, PhysicalParams(),
-                               [LocalMomentum()], [1.0, 2.0])
-
-
-# -- stationarity residuals --------------------------------------------------
 
 def test_stationarity_residuals_on_ground_state_trajectory():
     g = GridSpec.line(1024, -8.0, 8.0)
@@ -498,6 +462,14 @@ def test_stationarity_residuals_detect_wrong_energy():
         states.append(MadelungState(base.density, RealField(g, s)))
     rep = stationarity_residuals(states, 0.01, p)
     assert rep.density_residual_max == pytest.approx(0.25, abs=1e-4)
+
+
+def test_stationarity_residuals_multiplier_count_mismatch():
+    g = GridSpec.line(256, -8.0, 8.0)
+    states = _stationary_trajectory(g)
+    with pytest.raises(ValueError):
+        stationarity_residuals(states, 0.01, PhysicalParams(),
+                               [LocalMomentum()], [1.0, 2.0])
 
 
 # -- classical consistency ---------------------------------------------------

@@ -4,11 +4,12 @@ A name with a leading underscore is private to the module that defines
 it; another varq module that needs it should get a public name instead.
 No linter runs on this repository, so the rule is checked here. Every
 CLI run pays for what `import varq.cli` loads, so scipy.ndimage, which
-only phase recovery and the propagator's dip check use, is imported
-where it is used. The perfbench tracer and worker name varq functions
-in strings, so a rename must reach them too, or a per-layer metric reads
-zero. A default that no call in the repository overrides is a constant
-in the signature, so each one must be passed somewhere.
+only the propagator's dip check uses, is imported where it is used. The
+perfbench tracer and worker name varq functions in strings, so a rename
+must reach them too, or a per-layer metric reads zero. A default that no
+call in the repository overrides is a constant in the signature, so each
+one must be passed somewhere. Likewise every public function and class
+needs a caller outside the unit tests.
 """
 
 import ast
@@ -140,3 +141,36 @@ def test_every_default_is_set_by_some_caller():
     passed = passed_arguments()
     assert [qual for qual, (fn, pos, name) in defaulted_parameters().items()
             if (fn, name) not in passed and (fn, pos) not in passed] == []
+
+
+# public definitions kept as the independent reference that tests check a
+# kernel against: the fused optimizer score is tested against the
+# transition objective it stands for
+REFERENCES = {"transition_objective"}
+
+
+def test_every_public_name_has_a_non_test_caller():
+    # a public function or class that only tests reach is code that no
+    # scenario runs; the re-exports in __init__.py do not count as use
+    callers = [path for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"]
+    callers += sorted(PERFBENCH.glob("*.py"))
+    callers.append(REPO / "tests" / "test_acceptance.py")
+    defined, used = set(), set()
+    for path in callers:
+        for top in ast.parse(path.read_text()).body:
+            own = None
+            if (path.parent == SRC
+                    and isinstance(top, (ast.FunctionDef, ast.ClassDef))):
+                own = top.name
+                if not own.startswith("_"):
+                    defined.add(own)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else None)
+                if name is not None and name != own:
+                    used.add(name)
+    assert len(defined) >= 50
+    assert sorted(defined - used - REFERENCES) == []
+    assert REFERENCES <= defined
