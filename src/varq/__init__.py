@@ -43,7 +43,6 @@ from .fluctuation import (
     kl_divergence,
     optimal_transition,
     optimize_transition_numeric,
-    sample_displacements,
     sample_fluctuations,
 )
 from .constraints import (
@@ -106,7 +105,6 @@ __all__ = [
     "kl_divergence",
     "optimal_transition",
     "optimize_transition_numeric",
-    "sample_displacements",
     "sample_fluctuations",
     "DensityStationarity",
     "EnsembleHamiltonian",

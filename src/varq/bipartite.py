@@ -29,7 +29,6 @@ from .fields import (
     PairwiseRelative,
     PhysicalParams,
     PotentialSpec,
-    potential_values,
 )
 from .grid import (
     DIRICHLET,
@@ -45,6 +44,7 @@ from .solvers import (
     eigensolve_1d,
     node_exclusion_mask,
     resolved_energy,
+    rest_energy_density,
 )
 
 
@@ -193,7 +193,6 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
     rgrid = relative_grid(pair)
     spec = eigensolve_1d(params.reduced_physical(), rgrid, k)
     phys2 = params.as_physical()
-    v2 = potential_values(phys2.potential, pair)
 
     rows = []
     trans_max = 0.0
@@ -206,9 +205,9 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
         e_op = integrate_values(psi.values * hpsi, pair) / norm2
 
         rho = RealField(pair, psi.values**2 / norm2)
-        q2 = bohm_potential(rho, phys2, order=2).values
         excl = _by_difference(node_exclusion_mask(f.values), pair)
-        e_ext, keep = resolved_energy(rho, v2 + q2, excl, j)
+        e_ext, keep = resolved_energy(rho, rest_energy_density(rho, phys2),
+                                      excl, j)
         rows.append(ThreeRouteRow(index=j,
                                   energy_reduced=float(spec.eigenvalues[j]),
                                   energy_operator=e_op,

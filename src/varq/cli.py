@@ -78,9 +78,11 @@ EXIT_CONFIG = 2
 MAX_LINE_POINTS = 65_536
 MAX_PAIR_POINTS = 1_024
 # Most RK4 substeps (steps times substeps per step) one fields-route run
-# may take: about 50 times the acceptance test's longest propagation. A
-# large dt would otherwise ask for millions of substeps per step.
+# may take on up to _SUBSTEP_POINTS nodes, about 50 times the acceptance
+# test's longest propagation; a larger grid gets proportionally fewer,
+# so the cap bounds substeps times nodes, which sets the run time.
 MAX_RUN_SUBSTEPS = 1_000_000
+_SUBSTEP_POINTS = 512
 
 _STIFF_WARN = 0.1
 _MIN_WINDOW_SIGMAS = 6.0
@@ -346,19 +348,37 @@ def _unitary_start(v):
 
 def _substeps(v):
     """The fields route's RK4 substeps per step; the whole run must stay
-    within MAX_RUN_SUBSTEPS."""
+    within MAX_RUN_SUBSTEPS scaled down for grids above _SUBSTEP_POINTS."""
+    limit = (MAX_RUN_SUBSTEPS * _SUBSTEP_POINTS
+             // max(_SUBSTEP_POINTS, v["grid"].n_nodes))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             per_step = stability_substeps(v["state"], v["params"], v["dt"])
     except ValueError as exc:
         yield str(exc)
         return
-    if per_step * v["steps"] > MAX_RUN_SUBSTEPS:
+    if per_step * v["steps"] > limit:
         yield (f"dt = {v['dt']:g} needs {per_step:.3g} RK4 substeps per "
                f"step, {per_step * v['steps']:.3g} in all, above "
-               f"{MAX_RUN_SUBSTEPS:,}")
+               f"{limit:,}")
         return
     v["substeps"] = per_step
+
+
+def _slice_action(v):
+    """constraint-check's trajectory S = -E t must have a finite kinetic
+    density. Gershgorin bounds |E| by max|V| + 2 hbar^2 / (m dx^2), taken
+    over the 2 m dx^2 that _system found nonzero, so |dS/dx| stays below
+    that bound times 2 SLICE_DT / dx."""
+    params, grid = v["params"], v["grid"]
+    dx, m = grid.axes[0].dx, params.mass_along(0)
+    bound = (float(np.max(np.abs(potential_values(params.potential, grid))))
+             + 4.0 * params.hbar * params.hbar / (2.0 * m * dx * dx))
+    slope = bound * 2.0 * SLICE_DT / dx
+    if not math.isfinite(slope * slope / (2.0 * m)):
+        yield (f"the energy bound max|V| + 2 hbar^2 / (m dx^2) = {bound:.3g} "
+               f"is too large: the kinetic density (E 2 dt / dx)^2 / 2m of "
+               f"S = -E t overflows at dt = {SLICE_DT:g}")
 
 
 def _window(v):
@@ -650,7 +670,8 @@ SCENARIOS = {
     "constraint-check": (
         _PARTICLE + (("level", _at_least(_INTEGER, 0), 0),),
         (_grid, _system,
-         lambda v: _check_levels(v["grid"], v["level"] + 1, "level")),
+         lambda v: _check_levels(v["grid"], v["level"] + 1, "level"),
+         _slice_action),
         _run_constraint_check),
     "vanishing-momentum": (
         _PARTICLE + (("count", _COUNT, 3),),

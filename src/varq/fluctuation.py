@@ -12,7 +12,10 @@ and a deterministic sampler with counter-based substreams so the draw
 does not depend on how the work is chunked. The optimizer is entropic
 mirror descent (Beck & Teboulle 2003): it steps the log density along the
 functional derivative of transition_objective alone, so it reaches the
-Gaussian without being told where it lies.
+Gaussian without being told where it lies. The sampler counts how many
+draws land on each node of the transition grid and reads its moments
+from that empirical distribution with the same methods as the closed
+form, so the module has one moments implementation.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ _SAMPLE_CHUNK = 1 << 16
 
 # the optimizer stops once one step changes the objective by less
 _CONVERGED = 1e-12
+# the optimizer's step, the fraction of the way each iteration moves the
+# log density toward the zero of its gradient, and its iteration cap
+_STEP = 0.5
+_MAX_ITER = 100_000
 
 
 class NonConvergenceError(RuntimeError):
@@ -79,8 +86,7 @@ def _check_window(window, sig) -> None:
 
 
 def transition_grid(params: PhysicalParams, dt: float,
-                    window: tuple[float, ...] | None = None,
-                    n_points: int | None = None) -> GridSpec:
+                    window: tuple[float, ...] | None = None) -> GridSpec:
     """Displacement-space grid resolving the fluctuation scale."""
     sig = fluctuation_sigma(params, dt)
     if window is None:
@@ -91,11 +97,8 @@ def transition_grid(params: PhysicalParams, dt: float,
     cap = _MAX_POINTS_1D if len(sig) == 1 else _MAX_POINTS_2D
     axes = []
     for w, s in zip(window, sig):
-        if n_points is None:
-            n = int(np.ceil(2.0 * w / s * POINTS_PER_SIGMA))
-            n = min(max(n | 1, _MIN_POINTS), cap)
-        else:
-            n = int(n_points)
+        n = int(np.ceil(2.0 * w / s * POINTS_PER_SIGMA))
+        n = min(max(n | 1, _MIN_POINTS), cap)
         axes.append(Axis(n, -w, w, "dirichlet"))
     return GridSpec(tuple(axes))
 
@@ -108,7 +111,6 @@ class TransitionDistribution:
     mass: np.ndarray
     dt: float
     params: PhysicalParams
-    window: tuple[float, ...]
 
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=float)
@@ -121,24 +123,21 @@ class TransitionDistribution:
             raise ValueError("probability mass must have positive finite total")
         object.__setattr__(self, "mass", m / total)
 
+    @property
+    def window(self) -> tuple[float, ...]:
+        """Half-width of the displacement grid per axis."""
+        return tuple(ax.x_max for ax in self.grid.axes)
+
     def density(self) -> RealField:
         return RealField(self.grid, self.mass / self.grid.node_volumes())
 
-    def _axis_values(self, axis: int) -> np.ndarray:
-        w = self.grid.coordinates()[axis]
-        if self.grid.dimension == 1:
-            return w
-        return self.grid.meshes()[axis]
-
     def mean(self) -> np.ndarray:
-        return np.array([float(np.sum(self.mass * self._axis_values(ax)))
-                         for ax in range(self.grid.dimension)])
+        return np.array([float(np.sum(self.mass * w))
+                         for w in self.grid.meshes()])
 
     def variance(self) -> np.ndarray:
-        mu = self.mean()
-        return np.array([
-            float(np.sum(self.mass * (self._axis_values(ax) - mu[ax]) ** 2))
-            for ax in range(self.grid.dimension)])
+        return np.array([float(np.sum(self.mass * (w - mu) ** 2))
+                         for w, mu in zip(self.grid.meshes(), self.mean())])
 
     def covariance(self) -> float:
         if self.grid.dimension != 2:
@@ -151,8 +150,7 @@ class TransitionDistribution:
 def _kinetic_cost(grid: GridSpec, params: PhysicalParams,
                   dt: float) -> np.ndarray:
     cost = np.zeros(grid.shape)
-    meshes = grid.meshes() if grid.dimension == 2 else (grid.coordinates()[0],)
-    for ax, w in enumerate(meshes):
+    for ax, w in enumerate(grid.meshes()):
         cost += params.mass_along(ax) * w**2 / (2.0 * dt)
     return cost
 
@@ -166,8 +164,7 @@ def optimal_transition(params: PhysicalParams, dt: float,
     log_density = -2.0 * cost / params.hbar
     log_density -= np.max(log_density)
     mass = np.exp(log_density) * grid.node_volumes()
-    win = tuple(ax.x_max for ax in grid.axes)
-    return TransitionDistribution(grid, mass, dt, params, win)
+    return TransitionDistribution(grid, mass, dt, params)
 
 
 def transition_objective(dist: TransitionDistribution) -> float:
@@ -205,45 +202,32 @@ def _normalize_and_score(lr: np.ndarray, vols: np.ndarray, cost: np.ndarray,
 
 
 def optimize_transition_numeric(params: PhysicalParams, dt: float,
-                                window: tuple[float, ...] | None = None,
-                                init: TransitionDistribution | None = None,
-                                step: float = 0.5, max_iter: int = 100_000):
+                                window: tuple[float, ...] | None = None):
     """Entropic mirror descent on the transition objective.
 
-    Works on log densities lr. Up to a constant that normalization
-    absorbs, the objective's functional derivative in lr is
-    g = cost + (hbar/2) lr, and each iteration steps
-    lr <- lr - (2 step / hbar) g and renormalizes; the closed form is
+    Works on log densities lr, starting from the uniform density. Up to a
+    constant that normalization absorbs, the objective's functional
+    derivative in lr is g = cost + (hbar/2) lr, and each iteration steps
+    lr <- lr - (2 _STEP / hbar) g and renormalizes; the closed form is
     never consulted. One iteration makes one max pass, one exponential,
     one weighted sum and one dot product over the grid. Returns
     (distribution, iterations). Raises NonConvergenceError if the
-    objective is not finite or its change never falls below _CONVERGED.
+    objective is not finite or its change never falls below _CONVERGED
+    within _MAX_ITER iterations.
     """
-    if not 0.0 < step <= 1.0:
-        raise ValueError("step must lie in (0, 1]")
     grid = transition_grid(params, dt, window)
     vols = grid.node_volumes()
     cost = _kinetic_cost(grid, params, dt)
-
-    if init is None:
-        lr = np.zeros(grid.shape)
-    else:
-        if init.grid != grid:
-            raise ValueError("init lives on a different displacement grid")
-        if np.any(init.mass <= 0):
-            raise ValueError("init must be strictly positive everywhere")
-        lr = np.log(init.mass / vols)
-
-    win = tuple(ax.x_max for ax in grid.axes)
+    lr = np.zeros(grid.shape)
     half_hbar = 0.5 * params.hbar
     # -(hbar/2) ln prior for the uniform prior 1 / sum(vols)
     prior_term = half_hbar * float(np.log(np.sum(vols)))
-    rate = step / half_hbar
+    rate = _STEP / half_hbar
     w = np.empty(grid.shape)
     g = np.empty(grid.shape)
     prev = 0.0
     # iteration 0 only scores the start; each later one steps first
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         if it:
             g *= rate
             lr -= g
@@ -254,10 +238,10 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
                 f"objective is {cur} at iteration {it}: the kinetic cost or "
                 f"the log density overflows on this grid")
         if it and abs(cur - prev) < _CONVERGED:
-            return TransitionDistribution(grid, w, dt, params, win), it
+            return TransitionDistribution(grid, w, dt, params), it
         prev = cur
     raise NonConvergenceError(
-        f"objective change still above {_CONVERGED} after {max_iter} "
+        f"objective change still above {_CONVERGED} after {_MAX_ITER} "
         f"iterations")
 
 
@@ -279,38 +263,27 @@ def kl_divergence(p: TransitionDistribution, q: TransitionDistribution) -> float
 
 # -- sampling ----------------------------------------------------------------
 
-def sample_displacements(dist: TransitionDistribution, n: int,
-                         seed: int) -> np.ndarray:
-    """n draws, shape (n, dimension), reproducible for a given seed.
-
-    Counter-based Philox substreams are assigned per fixed-size chunk, so
-    the result is independent of any parallel split of the chunks.
-    """
-    if n <= 0:
-        raise ValueError("need a positive sample count")
+def _draw_counts(dist: TransitionDistribution, n: int,
+                 seed: int) -> np.ndarray:
+    """How many of n draws land on each grid node. Counter-based Philox
+    substreams are assigned per fixed-size chunk, so the counts for a seed
+    are independent of any parallel split of the chunks."""
     cdf = np.cumsum(dist.mass.reshape(-1))
     cdf[-1] = 1.0
     base = np.random.Philox(key=np.uint64(seed))
-    out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _SAMPLE_CHUNK):
-        stop = min(start + _SAMPLE_CHUNK, n)
-        gen = np.random.Generator(base.jumped(start // _SAMPLE_CHUNK))
-        u = gen.random(stop - start)
-        out[start:stop] = np.searchsorted(cdf, u, side="right")
-    shape = dist.grid.shape
-    if dist.grid.dimension == 1:
-        w = dist.grid.coordinates()[0]
-        return w[out][:, None]
-    ia, ib = np.unravel_index(out, shape)
-    wa, wb = dist.grid.coordinates()
-    return np.column_stack([wa[ia], wb[ib]])
+    counts = np.zeros(cdf.size, dtype=np.int64)
+    for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
+        u = np.random.Generator(base.jumped(chunk)).random(
+            min(_SAMPLE_CHUNK, n - start))
+        counts += np.bincount(np.searchsorted(cdf, u, side="right"),
+                              minlength=cdf.size)
+    return counts.reshape(dist.grid.shape)
 
 
 @dataclass(frozen=True)
 class FluctuationSample:
     """Summary statistics of a Monte Carlo draw from a transition law."""
 
-    n: int
     mean: tuple[float, ...]
     variance: tuple[float, ...]
     covariance: float | None
@@ -323,26 +296,25 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
                         seed: int) -> FluctuationSample:
     """Draw n displacements and report the uncertainty-product estimate.
 
-    The product estimate per axis is m * var(w) / dt, whose target is
-    hbar/2 for the extremal distribution.
+    The moments are those of the empirical distribution of the draws
+    over the grid nodes, with variance and covariance scaled by n/(n-1)
+    to the unbiased sample estimates. The product estimate per axis is
+    m * var(w) / dt, whose target is hbar/2 for the extremal
+    distribution.
     """
     if n < 2:
         raise ValueError("a sample variance needs at least 2 draws")
-    w = sample_displacements(dist, n, seed)
-    mean = tuple(float(m) for m in w.mean(axis=0))
-    var = tuple(float(v) for v in w.var(axis=0, ddof=1))
+    drawn = TransitionDistribution(dist.grid, _draw_counts(dist, n, seed),
+                                   dist.dt, dist.params)
+    unbias = n / (n - 1)
+    mean = tuple(float(m) for m in drawn.mean())
+    var = tuple(float(v) * unbias for v in drawn.variance())
     p = dist.params
-    prod = tuple(p.mass_along(ax) * var[ax] / dist.dt
-                 for ax in range(w.shape[1]))
-    if w.shape[1] == 2:
-        cov = float(np.cov(w[:, 0], w[:, 1], ddof=1)[0, 1])
+    prod = tuple(p.mass_along(ax) * v / dist.dt for ax, v in enumerate(var))
+    cov = cov_sigma = None
+    if len(var) == 2:
+        cov = drawn.covariance() * unbias
         cov_sigma = float(np.sqrt(var[0] * var[1] / n))
-    else:
-        cov = None
-        cov_sigma = None
     return FluctuationSample(
-        n=n, mean=mean, variance=var, covariance=cov,
-        covariance_mc_sigma=cov_sigma,
-        position_momentum_product=prod,
-        expected_product=0.5 * p.hbar,
-    )
+        mean=mean, variance=var, covariance=cov, covariance_mc_sigma=cov_sigma,
+        position_momentum_product=prod, expected_product=0.5 * p.hbar)

@@ -26,6 +26,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .action import bohm_potential, low_density_mask
+from .constraints import EnsembleHamiltonian
 from .fields import (
     RESOLVED_FLOOR,
     Free,
@@ -475,6 +476,13 @@ def resolved_nodes(rho: RealField, near_node: np.ndarray,
     return keep
 
 
+def rest_energy_density(rho: RealField, params: PhysicalParams) -> np.ndarray:
+    """V + Q: the order-2 ensemble energy's density gradient at S = 0."""
+    at_rest = MadelungState(rho, RealField(rho.grid, np.zeros(rho.grid.shape)),
+                            params.hbar)
+    return EnsembleHamiltonian(params, order=2).gradient_density(at_rest).values
+
+
 def resolved_energy(rho: RealField, v_plus_q: np.ndarray,
                     near_node: np.ndarray,
                     level: int) -> tuple[float, np.ndarray]:
@@ -501,13 +509,12 @@ def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
     reports = []
     energies = []
     span = grid.axes[0].span
-    v = potential_values(params.potential, grid)
     for j in range(k):
         psi = spec.eigenfunctions[j]
         e = float(spec.eigenvalues[j])
         rho = RealField(grid, psi.values**2)
         # same-order Q makes V + Q - E a stencil-level identity
-        vq = v + bohm_potential(rho, params, order=2).values
+        vq = rest_energy_density(rho, params)
         ensemble_e, keep = resolved_energy(
             rho, vq, node_exclusion_mask(psi.values), j)
         energies.append(ensemble_e)
@@ -541,10 +548,9 @@ def _trivial_branch_report(params: PhysicalParams) -> BranchReport:
     rho = np.full(g.shape, 1.0 / length)
     flat = PhysicalParams(hbar=params.hbar, mass=params.mass_along(0),
                           potential=Free())
-    v = potential_values(flat.potential, g)
-    q = bohm_potential(RealField(g, rho), flat, order=2).values
     e = 0.0
-    hj = float(np.max(np.abs(v + q - e)))
+    hj = float(np.max(np.abs(rest_energy_density(RealField(g, rho), flat)
+                             - e)))
     dr = diff_values(rho, g, order=2)
     return BranchReport(
         branch="trivial", label="uniform", energy=e, multiplier=0.0,

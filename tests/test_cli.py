@@ -414,6 +414,24 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])
+    def test_substep_cap_shrinks_on_large_grids(self, tmp_path, capsys,
+                                                scenario):
+        # 33,190 substeps per step on 65,536 nodes: 30 steps stay under
+        # the 1,000,000 of a 512-point grid but would run for hours
+        cfg = evolve_config(tmp_path, **{
+            "grid": {"points": 65_536, "min": -6.0, "max": 6.0},
+            "initial": {"center": 1.0, "width": 0.7071067811865476},
+            "dt": 1e-3, "steps": 30,
+        })
+        out = tmp_path / "out"
+        code = cli.main([scenario, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err == ("config error: dt = 0.001 needs 3.32e+04 RK4 substeps "
+                       "per step, 9.96e+05 in all, above 7,812\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])
     def test_overflowing_dt_rejected(self, tmp_path, capsys, scenario):
         # dt times the stiffest rate is inf, which no substep count holds
         out = tmp_path / "out"
@@ -424,6 +442,30 @@ class TestValidation:
         assert code == cli.EXIT_CONFIG
         assert err == ("config error: dt = 1e+308 times the stiffest rate of "
                        "the fields route is not finite\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("strength, bound", [(1e300, "1.8e+301"),
+                                                 (1e200, "1.8e+201")])
+    def test_constraint_check_energy_bound_overflow(self, tmp_path, capsys,
+                                                    strength, bound):
+        # the slope of S = -E t over two slices of 1e-3 squares to an
+        # infinity once the energy bound passes about 4e156 on this grid
+        cfg = write_config(tmp_path, {
+            "grid": {"points": 32, "min": -6.0, "max": 6.0},
+            "system": {**HARMONIC_SYSTEM, "potential": {
+                "kind": "harmonic", "strength": strength}},
+            "level": 1,
+        })
+        out = tmp_path / "out"
+        code = cli.main(["constraint-check", "--config", cfg, "--out",
+                         str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err == (f"config error: the energy bound max|V| + 2 hbar^2 / "
+                       f"(m dx^2) = {bound} is too large: the kinetic density "
+                       f"(E 2 dt / dx)^2 / 2m of S = -E t overflows at "
+                       f"dt = 0.001\n")
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -16,11 +17,11 @@ from varq.fluctuation import (
     kl_divergence,
     optimal_transition,
     optimize_transition_numeric,
-    sample_displacements,
     sample_fluctuations,
     transition_grid,
     transition_objective,
 )
+from varq.grid import GridSpec
 
 P1 = PhysicalParams(mass=1.0)
 DT = 0.1
@@ -102,9 +103,9 @@ def test_bipartite_product_distribution():
 def test_mass_validation():
     dist = optimal_transition(P1, DT)
     with pytest.raises(ValueError):
-        TransitionDistribution(dist.grid, -dist.mass, DT, P1, dist.window)
+        TransitionDistribution(dist.grid, -dist.mass, DT, P1)
     with pytest.raises(ValueError):
-        TransitionDistribution(dist.grid, dist.mass[:-1], DT, P1, dist.window)
+        TransitionDistribution(dist.grid, dist.mass[:-1], DT, P1)
     with pytest.raises(ValueError):
         dist.covariance()
 
@@ -125,27 +126,10 @@ def test_optimizer_objective_not_above_closed_form():
     assert transition_objective(num) <= transition_objective(closed) + 1e-10
 
 
-def test_optimizer_gaussian_init_converges_immediately():
-    closed = optimal_transition(P1, DT)
-    num, iters = optimize_transition_numeric(P1, DT, init=closed)
-    assert iters <= 2
-    assert kl_divergence(num, closed) <= 1e-12
-
-
-def test_optimizer_rejects_nonpositive_init():
-    closed = optimal_transition(P1, DT)
-    mass = closed.mass.copy()
-    mass[0] = 0.0
-    bad = TransitionDistribution(closed.grid, mass, DT, P1, closed.window)
-    with pytest.raises(ValueError, match="strictly positive"):
-        optimize_transition_numeric(P1, DT, init=bad)
-
-
-def test_optimizer_step_validation_and_cap():
-    with pytest.raises(ValueError):
-        optimize_transition_numeric(P1, DT, step=0.0)
-    with pytest.raises(NonConvergenceError):
-        optimize_transition_numeric(P1, DT, max_iter=2)
+def test_optimizer_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fluctuation, "_MAX_ITER", 2)
+    with pytest.raises(NonConvergenceError, match="after 2 iterations"):
+        optimize_transition_numeric(P1, DT)
 
 
 def test_optimizer_bipartite():
@@ -175,10 +159,10 @@ def test_step_gradient_is_the_objective_derivative_up_to_a_constant():
     # perturbing the log density at node j by +-h moves the objective by
     # mass_j (g_j - c) per unit h, with one c for every node
     p = PhysicalParams(hbar=1.3, mass=0.7)
-    grid = transition_grid(p, DT, window=(2.0,), n_points=17)
+    grid = GridSpec.line(17, -2.0, 2.0)
     rng = np.random.default_rng(4)
     mass = np.exp(rng.normal(0.0, 0.5, grid.shape)) * grid.node_volumes()
-    dist = TransitionDistribution(grid, mass, DT, p, (2.0,))
+    dist = TransitionDistribution(grid, mass, DT, p)
     lr, vols, cost, w, g = score_pieces(dist)
     fluctuation._normalize_and_score(lr, vols, cost, 0.5 * p.hbar, w, g)
     h = 1e-6
@@ -189,7 +173,7 @@ def test_step_gradient_is_the_objective_derivative_up_to_a_constant():
             bumped = lr.copy()
             bumped[j] += sign * h
             sides.append(transition_objective(TransitionDistribution(
-                grid, np.exp(bumped) * vols, DT, p, (2.0,))))
+                grid, np.exp(bumped) * vols, DT, p)))
         shifted.append((sides[0] - sides[1]) / (2.0 * h * dist.mass[j]) - g[j])
     assert np.ptp(shifted) <= 1e-6 * np.max(np.abs(g))
 
@@ -267,34 +251,75 @@ def test_kl_divergence_properties():
         kl_divergence(closed, other)  # different grids
     mass = closed.mass.copy()
     mass[mass.size // 2] = 0.0
-    holed = TransitionDistribution(closed.grid, mass, DT, P1, closed.window)
+    holed = TransitionDistribution(closed.grid, mass, DT, P1)
     assert kl_divergence(closed, holed) == np.inf
 
 
 # -- sampling ----------------------------------------------------------------
 
+def reference_moments(dist, n, seed):
+    """Sample mean, variance and (2D) covariance of n explicit draws made
+    with the sampler's chunked Philox substreams, summed exactly by
+    math.fsum in two passes."""
+    cdf = np.cumsum(dist.mass.reshape(-1))
+    cdf[-1] = 1.0
+    base = np.random.Philox(key=np.uint64(seed))
+    chunks = []
+    for chunk, start in enumerate(range(0, n, fluctuation._SAMPLE_CHUNK)):
+        gen = np.random.Generator(base.jumped(chunk))
+        u = gen.random(min(fluctuation._SAMPLE_CHUNK, n - start))
+        chunks.append(np.searchsorted(cdf, u, side="right"))
+    nodes = np.unravel_index(np.concatenate(chunks), dist.grid.shape)
+    draws = [w[i] for w, i in zip(dist.grid.coordinates(), nodes)]
+    mean = [math.fsum(w) / n for w in draws]
+    dev = [w - m for w, m in zip(draws, mean)]
+    var = [math.fsum(d * d) / (n - 1) for d in dev]
+    cov = math.fsum(dev[0] * dev[1]) / (n - 1) if len(dev) == 2 else None
+    return mean, var, cov
+
+
+@pytest.mark.parametrize("params", [P1, PhysicalParams(mass=(1.0, 2.0))],
+                         ids=["1d", "2d"])
+def test_sample_moments_equal_the_exact_sums_over_the_draws(params):
+    # 70,000 draws cross the 65,536-draw chunk boundary. Mean and
+    # covariance nearly cancel, so their roundoff is measured against
+    # their scales sigma and sigma_a sigma_b
+    dist = optimal_transition(params, DT)
+    n = 70_000
+    rep = sample_fluctuations(dist, n, seed=7)
+    mean, var, cov = reference_moments(dist, n, seed=7)
+    sig = np.sqrt(var)
+    assert np.allclose(rep.variance, var, rtol=1e-15, atol=0.0)
+    assert np.all(np.abs(np.subtract(rep.mean, mean)) <= 1e-15 * sig)
+    if cov is None:
+        assert rep.covariance is None
+    else:
+        assert abs(rep.covariance - cov) <= 1e-15 * sig[0] * sig[1]
+
+
 def test_sampling_deterministic_for_seed():
     dist = optimal_transition(P1, DT)
-    a = sample_displacements(dist, 50_000, seed=42)
-    b = sample_displacements(dist, 50_000, seed=42)
-    assert np.array_equal(a, b)
-    c = sample_displacements(dist, 50_000, seed=43)
-    assert not np.array_equal(a, c)
+    a = sample_fluctuations(dist, 50_000, seed=42)
+    assert sample_fluctuations(dist, 50_000, seed=42) == a
+    assert sample_fluctuations(dist, 50_000, seed=43) != a
 
 
 def test_sampling_prefix_stable_under_larger_draw():
-    # chunked substreams: the first chunk of a longer draw is unchanged
-    dist = optimal_transition(P1, DT)
-    short = sample_displacements(dist, 70_000, seed=7)
-    long = sample_displacements(dist, 140_000, seed=7)
-    assert np.array_equal(short, long[:70_000])
+    # chunked substreams: a longer draw repeats the shorter one's chunks,
+    # so it holds at least as many draws at every node
+    for params in (P1, PhysicalParams(mass=(1.0, 2.0))):
+        dist = optimal_transition(params, DT)
+        short = fluctuation._draw_counts(dist, 70_000, seed=7)
+        long = fluctuation._draw_counts(dist, 140_000, seed=7)
+        assert short.sum() == 70_000 and long.sum() == 140_000
+        assert np.all(long >= short)
 
 
 def test_sample_moments_and_product():
     dist = optimal_transition(P1, DT)
     rep = sample_fluctuations(dist, 200_000, seed=11)
     assert isinstance(rep, FluctuationSample)
-    assert abs(rep.mean[0]) <= 5.0 * np.sqrt(0.05 / rep.n)
+    assert abs(rep.mean[0]) <= 5.0 * np.sqrt(0.05 / 200_000)
     assert rep.variance[0] == pytest.approx(0.05, rel=0.02)
     assert rep.position_momentum_product[0] == pytest.approx(0.5, rel=0.01)
     assert rep.expected_product == 0.5
@@ -319,7 +344,7 @@ def test_bipartite_sampled_covariance_within_mc_noise():
 
 def test_sample_count_validation():
     dist = optimal_transition(P1, DT)
-    with pytest.raises(ValueError):
-        sample_displacements(dist, 0, seed=1)
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        sample_fluctuations(dist, 0, seed=1)
     with pytest.raises(ValueError, match="at least 2 draws"):
         sample_fluctuations(dist, 1, seed=1)
