@@ -7,6 +7,7 @@ S), which stands for the wavefunction psi = sqrt(rho) * exp(i S / hbar).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,11 +71,21 @@ def _eval_1d(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
 
 
 def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
-    """Samples of the external potential on every grid node."""
+    """Samples of the external potential on every grid node.
+
+    A Sampled potential returns its own samples. Any other is evaluated
+    once per (spec, grid) and the read-only samples are shared by every
+    later call.
+    """
     if isinstance(spec, Sampled):
         if spec.values.grid != grid:
             raise GridMismatchError("sampled potential lives on a different grid")
         return spec.values.values
+    return _evaluated_values(spec, grid)
+
+
+@lru_cache(maxsize=8)
+def _evaluated_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
     if isinstance(spec, PairwiseRelative):
         if grid.dimension != 2:
             raise ValueError("pairwise-relative potential needs a 2D grid")
@@ -83,11 +94,14 @@ def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
         if all(ax.boundary == PERIODIC for ax in grid.axes):
             span = grid.axes[0].span
             diff = np.mod(diff + 0.5 * span, span) - 0.5 * span
-        return _eval_1d(spec.inner, diff)
-    if grid.dimension == 1:
-        return _eval_1d(spec, grid.coordinates()[0])
-    a, b = grid.meshes()
-    return _eval_1d(spec, a) + _eval_1d(spec, b)
+        out = _eval_1d(spec.inner, diff)
+    elif grid.dimension == 1:
+        out = _eval_1d(spec, grid.coordinates()[0])
+    else:
+        a, b = grid.meshes()
+        out = _eval_1d(spec, a) + _eval_1d(spec, b)
+    out.setflags(write=False)
+    return out
 
 
 # -- parameters --------------------------------------------------------------

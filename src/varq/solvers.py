@@ -12,8 +12,9 @@ reporting cadence to stay inside the stability region of the stiffest
 grid mode. It carries both fields as one complex array
 u = ln(rho)/2 + i S/hbar, whose equation per axis is
 u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar, so each right-hand side costs
-two sparse products per axis. It never forms psi = exp(u), which keeps
-it independent of the wavefunction route it is compared with.
+one sparse product per axis, d/dx and d2/dx2 stacked. It never forms
+psi = exp(u), which keeps it independent of the wavefunction route it
+is compared with.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .grid import (
     integrate_values,
     l2_norm,
     stencil_operator,
+    stencil_reach,
 )
 
 # a node announces itself as a narrow dip: abort once the density anywhere
@@ -60,8 +62,19 @@ _SCREEN_MARGIN = 1e-9
 # nodes on each side of a sign change of an eigenstate whose Q is not read
 _NODE_CELLS = 3
 
-# RK4 stays comfortably inside |lambda dt| < 2*sqrt(2) on the imaginary axis
-_CFL_MARGIN = 2.4
+# largest substep times the stiffest rate (stability_substeps); RK4 is
+# stable on the imaginary axis up to 2 sqrt(2) = 2.83. On the shipped
+# 512-point trap grid the Jacobian's largest |lambda|, wall rows
+# included, is the dispersive peak 4,836 1/s, and the rate reaches
+# 4,958 1/s over packets with trap strength 0.75-1.25, width 0.9-1.15
+# of the ground width and center within 1.25: 2.6 runs them at 2
+# substeps of dt = 1e-3, where h max|lambda| = 2.42 and the worst
+# per-step amplification max|R(h lambda)|^2 is no larger than 3
+# substeps give
+_CFL_MARGIN = 2.6
+
+# modes theta in [0, pi] at which the stencil symbols are maximized
+_MODES = np.linspace(0.0, np.pi, 1025)
 
 # largest edge value, relative to the peak, that a wavefunction may start
 # with on a hard-wall grid
@@ -254,24 +267,47 @@ class MadelungTrajectory:
     substeps_per_step: int
 
 
+def _rhs_operators(grid: GridSpec, order: int = DEFAULT_ORDER) -> list:
+    """Per axis, d/dx and d2/dx2 stacked into one CSR operator [D1; D2],
+    each half's divisor laid out to divide the stacked product, and the
+    index of each half of that product. The stacked rows are the
+    stencils' own, so each half equals its Stencil.apply to the bit."""
+    ops = []
+    for ax, axis in enumerate(grid.axes):
+        first = stencil_operator(axis, order, 1)
+        second = stencil_operator(axis, order, 2)
+        n = axis.n_points
+        stacked = sparse.vstack([first.numerators, second.numerators],
+                                format="csr")
+        divisors = np.repeat([first.divisor, second.divisor], n).reshape(
+            (2 * n,) + (1,) * (grid.dimension - 1 - ax))
+        head = (slice(None),) * ax
+        ops.append((stacked, divisors, head + (slice(None, n),),
+                    head + (slice(n, None),)))
+    return ops
+
+
 def _madelung_rhs(u: np.ndarray, ops: list, params: PhysicalParams,
-                  v: np.ndarray) -> np.ndarray:
+                  drive: np.ndarray) -> np.ndarray:
     """Time derivative of u = ln(rho)/2 + i S/hbar.
 
     Per axis, u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar: the real part is
     the continuity equation for ln rho, the imaginary part the quantum
     Hamilton-Jacobi equation for S, curvature potential included. ops
-    holds each axis's first- and second-derivative stencils. Nothing
-    divides by the amplitude, but a density that starts far below its
-    peak still breaks the route: a squeezed packet (trap strength 1.5,
-    0.8 of the ground width, center 1) on [-6, 6] starts near 1e-41 of
-    its peak at the far wall and aborts there at t ~ 0.06.
+    comes from _rhs_operators, so each axis costs one sparse product;
+    drive is -i V/hbar. Nothing divides by the amplitude, but a density
+    that starts far below its peak still breaks the route: a squeezed
+    packet (trap strength 1.5, 0.8 of the ground width, center 1) on
+    [-6, 6] starts near 1e-41 of its peak at the far wall and aborts
+    there at t ~ 0.06.
     """
-    out = -1j * (v / params.hbar)
-    for ax, (first, second) in enumerate(ops):
-        d1 = first.apply(u, ax)
+    out = drive
+    for ax, (stacked, divisors, first, second) in enumerate(ops):
+        both = stacked @ u if ax == 0 else (stacked @ u.T).T
+        np.divide(both, divisors, out=both)
+        d1 = both[first]
         out = out + (0.5j * params.hbar / params.mass_along(ax)) * (
-            second.apply(u, ax) + d1 * d1)
+            both[second] + d1 * d1)
     return out
 
 
@@ -313,30 +349,62 @@ def _cannot_dip(log_rho: np.ndarray, grid: GridSpec,
     return bound < -log_floor * (1.0 - _SCREEN_MARGIN)
 
 
+def _dip_cause(grid: GridSpec, node: int) -> str:
+    """What a dip at flat index node means: a wall tail when it lies
+    within the stencil reach of a hard wall, where the one-sided rows
+    act, a forming node elsewhere."""
+    for axis, i in zip(grid.axes, np.unravel_index(node, grid.shape)):
+        reach = stencil_reach(axis, DEFAULT_ORDER)
+        if (axis.boundary == DIRICHLET
+                and min(i, axis.n_points - 1 - i) <= reach):
+            return (f"a wall tail broke up within {reach} nodes of a hard "
+                    "wall")
+    return "a node is forming"
+
+
+def _stiffest_rate(state: MadelungState, params: PhysicalParams) -> float:
+    """The joint-symbol bound on the spectral radius of the fields
+    route's Jacobian at state, V + Q included (see stability_substeps)."""
+    grid = state.grid
+    hbar = params.hbar
+    u = 0.5 * np.log(state.density.values) + 1j * (state.action.values / hbar)
+    half = DEFAULT_ORDER // 2
+    offsets = tuple(range(-half, half + 1))
+    waves = np.exp(1j * np.outer(_MODES, offsets))
+    sigma1 = np.abs(waves @ fd_weights(offsets, 1))
+    sigma2 = np.abs(waves @ fd_weights(offsets, 2))
+    rate = 0.0
+    for ax_idx, axis in enumerate(grid.axes):
+        dx = axis.dx
+        m = params.mass_along(ax_idx)
+        d1 = stencil_operator(axis, DEFAULT_ORDER, 1).apply(u, ax_idx)
+        speed = hbar * (np.max(np.abs(d1.imag)) + np.max(np.abs(d1.real))) / m
+        rate += np.max(hbar * sigma2 / (2.0 * m * dx * dx)
+                       + speed * sigma1 / dx)
+    v = potential_values(params.potential, grid)
+    q0 = bohm_potential(state.density, params).values
+    return float(rate + (np.max(np.abs(v)) + np.max(np.abs(q0))) / hbar)
+
+
 def stability_substeps(state: MadelungState, params: PhysicalParams,
                        dt: float) -> int:
     """RK4 substeps per step of length dt that keep the stiffest resolved
     mode of the fields route's start inside the stability region; a
-    ValueError when dt times that mode's rate is not finite."""
-    grid = state.grid
-    hbar = params.hbar
-    u = 0.5 * np.log(state.density.values) + 1j * (state.action.values / hbar)
-    rate = 0.0
-    # the d2 symbol peaks at the grid's Nyquist mode, where it is the sum
-    # of the central row's |weights|
-    half = DEFAULT_ORDER // 2
-    peak = float(np.sum(np.abs(fd_weights(tuple(range(-half, half + 1)), 2))))
-    for ax_idx, axis in enumerate(grid.axes):
-        dx = axis.dx
-        m = params.mass_along(ax_idx)
-        rate += hbar * peak / (2.0 * m * dx * dx)
-        d1 = stencil_operator(axis, DEFAULT_ORDER, 1).apply(u, ax_idx)
-        rate += (np.pi / dx) * hbar * (np.max(np.abs(d1.imag))
-                                       + np.max(np.abs(d1.real))) / m
-    v = potential_values(params.potential, grid)
-    q0 = bohm_potential(state.density, params).values
-    rate += (np.max(np.abs(v)) + np.max(np.abs(q0))) / hbar
-    scaled = dt * float(rate)
+    ValueError when dt times that mode's rate is not finite.
+
+    u_t is holomorphic in u, so its Jacobian is
+    J = i (hbar/2m)(D2 + 2 diag(D1 u) D1) per axis. A mode e^(i theta j)
+    sees D2 and D1 through their symbols sigma2(theta) / dx^2 and
+    sigma1(theta) / dx, from fd_weights' central rows. The rate is the
+    maximum over theta of hbar |sigma2| / (2m dx^2) + a |sigma1| / dx
+    per axis, where the advective speed a = hbar (max|Re u'| +
+    max|Im u'|) / m bounds |hbar u' / m|, plus (max|V| + max|Q|) / hbar.
+    The two peaks do not add: sigma1 vanishes at the Nyquist mode, where
+    sigma2 peaks. Each substep h keeps h times the rate within
+    _CFL_MARGIN; the dense spectrum of J at 512 points, one-sided wall
+    rows included, lies within that rate (tests/test_solvers.py).
+    """
+    scaled = dt * _stiffest_rate(state, params)
     if not np.isfinite(scaled):
         raise ValueError(f"dt = {dt:g} times the stiffest rate of the fields "
                          "route is not finite")
@@ -364,18 +432,17 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
         raise ValueError(
             "initial density touches zero; the phase equations are "
             "singular at nodes")
-    ops = [(stencil_operator(ax, DEFAULT_ORDER, 1),
-            stencil_operator(ax, DEFAULT_ORDER, 2)) for ax in grid.axes]
+    ops = _rhs_operators(grid)
     u = (0.5 * np.log(state0.density.values)
          + 1j * (state0.action.values / params.hbar))
     if substeps is None:
         substeps = stability_substeps(state0, params, dt)
     h = dt / substeps
-    v = potential_values(params.potential, grid)
+    drive = -1j * (potential_values(params.potential, grid) / params.hbar)
     mass0 = integrate_values(state0.density.values, grid)
 
     def rhs(z):
-        return _madelung_rhs(z, ops, params, v)
+        return _madelung_rhs(z, ops, params, drive)
 
     log_floor = np.log(ABORT_FLOOR)
 
@@ -391,12 +458,12 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
         low = float(np.min(depth))
         if low < log_floor:
             node = int(np.argmin(depth))
-            val = float(np.exp(low))
+            # the depth as a power of ten: exp(low) may underflow to zero
             raise DensityFloorError(
-                f"density dipped to {val:.3e} of its neighborhood (abort "
-                f"floor {ABORT_FLOOR:.1e}) at node {node}, t={t:.6g}: a node "
-                f"is forming and the phase representation breaks down",
-                t, node, val)
+                f"density dipped to 10^{low / np.log(10.0):.2f} of its "
+                f"neighborhood (abort floor {ABORT_FLOOR:.1e}) at node "
+                f"{node}, t={t:.6g}: {_dip_cause(grid, node)} and the phase "
+                f"representation breaks down", t, node, float(np.exp(low)))
 
     states = [MadelungState(RealField(grid, state0.density.values.copy()),
                             RealField(grid, state0.action.values.copy()),

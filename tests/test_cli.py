@@ -87,7 +87,8 @@ class TestExitCodes:
         assert "steps must be positive" in err
 
     def test_runtime_failure_exits_one(self, tmp_path, capsys):
-        # steep quartic drains the over-extended tail until a node forms
+        # steep quartic drains the over-extended tail until it breaks up
+        # next to the wall
         cfg = evolve_config(tmp_path, **{
             "grid": {"points": 256, "min": -6.0, "max": 6.0},
             "system": {"mass": 1.0, "potential": {
@@ -98,7 +99,7 @@ class TestExitCodes:
         })
         code = cli.main(["evolve", "--config", cfg, "--out", str(tmp_path)])
         assert code == cli.EXIT_RUNTIME
-        assert "node is forming" in capsys.readouterr().err
+        assert "a wall tail broke up" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["eigen", "--config", str(tmp_path / "nope.json"),
@@ -401,22 +402,22 @@ class TestValidation:
 
     @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])
     def test_fields_route_substeps_bounded(self, tmp_path, capsys, scenario):
-        # dt = 1e6 asks for 2.18e7 RK4 substeps in one step
+        # dt = 1e6 asks for 1.78e7 RK4 substeps in one step
         out = tmp_path / "out"
         code = cli.main([scenario, "--config",
                          self.periodic_packet(tmp_path, 1e6), "--out",
                          str(out)])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert err == ("config error: dt = 1e+06 needs 2.18e+07 RK4 substeps "
-                       "per step, 2.18e+07 in all, above "
+        assert err == ("config error: dt = 1e+06 needs 1.78e+07 RK4 substeps "
+                       "per step, 1.78e+07 in all, above "
                        f"{cli.MAX_RUN_SUBSTEPS:,}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])
     def test_substep_cap_shrinks_on_large_grids(self, tmp_path, capsys,
                                                 scenario):
-        # 33,190 substeps per step on 65,536 nodes: 30 steps stay under
+        # 30,591 substeps per step on 65,536 nodes: 30 steps stay under
         # the 1,000,000 of a 512-point grid but would run for hours
         cfg = evolve_config(tmp_path, **{
             "grid": {"points": 65_536, "min": -6.0, "max": 6.0},
@@ -427,8 +428,8 @@ class TestValidation:
         code = cli.main([scenario, "--config", cfg, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert err == ("config error: dt = 0.001 needs 3.32e+04 RK4 substeps "
-                       "per step, 9.96e+05 in all, above 7,812\n")
+        assert err == ("config error: dt = 0.001 needs 3.06e+04 RK4 substeps "
+                       "per step, 9.18e+05 in all, above 7,812\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])

@@ -24,6 +24,7 @@ from varq.grid import (
     diff_values,
     integrate_values,
     stencil_operator,
+    stencil_reach,
 )
 from varq.solvers import (
     DensityFloorError,
@@ -327,6 +328,87 @@ class TestMadelungPropagation:
         assert np.max(np.abs(lr2 - (lra[:, None] + lrb[None, :]))) < 1e-12
         assert np.max(np.abs(s2 - (sa[:, None] + sb[None, :]))) < 1e-12
 
+    def test_wall_tail_abort_names_the_wall_and_a_nonzero_depth(self):
+        # the squeezed packet's far-wall tail starts so far down that its
+        # dip underflows exp; the message reads the depth from ln rho
+        grid = harmonic_grid(512, 6.0)
+        x = grid.coordinates()[0]
+        params = PhysicalParams(potential=Harmonic(k=1.5))
+        rho = np.exp(-((x - 1.0) ** 2) / (2.0 * 0.64 * 0.5 / np.sqrt(1.5)))
+        rho /= integrate_values(rho, grid)
+        state = MadelungState(RealField(grid, rho),
+                              RealField(grid, np.zeros_like(x)))
+        with pytest.raises(DensityFloorError) as err:
+            propagate_madelung(state, params, dt=1e-3, steps=100)
+        message = str(err.value)
+        reach = stencil_reach(grid.axes[0], 4)
+        assert min(err.value.node, 511 - err.value.node) <= reach
+        assert "a wall tail broke up" in message
+        assert "density dipped to 10^-" in message
+        assert "0.000e+00" not in message
+
+
+def rhs_from_two_products(u, grid, params, v):
+    """The fields route's RHS with each derivative from its own
+    Stencil.apply, in the order _madelung_rhs adds the terms."""
+    out = -1j * (v / params.hbar)
+    for ax, axis in enumerate(grid.axes):
+        d1 = stencil_operator(axis, 4, 1).apply(u, ax)
+        out = out + (0.5j * params.hbar / params.mass_along(ax)) * (
+            stencil_operator(axis, 4, 2).apply(u, ax) + d1 * d1)
+    return out
+
+
+@pytest.mark.parametrize("grid, mass", [
+    (GridSpec.line(40, -3.0, 2.0, DIRICHLET), 0.7),
+    (GridSpec.line(33, 0.0, 5.0, PERIODIC), 1.3),
+    (GridSpec((Axis(20, -2.0, 2.0, DIRICHLET),
+               Axis(27, 0.0, 3.0, PERIODIC))), (0.6, 2.1)),
+], ids=["1d-dirichlet", "1d-periodic", "2d"])
+def test_stacked_rhs_is_bit_identical_to_two_stencil_products(grid, mass):
+    rng = np.random.default_rng(7)
+    params = PhysicalParams(hbar=0.9, mass=mass)
+    u = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    v = rng.normal(size=grid.shape)
+    got = solvers._madelung_rhs(u, solvers._rhs_operators(grid), params,
+                                -1j * (v / params.hbar))
+    assert np.array_equal(got, rhs_from_two_products(u, grid, params, v))
+
+
+def rk4_factor(z):
+    return 1.0 + z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+@pytest.mark.parametrize("k, factor, center", [
+    (1.0, 1.0, 1.0), (1.25, 0.9, 1.25), (1.25, 0.9, -1.25)])
+def test_stability_rate_bounds_the_measured_spectrum(k, factor, center):
+    # the dense Jacobian of the RHS, i (hbar/2m)(D2 + 2 diag(D1 u) D1)
+    # with the one-sided wall rows, on the criterion-8 packet and the
+    # corners of the propagate benchmark's box
+    grid = harmonic_grid(512, 6.0)
+    axis = grid.axes[0]
+    x = grid.coordinates()[0]
+    params = PhysicalParams(potential=Harmonic(k=k))
+    rho = np.exp(-((x - center) ** 2)
+                 / (2.0 * factor**2 * 0.5 / np.sqrt(k)))
+    state = MadelungState(RealField(grid, rho / integrate_values(rho, grid)),
+                          RealField(grid, np.zeros_like(x)))
+    first, second = (stencil_operator(axis, 4, d) for d in (1, 2))
+    d1 = first.numerators.toarray() / first.divisor
+    d2 = second.numerators.toarray() / second.divisor
+    u = 0.5 * np.log(state.density.values)
+    jac = 0.5j * (d2 + 2.0 * (d1 @ u)[:, None] * d1)
+    lam = np.linalg.eigvals(jac)
+    radius = float(np.max(np.abs(lam)))
+    dt = 1e-3
+    count = solvers.stability_substeps(state, params, dt)
+    assert solvers._stiffest_rate(state, params) >= radius
+    assert dt / count * radius <= solvers._CFL_MARGIN < 2.0 * np.sqrt(2.0)
+
+    def per_step(substeps):
+        return np.max(np.abs(rk4_factor(dt / substeps * lam))) ** substeps
+
+    assert per_step(count) <= per_step(count + 1)
 
 
 @pytest.fixture(scope="module")
@@ -426,10 +508,9 @@ def test_complex_rhs_matches_the_per_field_equations(case):
     grid, params, order, seed = case
     rng = np.random.default_rng(seed)
     log_rho, s, v = (rng.normal(0.0, 3.0, grid.shape) for _ in range(3))
-    ops = [(stencil_operator(ax, order, 1), stencil_operator(ax, order, 2))
-           for ax in grid.axes]
-    got = solvers._madelung_rhs(0.5 * log_rho + 1j * (s / params.hbar), ops,
-                                params, v)
+    got = solvers._madelung_rhs(0.5 * log_rho + 1j * (s / params.hbar),
+                                solvers._rhs_operators(grid, order), params,
+                                -1j * (v / params.hbar))
     log_terms, s_terms = reference_rhs_terms(log_rho, s, grid, params, v,
                                              order)
     for value, terms in ((2.0 * got.real, log_terms),
