@@ -26,7 +26,7 @@ from .fields import (
     MadelungState,
     PairwiseRelative,
     PhysicalParams,
-    Sampled,
+    Polynomial,
     potential_values,
 )
 from .action import (
@@ -92,7 +92,7 @@ __all__ = [
     "MadelungState",
     "PairwiseRelative",
     "PhysicalParams",
-    "Sampled",
+    "Polynomial",
     "potential_values",
     "bohm_potential",
     "information_density",

@@ -28,9 +28,8 @@ import numpy as np
 from .fields import DENSITY_FLOOR, MadelungState, PhysicalParams
 from .grid import (
     DEFAULT_ORDER,
-    PERIODIC,
-    GridSpec,
     RealField,
+    box_reduce,
     diff_values,
     integrate_values,
     stencil_reach,
@@ -187,14 +186,14 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
             state, component, np.where(picked, base + GRADIENT_STEP, base)))
         minus = integrand(_with_component(
             state, component, np.where(picked, base - GRADIENT_STEP, base)))
-        outside = _window_sum(picked, grid, reach) == 0
+        outside = box_reduce(picked, grid, reach, np.add) == 0
         if (np.any(plus[outside] != rest[outside])
                 or np.any(minus[outside] != rest[outside])):
             raise ValueError(
                 f"integrand is not local: perturbing color {color} moved it "
                 f"farther than the stencil reach {tuple(reach)} from every "
                 "perturbed node")
-        moved = _window_sum(vols * (plus - minus), grid, reach)
+        moved = box_reduce(vols * (plus - minus), grid, reach, np.add)
         out[picked] = moved[picked] / (2.0 * GRADIENT_STEP * vols[picked])
     return RealField(grid, out)
 
@@ -208,20 +207,6 @@ def _block_offsets(n: int, spacing: int) -> np.ndarray:
     starts = np.arange(blocks) * n // blocks
     nodes = np.arange(n)
     return nodes - starts[np.searchsorted(starts, nodes, side="right") - 1]
-
-
-def _window_sum(values: np.ndarray, grid: GridSpec,
-                reach: Sequence[int]) -> np.ndarray:
-    """Sum over the box of the given half-widths around every node, around
-    the ring on periodic axes and cut at Dirichlet walls."""
-    for ax, (axis, r) in enumerate(zip(grid.axes, reach)):
-        pad = [(0, 0)] * values.ndim
-        pad[ax] = (r, r)
-        padded = np.pad(values, pad,
-                        mode="wrap" if axis.boundary == PERIODIC else "constant")
-        values = np.lib.stride_tricks.sliding_window_view(
-            padded, 2 * r + 1, axis=ax).sum(axis=-1)
-    return values
 
 
 def _with_component(state: MadelungState, component: str,

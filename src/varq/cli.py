@@ -40,7 +40,7 @@ from .fields import (
     Harmonic,
     MadelungState,
     PhysicalParams,
-    Sampled,
+    Polynomial,
     potential_values,
 )
 from .fluctuation import (
@@ -52,6 +52,7 @@ from .fluctuation import (
     optimal_transition,
     optimize_transition_numeric,
     sample_fluctuations,
+    window_problems,
 )
 from .grid import DIRICHLET, PERIODIC, ComplexField, GridSpec, RealField, integrate_values
 from .solvers import (
@@ -85,7 +86,6 @@ MAX_RUN_SUBSTEPS = 1_000_000
 _SUBSTEP_POINTS = 512
 
 _STIFF_WARN = 0.1
-_MIN_WINDOW_SIGMAS = 6.0
 
 
 def config_hash(cfg: dict) -> str:
@@ -253,23 +253,14 @@ def _finite_hamiltonian(params: PhysicalParams, grid: GridSpec, path: str):
 
 
 def _system(v):
-    """The physical parameters; a polynomial is sampled on the grid, and
-    a line grid must hold the Hamiltonian."""
+    """The physical parameters; a line grid must hold the Hamiltonian."""
     if v.get("system.potential.kind") != "polynomial":
         potential = _analytic(v, "system.potential")
     elif v["system.potential.coefficients"] is None:
         yield "system.potential.coefficients is required"
         return
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sampled = np.polynomial.polynomial.polyval(
-                v["grid"].coordinates()[0],
-                np.asarray(v["system.potential.coefficients"]))
-        if not np.all(np.isfinite(sampled)):
-            yield ("system.potential.coefficients overflow on the grid: the "
-                   "potential is not finite at every node")
-            return
-        potential = Sampled(RealField(v["grid"], sampled))
+        potential = Polynomial(v["system.potential.coefficients"])
     params = PhysicalParams(hbar=v["system.hbar"], mass=v["system.mass"],
                             potential=potential)
     # fluctuate has no grid; later rules may rely on a finite Hamiltonian
@@ -308,21 +299,18 @@ def _count_levels(v):
     return _check_levels(v["grid"], v["count"], "count")
 
 
-def _richardson(v):
-    if v["richardson"] and v["system.potential.kind"] == "polynomial":
-        yield ("richardson needs a non-polynomial potential: a polynomial is "
-               "sampled on the config grid only, and the refinement solves "
-               "on the doubled grid")
-
-
 def _initial(v):
     """The normalized Gaussian packet, which must not underflow anywhere."""
     grid = v["grid"]
     x = grid.coordinates()[0]
     # as a float64 a huge width squares to inf, a flat start, not an error
     with np.errstate(over="ignore"):
-        rho = np.exp(-((x - v["initial.center"]) ** 2)
-                     / (2.0 * np.float64(v["initial.width"]) ** 2))
+        spread = 2.0 * np.float64(v["initial.width"]) ** 2
+        if spread == 0.0:
+            yield (f"initial.width = {v['initial.width']:g} is too narrow: "
+                   "its square underflows to zero")
+            return
+        rho = np.exp(-((x - v["initial.center"]) ** 2) / spread)
     total = integrate_values(rho, grid)
     if total <= 0:
         yield "initial density vanishes on this grid"
@@ -392,14 +380,11 @@ def _window(v):
         return
     if window is None:
         window = default_window(params, dt)
-    elif len(window) != len(sig):
-        yield "window must list one half-width per axis"
-        return
+    yield from window_problems(window, sig)
     cost = 0.0  # the transition grid's kinetic cost at a corner, in its order
-    for ax, (w, s) in enumerate(zip(window, sig)):
-        if w < _MIN_WINDOW_SIGMAS * s:
-            yield (f"window[{ax}] = {w} is below {_MIN_WINDOW_SIGMAS} "
-                   f"standard deviations ({_MIN_WINDOW_SIGMAS * s:.6g})")
+    # only the axes that exist: a window of the wrong length is a
+    # complaint already
+    for ax, w in zip(range(len(sig)), window):
         cost += params.mass_along(ax) * (w * w) / (2.0 * dt)
         if math.isinf(cost):
             yield (f"window[{ax}] = {w:g} is too wide: the kinetic cost "
@@ -646,7 +631,7 @@ def _run_bipartite(v, plots):
 SCENARIOS = {
     "eigen": (
         _PARTICLE + (("count", _COUNT, 1), ("richardson", _BOOLEAN, False)),
-        (_grid, _system, _count_levels, _richardson), _run_eigen),
+        (_grid, _system, _count_levels), _run_eigen),
     "evolve": (
         _PARTICLE + _INITIAL + (
             ("method", _one_of("fields", "unitary"), "fields"),

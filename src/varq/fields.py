@@ -2,6 +2,9 @@
 
 A quantum state is carried as the pair (density rho, action-valued phase
 S), which stands for the wavefunction psi = sqrt(rho) * exp(i S / hbar).
+Every potential is analytic: it is evaluated from the node coordinates of
+whichever grid asks for it, so a solve on a refined grid sees the same
+potential as one on the config grid.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ class Harmonic:
 
 
 @dataclass(frozen=True)
-class Sampled:
-    """Potential given by its samples on the target grid."""
+class Polynomial:
+    """V(x) = sum_j coefficients[j] x^j on each axis, lowest power first."""
 
-    values: RealField
+    coefficients: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class PairwiseRelative:
     inner: "PotentialSpec"
 
 
-PotentialSpec = Free | Harmonic | Sampled | PairwiseRelative
+PotentialSpec = Free | Harmonic | Polynomial | PairwiseRelative
 
 
 def _eval_1d(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
@@ -67,20 +70,15 @@ def _eval_1d(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
     if isinstance(spec, Harmonic):
         return 0.5 * spec.k * (x - spec.center) ** 2
+    if isinstance(spec, Polynomial):
+        return np.polynomial.polynomial.polyval(x, spec.coefficients)
     raise ValueError(f"cannot evaluate {type(spec).__name__} from coordinates alone")
 
 
 def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
-    """Samples of the external potential on every grid node.
-
-    A Sampled potential returns its own samples. Any other is evaluated
-    once per (spec, grid) and the read-only samples are shared by every
-    later call.
-    """
-    if isinstance(spec, Sampled):
-        if spec.values.grid != grid:
-            raise GridMismatchError("sampled potential lives on a different grid")
-        return spec.values.values
+    """Samples of the external potential on every grid node, evaluated
+    once per (spec, grid); the read-only samples are shared by every
+    later call."""
     return _evaluated_values(spec, grid)
 
 

@@ -15,21 +15,25 @@ functional derivative of transition_objective alone, so it reaches the
 Gaussian without being told where it lies. The sampler counts how many
 draws land on each node of the transition grid and reads its moments
 from that empirical distribution with the same methods as the closed
-form, so the module has one moments implementation.
+form, so the module has one moments implementation. Likewise
+window_problems is the one window rule: a transition grid spans at
+least MIN_WINDOW_SIGMAS standard deviations each side, in the library
+and in the command line's configs alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from scipy import special
 
 from .fields import PhysicalParams
 from .grid import Axis, GridSpec, RealField
 
-# tail mass beyond the window that we refuse to ignore
-_TAIL_LIMIT = 1e-8
+# a narrower window leaves more than erfc(6 / sqrt 2) = 2.0e-9 of the
+# Gaussian's mass outside
+MIN_WINDOW_SIGMAS = 6.0
 
 # default window half-width: at least 6 length units and at least 8 sigma
 _WINDOW_FLOOR = 6.0
@@ -73,16 +77,17 @@ def default_window(params: PhysicalParams, dt: float) -> tuple[float, ...]:
     return tuple(max(_WINDOW_FLOOR, _WINDOW_SIGMAS * s) for s in sig)
 
 
-def _check_window(window, sig) -> None:
-    for w, s in zip(window, sig):
-        if w <= 0:
-            raise ValueError("window half-width must be positive")
-        tail = float(special.erfc(w / (s * np.sqrt(2.0))))
-        if tail > _TAIL_LIMIT:
-            need = s * np.sqrt(2.0) * float(special.erfcinv(_TAIL_LIMIT))
-            raise ValueError(
-                f"window {w} leaves tail mass {tail:.2e} > {_TAIL_LIMIT}; "
-                f"needs at least {need:.4g}")
+def window_problems(window: tuple[float, ...],
+                    sig: tuple[float, ...]) -> Iterator[str]:
+    """Every way the per-axis half-widths `window` fail to hold a
+    fluctuation of per-axis standard deviations `sig`, as complaints."""
+    if len(window) != len(sig):
+        yield "window must list one half-width per axis"
+        return
+    for ax, (w, s) in enumerate(zip(window, sig)):
+        if not w >= MIN_WINDOW_SIGMAS * s:
+            yield (f"window[{ax}] = {w} is below {MIN_WINDOW_SIGMAS} "
+                   f"standard deviations ({MIN_WINDOW_SIGMAS * s:.6g})")
 
 
 def transition_grid(params: PhysicalParams, dt: float,
@@ -91,9 +96,9 @@ def transition_grid(params: PhysicalParams, dt: float,
     sig = fluctuation_sigma(params, dt)
     if window is None:
         window = default_window(params, dt)
-    if len(window) != len(sig):
-        raise ValueError("window needs one half-width per axis")
-    _check_window(window, sig)
+    problem = next(window_problems(window, sig), None)
+    if problem:
+        raise ValueError(problem)
     cap = _MAX_POINTS_1D if len(sig) == 1 else _MAX_POINTS_2D
     axes = []
     for w, s in zip(window, sig):

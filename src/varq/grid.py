@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -279,6 +280,27 @@ def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,
     if not 0 <= axis < grid.dimension:
         raise ValueError(f"axis {axis} out of range for {grid.dimension}D grid")
     return stencil_operator(grid.axes[axis], order, deriv).apply(values, axis)
+
+
+# what a box reduction pads a Dirichlet axis with beyond the wall
+_BOX_PAD = {np.add: 0, np.maximum: -np.inf}
+
+
+def box_reduce(values: np.ndarray, grid: GridSpec, reach: Sequence[int],
+               reduce: np.ufunc) -> np.ndarray:
+    """np.add or np.maximum over the box of the given per-axis half-widths
+    around every node, around the ring on periodic axes and cut at
+    Dirichlet walls."""
+    for ax, (axis, r) in enumerate(zip(grid.axes, reach)):
+        pad = [(0, 0)] * values.ndim
+        pad[ax] = (r, r)
+        if axis.boundary == PERIODIC:
+            padded = np.pad(values, pad, mode="wrap")
+        else:
+            padded = np.pad(values, pad, constant_values=_BOX_PAD[reduce])
+        values = reduce.reduce(np.lib.stride_tricks.sliding_window_view(
+            padded, 2 * r + 1, axis=ax), axis=-1)
+    return values
 
 
 def integrate_values(values: np.ndarray, grid: GridSpec) -> float:

@@ -14,7 +14,9 @@ u = ln(rho)/2 + i S/hbar, whose equation per axis is
 u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar, so each right-hand side costs
 one sparse product per axis, d/dx and d2/dx2 stacked. It never forms
 psi = exp(u), which keeps it independent of the wavefunction route it
-is compared with.
+is compared with. Its node check takes each node's neighborhood maximum
+with `grid.box_reduce`, the box reduction the colored gradient of
+`action` sums with.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .grid import (
     ComplexField,
     GridSpec,
     RealField,
+    box_reduce,
     diff_values,
     fd_weights,
     hard_wall_laplacian,
@@ -311,17 +314,6 @@ def _madelung_rhs(u: np.ndarray, ops: list, params: PhysicalParams,
     return out
 
 
-def _neighborhood_max(log_rho: np.ndarray, grid: GridSpec) -> np.ndarray:
-    # imported on use, so that importing varq leaves scipy.ndimage out
-    from scipy.ndimage import maximum_filter1d
-
-    out = log_rho
-    for ax in range(grid.dimension):
-        mode = "wrap" if grid.axes[ax].boundary == PERIODIC else "nearest"
-        out = maximum_filter1d(out, size=_DIP_WINDOW, axis=ax, mode=mode)
-    return out
-
-
 def _cannot_dip(log_rho: np.ndarray, grid: GridSpec,
                 log_floor: float) -> bool:
     """True when no node can lie log_floor below its neighborhood maximum.
@@ -330,9 +322,9 @@ def _cannot_dip(log_rho: np.ndarray, grid: GridSpec,
     steps away along each axis, wrap pairs included on periodic axes, so
     no depth exceeds that reach times the largest step per axis, summed
     over axes. The bound must clear |log_floor| by a relative margin that
-    dwarfs the few roundings in the steps, their sum and the filter's
-    subtraction. A non-finite value makes the bound NaN or infinite, so
-    such a field is never cleared here.
+    dwarfs the few roundings in the steps, their sum and the subtraction
+    of the box maximum. A non-finite value makes the bound NaN or
+    infinite, so such a field is never cleared here.
     """
     bound = 0.0
     for ax, axis in enumerate(grid.axes):
@@ -454,7 +446,8 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
             raise DensityFloorError(
                 f"propagation produced non-finite values at t={t:.6g} "
                 f"(flat node {bad}); the state is lost", t, bad, float("nan"))
-        depth = lr - _neighborhood_max(lr, grid)
+        depth = lr - box_reduce(lr, grid, [_DIP_WINDOW // 2] * grid.dimension,
+                                np.maximum)
         low = float(np.min(depth))
         if low < log_floor:
             node = int(np.argmin(depth))

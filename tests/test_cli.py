@@ -264,6 +264,24 @@ class TestValidation:
         report = json.loads((out / "evolve_report.json").read_text())
         assert report["results"]["final_mean"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])
+    @pytest.mark.parametrize("center", [0.0, 0.01], ids=["node", "off-node"])
+    def test_initial_width_whose_square_underflows(self, tmp_path, capsys,
+                                                   scenario, center):
+        # 1e-200 squares to zero: 0/0 at a node, x^2/0 everywhere else
+        cfg = evolve_config(tmp_path, **{
+            "grid": {"points": 513, "min": -6.0, "max": 6.0},
+            "initial": {"center": center, "width": 1e-200}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([scenario, "--config", cfg, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: initial.width = 1e-200 is too narrow: its square "
+            "underflows to zero\n")
+        assert not out.exists()
+
     def test_fluctuate_needs_two_samples(self, tmp_path, capsys):
         # a sample variance of one draw is NaN, so no report could be written
         cfg = write_config(tmp_path, {
@@ -347,8 +365,10 @@ class TestValidation:
         ("harmonic", "system.potential must be an object"),
         ({"kind": "harmonic", "strength": True},
          "system.potential.strength must be a non-negative number"),
-        ({"kind": "polynomial", "coefficients": [0, 0, 1e308, 0, 0, 1e308]},
-         "system.potential.coefficients overflow on the grid"),
+        pytest.param(
+            {"kind": "polynomial", "coefficients": [0, 0, 1e308, 0, 0, 1e308]},
+            "system.potential is not finite at every grid node",
+            id="polynomial-overflow"),
     ])
     def test_malformed_potential_rejected(self, tmp_path, capsys, potential,
                                           message):
@@ -685,8 +705,6 @@ class TestFieldKinds:
          "grid.boundary must be 'dirichlet' or 'periodic'"),
         ("fluctuate", {"window": [math.nan]},
          "window must be a list of numbers"),
-        ("eigen", {"richardson": True, "system": POLYNOMIAL_TRAP},
-         "richardson needs a non-polynomial potential"),
     ])
     def test_wrong_kind_rejected(self, tmp_path, capsys, scenario, overrides,
                                  message):
@@ -805,6 +823,22 @@ def test_shipped_config_runs(tmp_path, path):
     assert code == cli.EXIT_OK
     report = json.loads((tmp_path / f"{scenario}_report.json").read_text())
     assert report["config"] == json.loads(path.read_text())
+
+
+def test_richardson_refines_a_polynomial_trap(tmp_path):
+    # Horner's 0.5 x x rounds like the harmonic 0.5 (x - 0)^2, so the
+    # polynomial is the same trap, on the doubled grid too
+    cfg = json.loads((CONFIG_DIR / "eigen_harmonic.json").read_text())
+    results = []
+    for system in (cfg["system"], POLYNOMIAL_TRAP):
+        out = tmp_path / str(len(results))
+        path = write_config(tmp_path, {**cfg, "system": system})
+        assert cli.main(["eigen", "--config", path, "--out", str(out)]) == 0
+        results.append(json.loads((out / "eigen_report.json").read_text())
+                       ["results"])
+    harmonic, polynomial = results
+    for key in ("eigenvalues", "refined_eigenvalues", "residuals"):
+        assert polynomial[key] == harmonic[key]
 
 
 def config_fields(node, prefix=""):

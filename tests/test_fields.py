@@ -8,7 +8,7 @@ from varq.fields import (
     MadelungState,
     PairwiseRelative,
     PhysicalParams,
-    Sampled,
+    Polynomial,
     potential_values,
 )
 
@@ -34,12 +34,18 @@ def test_harmonic_potential_2d_adds_per_axis():
     assert np.allclose(v, 0.5 * (a**2 + b**2))
 
 
-def test_sampled_potential_grid_check():
-    g = GridSpec.line(64, 0.0, 1.0)
-    other = GridSpec.line(65, 0.0, 1.0)
-    v = RealField.full(other, 1.0)
-    with pytest.raises(ValueError):
-        potential_values(Sampled(v), g)
+def test_polynomial_potential_is_evaluated_on_every_grid():
+    # coefficients lowest power first, evaluated afresh on each grid
+    spec = Polynomial((1.0, -2.0, 0.0, 0.5))
+    for points in (64, 127):
+        g = GridSpec.line(points, -1.5, 1.5)
+        x = g.coordinates()[0]
+        v = potential_values(spec, g)
+        assert np.allclose(v, 1.0 - 2.0 * x + 0.5 * x**3, rtol=0, atol=1e-14)
+    g = GridSpec.square(32, -1.0, 1.0)
+    a, b = g.meshes()
+    v = potential_values(Polynomial((0.0, 0.0, 0.5)), g)
+    assert np.allclose(v, 0.5 * (a**2 + b**2), rtol=0, atol=1e-15)
 
 
 def test_pairwise_relative_depends_on_difference_only():

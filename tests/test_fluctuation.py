@@ -52,7 +52,7 @@ def test_default_window_floor_and_sigma_scaling():
 
 
 def test_window_too_small_raises_with_bound():
-    with pytest.raises(ValueError, match="tail mass"):
+    with pytest.raises(ValueError, match="standard deviations"):
         transition_grid(P1, DT, window=(0.5,))
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from varq.grid import (
     GridMismatchError,
     GridSpec,
     RealField,
+    box_reduce,
     diff_values,
     fd_weights,
     hard_wall_laplacian,
@@ -379,3 +382,59 @@ def test_stencil_reach_counts_wrap_and_edge_rows(order):
     # d2/dx2 edge row of order + 2 points reaches order + 1 into the grid
     assert stencil_reach(Axis(16, 0.0, 1.0, PERIODIC), order) == order // 2
     assert stencil_reach(Axis(16, 0.0, 1.0, DIRICHLET), order) == order + 1
+
+
+@st.composite
+def box_cases(draw):
+    """A 1D or 2D grid of 8-40 points per axis, a reach of 0-9 per axis,
+    and a reduction with an input of a kind it takes."""
+    grid = GridSpec(tuple(
+        Axis(draw(st.integers(8, 40)), 0.0, 1.0,
+             draw(st.sampled_from([PERIODIC, DIRICHLET])))
+        for _ in range(draw(st.integers(1, 2)))))
+    reach = [draw(st.integers(0, 9)) for _ in grid.axes]
+    reduce, kind = draw(st.sampled_from(
+        [(np.add, bool), (np.add, float), (np.maximum, float)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind is bool:
+        values = rng.random(grid.shape) < 0.3
+    else:
+        values = (rng.normal(0.0, 1.0, grid.shape)
+                  * 10.0 ** rng.integers(-3, 4, grid.shape))
+    return grid, values, reach, reduce
+
+
+def loop_box_reduce(values, grid, reach, reduce):
+    """reduce over every offset -r..r per axis, one offset at a time,
+    indexed modulo n on periodic axes and cut at Dirichlet walls."""
+    start = -np.inf if reduce is np.maximum else 0
+    out = np.full(grid.shape, start, dtype=np.result_type(values, start))
+    for offset in itertools.product(*(range(-r, r + 1) for r in reach)):
+        index, inside = [], np.ones(grid.shape, dtype=bool)
+        for ax, (axis, d) in enumerate(zip(grid.axes, offset)):
+            j = np.arange(axis.n_points) + d
+            if axis.boundary == PERIODIC:
+                j %= axis.n_points
+            else:
+                shape = [-1 if a == ax else 1 for a in range(grid.dimension)]
+                inside &= ((j >= 0) & (j < axis.n_points)).reshape(shape)
+                j = np.clip(j, 0, axis.n_points - 1)
+            index.append(j)
+        out = reduce(out, np.where(inside, values[np.ix_(*index)], start))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(box_cases())
+def test_box_reduce_matches_a_loop_over_offsets(case):
+    grid, values, reach, reduce = case
+    got = box_reduce(values, grid, reach, reduce)
+    want = loop_box_reduce(values, grid, reach, reduce)
+    if values.dtype == bool or reduce is np.maximum:
+        assert np.array_equal(got, want)
+    else:
+        # the box sums its axes one after the other, the loop offset by
+        # offset: the two orders round apart by a few ulps of the sum of
+        # magnitudes
+        scale = loop_box_reduce(np.abs(values), grid, reach, np.add)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)

@@ -3,13 +3,14 @@
 A name with a leading underscore is private to the module that defines
 it; another varq module that needs it should get a public name instead.
 No linter runs on this repository, so the rule is checked here. Every
-CLI run pays for what `import varq.cli` loads, so scipy.ndimage, which
-only the propagator's dip check uses, is imported where it is used. The
-perfbench tracer and worker name varq functions in strings, so a rename
-must reach them too, or a per-layer metric reads zero. A default that no
-call in the repository overrides is a constant in the signature, so each
-one must be passed somewhere. Likewise every public function and class
-needs a caller outside the unit tests.
+CLI run pays for what `import varq.cli` loads, so it must load neither
+scipy.ndimage nor scipy.special; the box reductions and the transition
+window rule need numpy alone. The perfbench tracer and worker name varq
+functions in strings, so a rename must reach them too, or a per-layer
+metric reads zero. A default that no call in the repository overrides
+is a constant in the signature, so each one must be passed somewhere.
+Likewise every public function and class needs a caller outside the
+unit tests.
 """
 
 import ast
@@ -46,14 +47,14 @@ def test_no_module_imports_a_private_name_from_another():
     assert {k: v for k, v in offenders.items() if v} == {}
 
 
-def test_importing_the_cli_does_not_load_ndimage():
+def test_importing_the_cli_loads_neither_ndimage_nor_special():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, varq.cli; "
-             "print('scipy.ndimage' in sys.modules)")
+    probe = ("import sys, varq.cli; print(sorted(name for name in "
+             "('scipy.ndimage', 'scipy.special') if name in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def perfbench_names() -> tuple[set[str], set[str]]:
