@@ -50,7 +50,6 @@ from .constraints import (
     EnsembleHamiltonian,
     LocalMomentum,
     RelativeDensity,
-    TotalMomentum,
     classical_consistency,
     functional_derivative,
     poisson_bracket,
@@ -110,7 +109,6 @@ __all__ = [
     "EnsembleHamiltonian",
     "LocalMomentum",
     "RelativeDensity",
-    "TotalMomentum",
     "classical_consistency",
     "functional_derivative",
     "poisson_bracket",

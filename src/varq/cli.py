@@ -529,7 +529,7 @@ def _run_constraint_check(v, plots):
     # Q diverges at the nodes of an excited state: read the residuals on
     # the resolved nodes, as vanishing-momentum does
     keep = resolved_nodes(rho, node_exclusion_mask(psi), level)
-    force = classical_consistency("vanishing_local_momentum", params, grid)
+    force = classical_consistency(params, grid)
     results = {
         "level": level,
         "energy": energy,
@@ -588,7 +588,7 @@ def _run_three_route(v, plots):
         "max_gap": rep.max_gap(),
         "translation_residual": rep.translation_residual_max,
         "stationarity_residual": rep.hj_residual_max,
-        "action_residual": rep.stationarity.action_residual_max,
+        "action_residual": rep.action_residual_max,
         "total_momentum": rep.total_momentum,
         "relative_density": rep.relative_density,
         "mass_ratio_deviation": rep.mass_ratio_deviation,
@@ -609,7 +609,7 @@ def _run_bipartite(v, plots):
         raise UnresolvedLevelError(
             "level 0 is unresolved: the ground state has no density "
             "gradient on the pair grid")
-    force = classical_consistency("bipartite_translation", phys2, grid2)
+    force = classical_consistency(phys2, grid2)
     results = {
         "ground_energy": float(spec.eigenvalues[0]),
         "information_a": ia,

@@ -8,7 +8,11 @@ integrand. Each also carries analytic functional gradients, which a
 node-perturbation backend cross-checks. `EnsembleHamiltonian` is the one
 definition of the ensemble energy rho (kinetic + V) + (hbar/2) I; its
 gradients give the quantum Hamilton-Jacobi and continuity residuals.
-The bracket of two functionals is
+Both of the paper's constraints, vanishing local momentum on a line and
+joint translation of a pair, are `LocalMomentum`: the momentum that
+generates a rigid shift of every coordinate, `grid.shift_derivative`.
+Residuals are returned as whole fields; callers read their maxima on
+the resolved nodes. The bracket of two functionals is
 
     {F, G} = integral (dF/d rho dG/dS - dF/dS dG/d rho),
 
@@ -32,23 +36,17 @@ from .action import (
     flux_divergence,
     information_density,
     kinetic_density,
-    low_density_mask,
     numeric_functional_gradient,
     time_derivatives,
 )
-from .fields import (
-    RESOLVED_FLOOR,
-    MadelungState,
-    PhysicalParams,
-    potential_values,
-)
+from .fields import MadelungState, PhysicalParams, potential_values
 from .grid import (
     DEFAULT_ORDER,
     GridMismatchError,
     GridSpec,
     RealField,
-    diff_values,
     integrate_values,
+    shift_derivative,
 )
 
 WEAK_ATOL = 1e-6
@@ -67,7 +65,6 @@ class ConstraintFunctional:
     """Grid integral of a local integrand, with analytic gradients in
     density and action."""
 
-    kind: str = "abstract"
     requires_aux: bool = False
 
     def integrand(self, state: MadelungState,
@@ -85,33 +82,26 @@ class ConstraintFunctional:
                         aux: RealField | None = None) -> RealField:
         raise NotImplementedError
 
-    def _need_aux(self, state, aux):
-        if aux is None:
-            raise ValueError(f"{self.kind} needs an auxiliary d rho/dt field")
-        if aux.grid != state.grid:
-            raise GridMismatchError(
-                f"{self.kind}: the auxiliary d rho/dt field lives on another "
-                "grid than the state")
-
 
 @dataclass(frozen=True)
 class LocalMomentum(ConstraintFunctional):
-    """integral rho (dS/dx - p_c): pins the local momentum field to p_c."""
+    """integral rho (sum_axes dS/dx_axis - p_c): pins the momentum that
+    generates a rigid shift to p_c. On a line that is the local momentum
+    field; on a pair grid, the total momentum of the pair."""
 
     p_c: float = 0.0
     order: int = DEFAULT_ORDER
-    kind = "local_momentum"
 
     def integrand(self, state, aux=None):
-        ds = diff_values(state.action.values, state.grid, order=self.order)
+        ds = shift_derivative(state.action.values, state.grid, self.order)
         return state.density.values * (ds - self.p_c)
 
     def gradient_density(self, state, aux=None):
-        ds = diff_values(state.action.values, state.grid, order=self.order)
+        ds = shift_derivative(state.action.values, state.grid, self.order)
         return RealField(state.grid, ds - self.p_c)
 
     def gradient_action(self, state, aux=None):
-        dr = diff_values(state.density.values, state.grid, order=self.order)
+        dr = shift_derivative(state.density.values, state.grid, self.order)
         return RealField(state.grid, -dr)
 
 
@@ -120,7 +110,6 @@ class DensityStationarity(ConstraintFunctional):
     """integral rho (d rho/dt), with d rho/dt supplied as a frozen field."""
 
     order: int = DEFAULT_ORDER
-    kind = "density_stationarity"
     requires_aux = True
 
     def integrand(self, state, aux=None):
@@ -134,53 +123,31 @@ class DensityStationarity(ConstraintFunctional):
     def gradient_action(self, state, aux=None):
         return RealField(state.grid, np.zeros(state.grid.shape))
 
-
-def _pair_sum_derivative(values: np.ndarray, grid: GridSpec,
-                         order: int) -> np.ndarray:
-    """d/dx_a + d/dx_b on a 2D pair grid, the joint-translation generator."""
-    return (diff_values(values, grid, axis=0, order=order)
-            + diff_values(values, grid, axis=1, order=order))
-
-
-@dataclass(frozen=True)
-class TotalMomentum(ConstraintFunctional):
-    """integral rho (dS/dx_a + dS/dx_b): total momentum of a 2D pair."""
-
-    order: int = DEFAULT_ORDER
-    kind = "total_momentum"
-
-    def integrand(self, state, aux=None):
-        if state.grid.dimension != 2:
-            raise ValueError("total momentum constraint needs a 2D grid")
-        return state.density.values * _pair_sum_derivative(
-            state.action.values, state.grid, self.order)
-
-    def gradient_density(self, state, aux=None):
-        return RealField(state.grid, _pair_sum_derivative(
-            state.action.values, state.grid, self.order))
-
-    def gradient_action(self, state, aux=None):
-        return RealField(state.grid, -_pair_sum_derivative(
-            state.density.values, state.grid, self.order))
+    def _need_aux(self, state, aux):
+        if aux is None:
+            raise ValueError(
+                "density_stationarity needs an auxiliary d rho/dt field")
+        if aux.grid != state.grid:
+            raise GridMismatchError(
+                "density_stationarity: the auxiliary d rho/dt field lives on "
+                "another grid than the state")
 
 
 @dataclass(frozen=True)
 class RelativeDensity(ConstraintFunctional):
-    """integral rho (d rho/dx_a + d rho/dx_b).
+    """integral rho (sum_axes d rho/dx_axis): the shift generator applied
+    to the density.
 
     Both functional gradients vanish identically: the density variation
     cancels against its own transported copy under integration by parts,
-    and S never enters. The value itself vanishes for densities that
-    depend on x_a - x_b only.
+    and S never enters. On a pair grid the value itself vanishes for
+    densities that depend on x_a - x_b only.
     """
 
     order: int = DEFAULT_ORDER
-    kind = "relative_density"
 
     def integrand(self, state, aux=None):
-        if state.grid.dimension != 2:
-            raise ValueError("relative density constraint needs a 2D grid")
-        return state.density.values * _pair_sum_derivative(
+        return state.density.values * shift_derivative(
             state.density.values, state.grid, self.order)
 
     def gradient_density(self, state, aux=None):
@@ -200,7 +167,6 @@ class EnsembleHamiltonian(ConstraintFunctional):
 
     params: PhysicalParams
     order: int = DEFAULT_ORDER
-    kind = "ensemble_hamiltonian"
 
     def integrand(self, state, aux=None):
         kin = kinetic_density(state, self.params, self.order).values
@@ -269,8 +235,6 @@ class StationarityReport:
 
     density_residual: RealField
     action_residual: RealField
-    density_residual_max: float
-    action_residual_max: float
     constraint_values: tuple[float, ...]
 
 
@@ -293,7 +257,6 @@ def stationarity_residuals(states: Sequence[MadelungState], dt: float,
     action residual: -d rho/dt + dH/dS + sum lambda_i dC_i/dS
     with H the EnsembleHamiltonian, so the first is the quantum
     Hamilton-Jacobi residual and the second minus the continuity one.
-    Maxima are taken where rho >= RESOLVED_FLOOR * peak.
     """
     if any(s.grid != states[0].grid for s in states):
         raise GridMismatchError("trajectory states live on different grids")
@@ -313,12 +276,9 @@ def stationarity_residuals(states: Sequence[MadelungState], dt: float,
         dens = dens + lam * c.gradient_density(st, aux).values
         act = act + lam * c.gradient_action(st, aux).values
         values.append(c.value(st, aux))
-    keep = ~low_density_mask(st.density, RESOLVED_FLOOR)
     return StationarityReport(
         density_residual=RealField(st.grid, dens),
         action_residual=RealField(st.grid, act),
-        density_residual_max=float(np.max(np.abs(dens[keep]))),
-        action_residual_max=float(np.max(np.abs(act[keep]))),
         constraint_values=tuple(values))
 
 
@@ -331,35 +291,23 @@ class ClassicalConsistencyReport:
     secondary_field: RealField
     secondary_max: float
     vanishes: bool
-    note: str
 
 
-def classical_consistency(case: str, params: PhysicalParams,
+def classical_consistency(params: PhysicalParams,
                           grid: GridSpec) -> ClassicalConsistencyReport:
-    """Bracket of the primary constraint with the classical Hamiltonian,
-    from DEFAULT_ORDER stencils.
+    """Bracket of the primary constraint sum_axes p_axis = 0 with the
+    classical Hamiltonian, from DEFAULT_ORDER stencils.
 
-    case "vanishing_local_momentum": primary p = 0 on a 1D system; the
-    bracket is -dV/dx, a secondary constraint unless V is flat.
-    case "bipartite_translation": primary p_a + p_b = 0; the bracket is
-    -(dV/dx_a + dV/dx_b), identically zero for pair potentials that
-    depend on x_a - x_b only.
+    The bracket is -sum_axes dV/dx_axis. On a line (vanishing local
+    momentum) it is the force -dV/dx, a secondary constraint unless V is
+    flat. On a pair grid (joint translation) it is identically zero for
+    pair potentials that depend on x_a - x_b only, and the chain
+    terminates.
     """
     v = potential_values(params.potential, grid)
-    if case == "vanishing_local_momentum":
-        if grid.dimension != 1:
-            raise ValueError("vanishing_local_momentum is a 1D case")
-        field = RealField(grid, -diff_values(v, grid))
-    elif case == "bipartite_translation":
-        if grid.dimension != 2:
-            raise ValueError("bipartite_translation is a 2D case")
-        field = RealField(grid, -_pair_sum_derivative(v, grid, DEFAULT_ORDER))
-    else:
-        raise ValueError(f"unknown case {case!r}")
+    field = RealField(grid, -shift_derivative(v, grid, DEFAULT_ORDER))
     peak = float(np.max(np.abs(field.values)))
     vscale = float(np.max(np.abs(v))) if np.any(v) else 1.0
     vanishes = peak <= 1e-10 * vscale + 1e-12
-    note = ("no secondary constraint; the chain terminates" if vanishes
-            else "force term must vanish, giving a secondary constraint")
     return ClassicalConsistencyReport(secondary_field=field, secondary_max=peak,
-                                      vanishes=vanishes, note=note)
+                                      vanishes=vanishes)

@@ -282,6 +282,16 @@ def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,
     return stencil_operator(grid.axes[axis], order, deriv).apply(values, axis)
 
 
+def shift_derivative(values: np.ndarray, grid: GridSpec,
+                     order: int) -> np.ndarray:
+    """Sum over the axes of d/dx_axis, summed from axis 0 up: the
+    generator of a rigid shift of every coordinate."""
+    out = diff_values(values, grid, axis=0, order=order)
+    for axis in range(1, grid.dimension):
+        out = out + diff_values(values, grid, axis=axis, order=order)
+    return out
+
+
 # what a box reduction pads a Dirichlet axis with beyond the wall
 _BOX_PAD = {np.add: 0, np.maximum: -np.inf}
 

@@ -233,6 +233,8 @@ def propagate_wavefunction(psi0: ComplexField, params: PhysicalParams,
         raise ValueError("wavefunction propagation is 1D")
     if dt <= 0 or steps < 1:
         raise ValueError("need positive dt and at least one step")
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     vals = psi0.values
     problem = wall_violation(vals, grid)
     if problem:
@@ -420,6 +422,8 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     grid = state0.grid
     if dt <= 0 or steps < 1:
         raise ValueError("need positive dt and at least one step")
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
     if float(np.min(state0.density.values)) <= 0.0:
         raise ValueError(
             "initial density touches zero; the phase equations are "

@@ -17,10 +17,15 @@ from varq.bipartite import (
     three_route_comparison,
     translation_residual,
 )
-from varq.action import information_metric
+from varq.action import information_metric, low_density_mask
 from varq.constraints import classical_consistency
-from varq.fields import Harmonic
-from varq.solvers import eigensolve_1d
+from varq.fields import RESOLVED_FLOOR, Harmonic
+from varq.solvers import (
+    eigensolve_1d,
+    node_exclusion_mask,
+    resolved_energy,
+    rest_energy_density,
+)
 from varq.grid import DIRICHLET, PERIODIC, GridSpec, RealField, integrate_values
 
 SPRING = BipartiteParams(mass_a=1.0, mass_b=2.0, interaction=Harmonic(k=1.0))
@@ -99,10 +104,14 @@ class TestLift:
         psi += 1e-3 * np.exp(-((a - 4.0) ** 2))
         assert translation_residual(psi, pair) > 1e-3
 
-    def test_rejects_wrong_profile_grid(self):
-        pair = pair_grid(64, 8.0)
-        wrong = GridSpec.line(64, -4.0, 4.0, DIRICHLET)
-        f = RealField(wrong, np.zeros(64))
+    @pytest.mark.parametrize("wrong", [
+        GridSpec.line(64, -4.0, 4.0, DIRICHLET),
+        GridSpec.line(17, -1.0, 1.0, DIRICHLET),
+        GridSpec.line(17, -7.0, 7.0, PERIODIC),
+    ], ids=["point_count", "span", "boundary"])
+    def test_rejects_wrong_profile_grid(self, wrong):
+        pair = pair_grid(16, 14.0)
+        f = RealField(wrong, np.zeros(wrong.shape))
         with pytest.raises(ValueError, match="separation grid"):
             lift_relative(f, pair)
 
@@ -122,7 +131,24 @@ class TestThreeRoutes:
 
     def test_stationarity_identity(self, report):
         assert report.hj_residual_max < 1e-10
-        assert report.stationarity.action_residual_max == 0.0
+        assert report.action_residual_max == 0.0
+
+    def test_level_0_resolved_nodes_are_the_density_floor(self):
+        # the criterion-7 pair: its ground state has no node to exclude,
+        # so the residual maxima are read above the density floor alone
+        pair_params = BipartiteParams(mass_a=1.0, mass_b=1.0,
+                                      interaction=Harmonic(k=1.0))
+        pair = pair_grid(256, 18.0)
+        f = eigensolve_1d(pair_params.reduced_physical(), relative_grid(pair),
+                          k=1).eigenfunctions[0]
+        assert not node_exclusion_mask(f.values).any()
+        psi = lift_relative(f, pair).values
+        rho = RealField(pair, psi**2 / integrate_values(psi**2, pair))
+        _, keep = resolved_energy(
+            rho, rest_energy_density(rho, pair_params.as_physical()),
+            np.zeros(pair.shape, dtype=bool), 0)
+        assert not keep.all()
+        assert np.array_equal(keep, ~low_density_mask(rho, RESOLVED_FLOOR))
 
     def test_symmetry_constraints_vanish(self, report):
         assert abs(report.total_momentum) < 1e-15
@@ -132,8 +158,7 @@ class TestThreeRoutes:
         assert report.mass_ratio_deviation < 1e-12
 
     def test_classical_translation_force_cancels(self, report):
-        check = classical_consistency("bipartite_translation",
-                                      SPRING.as_physical(), report.pair)
+        check = classical_consistency(SPRING.as_physical(), report.pair)
         assert check.vanishes
 
 

@@ -185,6 +185,15 @@ class TestWavefunctionPropagation:
         with pytest.raises(ValueError, match="positive dt"):
             propagate_wavefunction(psi0, HARMONIC, dt=0.0, steps=5)
 
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_rejects_bad_store_every(self, store_every):
+        grid = harmonic_grid(128, 4.0)
+        rho = displaced_gaussian(grid, 0.0)
+        psi0 = ComplexField(grid, np.sqrt(rho).astype(complex))
+        with pytest.raises(ValueError, match="store_every must be at least 1"):
+            propagate_wavefunction(psi0, HARMONIC, dt=1e-3, steps=3,
+                                   store_every=store_every)
+
 
 class TestMadelungPropagation:
     def test_ground_state_is_stationary(self):
@@ -295,6 +304,16 @@ class TestMadelungPropagation:
                               RealField(grid, np.zeros(128)))
         with pytest.raises(ValueError, match="positive dt"):
             propagate_madelung(state, HARMONIC, dt=1e-3, steps=0)
+
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_rejects_bad_store_every(self, store_every):
+        grid = GridSpec.line(128, -4.0, 4.0, DIRICHLET)
+        rho = displaced_gaussian(grid, 0.0)
+        state = MadelungState(RealField(grid, rho),
+                              RealField(grid, np.zeros(128)))
+        with pytest.raises(ValueError, match="store_every must be at least 1"):
+            propagate_madelung(state, HARMONIC, dt=1e-3, steps=3,
+                               store_every=store_every)
 
     def test_substep_override(self):
         grid = GridSpec.line(128, -4.0, 4.0, DIRICHLET)
