@@ -49,7 +49,6 @@ from .constraints import (
     DensityStationarity,
     EnsembleHamiltonian,
     LocalMomentum,
-    RelativeDensity,
     classical_consistency,
     functional_derivative,
     poisson_bracket,
@@ -108,7 +107,6 @@ __all__ = [
     "DensityStationarity",
     "EnsembleHamiltonian",
     "LocalMomentum",
-    "RelativeDensity",
     "classical_consistency",
     "functional_derivative",
     "poisson_bracket",

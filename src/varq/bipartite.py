@@ -25,7 +25,6 @@ from .action import bohm_potential
 from .constraints import (
     SLICE_DT,
     LocalMomentum,
-    RelativeDensity,
     stationarity_residuals,
     stationary_trajectory,
 )
@@ -35,6 +34,7 @@ from .fields import (
     PotentialSpec,
 )
 from .grid import (
+    DEFAULT_ORDER,
     DIRICHLET,
     PERIODIC,
     GridSpec,
@@ -44,7 +44,6 @@ from .grid import (
     shift_derivative,
 )
 from .solvers import (
-    SpectrumResult,
     apply_hamiltonian,
     eigensolve_1d,
     node_exclusion_mask,
@@ -67,10 +66,8 @@ class BipartiteParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mass_a <= 0 or self.mass_b <= 0:
-            raise ValueError("particle masses must be positive")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        # PhysicalParams holds the one rule for hbar and the masses
+        self.as_physical()
 
     @property
     def reduced_mass(self) -> float:
@@ -166,8 +163,6 @@ class ThreeRouteRow:
 
 @dataclass(frozen=True, eq=False)
 class ThreeRouteReport:
-    pair: GridSpec
-    spectrum: SpectrumResult
     rows: list[ThreeRouteRow]
     translation_residual_max: float
     hj_residual_max: float
@@ -226,10 +221,12 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
             hj_max = float(np.max(np.abs(stat.density_residual.values[keep])))
             act_max = float(np.max(np.abs(stat.action_residual.values[keep])))
             total_p = LocalMomentum().value(states[1])
-            rel_d = RelativeDensity().value(states[1])
+            # the shift generator applied to the density: vanishes for a
+            # density of x_a - x_b alone
+            rel_d = integrate_values(rho.values * shift_derivative(
+                rho.values, pair, DEFAULT_ORDER), pair)
 
-    return ThreeRouteReport(pair=pair, spectrum=spec,
-                            rows=rows, translation_residual_max=trans_max,
+    return ThreeRouteReport(rows=rows, translation_residual_max=trans_max,
                             hj_residual_max=hj_max,
                             action_residual_max=act_max,
                             total_momentum=total_p,

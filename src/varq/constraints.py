@@ -134,30 +134,6 @@ class DensityStationarity(ConstraintFunctional):
 
 
 @dataclass(frozen=True)
-class RelativeDensity(ConstraintFunctional):
-    """integral rho (sum_axes d rho/dx_axis): the shift generator applied
-    to the density.
-
-    Both functional gradients vanish identically: the density variation
-    cancels against its own transported copy under integration by parts,
-    and S never enters. On a pair grid the value itself vanishes for
-    densities that depend on x_a - x_b only.
-    """
-
-    order: int = DEFAULT_ORDER
-
-    def integrand(self, state, aux=None):
-        return state.density.values * shift_derivative(
-            state.density.values, state.grid, self.order)
-
-    def gradient_density(self, state, aux=None):
-        return RealField(state.grid, np.zeros(state.grid.shape))
-
-    def gradient_action(self, state, aux=None):
-        return RealField(state.grid, np.zeros(state.grid.shape))
-
-
-@dataclass(frozen=True)
 class EnsembleHamiltonian(ConstraintFunctional):
     """integral rho (kinetic + V) + (hbar/2) information over the ensemble.
 
@@ -235,7 +211,6 @@ class StationarityReport:
 
     density_residual: RealField
     action_residual: RealField
-    constraint_values: tuple[float, ...]
 
 
 def stationary_trajectory(rho: RealField, energy: float,
@@ -270,16 +245,13 @@ def stationarity_residuals(states: Sequence[MadelungState], dt: float,
     h = EnsembleHamiltonian(params, order)
     dens = ds_dt + h.gradient_density(st).values
     act = -drho_dt_field.values + h.gradient_action(st).values
-    values = []
     for lam, c in zip(multipliers, constraints):
         aux = drho_dt_field if c.requires_aux else None
         dens = dens + lam * c.gradient_density(st, aux).values
         act = act + lam * c.gradient_action(st, aux).values
-        values.append(c.value(st, aux))
     return StationarityReport(
         density_residual=RealField(st.grid, dens),
-        action_residual=RealField(st.grid, act),
-        constraint_values=tuple(values))
+        action_residual=RealField(st.grid, act))
 
 
 # -- classical consistency algorithm -----------------------------------------
@@ -288,7 +260,6 @@ def stationarity_residuals(states: Sequence[MadelungState], dt: float,
 class ClassicalConsistencyReport:
     """Outcome of one step of the classical constraint-consistency check."""
 
-    secondary_field: RealField
     secondary_max: float
     vanishes: bool
 
@@ -305,9 +276,7 @@ def classical_consistency(params: PhysicalParams,
     terminates.
     """
     v = potential_values(params.potential, grid)
-    field = RealField(grid, -shift_derivative(v, grid, DEFAULT_ORDER))
-    peak = float(np.max(np.abs(field.values)))
+    peak = float(np.max(np.abs(shift_derivative(v, grid, DEFAULT_ORDER))))
     vscale = float(np.max(np.abs(v))) if np.any(v) else 1.0
-    vanishes = peak <= 1e-10 * vscale + 1e-12
-    return ClassicalConsistencyReport(secondary_field=field, secondary_max=peak,
-                                      vanishes=vanishes)
+    return ClassicalConsistencyReport(
+        secondary_max=peak, vanishes=peak <= 1e-10 * vscale + 1e-12)

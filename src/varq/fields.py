@@ -113,11 +113,12 @@ class PhysicalParams:
     potential: PotentialSpec = Free()
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        # written so that NaN fails the test too
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
         masses = self.mass if isinstance(self.mass, tuple) else (self.mass,)
-        if any(m <= 0 for m in masses):
-            raise ValueError("mass must be positive")
+        if not all(0 < m < np.inf for m in masses):
+            raise ValueError("masses must be positive and finite")
 
     def mass_along(self, axis: int) -> float:
         if isinstance(self.mass, tuple):

@@ -48,6 +48,8 @@ class Axis:
             raise ValueError(f"axis needs at least 8 points, got {self.n_points}")
         if not self.x_max > self.x_min:
             raise ValueError("axis requires x_max > x_min")
+        if not np.isfinite(self.span):
+            raise ValueError("axis span must be finite")
 
     @property
     def dx(self) -> float:

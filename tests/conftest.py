@@ -30,3 +30,9 @@ def harmonic_ground_state(grid, hbar=1.0, mass=1.0, omega=1.0, s_const=0.0):
     rho /= np.sum(rho * grid.node_volumes())
     s = np.full(grid.shape, s_const)
     return MadelungState(RealField(grid, rho), RealField(grid, s), hbar)
+
+
+def observed_order(spacings, errors):
+    """Convergence order fitted over several resolutions: the
+    least-squares slope of log error against log grid spacing."""
+    return float(np.polyfit(np.log(spacings), np.log(errors), 1)[0])

@@ -28,6 +28,8 @@ from varq.solvers import (
 )
 from varq.grid import DIRICHLET, PERIODIC, GridSpec, RealField, integrate_values
 
+from conftest import observed_order
+
 SPRING = BipartiteParams(mass_a=1.0, mass_b=2.0, interaction=Harmonic(k=1.0))
 
 
@@ -61,6 +63,14 @@ class TestGeometry:
         with pytest.raises(ValueError, match="masses"):
             BipartiteParams(mass_a=-1.0, mass_b=1.0,
                             interaction=Harmonic(k=1.0))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mass_a": np.nan}, {"mass_b": np.inf}, {"hbar": np.nan},
+    ], ids=["mass_a_nan", "mass_b_inf", "hbar_nan"])
+    def test_rejects_non_finite_params(self, kwargs):
+        values = dict(mass_a=1.0, mass_b=2.0, interaction=Harmonic(k=1.0))
+        with pytest.raises(ValueError, match="positive and finite"):
+            BipartiteParams(**(values | kwargs))
 
 
 class TestLift:
@@ -120,8 +130,20 @@ class TestThreeRoutes:
     def test_reduced_energies_near_continuum(self, report):
         omega = np.sqrt(1.0 / SPRING.reduced_mass)
         expected = (np.arange(3) + 0.5) * omega
-        errs = np.abs(report.spectrum.eigenvalues - expected)
+        errs = np.abs([row.energy_reduced for row in report.rows] - expected)
         assert np.max(errs) < 1e-2
+
+    def test_ground_energy_converges_at_order_2(self):
+        # every route's ground energy inherits the order-2 stencils
+        exact = 0.5 * np.sqrt(1.0 / SPRING.reduced_mass)
+        counts = (48, 96, 192)
+        rows = [three_route_comparison(SPRING, n, 12.0, k=1).rows[0]
+                for n in counts]
+        spacings = [12.0 / n for n in counts]
+        for route in ("energy_reduced", "energy_operator", "energy_extremal"):
+            errors = [abs(getattr(row, route) - exact) for row in rows]
+            assert observed_order(spacings, errors) == pytest.approx(
+                2.0, abs=0.25)
 
     def test_routes_agree_to_roundoff(self, report):
         assert report.max_gap() < 1e-10
@@ -157,8 +179,9 @@ class TestThreeRoutes:
     def test_curvature_terms_scale_inversely_with_mass(self, report):
         assert report.mass_ratio_deviation < 1e-12
 
-    def test_classical_translation_force_cancels(self, report):
-        check = classical_consistency(SPRING.as_physical(), report.pair)
+    def test_classical_translation_force_cancels(self):
+        check = classical_consistency(SPRING.as_physical(),
+                                      pair_grid(96, 12.0))
         assert check.vanishes
 
 

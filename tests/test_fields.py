@@ -76,6 +76,11 @@ def test_params_validation():
         PhysicalParams(mass=-1.0)
     with pytest.raises(ValueError):
         PhysicalParams(mass=(1.0, -2.0))
+    # a comparison with NaN is False, so `<= 0` alone lets these through
+    for kwargs in ({"hbar": np.nan}, {"hbar": np.inf}, {"mass": np.nan},
+                   {"mass": (1.0, np.nan)}, {"mass": (np.inf, 1.0)}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PhysicalParams(**kwargs)
 
 
 def test_params_per_axis_mass():

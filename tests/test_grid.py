@@ -44,6 +44,11 @@ def test_axis_validation():
         Axis(32, 1.0, 0.0)
     with pytest.raises(ValueError):
         Axis(32, 0.0, 1.0, "reflecting")
+    with pytest.raises(ValueError, match="finite"):
+        Axis(8, -np.inf, 0.0)
+    # both ends finite, but their difference overflows, so dx would be inf
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec.line(64, -1e308, 1e308)
 
 
 def test_field_shape_mismatch_raises():

@@ -38,6 +38,8 @@ from varq.solvers import (
     wall_violation,
 )
 
+from conftest import observed_order
+
 HARMONIC = PhysicalParams(hbar=1.0, mass=1.0, potential=Harmonic(k=1.0))
 
 
@@ -105,6 +107,16 @@ class TestEigensolve:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError, match="k must"):
             eigensolve_1d(HARMONIC, harmonic_grid(64), k=63)
+
+    def test_level_1_converges_at_order_2(self):
+        # the order-2 eigenvalue error falls as dx^2; a stencil or
+        # boundary-row slip shows as a lower observed order
+        grids = [GridSpec.line(n, -8.0, 8.0, DIRICHLET)
+                 for n in (256, 512, 1024)]
+        errors = [abs(eigensolve_1d(HARMONIC, g, k=2).eigenvalues[1] - 1.5)
+                  for g in grids]
+        spacings = [g.axes[0].dx for g in grids]
+        assert observed_order(spacings, errors) == pytest.approx(2.0, abs=0.25)
 
     def test_plane_wave_symbol(self):
         # on a periodic grid the stencil has an exact dispersion relation
