@@ -8,16 +8,24 @@ one-sided of the same order, so smooth fields that do not vanish there
 keep full accuracy. The order-2 Hamiltonian's d2/dx2 has ghost-zero
 hard-wall rows instead. Quadrature is the rectangle rule on periodic axes
 (every node carries dx) and the trapezoidal rule on Dirichlet axes.
+
+scipy.sparse is imported inside _assemble, the one place that builds a
+matrix, so importing this module loads numpy alone: scipy loads with the
+first stencil, and a run that never differentiates (fluctuate) never
+pays for it. The operators are cached, so the import runs once per
+process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -215,6 +223,8 @@ _DENOMINATOR = {2: 2.0, 4: 12.0}
 
 
 def _assemble(axis: Axis, order: int, deriv: int, one_sided: bool) -> Stencil:
+    from scipy import sparse
+
     n, half = axis.n_points, order // 2
     width = order + deriv  # points of a one-sided edge row
     # rows padded to `width` entries; zero weights are dropped below

@@ -17,16 +17,20 @@ psi = exp(u), which keeps it independent of the wavefunction route it
 is compared with. Its node check takes each node's neighborhood maximum
 with `grid.box_reduce`, the box reduction the colored gradient of
 `action` sums with.
+
+scipy is imported inside the functions that call it: scipy.sparse where
+H or the stacked RHS operators are built, scipy.linalg in the
+eigensolve and scipy.sparse.linalg in the Crank-Nicolson set-up. Each
+runs once per eigensolve or propagation, never per step, and importing
+this module (hence `varq.cli`) then loads numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import splu
 
 from .action import bohm_potential, low_density_mask
 from .constraints import EnsembleHamiltonian
@@ -53,6 +57,9 @@ from .grid import (
     stencil_operator,
     stencil_reach,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # a node announces itself as a narrow dip: abort once the density anywhere
 # falls this far below its own neighborhood (17-cell window), which leaves
@@ -129,6 +136,8 @@ def _unknowns(grid: GridSpec) -> slice:
 def _hamiltonian_matrix(params: PhysicalParams,
                         grid: GridSpec) -> sparse.csc_array:
     """1D H on the unknowns, kinetic part from the hard-wall operator."""
+    from scipy import sparse
+
     ax = grid.axes[0]
     lap = hard_wall_laplacian(ax)
     coeff = params.hbar**2 / (2.0 * params.mass_along(0) * ax.dx * ax.dx
@@ -139,6 +148,8 @@ def _hamiltonian_matrix(params: PhysicalParams,
 
 
 def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int):
+    from scipy.linalg import eigh_tridiagonal
+
     h = _hamiltonian_matrix(params, grid)
     return eigh_tridiagonal(h.diagonal(), h.diagonal(1), select="i",
                             select_range=(0, k - 1))
@@ -203,6 +214,9 @@ class WavefunctionTrajectory:
 
 
 def _cn_matrices(params: PhysicalParams, grid: GridSpec, dt: float):
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     h = _hamiltonian_matrix(params, grid)
     z = 0.5j * dt / params.hbar
     eye = sparse.identity(h.shape[0], format="csc")
@@ -274,9 +288,13 @@ class MadelungTrajectory:
 
 def _rhs_operators(grid: GridSpec, order: int = DEFAULT_ORDER) -> list:
     """Per axis, d/dx and d2/dx2 stacked into one CSR operator [D1; D2],
-    each half's divisor laid out to divide the stacked product, and the
-    index of each half of that product. The stacked rows are the
-    stencils' own, so each half equals its Stencil.apply to the bit."""
+    the reciprocal of each half's divisor laid out to scale the float view
+    of the stacked product (taken along the axis, before any transpose),
+    and the index of each half of that product once it is back in the
+    field's layout. The stacked rows are the stencils' own, so each half
+    equals its Stencil.apply to the bit."""
+    from scipy import sparse
+
     ops = []
     for ax, axis in enumerate(grid.axes):
         first = stencil_operator(axis, order, 1)
@@ -284,10 +302,13 @@ def _rhs_operators(grid: GridSpec, order: int = DEFAULT_ORDER) -> list:
         n = axis.n_points
         stacked = sparse.vstack([first.numerators, second.numerators],
                                 format="csr")
-        divisors = np.repeat([first.divisor, second.divisor], n).reshape(
-            (2 * n,) + (1,) * (grid.dimension - 1 - ax))
+        # numpy divides complex by real as a multiply by the reciprocal;
+        # in the float view each complex entry is two adjacent floats
+        scale = np.repeat([1.0 / first.divisor, 1.0 / second.divisor], n)
+        scale = (np.repeat(scale, 2) if grid.dimension == 1
+                 else scale[:, None])
         head = (slice(None),) * ax
-        ops.append((stacked, divisors, head + (slice(None, n),),
+        ops.append((stacked, scale, head + (slice(None, n),),
                     head + (slice(n, None),)))
     return ops
 
@@ -299,17 +320,20 @@ def _madelung_rhs(u: np.ndarray, ops: list, params: PhysicalParams,
     Per axis, u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar: the real part is
     the continuity equation for ln rho, the imaginary part the quantum
     Hamilton-Jacobi equation for S, curvature potential included. ops
-    comes from _rhs_operators, so each axis costs one sparse product;
-    drive is -i V/hbar. Nothing divides by the amplitude, but a density
-    that starts far below its peak still breaks the route: a squeezed
-    packet (trap strength 1.5, 0.8 of the ground width, center 1) on
-    [-6, 6] starts near 1e-41 of its peak at the far wall and aborts
-    there at t ~ 0.06.
+    comes from _rhs_operators, so each axis costs one sparse product and
+    one real multiply of its float view; drive is -i V/hbar. Nothing
+    divides by the amplitude, but a density that starts far below its
+    peak still breaks the route: a squeezed packet (trap strength 1.5,
+    0.8 of the ground width, center 1) on [-6, 6] starts near 1e-41 of
+    its peak at the far wall and aborts there at t ~ 0.06.
     """
     out = drive
-    for ax, (stacked, divisors, first, second) in enumerate(ops):
-        both = stacked @ u if ax == 0 else (stacked @ u.T).T
-        np.divide(both, divisors, out=both)
+    for ax, (stacked, scale, first, second) in enumerate(ops):
+        both = stacked @ (u if ax == 0 else u.T)
+        floats = both.view(float)
+        np.multiply(floats, scale, out=floats)
+        if ax:
+            both = both.T
         d1 = both[first]
         out = out + (0.5j * params.hbar / params.mass_along(ax)) * (
             both[second] + d1 * d1)

@@ -3,17 +3,20 @@
 A name with a leading underscore is private to the module that defines
 it; another varq module that needs it should get a public name instead.
 No linter runs on this repository, so the rule is checked here. Every
-CLI run pays for what `import varq.cli` loads, so it must load neither
-scipy.ndimage nor scipy.special; the box reductions and the transition
-window rule need numpy alone. The perfbench tracer and worker name varq
-functions in strings, so a rename must reach them too, or a per-layer
-metric reads zero. A default that no call in the repository overrides
-is a constant in the signature, so each one must be passed somewhere.
-Likewise every public function and class needs a caller outside the
-unit tests, and every field of a varq class needs a reader there: a
-field that only unit tests read is computed on every run for nobody.
-Every name a varq module imports must be used in that module, so a
-deletion cannot leave a dead import behind.
+CLI run pays for what `import varq.cli` loads, so no scipy at import: a
+varq module imports scipy only inside the function that calls it, or
+under `if TYPE_CHECKING:` for annotations, and `import varq.cli` loads
+no scipy module (scipy.ndimage and scipy.special least of all; the box
+reductions and the transition window rule need numpy alone). A
+`fluctuate` run never calls scipy, so it loads none either. The
+perfbench tracer and worker name varq functions in strings, so a rename
+must reach them too, or a per-layer metric reads zero. A default that no
+call in the repository overrides is a constant in the signature, so each
+one must be passed somewhere. Likewise every public function and class
+needs a caller outside the unit tests, and every field of a varq class
+needs a reader there: a field that only unit tests read is computed on
+every run for nobody. Every name a varq module imports must be used in
+that module, so a deletion cannot leave a dead import behind.
 """
 
 import ast
@@ -21,6 +24,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import varq
 
@@ -50,14 +55,77 @@ def test_no_module_imports_a_private_name_from_another():
     assert {k: v for k, v in offenders.items() if v} == {}
 
 
-def test_importing_the_cli_loads_neither_ndimage_nor_special():
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports varq from src/."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+# prints the scipy modules loaded so far, as a sorted list
+LOADED_SCIPY = ("print(sorted(name for name in sys.modules "
+                "if name.split('.')[0] == 'scipy'))")
+
+
+def test_importing_the_cli_loads_neither_ndimage_nor_special():
     probe = ("import sys, varq.cli; print(sorted(name for name in "
-             "('scipy.ndimage', 'scipy.special') if name in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+             "('scipy.ndimage', 'scipy.special') if name in sys.modules)); "
+             + LOADED_SCIPY)
+    ndimage_special, scipy = fresh_python(probe).stdout.splitlines()
+    assert ndimage_special == "[]"
+    assert scipy == "[]"
+
+
+@pytest.mark.parametrize("config", ["fluctuate_single.json",
+                                    "fluctuate_pair.json"])
+def test_a_fluctuate_run_loads_no_scipy(config, tmp_path):
+    probe = ("import sys; from varq import cli; code = cli.main(["
+             f"'fluctuate', '--config', {str(REPO / 'configs' / config)!r}, "
+             f"'--out', {str(tmp_path)!r}, '--emit-plots']); "
+             "print(code); " + LOADED_SCIPY)
+    lines = fresh_python(probe).stdout.splitlines()
+    assert lines[-2:] == ["0", "[]"]
+    assert (tmp_path / "fluctuate_report.json").exists()
+
+
+def scipy_imports_at_import_time(tree: ast.Module) -> list[str]:
+    """Every scipy import that runs when the module is imported: the
+    module body and any statement nested in it but outside a function,
+    save the body of `if TYPE_CHECKING:`."""
+    found = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                continue
+            if (isinstance(node, ast.If)
+                    and getattr(node.test, "id", None) == "TYPE_CHECKING"):
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.extend(f"line {node.lineno}: import {alias.name}"
+                             for alias in node.names
+                             if alias.name.split(".")[0] == "scipy")
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[0] == "scipy"):
+                found.append(f"line {node.lineno}: from {node.module}")
+            visit(ast.iter_child_nodes(node))
+
+    visit(tree.body)
+    return found
+
+
+def test_no_module_imports_scipy_at_module_scope():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    offenders = {path.name: scipy_imports_at_import_time(
+        ast.parse(path.read_text())) for path in modules}
+    assert {k: v for k, v in offenders.items() if v} == {}, (
+        "import scipy inside the function that calls it (or under "
+        "`if TYPE_CHECKING:` for an annotation), so that importing varq "
+        "loads numpy alone")
 
 
 def perfbench_names() -> tuple[set[str], set[str]]:

@@ -406,6 +406,33 @@ def test_stacked_rhs_is_bit_identical_to_two_stencil_products(grid, mass):
     assert np.array_equal(got, rhs_from_two_products(u, grid, params, v))
 
 
+@pytest.mark.parametrize("bad", [
+    np.inf, -np.inf, np.nan, complex(np.inf, 2.0), complex(2.0, np.inf),
+    complex(2.0, -np.inf), complex(np.nan, 0.0), complex(0.0, np.nan)],
+    ids=["inf", "-inf", "nan", "inf+2j", "2+infj", "2-infj", "nan+0j",
+         "0+nanj"])
+@pytest.mark.parametrize("grid, mass", [
+    (GridSpec.line(40, -3.0, 2.0, DIRICHLET), 0.7),
+    (GridSpec((Axis(20, -2.0, 2.0, DIRICHLET),
+               Axis(27, 0.0, 3.0, PERIODIC))), (0.6, 2.1)),
+], ids=["1d-dirichlet", "2d"])
+def test_non_finite_u_gives_a_non_finite_rhs_at_its_node(grid, mass, bad):
+    # the divisors scale the float view of the stacked product, so a
+    # non-finite entry meets no complex division (inf + 2j keeps a finite
+    # imaginary part); the real part must still go non-finite at the
+    # node, or the isfinite check of propagate_madelung's ln rho would
+    # not fire
+    params = PhysicalParams(hbar=0.9, mass=mass)
+    ops = solvers._rhs_operators(grid)
+    for node in (0, 5, grid.n_nodes - 1):
+        u = np.full(grid.shape, 0.1 + 0.2j)
+        u.flat[node] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = solvers._madelung_rhs(u, ops, params,
+                                        np.zeros(grid.shape, complex))
+        assert not np.isfinite(got.flat[node].real)
+
+
 def rk4_factor(z):
     return 1.0 + z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
 
