@@ -141,8 +141,8 @@ class MadelungState:
             raise GridMismatchError("density and action live on different grids")
         if np.any(self.density.values < 0):
             raise ValueError("density must be non-negative")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:  # the PhysicalParams rule
+            raise ValueError("hbar must be positive and finite")
 
     @property
     def grid(self) -> GridSpec:

@@ -16,7 +16,9 @@ one sparse product per axis, d/dx and d2/dx2 stacked. It never forms
 psi = exp(u), which keeps it independent of the wavefunction route it
 is compared with. Its node check takes each node's neighborhood maximum
 with `grid.box_reduce`, the box reduction the colored gradient of
-`action` sums with.
+`action` sums with. One builder reads every vanishing-momentum branch,
+the flat one too, off (psi, S = 0): the extremal route's residuals and
+the operator route's momenta side by side.
 
 scipy is imported inside the functions that call it: scipy.sparse where
 H or the stacked RHS operators are built, scipy.linalg in the
@@ -36,7 +38,6 @@ from .action import bohm_potential, low_density_mask
 from .constraints import EnsembleHamiltonian
 from .fields import (
     RESOLVED_FLOOR,
-    Free,
     MadelungState,
     PhysicalParams,
     potential_values,
@@ -112,7 +113,6 @@ class SpectrumResult:
     """Lowest eigenpairs of the 1D hard-wall Hamiltonian."""
 
     grid: GridSpec
-    params: PhysicalParams
     eigenvalues: np.ndarray
     eigenfunctions: list[RealField]
     residuals: np.ndarray
@@ -185,9 +185,8 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
         fine = GridSpec.line(2 * (n - 1) + 1, ax.x_min, ax.x_max, DIRICHLET)
         fvals, _ = _interior_eigensolve(params, fine, k)
         refined = (4.0 * fvals - vals) / 3.0
-    return SpectrumResult(grid=grid, params=params, eigenvalues=vals,
-                          eigenfunctions=funcs, residuals=residuals,
-                          refined_eigenvalues=refined)
+    return SpectrumResult(grid=grid, eigenvalues=vals, eigenfunctions=funcs,
+                          residuals=residuals, refined_eigenvalues=refined)
 
 
 def apply_hamiltonian(values: np.ndarray, grid: GridSpec,
@@ -517,7 +516,8 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
 
 @dataclass(frozen=True, eq=False)
 class BranchReport:
-    """Residuals of one constrained-extremum branch on one state."""
+    """One constrained-extremum branch, read off (psi, S = 0): the
+    extremal route's residuals beside the operator route's momenta."""
 
     branch: str
     label: str
@@ -528,15 +528,22 @@ class BranchReport:
     density_rate_max: float
     momentum_gradient_max: float
     density_gradient_scale: float
+    # density-weighted V + Q over the resolved nodes
+    ensemble_energy: float
+    momentum_norm: float
+    classical_momentum_norm: float
+    amplitude_momentum_norm: float
+    nonlinear_residual_max: float
+
+    @property
+    def energy_gap(self) -> float:
+        return abs(self.energy - self.ensemble_energy)
 
 
 @dataclass(frozen=True, eq=False)
 class VanishingMomentumResult:
-    spectrum: SpectrumResult
     reports: list[BranchReport]
     trivial: BranchReport
-    # density-weighted V + Q of each eigenstate over its resolved nodes
-    ensemble_energies: list[float]
 
 
 def node_exclusion_mask(psi: np.ndarray) -> np.ndarray:
@@ -581,6 +588,42 @@ def resolved_energy(rho: RealField, v_plus_q: np.ndarray,
     return float(np.sum(w * v_plus_q[keep]) / np.sum(w)), keep
 
 
+def _branch(label: str, psi: np.ndarray, grid: GridSpec, energy: float,
+            params: PhysicalParams, level: int, rate: float) -> BranchReport:
+    """Every column of one branch, read off (psi, S = 0) with order-2
+    stencils; rate is the density drift rate of the unitary run. V + Q - E
+    and dH/dS come from EnsembleHamiltonian, read on the resolved nodes
+    (its same-order Q makes V + Q - E a stencil-level identity), the
+    derivatives of S, rho, psi and |psi| from diff_values."""
+    rho = RealField(grid, psi**2)
+    state = MadelungState(rho, RealField(grid, np.zeros(grid.shape)),
+                          params.hbar)
+    ham = EnsembleHamiltonian(params, order=2)
+    vq = ham.gradient_density(state).values
+    ensemble_e, keep = resolved_energy(rho, vq, node_exclusion_mask(psi),
+                                       level)
+    s_grad = diff_values(state.action.values, grid, order=2)
+    dr = diff_values(rho.values, grid, order=2)
+    dr_scale = float(np.max(np.abs(dr)) * grid.axes[0].span
+                     / np.max(rho.values))
+    dpsi = diff_values(psi.astype(complex), grid, order=2)
+    damp = diff_values(np.abs(psi), grid, order=2)
+    return BranchReport(
+        branch="nontrivial" if dr_scale > 1e-6 else "trivial", label=label,
+        energy=energy, multiplier=0.0,
+        hj_residual_max=float(np.max(np.abs((vq - energy)[keep]))),
+        continuity_residual_max=float(np.max(np.abs(
+            ham.gradient_action(state).values[keep]))),
+        density_rate_max=rate,
+        momentum_gradient_max=float(np.max(np.abs(s_grad))),
+        density_gradient_scale=dr_scale, ensemble_energy=ensemble_e,
+        momentum_norm=params.hbar * l2_norm(ComplexField(grid, dpsi)),
+        classical_momentum_norm=float(np.sqrt(integrate_values(
+            rho.values * s_grad**2, grid))),
+        amplitude_momentum_norm=params.hbar * l2_norm(RealField(grid, damp)),
+        nonlinear_residual_max=float(np.max(np.abs(2.0 * s_grad))))
+
+
 def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
                                 k: int = 5, dt: float = 1e-3,
                                 steps: int = 200) -> VanishingMomentumResult:
@@ -590,83 +633,32 @@ def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
     action field is constant, the local-momentum multiplier vanishes with
     p_c, and V + Q - E must vanish where the density is meaningful.
     Density stationarity is checked by propagating each eigenstate with
-    the unitary solver over steps * dt. The uniform-density flat branch
-    is reported alongside.
+    the unitary solver over steps * dt. The uniform-density flat branch,
+    on a periodic line of length 10 with no potential, goes through the
+    same builder, _branch, and is reported alongside.
     """
     spec = eigensolve_1d(params, grid, k)
     reports = []
-    energies = []
-    span = grid.axes[0].span
-    for j in range(k):
-        psi = spec.eigenfunctions[j]
-        e = float(spec.eigenvalues[j])
-        rho = RealField(grid, psi.values**2)
-        # same-order Q makes V + Q - E a stencil-level identity
-        vq = rest_energy_density(rho, params)
-        ensemble_e, keep = resolved_energy(
-            rho, vq, node_exclusion_mask(psi.values), j)
-        energies.append(ensemble_e)
-        hj_max = float(np.max(np.abs((vq - e)[keep])))
-
+    for j, psi in enumerate(spec.eigenfunctions):
         traj = propagate_wavefunction(ComplexField(grid,
                                                    psi.values.astype(complex)),
                                       params, dt, steps, store_every=steps)
         rho_end = np.abs(traj.states[-1].values) ** 2
-        rate = float(np.max(np.abs(rho_end - rho.values)) / (steps * dt))
-
-        s_grad = 0.0  # action field is identically zero by construction
-        dr = diff_values(rho.values, grid, order=2)
-        dr_scale = float(np.max(np.abs(dr)) * span / np.max(rho.values))
-        reports.append(BranchReport(
-            branch="nontrivial" if dr_scale > 1e-6 else "trivial",
-            label=f"eigenstate_{j}", energy=e, multiplier=0.0,
-            hj_residual_max=hj_max, continuity_residual_max=0.0,
-            density_rate_max=rate, momentum_gradient_max=s_grad,
-            density_gradient_scale=dr_scale))
-
-    trivial = _trivial_branch_report(params)
-    return VanishingMomentumResult(spectrum=spec, reports=reports,
-                                   trivial=trivial, ensemble_energies=energies)
-
-
-def _trivial_branch_report(params: PhysicalParams) -> BranchReport:
-    """The uniform density on a periodic line of length 10."""
-    length = 10.0
-    g = GridSpec.line(256, 0.0, length, PERIODIC)
-    rho = np.full(g.shape, 1.0 / length)
-    flat = PhysicalParams(hbar=params.hbar, mass=params.mass_along(0),
-                          potential=Free())
-    e = 0.0
-    hj = float(np.max(np.abs(rest_energy_density(RealField(g, rho), flat)
-                             - e)))
-    dr = diff_values(rho, g, order=2)
-    return BranchReport(
-        branch="trivial", label="uniform", energy=e, multiplier=0.0,
-        hj_residual_max=hj, continuity_residual_max=0.0,
-        density_rate_max=0.0, momentum_gradient_max=0.0,
-        density_gradient_scale=float(np.max(np.abs(dr)) * length))
+        rate = float(np.max(np.abs(rho_end - psi.values**2)) / (steps * dt))
+        reports.append(_branch(f"eigenstate_{j}", psi.values, grid,
+                               float(spec.eigenvalues[j]), params, j, rate))
+    line = GridSpec.line(256, 0.0, 10.0, PERIODIC)
+    flat = PhysicalParams(hbar=params.hbar, mass=params.mass_along(0))
+    amp = np.full(line.shape, 1.0 / np.sqrt(line.axes[0].span))
+    trivial = _branch("uniform", amp, line, 0.0, flat, 0, 0.0)
+    return VanishingMomentumResult(reports=reports, trivial=trivial)
 
 
 # -- operator-route versus extremal-route comparison -------------------------
 
-@dataclass(frozen=True)
-class QuantizationRouteRow:
-    label: str
-    momentum_norm: float
-    classical_momentum_norm: float
-    amplitude_momentum_norm: float
-    nonlinear_residual_max: float
-    eigen_energy: float
-    ensemble_energy: float
-
-    @property
-    def energy_gap(self) -> float:
-        return abs(self.eigen_energy - self.ensemble_energy)
-
-
 @dataclass(frozen=True, eq=False)
 class QuantizationRouteReport:
-    rows: list[QuantizationRouteRow]
+    rows: list[BranchReport]
     trivial_momentum_norm: float
 
     @property
@@ -676,34 +668,12 @@ class QuantizationRouteReport:
 
 def quantization_route_report(result: VanishingMomentumResult
                               ) -> QuantizationRouteReport:
-    """Momentum-operator action on the stationary states.
-
-    The operator route demands p psi = 0 for a vanishing momentum field;
-    on the nonuniform branch it fails (the amplitude gradient survives),
-    while the weaker nonlinear condition p(ln psi - ln psi*) = 0, i.e.
-    2 dS/dx = 0, holds exactly. The flat branch satisfies both.
+    """Momentum-operator action on the stationary states, as _branch
+    reads it: the operator route demands p psi = 0 for a vanishing
+    momentum field, which fails on the nonuniform branch (the amplitude
+    gradient survives), while the weaker nonlinear condition
+    p(ln psi - ln psi*) = 0, i.e. 2 dS/dx = 0, holds exactly. The flat
+    branch satisfies both.
     """
-    spec = result.spectrum
-    grid = spec.grid
-    params = spec.params
-    rows = []
-    for j, psi in enumerate(spec.eigenfunctions):
-        rho = psi.values**2
-        amp = np.abs(psi.values)
-        dpsi = diff_values(psi.values.astype(complex), grid, order=2)
-        momentum_norm = params.hbar * l2_norm(ComplexField(grid, dpsi))
-        # psi is real: the classical momentum density sqrt(rho) dS/dx is zero
-        s_grad = np.zeros(grid.shape)
-        classical_norm = float(np.sqrt(np.sum(rho * s_grad**2
-                                              * grid.node_volumes())))
-        damp = diff_values(amp, grid, order=2)
-        amp_norm = params.hbar * l2_norm(RealField(grid, damp))
-        nonlinear = float(np.max(np.abs(2.0 * s_grad)))
-        rows.append(QuantizationRouteRow(
-            label=f"eigenstate_{j}", momentum_norm=momentum_norm,
-            classical_momentum_norm=classical_norm,
-            amplitude_momentum_norm=amp_norm,
-            nonlinear_residual_max=nonlinear,
-            eigen_energy=float(spec.eigenvalues[j]),
-            ensemble_energy=result.ensemble_energies[j]))
-    return QuantizationRouteReport(rows=rows, trivial_momentum_norm=0.0)
+    return QuantizationRouteReport(
+        rows=result.reports, trivial_momentum_norm=result.trivial.momentum_norm)

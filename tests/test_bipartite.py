@@ -202,6 +202,23 @@ class TestInformationSplit:
         total = information_metric(rho, phys, order=2)
         assert ia + ib == pytest.approx(total, rel=1e-14)
 
+    def test_information_converges_at_order_2(self):
+        # Fisher information of the Gaussian separation density along
+        # axis a: (hbar / 4 m_a) 2 mu omega / hbar = mu omega / (2 m_a)
+        exact = SPRING.reduced_mass * np.sqrt(1.0 / SPRING.reduced_mass) / (
+            2.0 * SPRING.mass_a)
+        counts = (96, 192, 384)
+        errors = []
+        for n in counts:
+            pair = pair_grid(n, 12.0)
+            f = eigensolve_1d(SPRING.reduced_physical(), relative_grid(pair),
+                              k=1).eigenfunctions[0]
+            rho = RealField(pair, lift_relative(f, pair).values ** 2)
+            errors.append(abs(information_metric(
+                rho, SPRING.as_physical(), order=2, axis=0) - exact))
+        assert observed_order([12.0 / n for n in counts],
+                              errors) == pytest.approx(2.0, abs=0.25)
+
     def test_rejects_1d_state(self):
         grid = GridSpec.line(64, -4.0, 4.0, DIRICHLET)
         x = grid.coordinates()[0]

@@ -100,6 +100,13 @@ def test_state_rejects_negative_density():
                       RealField(g, np.zeros(32)))
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+def test_state_rejects_hbar_outside_the_params_rule(hbar):
+    g = GridSpec.line(32, -1.0, 1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        MadelungState(RealField.full(g, 1.0), RealField.full(g, 0.0), hbar)
+
+
 def test_state_grid_mismatch():
     g1 = GridSpec.line(32, -1.0, 1.0)
     g2 = GridSpec.line(33, -1.0, 1.0)

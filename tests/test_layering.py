@@ -261,8 +261,8 @@ def outside_callers() -> list[pathlib.Path]:
 def test_every_field_is_read_outside_the_unit_tests():
     # fields are matched by attribute name alone, so a field passes when
     # any object's attribute of the same name is read: a name shared with
-    # another class's read field hides an unread one (a route report's
-    # `spectrum` once passed only through `VanishingMomentumResult.spectrum`)
+    # another class's read field hides an unread one. The floor is the
+    # exact field count, a sanity check that the scanner finds them all
     fields = set()
     for path in sorted(SRC.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
@@ -274,7 +274,7 @@ def test_every_field_is_read_outside_the_unit_tests():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
-    assert len(fields) >= 90
+    assert len(fields) >= 88
     assert sorted(f"{cls}.{name}" for cls, name in fields
                   if name not in read) == []
 

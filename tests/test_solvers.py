@@ -478,7 +478,8 @@ def result():
 class TestVanishingMomentumScenario:
     def test_energies(self, result):
         expected = np.arange(3) + 0.5
-        assert np.max(np.abs(result.spectrum.eigenvalues - expected)) < 1e-3
+        energies = [r.energy for r in result.reports]
+        assert np.max(np.abs(energies - expected)) < 1e-3
 
     def test_stationarity_identity(self, result):
         # V + Q - E vanishes at the stencil level away from walls and nodes
@@ -521,6 +522,28 @@ class TestVanishingMomentumScenario:
             assert row.energy_gap < 1e-9
         assert report.nonlinear_ok
         assert report.trivial_momentum_norm == 0.0
+
+    def test_zero_columns_are_computed_from_the_state(self, monkeypatch):
+        # a derivative that is off by one everywhere must show in every
+        # column that reads 0 on (psi, S = 0): none of them is typed in
+        from varq import action
+
+        def shifted(values, *args, **kwargs):
+            return diff_values(values, *args, **kwargs) + 1.0
+
+        monkeypatch.setattr(solvers, "diff_values", shifted)
+        monkeypatch.setattr(action, "diff_values", shifted)
+        off = vanishing_momentum_scenario(HARMONIC, harmonic_grid(128, 8.0),
+                                          k=1, steps=2)
+        routes = quantization_route_report(off)
+        assert off.trivial.continuity_residual_max == pytest.approx(1.0)
+        assert off.trivial.momentum_gradient_max == pytest.approx(1.0)
+        # hbar |1| over the flat line of length 10
+        assert routes.trivial_momentum_norm == pytest.approx(np.sqrt(10.0))
+        ground = routes.rows[0]
+        # sqrt(integral rho * 1^2) of a normalized density
+        assert ground.classical_momentum_norm == pytest.approx(1.0)
+        assert ground.nonlinear_residual_max == pytest.approx(2.0)
 
 
 # -- the complex right-hand side against the per-field equations ------------
