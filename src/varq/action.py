@@ -212,7 +212,5 @@ def _block_offsets(n: int, spacing: int) -> np.ndarray:
 def _with_component(state: MadelungState, component: str,
                     values: np.ndarray) -> MadelungState:
     if component == "density":
-        return MadelungState(RealField(state.grid, values), state.action,
-                             state.hbar)
-    return MadelungState(state.density, RealField(state.grid, values),
-                         state.hbar)
+        return MadelungState(RealField(state.grid, values), state.action)
+    return MadelungState(state.density, RealField(state.grid, values))

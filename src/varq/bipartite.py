@@ -211,7 +211,7 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
                                   energy_operator=e_op,
                                   energy_extremal=e_ext))
         if j == 0:
-            states = stationary_trajectory(rho, e_ext, params.hbar)
+            states = stationary_trajectory(rho, e_ext)
             qa = bohm_potential(rho, phys2, axis=0, order=2).values
             qb = bohm_potential(rho, phys2, axis=1, order=2).values
             num = np.abs(params.mass_a * qa - params.mass_b * qb)[keep]

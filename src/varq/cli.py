@@ -518,13 +518,12 @@ def _run_constraint_check(v, plots):
     energy = float(spec.eigenvalues[level])
     psi = spec.eigenfunctions[level].values
     rho = RealField(grid, psi**2)
-    state = MadelungState(rho, RealField(grid, np.zeros(grid.shape)),
-                          params.hbar)
+    state = MadelungState(rho, RealField(grid, np.zeros(grid.shape)))
     momentum = LocalMomentum()
     hamiltonian = EnsembleHamiltonian(params)
     bracket = poisson_bracket(momentum, hamiltonian, state)
     stat = stationarity_residuals(
-        stationary_trajectory(rho, energy, params.hbar), SLICE_DT, params,
+        stationary_trajectory(rho, energy), SLICE_DT, params,
         order=2)
     # Q diverges at the nodes of an excited state: read the residuals on
     # the resolved nodes, as vanishing-momentum does
@@ -734,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot read {args.config}: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         print(f"config error: {args.config} is not valid JSON: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG
@@ -779,16 +778,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     try:
         path = write_report(out_dir, args.scenario, cfg, results, warnings)
+        print(f"wrote {path}")
+        if args.emit_plots:
+            sha = config_hash(cfg)
+            for name, (columns, table) in sorted(plots.items()):
+                ppath = write_plot_data(out_dir, args.scenario, name, sha,
+                                        columns, table)
+                print(f"wrote {ppath}")
+    except OSError as exc:
+        # a write that fails after open() names no file
+        print(f"config error: cannot write {exc.filename or out_dir}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         print(f"runtime error: report not written: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(f"wrote {path}")
-    if args.emit_plots:
-        sha = config_hash(cfg)
-        for name, (columns, table) in sorted(plots.items()):
-            ppath = write_plot_data(out_dir, args.scenario, name, sha,
-                                    columns, table)
-            print(f"wrote {ppath}")
     return EXIT_OK
 
 

@@ -213,12 +213,12 @@ class StationarityReport:
     action_residual: RealField
 
 
-def stationary_trajectory(rho: RealField, energy: float,
-                          hbar: float) -> list[MadelungState]:
+def stationary_trajectory(rho: RealField,
+                          energy: float) -> list[MadelungState]:
     """Three slices SLICE_DT apart of a stationary state of the given
     energy: density rho throughout, action S = -energy t."""
     return [MadelungState(rho, RealField(rho.grid, np.full(
-        rho.grid.shape, -energy * i * SLICE_DT)), hbar) for i in range(3)]
+        rho.grid.shape, -energy * i * SLICE_DT))) for i in range(3)]
 
 
 def stationarity_residuals(states: Sequence[MadelungState], dt: float,

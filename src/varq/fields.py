@@ -130,7 +130,11 @@ class PhysicalParams:
 
 @dataclass(frozen=True, eq=False)
 class MadelungState:
-    """Density field plus action-valued phase field, sharing one grid."""
+    """Density field plus action-valued phase field, sharing one grid.
+
+    `hbar` is read by no computation (PhysicalParams carries the one
+    that is); it stays, guarded, only because the benchmark's workloads
+    pass it by position, and goes with the next benchmark change."""
 
     density: RealField
     action: RealField

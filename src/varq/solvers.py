@@ -486,8 +486,7 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
                 f"representation breaks down", t, node, float(np.exp(low)))
 
     states = [MadelungState(RealField(grid, state0.density.values.copy()),
-                            RealField(grid, state0.action.values.copy()),
-                            params.hbar)]
+                            RealField(grid, state0.action.values.copy()))]
     times = [0.0]
     drift = [0.0]
     for step in range(1, steps + 1):
@@ -503,8 +502,7 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
         if step % store_every == 0 or step == steps:
             rho = np.exp(2.0 * u.real)
             states.append(MadelungState(RealField(grid, rho),
-                                        RealField(grid, params.hbar * u.imag),
-                                        params.hbar))
+                                        RealField(grid, params.hbar * u.imag)))
             times.append(t)
             drift.append(integrate_values(rho, grid) - mass0)
     return MadelungTrajectory(times=np.asarray(times), states=states,
@@ -573,8 +571,7 @@ def resolved_nodes(rho: RealField, near_node: np.ndarray,
 
 def rest_energy_density(rho: RealField, params: PhysicalParams) -> np.ndarray:
     """V + Q: the order-2 ensemble energy's density gradient at S = 0."""
-    at_rest = MadelungState(rho, RealField(rho.grid, np.zeros(rho.grid.shape)),
-                            params.hbar)
+    at_rest = MadelungState(rho, RealField(rho.grid, np.zeros(rho.grid.shape)))
     return EnsembleHamiltonian(params, order=2).gradient_density(at_rest).values
 
 
@@ -596,8 +593,7 @@ def _branch(label: str, psi: np.ndarray, grid: GridSpec, energy: float,
     (its same-order Q makes V + Q - E a stencil-level identity), the
     derivatives of S, rho, psi and |psi| from diff_values."""
     rho = RealField(grid, psi**2)
-    state = MadelungState(rho, RealField(grid, np.zeros(grid.shape)),
-                          params.hbar)
+    state = MadelungState(rho, RealField(grid, np.zeros(grid.shape)))
     ham = EnsembleHamiltonian(params, order=2)
     vq = ham.gradient_density(state).values
     ensemble_e, keep = resolved_energy(rho, vq, node_exclusion_mask(psi),

@@ -115,6 +115,30 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["utf16-bom", "deep-nesting"])
+    def test_undecodable_config_is_not_valid_json(self, tmp_path, capsys,
+                                                  content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        code = cli.main(["eigen", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert (f"config error: {path} is not valid JSON: "
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("blocked, flags", [
+        ("eigen_report.json", []),
+        ("eigen_state_0.dat", ["--emit-plots"])], ids=["report", "plot"])
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys,
+                                                  blocked, flags):
+        (tmp_path / blocked).mkdir()
+        code = cli.main(["eigen", "--config", eigen_config(tmp_path),
+                         "--out", str(tmp_path), *flags])
+        assert code == cli.EXIT_CONFIG
+        assert (f"config error: cannot write {tmp_path / blocked}: "
+                in capsys.readouterr().err)
+
     def test_unknown_scenario_rejected(self, tmp_path):
         cfg = eigen_config(tmp_path)
         with pytest.raises(SystemExit):
