@@ -16,9 +16,11 @@ one sparse product per axis, d/dx and d2/dx2 stacked. It never forms
 psi = exp(u), which keeps it independent of the wavefunction route it
 is compared with. Its node check takes each node's neighborhood maximum
 with `grid.box_reduce`, the box reduction the colored gradient of
-`action` sums with. One builder reads every vanishing-momentum branch,
-the flat one too, off (psi, S = 0): the extremal route's residuals and
-the operator route's momenta side by side.
+`action` sums with. Every state at rest (density rho, S = 0, energy E)
+that a scenario checks is read here: resolved_energy gives its V + Q
+energy and resolved nodes, rest_residuals its Hamilton-Jacobi and
+continuity residuals on the stationary trajectory S = -E t. One builder
+reads every vanishing-momentum branch, the flat one too, through them.
 
 scipy is imported inside the functions that call it: scipy.sparse where
 H or the stacked RHS operators are built, scipy.linalg in the
@@ -35,7 +37,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .action import bohm_potential, low_density_mask
-from .constraints import EnsembleHamiltonian
+from .constraints import (
+    SLICE_DT,
+    EnsembleHamiltonian,
+    stationarity_residuals,
+    stationary_trajectory,
+)
 from .fields import (
     RESOLVED_FLOOR,
     MadelungState,
@@ -112,7 +119,6 @@ class UnresolvedLevelError(RuntimeError):
 class SpectrumResult:
     """Lowest eigenpairs of the 1D hard-wall Hamiltonian."""
 
-    grid: GridSpec
     eigenvalues: np.ndarray
     eigenfunctions: list[RealField]
     residuals: np.ndarray
@@ -185,7 +191,7 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
         fine = GridSpec.line(2 * (n - 1) + 1, ax.x_min, ax.x_max, DIRICHLET)
         fvals, _ = _interior_eigensolve(params, fine, k)
         refined = (4.0 * fvals - vals) / 3.0
-    return SpectrumResult(grid=grid, eigenvalues=vals, eigenfunctions=funcs,
+    return SpectrumResult(eigenvalues=vals, eigenfunctions=funcs,
                           residuals=residuals, refined_eigenvalues=refined)
 
 
@@ -285,19 +291,19 @@ class MadelungTrajectory:
     substeps_per_step: int
 
 
-def _rhs_operators(grid: GridSpec, order: int = DEFAULT_ORDER) -> list:
-    """Per axis, d/dx and d2/dx2 stacked into one CSR operator [D1; D2],
-    the reciprocal of each half's divisor laid out to scale the float view
-    of the stacked product (taken along the axis, before any transpose),
-    and the index of each half of that product once it is back in the
-    field's layout. The stacked rows are the stencils' own, so each half
-    equals its Stencil.apply to the bit."""
+def _rhs_operators(grid: GridSpec) -> list:
+    """Per axis, the DEFAULT_ORDER d/dx and d2/dx2 stacked into one CSR
+    operator [D1; D2], the reciprocal of each half's divisor laid out to
+    scale the float view of the stacked product (taken along the axis,
+    before any transpose), and the index of each half of that product
+    once it is back in the field's layout. The stacked rows are the
+    stencils' own, so each half equals its Stencil.apply to the bit."""
     from scipy import sparse
 
     ops = []
     for ax, axis in enumerate(grid.axes):
-        first = stencil_operator(axis, order, 1)
-        second = stencil_operator(axis, order, 2)
+        first = stencil_operator(axis, DEFAULT_ORDER, 1)
+        second = stencil_operator(axis, DEFAULT_ORDER, 2)
         n = axis.n_points
         stacked = sparse.vstack([first.numerators, second.numerators],
                                 format="csr")
@@ -514,8 +520,9 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
 
 @dataclass(frozen=True, eq=False)
 class BranchReport:
-    """One constrained-extremum branch, read off (psi, S = 0): the
-    extremal route's residuals beside the operator route's momenta."""
+    """One constrained-extremum branch: the extremal route's residuals on
+    the stationary trajectory through (psi, S = 0) beside the operator
+    route's momenta read off (psi, S = 0)."""
 
     branch: str
     label: str
@@ -569,36 +576,41 @@ def resolved_nodes(rho: RealField, near_node: np.ndarray,
     return keep
 
 
-def rest_energy_density(rho: RealField, params: PhysicalParams) -> np.ndarray:
-    """V + Q: the order-2 ensemble energy's density gradient at S = 0."""
-    at_rest = MadelungState(rho, RealField(rho.grid, np.zeros(rho.grid.shape)))
-    return EnsembleHamiltonian(params, order=2).gradient_density(at_rest).values
-
-
-def resolved_energy(rho: RealField, v_plus_q: np.ndarray,
+def resolved_energy(rho: RealField, params: PhysicalParams,
                     near_node: np.ndarray,
                     level: int) -> tuple[float, np.ndarray]:
-    """Density-weighted mean of V + Q over the resolved nodes, and those
-    nodes."""
+    """Density-weighted mean over the resolved nodes of V + Q, the order-2
+    ensemble energy's density gradient at S = 0, and those nodes."""
     keep = resolved_nodes(rho, near_node, level)
+    at_rest = MadelungState(rho, RealField(rho.grid, np.zeros(rho.grid.shape)))
+    vq = EnsembleHamiltonian(params, order=2).gradient_density(at_rest).values
     w = (rho.values * rho.grid.node_volumes())[keep]
-    return float(np.sum(w * v_plus_q[keep]) / np.sum(w)), keep
+    return float(np.sum(w * vq[keep]) / np.sum(w)), keep
+
+
+def rest_residuals(rho: RealField, energy: float, params: PhysicalParams,
+                   keep: np.ndarray) -> tuple[float, float]:
+    """Largest quantum Hamilton-Jacobi and continuity residuals over keep
+    of the state at rest with density rho and energy E: the order-2
+    stationarity residuals of its stationary trajectory, S = -E t."""
+    stat = stationarity_residuals(stationary_trajectory(rho, energy),
+                                  SLICE_DT, params, order=2)
+    return (float(np.max(np.abs(stat.density_residual.values[keep]))),
+            float(np.max(np.abs(stat.action_residual.values[keep]))))
 
 
 def _branch(label: str, psi: np.ndarray, grid: GridSpec, energy: float,
             params: PhysicalParams, level: int, rate: float) -> BranchReport:
     """Every column of one branch, read off (psi, S = 0) with order-2
-    stencils; rate is the density drift rate of the unitary run. V + Q - E
-    and dH/dS come from EnsembleHamiltonian, read on the resolved nodes
-    (its same-order Q makes V + Q - E a stencil-level identity), the
-    derivatives of S, rho, psi and |psi| from diff_values."""
+    stencils; rate is the density drift rate of the unitary run. The
+    residuals are rest_residuals' (its same-order Q makes dS/dt + V + Q
+    vanish at the stencil level), the derivatives of S, rho, psi and
+    |psi| diff_values'."""
     rho = RealField(grid, psi**2)
-    state = MadelungState(rho, RealField(grid, np.zeros(grid.shape)))
-    ham = EnsembleHamiltonian(params, order=2)
-    vq = ham.gradient_density(state).values
-    ensemble_e, keep = resolved_energy(rho, vq, node_exclusion_mask(psi),
+    ensemble_e, keep = resolved_energy(rho, params, node_exclusion_mask(psi),
                                        level)
-    s_grad = diff_values(state.action.values, grid, order=2)
+    hj_max, continuity_max = rest_residuals(rho, energy, params, keep)
+    s_grad = diff_values(np.zeros(grid.shape), grid, order=2)
     dr = diff_values(rho.values, grid, order=2)
     dr_scale = float(np.max(np.abs(dr)) * grid.axes[0].span
                      / np.max(rho.values))
@@ -607,9 +619,7 @@ def _branch(label: str, psi: np.ndarray, grid: GridSpec, energy: float,
     return BranchReport(
         branch="nontrivial" if dr_scale > 1e-6 else "trivial", label=label,
         energy=energy, multiplier=0.0,
-        hj_residual_max=float(np.max(np.abs((vq - energy)[keep]))),
-        continuity_residual_max=float(np.max(np.abs(
-            ham.gradient_action(state).values[keep]))),
+        hj_residual_max=hj_max, continuity_residual_max=continuity_max,
         density_rate_max=rate,
         momentum_gradient_max=float(np.max(np.abs(s_grad))),
         density_gradient_scale=dr_scale, ensemble_energy=ensemble_e,

@@ -24,7 +24,6 @@ from varq.solvers import (
     eigensolve_1d,
     node_exclusion_mask,
     resolved_energy,
-    rest_energy_density,
 )
 from varq.grid import DIRICHLET, PERIODIC, GridSpec, RealField, integrate_values
 
@@ -166,9 +165,8 @@ class TestThreeRoutes:
         assert not node_exclusion_mask(f.values).any()
         psi = lift_relative(f, pair).values
         rho = RealField(pair, psi**2 / integrate_values(psi**2, pair))
-        _, keep = resolved_energy(
-            rho, rest_energy_density(rho, pair_params.as_physical()),
-            np.zeros(pair.shape, dtype=bool), 0)
+        _, keep = resolved_energy(rho, pair_params.as_physical(),
+                                  np.zeros(pair.shape, dtype=bool), 0)
         assert not keep.all()
         assert np.array_equal(keep, ~low_density_mask(rho, RESOLVED_FLOOR))
 

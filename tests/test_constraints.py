@@ -495,6 +495,51 @@ def test_stationarity_residuals_multiplier_count_mismatch():
                                [LocalMomentum()], [1.0, 2.0])
 
 
+def _drifting_trajectory(g, dt):
+    """Five slices of a packet whose center and phase both move: no
+    stationary state, so neither residual vanishes."""
+    x = g.coordinates()[0]
+    states = []
+    for j in range(5):
+        rho = np.exp(-(x - 2.0 * j * dt) ** 2)
+        rho /= integrate_values(rho, g)
+        s = (0.4 + 3.0 * j * dt) * x + 0.1 * x**2 - 0.5 * j * dt
+        states.append(MadelungState(RealField(g, rho), RealField(g, s)))
+    return states
+
+
+@pytest.mark.parametrize("constraint", [LocalMomentum(p_c=0.3),
+                                        DensityStationarity()],
+                         ids=["local-momentum", "density-stationarity"])
+def test_multipliers_shift_the_residuals_by_their_gradients(constraint):
+    # a nonzero multiplier lambda adds lambda dC/d rho and lambda dC/dS,
+    # read at the middle slice: for LocalMomentum dS/dx - p_c and
+    # -d rho/dx, for DensityStationarity the trajectory's own d rho/dt
+    # (its auxiliary field) and 0
+    g = GridSpec.line(128, -6.0, 6.0)
+    p = PhysicalParams(potential=Harmonic())
+    dt, lam = 0.01, 0.37
+    states = _drifting_trajectory(g, dt)
+    free = stationarity_residuals(states, dt, p, [constraint], [0.0])
+    held = stationarity_residuals(states, dt, p, [constraint], [lam])
+    mid = states[2]
+    if isinstance(constraint, LocalMomentum):
+        dens = diff_values(mid.action.values, g, order=DEFAULT_ORDER) - 0.3
+        act = -diff_values(mid.density.values, g, order=DEFAULT_ORDER)
+    else:
+        dens = (states[3].density.values - states[1].density.values) / (
+            2.0 * dt)
+        act = np.zeros(g.shape)
+    for got, base, term in (
+            (held.density_residual, free.density_residual, dens),
+            (held.action_residual, free.action_residual, act)):
+        scale = np.max(np.abs(base.values)) + lam * np.max(np.abs(term))
+        assert np.max(np.abs(base.values)) > 1e-3
+        assert np.max(np.abs(got.values - base.values - lam * term)) <= (
+            1e-14 * scale)
+    assert np.max(np.abs(dens)) > 0.1
+
+
 # -- classical consistency ---------------------------------------------------
 
 def test_classical_consistency_harmonic_force():

@@ -364,8 +364,10 @@ def test_dirichlet_rows_exact_on_polynomials(case, data):
 def test_constant_maps_to_exact_zero(case, mantissa, exponent):
     # integer numerators times a constant with a short mantissa are exact
     # products, so every row, periodic or one-sided, cancels exactly; an
-    # arbitrary float constant leaves roundoff in order-4 rows, where
-    # products such as 30 c round
+    # arbitrary float constant leaves roundoff wherever a product rounds:
+    # in order-4 rows (30 c) and in the order-2 one-sided rows at a hard
+    # wall (3 c, 10 c). Only the order-2 periodic rows, of weights 1 and
+    # 2, cancel every constant
     grid, axis, order, deriv = case
     const = np.full(grid.shape, mantissa * 2.0**exponent)
     out = diff_values(const, grid, axis=axis, order=order, deriv=deriv)

@@ -10,9 +10,10 @@ no scipy module (scipy.ndimage and scipy.special least of all; the box
 reductions and the transition window rule need numpy alone). A
 `fluctuate` run never calls scipy, so it loads none either. The
 perfbench tracer and worker name varq functions in strings, so a rename
-must reach them too, or a per-layer metric reads zero. A default that no
-call in the repository overrides is a constant in the signature, so each
-one must be passed somewhere. Likewise every public function and class
+must reach them too, or a per-layer metric reads zero; likewise every
+report key the perfbench workloads check must be one the CLI writes. A
+default that no call in the repository overrides is a constant in the
+signature, so each one must be passed somewhere. Likewise every public function and class
 needs a caller outside the unit tests, and every field of a varq class
 needs a reader there: a field that only unit tests read is computed on
 every run for nobody. Every name a varq module imports must be used in
@@ -272,9 +273,43 @@ def test_every_field_is_read_outside_the_unit_tests():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
-    assert len(fields) >= 88
+    assert len(fields) >= 87
     assert sorted(f"{cls}.{name}" for cls, name in fields
                   if name not in read) == []
+
+
+def cli_written_keys() -> set[str]:
+    """The string keys that cli.py's scenario runners and report writer
+    put into a dict, as a display key or a subscript assignment."""
+    keys = set()
+    for fn in ast.parse((SRC / "cli.py").read_text()).body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and (fn.name.startswith("_run_") or fn.name == "write_report")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Dict):
+                keys |= {key.value for key in node.keys
+                         if isinstance(key, ast.Constant)}
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.slice, ast.Constant)):
+                keys.add(node.slice.value)
+    return {key for key in keys if isinstance(key, str)}
+
+
+def test_every_report_key_perfbench_reads_is_written_by_the_cli():
+    # the workloads check each run's report by key, so a runner that
+    # renames one would turn a passing check into a KeyError. The floor is
+    # the exact count of keys read, a sanity check of the scanner
+    read = {node.slice.value
+            for node in ast.walk(ast.parse(
+                (PERFBENCH / "workloads.py").read_text()))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+    assert len(read) >= 37
+    assert sorted(read - cli_written_keys()) == []
 
 
 def imported_names(tree: ast.Module) -> set[str]:
