@@ -14,6 +14,9 @@ pair grid, and the translation residual applies the same generator to
 the wavefunction. The stationarity residuals of the lifted ground state
 are `solvers.rest_residuals`, read on the level-0 resolved nodes that
 `resolved_energy` returns; the higher levels report energies alone.
+`three_route_comparison` is the one pipeline for both pair scenarios:
+the bipartite scenario is its level 0 (k = 1), whose report also holds
+the ground state's information split and separation mode.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import bohm_potential
+from .action import bohm_potential, information_metric
 from .constraints import LocalMomentum, stationary_trajectory
 from .fields import (
     PairwiseRelative,
@@ -40,6 +43,7 @@ from .grid import (
     shift_derivative,
 )
 from .solvers import (
+    UnresolvedLevelError,
     apply_hamiltonian,
     eigensolve_1d,
     node_exclusion_mask,
@@ -159,6 +163,8 @@ class ThreeRouteRow:
 
 @dataclass(frozen=True, eq=False)
 class ThreeRouteReport:
+    """Route energies per level; every other field is read on level 0."""
+
     rows: list[ThreeRouteRow]
     translation_residual_max: float
     hj_residual_max: float
@@ -166,6 +172,9 @@ class ThreeRouteReport:
     total_momentum: float
     relative_density: float
     mass_ratio_deviation: float
+    information_a: float
+    information_b: float
+    separation_mode: RealField
 
     def max_gap(self) -> float:
         return max(row.max_gap for row in self.rows)
@@ -181,7 +190,13 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
     density/phase stationarity identity, then checks the full
     variational residuals on a short constant-energy trajectory of the
     lifted ground state. All stencils are second order so the routes
-    agree to roundoff whenever the lift is exact.
+    agree to roundoff whenever the lift is exact. Level 0 also gives the
+    order-2 information metric of the lifted ground state's own square
+    along each particle's axis.
+
+    Raises UnresolvedLevelError when a lifted density has no positive
+    finite norm, or the ground state no density gradient, on the pair
+    grid.
     """
     pair = pair_grid(n, length)
     rgrid = relative_grid(pair)
@@ -194,11 +209,17 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
         f = spec.eigenfunctions[j]
         psi = lift_relative(f, pair)
         trans_max = max(trans_max, translation_residual(psi.values, pair))
-        norm2 = integrate_values(psi.values**2, pair)
+        square = psi.values**2
+        norm2 = integrate_values(square, pair)
+        # psi**2 underflows to zero, or dx**2 overflows, on a huge grid
+        if not 0.0 < norm2 < np.inf:
+            raise UnresolvedLevelError(
+                f"level {j} is unresolved: its lifted density has no "
+                f"positive finite norm on the pair grid")
         hpsi = apply_hamiltonian(psi.values, pair, phys2)
         e_op = integrate_values(psi.values * hpsi, pair) / norm2
 
-        rho = RealField(pair, psi.values**2 / norm2)
+        rho = RealField(pair, square / norm2)
         excl = _by_difference(node_exclusion_mask(f.values), pair)
         e_ext, keep = resolved_energy(rho, phys2, excl, j)
         rows.append(ThreeRouteRow(index=j,
@@ -206,6 +227,12 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
                                   energy_operator=e_op,
                                   energy_extremal=e_ext))
         if j == 0:
+            ia, ib = (information_metric(RealField(pair, square), phys2,
+                                         order=2, axis=ax) for ax in (0, 1))
+            if not (ia > 0.0 and ib > 0.0):
+                raise UnresolvedLevelError(
+                    "level 0 is unresolved: the ground state has no "
+                    "density gradient on the pair grid")
             qa = bohm_potential(rho, phys2, axis=0, order=2).values
             qb = bohm_potential(rho, phys2, axis=1, order=2).values
             num = np.abs(params.mass_a * qa - params.mass_b * qb)[keep]
@@ -225,5 +252,6 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
                             action_residual_max=act_max,
                             total_momentum=total_p,
                             relative_density=rel_d,
-                            mass_ratio_deviation=ratio_dev)
-
+                            mass_ratio_deviation=ratio_dev,
+                            information_a=ia, information_b=ib,
+                            separation_mode=spec.eigenfunctions[0])

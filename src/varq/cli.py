@@ -17,14 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .action import information_metric
 from .bipartite import (
     BipartiteParams,
-    lift_relative,
     pair_grid,
     relative_grid,
     three_route_comparison,
-    translation_residual,
 )
 from .constraints import (
     SLICE_DT,
@@ -243,7 +240,8 @@ def _finite_hamiltonian(params: PhysicalParams, grid: GridSpec, path: str):
     """H = -(hbar^2 / 2m) d2/dx2 + V must have finite entries on the grid."""
     dx = grid.axes[0].dx
     scale = 2.0 * params.mass_along(0) * dx * dx
-    if scale == 0.0 or math.isinf(params.hbar * params.hbar / scale):
+    # an overflowing hbar^2 makes the ratio inf, or NaN over an inf scale
+    if scale == 0.0 or not math.isfinite(params.hbar * params.hbar / scale):
         yield (f"the kinetic scale hbar^2 / (2 m dx^2) overflows at grid "
                f"spacing {dx:.3g}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -278,6 +276,10 @@ def _pair(v):
         mass_a=v["pair.mass_a"], mass_b=v["pair.mass_b"],
         interaction=_analytic(v, "pair.interaction"), hbar=v["pair.hbar"])
     v["pair_grid"] = pair_grid(v["pair.points"], v["pair.length"])
+    if not 0.0 < v["pair"].reduced_mass < math.inf:
+        yield ("pair.mass_a and pair.mass_b give a reduced mass "
+               "m_a m_b / (m_a + m_b) that is not positive and finite")
+        return
     # the reduced problem has the smallest mass and every separation
     yield from _finite_hamiltonian(v["pair"].reduced_physical(),
                                    relative_grid(v["pair_grid"]),
@@ -303,13 +305,17 @@ def _initial(v):
     grid = v["grid"]
     x = grid.coordinates()[0]
     # as a float64 a huge width squares to inf, a flat start, not an error
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         spread = 2.0 * np.float64(v["initial.width"]) ** 2
         if spread == 0.0:
             yield (f"initial.width = {v['initial.width']:g} is too narrow: "
                    "its square underflows to zero")
             return
         rho = np.exp(-((x - v["initial.center"]) ** 2) / spread)
+    if np.isnan(rho).any():
+        yield ("initial density is not a number on this grid: both "
+               "(x - initial.center)^2 and 2 initial.width^2 overflow")
+        return
     total = integrate_values(rho, grid)
     if total <= 0:
         yield "initial density vanishes on this grid"
@@ -590,33 +596,25 @@ def _run_three_route(v, plots):
 
 
 def _run_bipartite(v, plots):
-    pair, grid2 = v["pair"], v["pair_grid"]
-    rgrid = relative_grid(grid2)
-    spec = eigensolve_1d(pair.reduced_physical(), rgrid, k=1)
-    psi = lift_relative(spec.eigenfunctions[0], grid2)
-    rho = RealField(grid2, psi.values**2)
-    phys2 = pair.as_physical()
-    ia, ib = (information_metric(rho, phys2, order=2, axis=ax)
-              for ax in (0, 1))
-    if not (ia > 0.0 and ib > 0.0):
-        raise UnresolvedLevelError(
-            "level 0 is unresolved: the ground state has no density "
-            "gradient on the pair grid")
-    force = classical_consistency(phys2, grid2)
+    pair = v["pair"]
+    rep = three_route_comparison(pair, n=v["pair.points"],
+                                 length=v["pair.length"], k=1)
+    force = classical_consistency(pair.as_physical(), v["pair_grid"])
+    ia, ib = rep.information_a, rep.information_b
     results = {
-        "ground_energy": float(spec.eigenvalues[0]),
+        "ground_energy": rep.rows[0].energy_reduced,
         "information_a": ia,
         "information_b": ib,
         "information_ratio": ia / ib,
         "expected_ratio": pair.mass_b / pair.mass_a,
-        "translation_residual": translation_residual(psi.values, grid2),
+        "translation_residual": rep.translation_residual_max,
         "translation_force_vanishes": force.vanishes,
         "translation_force_peak": force.secondary_max,
     }
-    r = rgrid.coordinates()[0]
+    mode = rep.separation_mode
     plots["separation_mode"] = (
         ("separation", "amplitude"),
-        np.column_stack([r, spec.eigenfunctions[0].values]))
+        np.column_stack([mode.grid.coordinates()[0], mode.values]))
     return results, []
 
 

@@ -265,7 +265,17 @@ class TestValidation:
                                   "length": 1e300,
                                   "interaction": {"kind": "harmonic"}}},
          "pair.interaction is not finite at every grid node"),
-    ], ids=["span", "potential", "spacing", "pair_spacing", "interaction"])
+        # m_a m_b underflows to zero, or overflows to inf
+        *((scenario, {"pair": {"mass_a": mass, "mass_b": mass, "points": 8,
+                               "length": 12.0}},
+           "pair.mass_a and pair.mass_b give a reduced mass")
+          for mass in (1e-300, 1e300)
+          for scenario in ("bipartite", "three-route")),
+    ], ids=["span", "potential", "spacing", "pair_spacing", "interaction",
+            "reduced_mass_underflow_bipartite",
+            "reduced_mass_underflow_three_route",
+            "reduced_mass_overflow_bipartite",
+            "reduced_mass_overflow_three_route"])
     def test_unrepresentable_hamiltonian_rejected(self, tmp_path, capsys,
                                                   scenario, cfg, complaint):
         if "grid" in cfg:
@@ -276,6 +286,44 @@ class TestValidation:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert f"config error: {complaint}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", [
+        "eigen", "vanishing-momentum", "evolve", "compare-propagators"])
+    def test_overflowing_hbar_squared_rejected(self, tmp_path, capsys,
+                                               scenario):
+        # hbar^2 and 2 m dx^2 both overflow: their ratio is inf / inf = NaN
+        cfg = evolve_config(tmp_path, **{
+            "grid": {"points": 16, "min": -1e150, "max": 1e150},
+            "system": {"mass": 1e300, "hbar": 1e300},
+            "initial": {"center": 0.0, "width": 1e149}})
+        out = tmp_path / "out"
+        code = cli.main([scenario, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(
+            "config error: the kinetic scale hbar^2 / (2 m dx^2) overflows")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])
+    def test_initial_density_that_is_not_a_number_rejected(
+            self, tmp_path, capsys, scenario):
+        # (x - c)^2 / (2 w^2) is inf / inf at the grid's edges
+        cfg = evolve_config(tmp_path, **{
+            "grid": {"points": 16, "min": -1e160, "max": 1e160},
+            "system": {"mass": 1.0},
+            "initial": {"center": 0.0, "width": 2.5e159}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([scenario, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(
+            "config error: initial density is not a number on this grid")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_huge_initial_width_is_a_flat_start(self, tmp_path):
@@ -628,6 +676,24 @@ class TestScenarioOutputs:
         assert res["information_ratio"] == pytest.approx(2.0, rel=1e-10)
         assert res["translation_force_vanishes"] is True
 
+    def test_bipartite_is_level_0_of_three_route(self, tmp_path):
+        pair = {"mass_a": 1.0, "mass_b": 3.0, "hbar": 0.7,
+                "interaction": {"kind": "harmonic", "strength": 2.0},
+                "points": 32, "length": 10.0}
+        out = tmp_path / "out"
+        res = {}
+        for scenario, extra in (("bipartite", {}), ("three-route",
+                                                    {"count": 1})):
+            cfg = write_config(tmp_path, {"pair": pair, **extra})
+            assert cli.main([scenario, "--config", cfg,
+                             "--out", str(out)]) == 0
+            res[scenario] = json.loads((out / f"{scenario}_report.json")
+                                       .read_text())["results"]
+        bipartite, three = res["bipartite"], res["three-route"]
+        assert bipartite["ground_energy"] == three["rows"][0]["energy_reduced"]
+        assert (bipartite["translation_residual"]
+                == three["translation_residual"])
+
     def test_bundled_configs_parse(self, tmp_path):
         cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
         bundled = sorted(cfg_dir.glob("*.json"))
@@ -803,6 +869,20 @@ class TestRuntimeFailures:
         assert ("runtime error: level 0 is unresolved"
                 in capsys.readouterr().err)
         assert not (out / "bipartite_report.json").exists()
+
+    @pytest.mark.parametrize("scenario", ["bipartite", "three-route"])
+    def test_lifted_density_underflow_exits_one(self, tmp_path, capsys,
+                                                scenario):
+        # on a 1e300 ring psi^2 ~ 1e-600 underflows and dx^2 overflows
+        cfg = write_config(tmp_path, {"pair": {
+            "mass_a": 1.0, "mass_b": 1.0, "points": 8, "length": 1e300}})
+        out = tmp_path / "out"
+        code = cli.main([scenario, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME
+        assert "runtime error: level 0 is unresolved" in err
+        assert "Traceback" not in err
+        assert not (out / f"{scenario}_report.json").exists()
 
     def test_non_finite_result_writes_no_report(self, tmp_path, capsys,
                                                 monkeypatch):
