@@ -49,7 +49,8 @@ from .fluctuation import (
     sample_fluctuations,
     window_problems,
 )
-from .grid import DIRICHLET, PERIODIC, ComplexField, GridSpec, RealField, integrate_values
+from .grid import (DIRICHLET, PERIODIC, ComplexField, GridSpec,
+                   NonFiniteFieldError, RealField, integrate_values)
 from .solvers import (
     DensityFloorError,
     UnresolvedLevelError,
@@ -764,6 +765,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DensityFloorError, NonConvergenceError, UnresolvedLevelError,
             np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except NonFiniteFieldError as exc:
+        print(f"runtime error: the run overflowed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
     for warning in warnings:

@@ -2,17 +2,17 @@
 
 Fields live on tensor products of up to two uniform axes. Every stencil
 row comes from fd_weights (Fornberg's recursion), and each operator is a
-sparse matrix built once per axis. Derivatives use central rows of order
-2 or 4, wrapped on periodic axes; on Dirichlet axes the edge rows are
-one-sided of the same order, so smooth fields that do not vanish there
-keep full accuracy. The order-2 Hamiltonian's d2/dx2 has ghost-zero
-hard-wall rows instead. Quadrature is the rectangle rule on periodic axes
-(every node carries dx) and the trapezoidal rule on Dirichlet axes.
+sparse matrix built once per axis by stencil_operator. Derivatives use
+central rows of order 2 or 4, wrapped on periodic axes; on Dirichlet
+axes the edge rows are one-sided of the same order, so smooth fields
+that do not vanish there keep full accuracy, and no row reads beyond a
+wall. Quadrature is the rectangle rule on periodic axes (every node
+carries dx) and the trapezoidal rule on Dirichlet axes.
 
-scipy.sparse is imported inside _assemble, the one place that builds a
-matrix, so importing this module loads numpy alone: scipy loads with the
-first stencil, and a run that never differentiates (fluctuate) never
-pays for it. The operators are cached, so the import runs once per
+scipy.sparse is imported inside stencil_operator, the one place that
+builds a matrix, so importing this module loads numpy alone: scipy loads
+with the first stencil, and a run that never differentiates (fluctuate)
+never pays for it. The operators are cached, so the import runs once per
 process.
 """
 
@@ -38,6 +38,10 @@ DEFAULT_ORDER = 4
 
 class GridMismatchError(ValueError):
     """Two fields (or a field and an operator) disagree about the grid."""
+
+
+class NonFiniteFieldError(ValueError):
+    """A field was built from values that overflowed or are NaN."""
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ class _NodeField:
             raise GridMismatchError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
+            raise NonFiniteFieldError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
 
@@ -222,7 +226,9 @@ class Stencil:
 _DENOMINATOR = {2: 2.0, 4: 12.0}
 
 
-def _assemble(axis: Axis, order: int, deriv: int, one_sided: bool) -> Stencil:
+@lru_cache(maxsize=128)
+def stencil_operator(axis: Axis, order: int, deriv: int) -> Stencil:
+    """d^deriv/dx^deriv along one axis, one-sided at Dirichlet edges."""
     from scipy import sparse
 
     n, half = axis.n_points, order // 2
@@ -236,7 +242,7 @@ def _assemble(axis: Axis, order: int, deriv: int, one_sided: bool) -> Stencil:
         num[rows, :len(row)] = fd_weights(tuple(row), deriv)
 
     put(slice(None), range(half, -half - 1, -1))
-    if one_sided and axis.boundary == DIRICHLET:
+    if axis.boundary == DIRICHLET:
         for i in range(half):
             put(i, range(width - 1 - i, -i - 1, -1))
             put(-1 - i, range(i, i - width, -1))
@@ -247,18 +253,10 @@ def _assemble(axis: Axis, order: int, deriv: int, one_sided: bool) -> Stencil:
     keep = num != 0
     if axis.boundary == PERIODIC:
         cols %= n
-    else:  # a hard wall drops the neighbours beyond it (ghost zero)
-        keep &= (cols >= 0) & (cols < n)
     indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
     mat = sparse.csr_array((num[keep], cols[keep], indptr), shape=(n, n))
     divisor = denominator * axis.dx * (axis.dx if deriv == 2 else 1.0)
     return Stencil(mat, denominator, divisor)
-
-
-@lru_cache(maxsize=128)
-def stencil_operator(axis: Axis, order: int, deriv: int) -> Stencil:
-    """d^deriv/dx^deriv along one axis, one-sided at Dirichlet edges."""
-    return _assemble(axis, order, deriv, one_sided=True)
 
 
 @lru_cache(maxsize=128)
@@ -273,12 +271,6 @@ def stencil_reach(axis: Axis, order: int) -> int:
             dist = np.minimum(dist, axis.n_points - dist)
         reach = max(reach, int(np.max(dist)))
     return reach
-
-
-@lru_cache(maxsize=128)
-def hard_wall_laplacian(axis: Axis) -> Stencil:
-    """Order-2 d2/dx2 that takes the field beyond a Dirichlet wall as zero."""
-    return _assemble(axis, 2, 2, one_sided=False)
 
 
 def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,

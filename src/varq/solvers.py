@@ -1,11 +1,12 @@
 """Eigen and time-domain solvers for the 1D quantization scenarios.
 
 Every stencil row here comes from fd_weights through the operators of
-`grid`. H = -(hbar^2/2m) d2/dx2 + V takes its kinetic part from one
-order-2 operator with ghost-zero hard-wall rows; the eigensolver and the
-propagator use its interior block, so discrete eigenpairs are exact
-fixed points of the propagator and satisfy V + Q - E = 0 at the stencil
-level when Q is evaluated at the same order. The density/action
+`grid`. H = -(hbar^2/2m) d2/dx2 + V takes its kinetic part from the
+order-2 stencil_operator, whose one-sided hard-wall rows are not
+equations of H: the eigensolver, its residual and the propagator use
+its interior block, so discrete eigenpairs are exact fixed points of
+the propagator and satisfy V + Q - E = 0 at the stencil level when Q
+is evaluated at the same order. The density/action
 propagator integrates the coupled quantum Hamilton-Jacobi and continuity
 equations directly with explicit RK4, internally substepping below the
 reporting cadence to stay inside the stability region of the stiffest
@@ -59,7 +60,6 @@ from .grid import (
     box_reduce,
     diff_values,
     fd_weights,
-    hard_wall_laplacian,
     integrate_values,
     l2_norm,
     stencil_operator,
@@ -141,11 +141,11 @@ def _unknowns(grid: GridSpec) -> slice:
 
 def _hamiltonian_matrix(params: PhysicalParams,
                         grid: GridSpec) -> sparse.csc_array:
-    """1D H on the unknowns, kinetic part from the hard-wall operator."""
+    """1D H on the unknowns: the interior block of the order-2 d2/dx2."""
     from scipy import sparse
 
     ax = grid.axes[0]
-    lap = hard_wall_laplacian(ax)
+    lap = stencil_operator(ax, 2, 2)
     coeff = params.hbar**2 / (2.0 * params.mass_along(0) * ax.dx * ax.dx
                               * lap.denominator)
     v = potential_values(params.potential, grid)
@@ -176,14 +176,15 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
     vals, vecs = _interior_eigensolve(params, grid, k)
     dx = grid.axes[0].dx
     weights = grid.node_volumes()
+    inner = _unknowns(grid)
     funcs = []
     residuals = np.empty(k)
     for j in range(k):
         full = np.zeros(n)
-        full[1:-1] = vecs[:, j] / np.sqrt(dx)
+        full[inner] = vecs[:, j] / np.sqrt(dx)
         full = _fix_sign(full, weights)
-        hpsi = apply_hamiltonian(full, grid, params)
-        residuals[j] = float(np.sqrt(np.sum((hpsi - vals[j] * full) ** 2 * weights)))
+        err = (apply_hamiltonian(full, grid, params) - vals[j] * full)[inner]
+        residuals[j] = float(np.sqrt(np.sum(err**2 * weights[inner])))
         funcs.append(RealField(grid, full))
     refined = None
     if richardson:
@@ -197,10 +198,11 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
 
 def apply_hamiltonian(values: np.ndarray, grid: GridSpec,
                       params: PhysicalParams) -> np.ndarray:
-    """H values with the propagator's own order-2, ghost-zero stencil."""
+    """H values with the propagator's order-2 stencil; on a hard wall the
+    edge rows are one-sided d2/dx2, not H: read the interior only."""
     out = potential_values(params.potential, grid) * values
     for ax_idx, ax in enumerate(grid.axes):
-        d2 = hard_wall_laplacian(ax).apply(values, ax_idx)
+        d2 = stencil_operator(ax, 2, 2).apply(values, ax_idx)
         out = out - params.hbar**2 * d2 / (2.0 * params.mass_along(ax_idx))
     return out
 

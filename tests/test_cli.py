@@ -884,6 +884,32 @@ class TestRuntimeFailures:
         assert "Traceback" not in err
         assert not (out / f"{scenario}_report.json").exists()
 
+    @pytest.mark.parametrize("scenario, payload", [
+        # the Poisson bracket's action gradient overflows
+        ("constraint-check",
+         {"grid": {"points": 16, "min": -1e-300, "max": 1e-300},
+          "system": {"hbar": 1e-300, "mass": 1e300}}),
+        # the Crank-Nicolson set-up overflows
+        ("vanishing-momentum",
+         {"grid": {"points": 16, "min": -1e150, "max": 1e150},
+          "system": {"hbar": 1e-300, "mass": 1e-300,
+                     "potential": {"kind": "harmonic"}}}),
+        # the quantum potential of the ground state overflows
+        ("vanishing-momentum",
+         {"grid": {"points": 16, "min": -1e150, "max": 1e150},
+          "system": {"mass": 1e-300}, "count": 1}),
+    ], ids=["bracket", "propagator", "quantum-potential"])
+    def test_overflowing_run_exits_one(self, tmp_path, capsys, scenario,
+                                       payload):
+        out = tmp_path / "out"
+        code = cli.main([scenario, "--config",
+                         write_config(tmp_path, payload), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME
+        assert "runtime error: the run overflowed" in err
+        assert "Traceback" not in err
+        assert not (out / f"{scenario}_report.json").exists()
+
     def test_non_finite_result_writes_no_report(self, tmp_path, capsys,
                                                 monkeypatch):
         solve = cli.eigensolve_1d

@@ -12,13 +12,14 @@ from varq.grid import (
     ComplexField,
     GridMismatchError,
     GridSpec,
+    NonFiniteFieldError,
     RealField,
     box_reduce,
     diff_values,
     fd_weights,
-    hard_wall_laplacian,
     integrate_values,
     l2_norm,
+    stencil_operator,
     stencil_reach,
 )
 
@@ -61,7 +62,7 @@ def test_field_rejects_non_finite():
     g = GridSpec.line(32, 0.0, 1.0)
     bad = np.zeros(32)
     bad[3] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteFieldError):
         RealField(g, bad)
 
 
@@ -374,12 +375,11 @@ def test_constant_maps_to_exact_zero(case, mantissa, exponent):
     assert np.all(out == 0.0)
 
 
-def test_hard_wall_laplacian_drops_neighbours_beyond_the_wall():
-    ax = Axis(8, 0.0, 7.0)
-    lap = hard_wall_laplacian(ax)
-    want = (np.diag(np.full(7, 1.0), 1) + np.diag(np.full(7, 1.0), -1)
-            - 2.0 * np.eye(8))
-    assert np.array_equal(lap.numerators.toarray() / lap.denominator, want)
+def test_second_derivative_divisor_is_denominator_dx_squared():
+    # the Hamiltonian scales the numerators by 1 / (denominator dx^2)
+    # itself, while apply divides by the divisor: the two must agree
+    ax = Axis(8, 0.0, 0.7)
+    lap = stencil_operator(ax, 2, 2)
     assert lap.divisor == lap.denominator * ax.dx * ax.dx
 
 

@@ -19,7 +19,8 @@ needs a reader there: a field that only unit tests read is computed on
 every run for nobody. Every name a varq module imports must be used in
 that module, so a deletion cannot leave a dead import behind. The
 package root binds no name: each name is imported from the module that
-defines it, the one path there is to it.
+defines it, the one path there is to it. Only `grid.stencil_operator`
+builds a `Stencil`, so every operator shares its one-sided wall rows.
 """
 
 import ast
@@ -333,3 +334,23 @@ def test_every_module_level_import_is_used():
         unused[path.name] = sorted(imported_names(tree) - used)
     assert len(unused) >= 9
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def stencil_constructions() -> list[str]:
+    """`module.function` of every call `Stencil(...)` in src/varq, named
+    by the module-level function or class that holds it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            found += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id",
+                                  getattr(node.func, "attr", None)) == "Stencil"]
+    return found
+
+
+def test_only_stencil_operator_builds_a_stencil():
+    # one builder means one family of wall rows: an operator assembled
+    # anywhere else could bring back hard-wall rows of its own
+    assert stencil_constructions() == ["grid.stencil_operator"]

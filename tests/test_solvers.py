@@ -96,6 +96,30 @@ class TestEigensolve:
         exact = np.sqrt(2.0) * np.sin(np.pi * x)
         assert np.max(np.abs(spec.eigenfunctions[0].values - exact)) < 1e-3
 
+    @pytest.mark.parametrize("potential", [Harmonic(k=0.0),
+                                           Harmonic(k=100.0, center=0.6)],
+                             ids=["box", "trap-near-wall"])
+    def test_residuals_are_read_on_the_unknowns(self, potential):
+        # a free box, and a trap of width 0.32 centred 0.4 from the wall:
+        # read on the one-sided wall rows of d2/dx2, which are no
+        # equations of H, the box's residuals were 4.41, 8.80 and 13.17
+        grid = GridSpec.line(64, -1.0, 1.0, DIRICHLET)
+        params = PhysicalParams(hbar=1.0, mass=1.0, potential=potential)
+        spec = eigensolve_1d(params, grid, k=3)
+        assert np.all(spec.residuals <= 1e-10)
+
+    def test_hamiltonian_is_the_interior_block(self):
+        # -(hbar^2 / 2m dx^2)(1, -2, 1) + V on the six interior nodes of
+        # eight: the wall nodes have neither a row nor a column
+        grid = GridSpec((Axis(8, 0.0, 7.0),))
+        params = PhysicalParams(hbar=2.0, mass=0.5,
+                                potential=Harmonic(k=1.0, center=3.5))
+        h = solvers._hamiltonian_matrix(params, grid).toarray()
+        x = grid.coordinates()[0][1:-1]
+        second = (np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+                  - 2.0 * np.eye(6))
+        assert np.array_equal(h, -4.0 * second + np.diag((x - 3.5)**2 / 2.0))
+
     def test_sign_convention(self):
         grid = harmonic_grid(512)
         spec = eigensolve_1d(HARMONIC, grid, k=2)
