@@ -13,9 +13,12 @@ does not depend on how the work is chunked. The optimizer is entropic
 mirror descent (Beck & Teboulle 2003): it steps the log density along the
 functional derivative of transition_objective alone, so it reaches the
 Gaussian without being told where it lies. The sampler counts how many
-draws land on each node of the transition grid and reads its moments
-from that empirical distribution with the same methods as the closed
-form, so the module has one moments implementation. Likewise
+draws land on each node of the transition grid, one sorted chunk of
+draws at a time, and reads its moments from that empirical distribution
+with the same methods as the closed form, so the module has one moments
+implementation. The kinetic cost and the moments read the displacement
+coordinates as open meshes, one broadcastable axis vector each, so no
+dense coordinate array of the grid's shape is ever built. Likewise
 window_problems is the one window rule: a transition grid spans at
 least MIN_WINDOW_SIGMAS standard deviations each side, in the library
 and in the command line's configs alike.
@@ -138,24 +141,31 @@ class TransitionDistribution:
 
     def mean(self) -> np.ndarray:
         return np.array([float(np.sum(self.mass * w))
-                         for w in self.grid.meshes()])
+                         for w in _open_meshes(self.grid)])
 
     def variance(self) -> np.ndarray:
         return np.array([float(np.sum(self.mass * (w - mu) ** 2))
-                         for w, mu in zip(self.grid.meshes(), self.mean())])
+                         for w, mu in zip(_open_meshes(self.grid),
+                                          self.mean())])
 
     def covariance(self) -> float:
         if self.grid.dimension != 2:
             raise ValueError("cross covariance needs a 2D distribution")
         mu = self.mean()
-        wa, wb = self.grid.meshes()
+        wa, wb = _open_meshes(self.grid)
         return float(np.sum(self.mass * (wa - mu[0]) * (wb - mu[1])))
+
+
+def _open_meshes(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Node coordinates per axis, shaped to broadcast against the grid:
+    the floats of GridSpec.meshes without its full-shape copies."""
+    return tuple(np.meshgrid(*grid.coordinates(), indexing="ij", sparse=True))
 
 
 def _kinetic_cost(grid: GridSpec, params: PhysicalParams,
                   dt: float) -> np.ndarray:
     cost = np.zeros(grid.shape)
-    for ax, w in enumerate(grid.meshes()):
+    for ax, w in enumerate(_open_meshes(grid)):
         cost += params.mass_along(ax) * w**2 / (2.0 * dt)
     return cost
 
@@ -272,7 +282,14 @@ def _draw_counts(dist: TransitionDistribution, n: int,
                  seed: int) -> np.ndarray:
     """How many of n draws land on each grid node. Counter-based Philox
     substreams are assigned per fixed-size chunk, so the counts for a seed
-    are independent of any parallel split of the chunks."""
+    are independent of any parallel split of the chunks.
+
+    Each chunk's uniforms are sorted in place before the inverse-cdf
+    search: counts do not depend on draw order, the search then walks
+    the cdf in one direction, and the node indices come out sorted, so
+    the chunk's counts are added only over the range of nodes it
+    reaches. Only one chunk of draws is held at a time, never n of them.
+    """
     cdf = np.cumsum(dist.mass.reshape(-1))
     cdf[-1] = 1.0
     base = np.random.Philox(key=np.uint64(seed))
@@ -280,8 +297,9 @@ def _draw_counts(dist: TransitionDistribution, n: int,
     for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
         u = np.random.Generator(base.jumped(chunk)).random(
             min(_SAMPLE_CHUNK, n - start))
-        counts += np.bincount(np.searchsorted(cdf, u, side="right"),
-                              minlength=cdf.size)
+        u.sort()
+        nodes = np.searchsorted(cdf, u, side="right")
+        counts[nodes[0]:nodes[-1] + 1] += np.bincount(nodes - nodes[0])
     return counts.reshape(dist.grid.shape)
 
 

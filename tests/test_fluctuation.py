@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from varq.fluctuation import (
     transition_grid,
     transition_objective,
 )
-from varq.grid import GridSpec
+from varq.grid import Axis, GridSpec
 
 P1 = PhysicalParams(mass=1.0)
+P2 = PhysicalParams(mass=(1.0, 2.0))
 DT = 0.1
 
 
@@ -257,10 +259,10 @@ def test_kl_divergence_properties():
 
 # -- sampling ----------------------------------------------------------------
 
-def reference_moments(dist, n, seed):
-    """Sample mean, variance and (2D) covariance of n explicit draws made
-    with the sampler's chunked Philox substreams, summed exactly by
-    math.fsum in two passes."""
+def reference_nodes(dist, n, seed):
+    """Flat node index of each of n explicit draws, in draw order: the
+    sampler's chunked Philox substreams, each chunk searched in the cdf
+    as drawn, unsorted."""
     cdf = np.cumsum(dist.mass.reshape(-1))
     cdf[-1] = 1.0
     base = np.random.Philox(key=np.uint64(seed))
@@ -269,7 +271,13 @@ def reference_moments(dist, n, seed):
         gen = np.random.Generator(base.jumped(chunk))
         u = gen.random(min(fluctuation._SAMPLE_CHUNK, n - start))
         chunks.append(np.searchsorted(cdf, u, side="right"))
-    nodes = np.unravel_index(np.concatenate(chunks), dist.grid.shape)
+    return np.concatenate(chunks)
+
+
+def reference_moments(dist, n, seed):
+    """Sample mean, variance and (2D) covariance of the n draws of
+    reference_nodes, summed exactly by math.fsum in two passes."""
+    nodes = np.unravel_index(reference_nodes(dist, n, seed), dist.grid.shape)
     draws = [w[i] for w, i in zip(dist.grid.coordinates(), nodes)]
     mean = [math.fsum(w) / n for w in draws]
     dev = [w - m for w, m in zip(draws, mean)]
@@ -295,6 +303,73 @@ def test_sample_moments_equal_the_exact_sums_over_the_draws(params):
         assert rep.covariance is None
     else:
         assert abs(rep.covariance - cov) <= 1e-15 * sig[0] * sig[1]
+
+
+def uniform_pair():
+    # few nodes and equal masses, so the draws reach node 0 and the last
+    # node: both ends of the range a sorted chunk is added over
+    grid = GridSpec((Axis(8, -1.0, 1.0), Axis(9, -1.0, 1.0)))
+    return TransitionDistribution(grid, np.ones(grid.shape), DT, P2)
+
+
+def zero_mass_tails():
+    # zero-mass nodes at both ends and one inside repeat cdf values
+    grid = GridSpec.line(11, -1.0, 1.0)
+    mass = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0])
+    return TransitionDistribution(grid, mass, DT, P1)
+
+
+@pytest.mark.parametrize("make_dist", [
+    lambda: optimal_transition(P1, DT), lambda: optimal_transition(P2, DT),
+    uniform_pair, zero_mass_tails],
+    ids=["1d", "2d", "uniform-pair", "zero-mass-tails"])
+@pytest.mark.parametrize("n", [2, 70_001])
+def test_draw_counts_equal_the_count_of_each_draw(make_dist, n):
+    # 70,001 draws cross the 65,536-draw chunk boundary
+    dist = make_dist()
+    counts = fluctuation._draw_counts(dist, n, seed=7)
+    expected = np.bincount(reference_nodes(dist, n, seed=7),
+                           minlength=dist.mass.size).reshape(dist.grid.shape)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, expected)
+    assert np.all(counts[dist.mass == 0.0] == 0)
+    if n > 2 and make_dist is uniform_pair:
+        assert counts[0, 0] > 0 and counts[-1, -1] > 0
+
+
+def test_draw_counts_hold_one_chunk_of_draws():
+    # one int64 per draw would take 8 MB; one chunk's uniforms, node
+    # indices and offsets take 1.5 MB, about 2.4 MB with the cdf and counts
+    dist = optimal_transition(P1, 0.05)
+    assert dist.grid.shape == (759,)
+    tracemalloc.start()
+    try:
+        fluctuation._draw_counts(dist, 1_000_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_open_mesh_terms_equal_the_dense_mesh_formulas_bit_for_bit():
+    p = PhysicalParams(hbar=0.7, mass=(1.0, 2.0))
+    grid = transition_grid(p, DT, (1.5, 1.0))
+    assert grid.shape[0] != grid.shape[1]
+    rng = np.random.default_rng(8)
+    dist = TransitionDistribution(
+        grid, rng.uniform(0.5, 1.5, grid.shape), DT, p)
+    m = dist.mass
+    wa, wb = np.meshgrid(*grid.coordinates(), indexing="ij")
+    cost = np.zeros(grid.shape)
+    for ax, w in enumerate((wa, wb)):
+        cost += p.mass_along(ax) * w**2 / (2.0 * DT)
+    mean = [float(np.sum(m * w)) for w in (wa, wb)]
+    var = [float(np.sum(m * (w - mu) ** 2)) for w, mu in zip((wa, wb), mean)]
+    cov = float(np.sum(m * (wa - mean[0]) * (wb - mean[1])))
+    assert np.array_equal(fluctuation._kinetic_cost(grid, p, DT), cost)
+    assert dist.mean().tolist() == mean
+    assert dist.variance().tolist() == var
+    assert dist.covariance() == cov
 
 
 def test_sampling_deterministic_for_seed():

@@ -21,6 +21,8 @@ that module, so a deletion cannot leave a dead import behind. The
 package root binds no name: each name is imported from the module that
 defines it, the one path there is to it. Only `grid.stencil_operator`
 builds a `Stencil`, so every operator shares its one-sided wall rows.
+The transition layer calls no `GridSpec.meshes`: its grid terms
+broadcast open meshes instead of dense coordinate arrays.
 """
 
 import ast
@@ -354,3 +356,13 @@ def test_only_stencil_operator_builds_a_stencil():
     # one builder means one family of wall rows: an operator assembled
     # anywhere else could bring back hard-wall rows of its own
     assert stencil_constructions() == ["grid.stencil_operator"]
+
+
+def test_transition_layer_builds_no_dense_mesh():
+    # the kinetic cost and the moments broadcast open meshes; a dense
+    # GridSpec.meshes array per axis costs a full grid of floats each
+    tree = ast.parse((SRC / "fluctuation.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "meshes"]
+    assert calls == []
