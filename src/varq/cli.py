@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -760,20 +761,28 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     plots: dict = {}
-    try:
-        results, warnings = run(values, plots)
-    except (DensityFloorError, NonConvergenceError, UnresolvedLevelError,
-            np.linalg.LinAlgError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except NonFiniteFieldError as exc:
-        print(f"runtime error: the run overflowed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    # warnings raised in the run, numpy's RuntimeWarnings among them, are
+    # shown only once it succeeds: a failed run's one runtime-error line
+    # explains the exit
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            results, notes = run(values, plots)
+        except (DensityFloorError, NonConvergenceError, UnresolvedLevelError,
+                np.linalg.LinAlgError) as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        except NonFiniteFieldError as exc:
+            print(f"runtime error: the run overflowed: {exc}",
+                  file=sys.stderr)
+            return EXIT_RUNTIME
+    for msg in held:
+        warnings.showwarning(msg.message, msg.category, msg.filename,
+                             msg.lineno, line=msg.line)
 
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
     try:
-        path = write_report(out_dir, args.scenario, cfg, results, warnings)
+        path = write_report(out_dir, args.scenario, cfg, results, notes)
         print(f"wrote {path}")
         if args.emit_plots:
             sha = config_hash(cfg)

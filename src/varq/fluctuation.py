@@ -22,6 +22,13 @@ dense coordinate array of the grid's shape is ever built. Likewise
 window_problems is the one window rule: a transition grid spans at
 least MIN_WINDOW_SIGMAS standard deviations each side, in the library
 and in the command line's configs alike.
+
+No transition mass is subnormal. _exp_weights, the module's one
+exponential, stores exactly 0 wherever the normalized mass could fall
+below the smallest normal float: on x86 an exp with a subnormal result,
+and a product, quotient, log or sum with a subnormal operand, take a
+slow path about ten to a hundred times the cost of a normal one, and a
+wide window's tails hold tens of thousands of such nodes.
 """
 
 from __future__ import annotations
@@ -143,15 +150,17 @@ class TransitionDistribution:
         return np.array([float(np.sum(self.mass * w))
                          for w in _open_meshes(self.grid)])
 
-    def variance(self) -> np.ndarray:
-        return np.array([float(np.sum(self.mass * (w - mu) ** 2))
-                         for w, mu in zip(_open_meshes(self.grid),
-                                          self.mean())])
+    def variance(self, mean: np.ndarray | None = None) -> np.ndarray:
+        """Per-axis variance about mean, which defaults to self.mean()."""
+        mu = self.mean() if mean is None else mean
+        return np.array([float(np.sum(self.mass * (w - m) ** 2))
+                         for w, m in zip(_open_meshes(self.grid), mu)])
 
-    def covariance(self) -> float:
+    def covariance(self, mean: np.ndarray | None = None) -> float:
+        """Cross covariance about mean, which defaults to self.mean()."""
         if self.grid.dimension != 2:
             raise ValueError("cross covariance needs a 2D distribution")
-        mu = self.mean()
+        mu = self.mean() if mean is None else mean
         wa, wb = _open_meshes(self.grid)
         return float(np.sum(self.mass * (wa - mu[0]) * (wb - mu[1])))
 
@@ -170,15 +179,39 @@ def _kinetic_cost(grid: GridSpec, params: PhysicalParams,
     return cost
 
 
+def _normal_mass_floor(vols: np.ndarray) -> float:
+    """Least log weight x, of weights shifted to a maximum x of 0, whose
+    mass vols exp(x) / z is sure to be a normal float: the normalizer
+    z = sum(vols exp(x)) is at most sum(vols), so the mass is at least
+    tiny wherever x >= ln(tiny sum(vols) / min(vols))."""
+    tiny = np.finfo(float).tiny
+    return float(np.log(tiny) + np.log(np.sum(vols) / np.min(vols)))
+
+
+def _exp_weights(x: np.ndarray, vols: np.ndarray,
+                 floor: float) -> np.ndarray:
+    """Overwrite the log weights x with the weights vols exp(x), exactly 0
+    where x < floor, and return x. exp runs only at or above the floor,
+    so no weight is ever subnormal."""
+    keep = x >= floor
+    np.exp(x, out=x, where=keep)
+    np.logical_not(keep, out=keep)
+    x[keep] = 0.0
+    x *= vols
+    return x
+
+
 def optimal_transition(params: PhysicalParams, dt: float,
                        window: tuple[float, ...] | None = None
                        ) -> TransitionDistribution:
     """Closed-form extremal distribution, one Gaussian factor per axis."""
     grid = transition_grid(params, dt, window)
-    cost = _kinetic_cost(grid, params, dt)
-    log_density = -2.0 * cost / params.hbar
+    vols = grid.node_volumes()
+    log_density = _kinetic_cost(grid, params, dt)
+    log_density *= -2.0
+    log_density /= params.hbar
     log_density -= np.max(log_density)
-    mass = np.exp(log_density) * grid.node_volumes()
+    mass = _exp_weights(log_density, vols, _normal_mass_floor(vols))
     return TransitionDistribution(grid, mass, dt, params)
 
 
@@ -194,20 +227,20 @@ def transition_objective(dist: TransitionDistribution) -> float:
     return float(np.sum(dist.mass * cost) + 0.5 * dist.params.hbar * entropy.sum())
 
 
-def _normalize_and_score(lr: np.ndarray, vols: np.ndarray, cost: np.ndarray,
-                         half_hbar: float, w: np.ndarray,
+def _normalize_and_score(lr: np.ndarray, vols: np.ndarray, floor: float,
+                         cost: np.ndarray, half_hbar: float, w: np.ndarray,
                          g: np.ndarray) -> float:
     """Normalize the log density lr in place and return sum(w g).
 
-    Fills w with the normalized mass vols exp(lr - top) / z and g with
-    cost + (hbar/2) lr, the functional derivative of the objective in lr
-    up to a constant. Since w sums to one, the objective is the returned
-    value less (hbar/2) ln prior.
+    Fills w with the normalized mass vols exp(lr - top) / z, 0 below
+    floor (see _exp_weights), and g with cost + (hbar/2) lr, the
+    functional derivative of the objective in lr up to a constant. Since
+    w sums to one, the objective is the returned value less (hbar/2)
+    ln prior.
     """
     top = float(np.max(lr))
     np.subtract(lr, top, out=w)
-    np.exp(w, out=w)
-    w *= vols
+    _exp_weights(w, vols, floor)
     z = float(np.sum(w))
     w /= z
     lr -= top + float(np.log(z))
@@ -232,6 +265,7 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
     """
     grid = transition_grid(params, dt, window)
     vols = grid.node_volumes()
+    floor = _normal_mass_floor(vols)
     cost = _kinetic_cost(grid, params, dt)
     lr = np.zeros(grid.shape)
     half_hbar = 0.5 * params.hbar
@@ -246,7 +280,7 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
         if it:
             g *= rate
             lr -= g
-        cur = (_normalize_and_score(lr, vols, cost, half_hbar, w, g)
+        cur = (_normalize_and_score(lr, vols, floor, cost, half_hbar, w, g)
                + prior_term)
         if not np.isfinite(cur):
             raise NonConvergenceError(
@@ -330,13 +364,14 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
     drawn = TransitionDistribution(dist.grid, _draw_counts(dist, n, seed),
                                    dist.dt, dist.params)
     unbias = n / (n - 1)
-    mean = tuple(float(m) for m in drawn.mean())
-    var = tuple(float(v) * unbias for v in drawn.variance())
+    mu = drawn.mean()
+    mean = tuple(float(m) for m in mu)
+    var = tuple(float(v) * unbias for v in drawn.variance(mu))
     p = dist.params
     prod = tuple(p.mass_along(ax) * v / dist.dt for ax, v in enumerate(var))
     cov = cov_sigma = None
     if len(var) == 2:
-        cov = drawn.covariance() * unbias
+        cov = drawn.covariance(mu) * unbias
         cov_sigma = float(np.sqrt(var[0] * var[1] / n))
     return FluctuationSample(
         mean=mean, variance=var, covariance=cov, covariance_mc_sigma=cov_sigma,

@@ -899,8 +899,8 @@ class TestRuntimeFailures:
          {"grid": {"points": 16, "min": -1e150, "max": 1e150},
           "system": {"mass": 1e-300}, "count": 1}),
     ], ids=["bracket", "propagator", "quantum-potential"])
-    def test_overflowing_run_exits_one(self, tmp_path, capsys, scenario,
-                                       payload):
+    def test_overflowing_run_exits_one(self, tmp_path, capsys, recwarn,
+                                       scenario, payload):
         out = tmp_path / "out"
         code = cli.main([scenario, "--config",
                          write_config(tmp_path, payload), "--out", str(out)])
@@ -908,7 +908,28 @@ class TestRuntimeFailures:
         assert code == cli.EXIT_RUNTIME
         assert "runtime error: the run overflowed" in err
         assert "Traceback" not in err
+        # the runtime-error line is all: numpy's warnings on the way to
+        # the overflow are not shown. pytest records a shown warning
+        # instead of printing it, so recwarn is where one would land
+        assert "RuntimeWarning" not in err
+        assert [w for w in recwarn if w.category is RuntimeWarning] == []
         assert not (out / f"{scenario}_report.json").exists()
+
+    def test_successful_run_still_shows_its_warnings(self, tmp_path, recwarn,
+                                                     monkeypatch):
+        solve = cli.eigensolve_1d
+
+        def noisy_solve(*args, **kwargs):
+            np.float64(1.0) / np.float64(0.0)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "eigensolve_1d", noisy_solve)
+        code = cli.main(["eigen", "--config", eigen_config(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+        shown = [str(w.message) for w in recwarn
+                 if w.category is RuntimeWarning]
+        assert len(shown) == 1 and "divide by zero" in shown[0]
 
     def test_non_finite_result_writes_no_report(self, tmp_path, capsys,
                                                 monkeypatch):

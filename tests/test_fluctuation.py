@@ -150,10 +150,12 @@ def test_optimizer_overflowing_cost_stops_at_once():
 
 
 def score_pieces(dist):
-    """Log density, volumes, cost and the two work arrays for one score."""
+    """Log density, volumes, mass floor, cost and the two work arrays for
+    one score."""
     vols = dist.grid.node_volumes()
     cost = fluctuation._kinetic_cost(dist.grid, dist.params, dist.dt)
-    return (np.log(dist.mass / vols), vols, cost,
+    return (np.log(dist.mass / vols), vols,
+            fluctuation._normal_mass_floor(vols), cost,
             np.empty(vols.shape), np.empty(vols.shape))
 
 
@@ -165,8 +167,9 @@ def test_step_gradient_is_the_objective_derivative_up_to_a_constant():
     rng = np.random.default_rng(4)
     mass = np.exp(rng.normal(0.0, 0.5, grid.shape)) * grid.node_volumes()
     dist = TransitionDistribution(grid, mass, DT, p)
-    lr, vols, cost, w, g = score_pieces(dist)
-    fluctuation._normalize_and_score(lr, vols, cost, 0.5 * p.hbar, w, g)
+    lr, vols, floor, cost, w, g = score_pieces(dist)
+    fluctuation._normalize_and_score(lr, vols, floor, cost, 0.5 * p.hbar,
+                                     w, g)
     h = 1e-6
     shifted = []
     for j in range(grid.shape[0]):
@@ -184,9 +187,10 @@ def test_step_gradient_is_the_objective_derivative_up_to_a_constant():
     (P1, None), (PhysicalParams(hbar=0.7, mass=(1.0, 2.0)), (1.5, 1.0))])
 def test_score_is_the_transition_objective(params, window):
     dist, _ = optimize_transition_numeric(params, DT, window)
-    lr, vols, cost, w, g = score_pieces(dist)
+    lr, vols, floor, cost, w, g = score_pieces(dist)
     half_hbar = 0.5 * params.hbar
-    score = (fluctuation._normalize_and_score(lr, vols, cost, half_hbar, w, g)
+    score = (fluctuation._normalize_and_score(lr, vols, floor, cost,
+                                              half_hbar, w, g)
              + half_hbar * np.log(np.sum(vols)))
     assert np.allclose(w, dist.mass, rtol=1e-12, atol=0.0)
     assert score == pytest.approx(transition_objective(dist), rel=1e-13)
@@ -243,6 +247,63 @@ def test_shipped_configs_take_twenty_iterations(name):
                             mass=tuple(mass) if isinstance(mass, list) else mass)
     _, iters = optimize_transition_numeric(params, cfg["dt"])
     assert iters == 20
+
+
+# the perfbench fluctuate grids: the pair grid of the 37.9 and 53.7 sigma
+# that the default 6-unit window gives the shipped pair config (759 x 1075
+# nodes), and a 40-sigma line. Both reach exp underflow, to subnormal
+# masses and to 0, in their tails
+TAIL_DT = 0.05
+
+
+def tail_grid(masses, sigmas, shape):
+    """Params, window and grid shape for windows of the given sigmas."""
+    window = tuple(n * np.sqrt(TAIL_DT / (2.0 * m))
+                   for n, m in zip(sigmas, masses))
+    mass = masses if len(masses) > 1 else masses[0]
+    return PhysicalParams(mass=mass), window, shape
+
+
+TAIL_GRIDS = [tail_grid((1.0, 2.0), (37.9, 53.7), (759, 1075)),
+              tail_grid((1.0,), (40.0,), (801,))]
+
+
+def full_exp_closed_form(params, dt, window):
+    """optimal_transition with one exp over the whole grid, subnormal
+    tail masses included: the reference for the masses that stay."""
+    grid = transition_grid(params, dt, window)
+    cost = fluctuation._kinetic_cost(grid, params, dt)
+    log_density = -2.0 * cost / params.hbar
+    log_density -= np.max(log_density)
+    mass = np.exp(log_density) * grid.node_volumes()
+    return TransitionDistribution(grid, mass, dt, params)
+
+
+def full_exp_weights(x, vols, floor):
+    np.exp(x, out=x)
+    x *= vols
+    return x
+
+
+@pytest.mark.parametrize("params, window, shape", TAIL_GRIDS,
+                         ids=["pair", "line"])
+def test_no_transition_mass_is_subnormal(monkeypatch, params, window, shape):
+    tiny = np.finfo(float).tiny
+    closed = optimal_transition(params, TAIL_DT, window)
+    assert closed.grid.shape == shape
+    num, iters = optimize_transition_numeric(params, TAIL_DT, window)
+    full_closed = full_exp_closed_form(params, TAIL_DT, window)
+    monkeypatch.setattr(fluctuation, "_exp_weights", full_exp_weights)
+    full_num, full_iters = optimize_transition_numeric(params, TAIL_DT, window)
+    assert iters == full_iters == 20
+    for dist, full in ((closed, full_closed), (num, full_num)):
+        m = dist.mass
+        # the full exp does leave subnormal masses on this grid
+        assert np.any((full.mass > 0.0) & (full.mass < tiny))
+        assert np.all((m == 0.0) | (m >= tiny))
+        big = full.mass >= 1e-290
+        assert np.array_equal(m >= 1e-290, big)
+        assert np.array_equal(m[big], full.mass[big])
 
 
 def test_kl_divergence_properties():
@@ -370,6 +431,20 @@ def test_open_mesh_terms_equal_the_dense_mesh_formulas_bit_for_bit():
     assert dist.mean().tolist() == mean
     assert dist.variance().tolist() == var
     assert dist.covariance() == cov
+
+
+def test_sample_moments_read_the_mean_once():
+    # the mean handed to variance and covariance gives the floats that
+    # the three methods give on their own
+    n = 70_000
+    dist = optimal_transition(P2, DT)
+    rep = sample_fluctuations(dist, n, seed=7)
+    drawn = TransitionDistribution(
+        dist.grid, fluctuation._draw_counts(dist, n, seed=7), DT, P2)
+    unbias = n / (n - 1)
+    assert rep.mean == tuple(drawn.mean().tolist())
+    assert rep.variance == tuple(float(v) * unbias for v in drawn.variance())
+    assert rep.covariance == drawn.covariance() * unbias
 
 
 def test_sampling_deterministic_for_seed():

@@ -22,7 +22,9 @@ package root binds no name: each name is imported from the module that
 defines it, the one path there is to it. Only `grid.stencil_operator`
 builds a `Stencil`, so every operator shares its one-sided wall rows.
 The transition layer calls no `GridSpec.meshes`: its grid terms
-broadcast open meshes instead of dense coordinate arrays.
+broadcast open meshes instead of dense coordinate arrays. Its one
+exponential is `fluctuation._exp_weights`, which never makes a subnormal
+mass.
 """
 
 import ast
@@ -366,3 +368,14 @@ def test_transition_layer_builds_no_dense_mesh():
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", None) == "meshes"]
     assert calls == []
+
+
+def test_transition_layer_has_one_exponential():
+    # _exp_weights stores 0 for a mass too small to be a normal float; an
+    # exp anywhere else could bring subnormal masses, and x86's slow path
+    # for them, back into the optimizer
+    holders = [getattr(top, "name", "<module>")
+               for top in ast.parse((SRC / "fluctuation.py").read_text()).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "exp"]
+    assert holders == ["_exp_weights"]
