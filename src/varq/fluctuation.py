@@ -287,6 +287,8 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
                 f"objective is {cur} at iteration {it}: the kinetic cost or "
                 f"the log density overflows on this grid")
         if it and abs(cur - prev) < _CONVERGED:
+            # the result copies w: free the other grids first
+            del vols, cost, lr, g
             return TransitionDistribution(grid, w, dt, params), it
         prev = cur
     raise NonConvergenceError(

@@ -26,8 +26,11 @@ reads every vanishing-momentum branch, the flat one too, through them.
 scipy is imported inside the functions that call it: scipy.sparse where
 H or the stacked RHS operators are built, scipy.linalg in the
 eigensolve and scipy.sparse.linalg in the Crank-Nicolson set-up. Each
-runs once per eigensolve or propagation, never per step, and importing
-this module (hence `varq.cli`) then loads numpy alone.
+runs once per eigensolve or propagation, never per step; one
+Crank-Nicolson factorization serves a whole run, whether it advances
+one state or the vanishing-momentum scenario's block of every
+eigenstate. Importing this module (hence `varq.cli`) then loads numpy
+alone.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .grid import (
     PERIODIC,
     ComplexField,
     GridSpec,
+    NonFiniteFieldError,
     RealField,
     box_reduce,
     diff_values,
@@ -241,44 +245,53 @@ def wall_violation(values: np.ndarray, grid: GridSpec) -> str | None:
     return None
 
 
+def _crank_nicolson(values: np.ndarray, grid: GridSpec,
+                    params: PhysicalParams, dt: float, steps: int,
+                    store_every: int):
+    """Crank-Nicolson run of one 1D state, or of one state per column of
+    an (n, k) block: checks the run and each column's wall values, then
+    yields (step, unknowns) at step 0, every store_every steps and at the
+    last. One factorization serves the run and one solve per step all
+    its columns, each column with the floats of its own single-state run.
+    """
+    if dt <= 0 or steps < 1:
+        raise ValueError("need positive dt and at least one step")
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
+    for column in values.reshape(values.shape[0], -1).T:
+        problem = wall_violation(column, grid)
+        if problem:
+            raise ValueError(problem)
+    lu, b_mat = _cn_matrices(params, grid, dt)
+    cur = values[_unknowns(grid)]
+    yield 0, cur
+    for step in range(1, steps + 1):
+        cur = lu.solve(b_mat @ cur)
+        if step % store_every == 0 or step == steps:
+            yield step, cur
+
+
 def propagate_wavefunction(psi0: ComplexField, params: PhysicalParams,
                            dt: float, steps: int,
                            store_every: int = 1) -> WavefunctionTrajectory:
     """Crank-Nicolson propagation; exactly norm-preserving per step.
 
     On Dirichlet grids the boundary values must start at zero and stay
-    pinned there.
+    pinned there. The steps are _crank_nicolson's, the one loop that
+    also advances vanishing_momentum_scenario's block of eigenstates.
     """
     grid = psi0.grid
     if grid.dimension != 1:
         raise ValueError("wavefunction propagation is 1D")
-    if dt <= 0 or steps < 1:
-        raise ValueError("need positive dt and at least one step")
-    if store_every < 1:
-        raise ValueError(f"store_every must be at least 1, got {store_every}")
-    vals = psi0.values
-    problem = wall_violation(vals, grid)
-    if problem:
-        raise ValueError(problem)
-    lu, b_mat = _cn_matrices(params, grid, dt)
     inner = _unknowns(grid)
-    cur = vals[inner].copy()
-
-    def full_state(interior):
+    states, times, norms = [], [], []
+    for step, interior in _crank_nicolson(psi0.values, grid, params, dt,
+                                          steps, store_every):
         out = np.zeros(grid.shape, dtype=complex)
         out[inner] = interior
-        return ComplexField(grid, out)
-
-    states = [full_state(cur)]
-    times = [0.0]
-    norms = [l2_norm(states[0])]
-    for step in range(1, steps + 1):
-        cur = lu.solve(b_mat @ cur)
-        if step % store_every == 0 or step == steps:
-            st = full_state(cur)
-            states.append(st)
-            times.append(step * dt)
-            norms.append(l2_norm(st))
+        states.append(ComplexField(grid, out))
+        times.append(step * dt)
+        norms.append(l2_norm(states[-1]))
     return WavefunctionTrajectory(times=np.asarray(times), states=states,
                                   norms=np.asarray(norms))
 
@@ -640,21 +653,25 @@ def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
     Every eigenstate gives the branch with nonuniform density: the
     action field is constant, the local-momentum multiplier vanishes with
     p_c, and V + Q - E must vanish where the density is meaningful.
-    Density stationarity is checked by propagating each eigenstate with
-    the unitary solver over steps * dt. The uniform-density flat branch,
+    Density stationarity is checked by one Crank-Nicolson run of all k
+    eigenstates over steps * dt, as one block of columns through one
+    factorization; each column's floats are those of its own
+    propagate_wavefunction run. The uniform-density flat branch,
     on a periodic line of length 10 with no potential, goes through the
     same builder, _branch, and is reported alongside.
     """
     spec = eigensolve_1d(params, grid, k)
-    reports = []
-    for j, psi in enumerate(spec.eigenfunctions):
-        traj = propagate_wavefunction(ComplexField(grid,
-                                                   psi.values.astype(complex)),
-                                      params, dt, steps, store_every=steps)
-        rho_end = np.abs(traj.states[-1].values) ** 2
-        rate = float(np.max(np.abs(rho_end - psi.values**2)) / (steps * dt))
-        reports.append(_branch(f"eigenstate_{j}", psi.values, grid,
-                               float(spec.eigenvalues[j]), params, j, rate))
+    block = np.stack([psi.values for psi in spec.eigenfunctions], axis=1)
+    *_, (_, end) = _crank_nicolson(block.astype(complex), grid, params, dt,
+                                   steps, steps)
+    # an overflowed run fails as a field of propagate_wavefunction would
+    if not np.all(np.isfinite(end)):
+        raise NonFiniteFieldError("field contains non-finite values")
+    rates = np.max(np.abs(np.abs(end)**2 - block[_unknowns(grid)]**2),
+                   axis=0) / (steps * dt)
+    reports = [_branch(f"eigenstate_{j}", psi.values, grid,
+                       float(spec.eigenvalues[j]), params, j, float(rates[j]))
+               for j, psi in enumerate(spec.eigenfunctions)]
     line = GridSpec.line(256, 0.0, 10.0, PERIODIC)
     flat = PhysicalParams(hbar=params.hbar, mass=params.mass_along(0))
     amp = np.full(line.shape, 1.0 / np.sqrt(line.axes[0].span))

@@ -412,6 +412,22 @@ def test_draw_counts_hold_one_chunk_of_draws():
     assert peak < 4_000_000
 
 
+def test_optimizer_frees_its_work_grids_before_the_result_copies_w():
+    # the loop holds five grids of float64 (volumes, cost, log density,
+    # weights, gradient) and a boolean mask; the returned distribution
+    # copies the weights, which would make six if the other four grids
+    # were still alive then
+    grid = transition_grid(P2, 0.05)
+    assert grid.shape == (759, 1075)
+    tracemalloc.start()
+    try:
+        optimize_transition_numeric(P2, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * grid.n_nodes * 8
+
+
 def test_open_mesh_terms_equal_the_dense_mesh_formulas_bit_for_bit():
     p = PhysicalParams(hbar=0.7, mass=(1.0, 2.0))
     grid = transition_grid(p, DT, (1.5, 1.0))

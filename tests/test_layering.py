@@ -21,10 +21,11 @@ that module, so a deletion cannot leave a dead import behind. The
 package root binds no name: each name is imported from the module that
 defines it, the one path there is to it. Only `grid.stencil_operator`
 builds a `Stencil`, so every operator shares its one-sided wall rows.
-The transition layer calls no `GridSpec.meshes`: its grid terms
-broadcast open meshes instead of dense coordinate arrays. Its one
-exponential is `fluctuation._exp_weights`, which never makes a subnormal
-mass.
+One function of `solvers` holds the Crank-Nicolson step loop: it alone
+factors I + i dt H / 2 hbar and solves with it. The transition layer
+calls no `GridSpec.meshes`: its grid terms broadcast open meshes instead
+of dense coordinate arrays. Its one exponential is
+`fluctuation._exp_weights`, which never makes a subnormal mass.
 """
 
 import ast
@@ -340,9 +341,9 @@ def test_every_module_level_import_is_used():
     assert {k: v for k, v in unused.items() if v} == {}
 
 
-def stencil_constructions() -> list[str]:
-    """`module.function` of every call `Stencil(...)` in src/varq, named
-    by the module-level function or class that holds it."""
+def call_sites(callee: str) -> list[str]:
+    """`module.function` of every call `callee(...)` or `x.callee(...)` in
+    src/varq, named by the module-level function or class that holds it."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -350,14 +351,24 @@ def stencil_constructions() -> list[str]:
                       for node in ast.walk(top)
                       if isinstance(node, ast.Call)
                       and getattr(node.func, "id",
-                                  getattr(node.func, "attr", None)) == "Stencil"]
+                                  getattr(node.func, "attr", None)) == callee]
     return found
 
 
 def test_only_stencil_operator_builds_a_stencil():
     # one builder means one family of wall rows: an operator assembled
     # anywhere else could bring back hard-wall rows of its own
-    assert stencil_constructions() == ["grid.stencil_operator"]
+    assert call_sites("Stencil") == ["grid.stencil_operator"]
+
+
+def test_solvers_have_one_crank_nicolson_step_loop():
+    # single states and the vanishing-momentum block share one loop over
+    # one factorization; a second caller of the factorization, or a
+    # second function that solves with it, would be a second loop
+    solvers = [site for site in call_sites("solve")
+               if site.startswith("solvers.")]
+    assert sorted(set(solvers)) == ["solvers._crank_nicolson"]
+    assert call_sites("_cn_matrices") == ["solvers._crank_nicolson"]
 
 
 def test_transition_layer_builds_no_dense_mesh():

@@ -575,6 +575,64 @@ class TestVanishingMomentumScenario:
         assert ground.nonlinear_residual_max == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("points, half, k, potential", [
+    (1024, 10.0, 5, Harmonic(k=1.3, center=0.7)),
+    (512, 8.0, 3, Harmonic(k=0.6, center=-0.9)),
+    (257, 6.0, 8, Harmonic()),
+    (64, 5.0, 4, Harmonic()),
+])
+def test_block_run_is_bit_identical_to_single_state_runs(points, half, k,
+                                                          potential):
+    # the scenario advances every eigenstate as a column of one block;
+    # each column, and the density rate read off it, must carry the
+    # floats of that eigenstate's own propagate_wavefunction run
+    params = PhysicalParams(hbar=1.0, mass=1.0, potential=potential)
+    grid = harmonic_grid(points, half)
+    dt, steps = 1e-3, 200
+    spec = eigensolve_1d(params, grid, k)
+    block = np.stack([psi.values for psi in spec.eigenfunctions],
+                     axis=1).astype(complex)
+    *_, (last, end) = solvers._crank_nicolson(block, grid, params, dt,
+                                              steps, steps)
+    assert last == steps and end.shape == (points - 2, k)
+    reports = vanishing_momentum_scenario(params, grid, k, dt, steps).reports
+    for j, psi in enumerate(spec.eigenfunctions):
+        single = propagate_wavefunction(ComplexField(grid, block[:, j]),
+                                        params, dt, steps, store_every=steps)
+        final = single.states[-1].values
+        assert np.array_equal(end[:, j], final[1:-1])
+        rate = float(np.max(np.abs(np.abs(final) ** 2 - psi.values**2))
+                     / (steps * dt))
+        assert reports[j].density_rate_max == rate
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_vanishing_momentum_factors_crank_nicolson_once(monkeypatch, k):
+    # _cn_matrices imports splu inside the function, so the patch holds
+    from scipy.sparse import linalg
+
+    calls = []
+    splu = linalg.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", counted)
+    vanishing_momentum_scenario(HARMONIC, harmonic_grid(128, 8.0), k=k,
+                                steps=2)
+    assert len(calls) == 1
+
+
+def test_block_run_checks_every_column_on_the_wall():
+    grid = harmonic_grid(128, 3.0)
+    x = grid.coordinates()[0]
+    good = np.exp(-4.0 * x * x)
+    block = np.stack([good, np.exp(-x * x / 4.0)], axis=1).astype(complex)
+    with pytest.raises(ValueError, match="vanish on the hard wall"):
+        next(solvers._crank_nicolson(block, grid, HARMONIC, 1e-3, 1, 1))
+
+
 def test_every_state_at_rest_is_read_by_one_residual_reader(monkeypatch,
                                                             tmp_path):
     # vanishing-momentum, constraint-check and three-route all check a
