@@ -13,15 +13,21 @@ reporting cadence to stay inside the stability region of the stiffest
 grid mode. It carries both fields as one complex array
 u = ln(rho)/2 + i S/hbar, whose equation per axis is
 u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar, so each right-hand side costs
-one sparse product per axis, d/dx and d2/dx2 stacked. It never forms
-psi = exp(u), which keeps it independent of the wavefunction route it
-is compared with. Its node check takes each node's neighborhood maximum
-with `grid.box_reduce`, the box reduction the colored gradient of
-`action` sums with. Every state at rest (density rho, S = 0, energy E)
-that a scenario checks is read here: resolved_energy gives its V + Q
-energy and resolved nodes, rest_residuals its Hamilton-Jacobi and
-continuity residuals on the stationary trajectory S = -E t. One builder
-reads every vanishing-momentum branch, the flat one too, through them.
+one sparse product per axis, d/dx and d2/dx2 stacked into one operator
+with complex data, built once per run in the stencils' own entry order.
+_madelung_rhs writes into an optional out= array and returns it, with
+the bits of its allocating call; the RK4 loop holds its four slopes,
+one stage input and one slope sum for the whole run and advances u in
+place, each sum in the association of the textbook formula. It never
+forms psi = exp(u), which keeps it independent of the wavefunction
+route it is compared with. Its node check takes each node's
+neighborhood maximum with `grid.box_reduce`, the box reduction the
+colored gradient of `action` sums with. Every state at rest (density
+rho, S = 0, energy E) that a scenario checks is read here:
+resolved_energy gives its V + Q energy and resolved nodes,
+rest_residuals its Hamilton-Jacobi and continuity residuals on the
+stationary trajectory S = -E t. One builder reads every
+vanishing-momentum branch, the flat one too, through them.
 
 scipy is imported inside the functions that call it: scipy.sparse where
 H or the stacked RHS operators are built, scipy.linalg in the
@@ -308,11 +314,12 @@ class MadelungTrajectory:
 
 def _rhs_operators(grid: GridSpec) -> list:
     """Per axis, the DEFAULT_ORDER d/dx and d2/dx2 stacked into one CSR
-    operator [D1; D2], the reciprocal of each half's divisor laid out to
-    scale the float view of the stacked product (taken along the axis,
-    before any transpose), and the index of each half of that product
-    once it is back in the field's layout. The stacked rows are the
-    stencils' own, so each half equals its Stencil.apply to the bit."""
+    operator [D1; D2] with complex data, the reciprocal of each half's
+    divisor laid out to scale the float view of the stacked product
+    (taken along the axis, before any transpose), and the index of each
+    half of that product once it is back in the field's layout. The
+    stacked rows are the stencils' own, so each half equals its
+    Stencil.apply to the bit."""
     from scipy import sparse
 
     ops = []
@@ -322,6 +329,12 @@ def _rhs_operators(grid: GridSpec) -> list:
         n = axis.n_points
         stacked = sparse.vstack([first.numerators, second.numerators],
                                 format="csr")
+        # complex data, so no product recasts the operator; built from the
+        # stencils' own arrays, since astype sorts each row's indices and
+        # so changes the order in which a product sums its terms
+        stacked = sparse.csr_array(
+            (stacked.data.astype(complex), stacked.indices, stacked.indptr),
+            shape=stacked.shape)
         # numpy divides complex by real as a multiply by the reciprocal;
         # in the float view each complex entry is two adjacent floats
         scale = np.repeat([1.0 / first.divisor, 1.0 / second.divisor], n)
@@ -334,29 +347,39 @@ def _rhs_operators(grid: GridSpec) -> list:
 
 
 def _madelung_rhs(u: np.ndarray, ops: list, params: PhysicalParams,
-                  drive: np.ndarray) -> np.ndarray:
+                  drive: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Time derivative of u = ln(rho)/2 + i S/hbar.
 
     Per axis, u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar: the real part is
     the continuity equation for ln rho, the imaginary part the quantum
     Hamilton-Jacobi equation for S, curvature potential included. ops
     comes from _rhs_operators, so each axis costs one sparse product and
-    one real multiply of its float view; drive is -i V/hbar. Nothing
-    divides by the amplitude, but a density that starts far below its
-    peak still breaks the route: a squeezed packet (trap strength 1.5,
-    0.8 of the ground width, center 1) on [-6, 6] starts near 1e-41 of
-    its peak at the far wall and aborts there at t ~ 0.06.
+    one real multiply of its float view; drive is -i V/hbar. The sum is
+    drive + c (d2 + d1 d1) with c = i hbar / 2m on axis 0, each later
+    axis's term added to it. It is written into out when given (a
+    complex array of u's shape that shares no memory with u or drive)
+    and returned, with the bits of the allocating call. Nothing divides
+    by the amplitude, but a density that starts far below its peak still
+    breaks the route: a squeezed packet (trap strength 1.5, 0.8 of the
+    ground width, center 1) on [-6, 6] starts near 1e-41 of its peak at
+    the far wall and aborts there at t ~ 0.06.
     """
-    out = drive
+    if out is None:
+        out = np.empty_like(drive)
     for ax, (stacked, scale, first, second) in enumerate(ops):
         both = stacked @ (u if ax == 0 else u.T)
         floats = both.view(float)
         np.multiply(floats, scale, out=floats)
         if ax:
             both = both.T
+        # the product is this call's own array: square d1 in place, then
+        # fold d2 and c into it
         d1 = both[first]
-        out = out + (0.5j * params.hbar / params.mass_along(ax)) * (
-            both[second] + d1 * d1)
+        np.multiply(d1, d1, out=d1)
+        np.add(both[second], d1, out=d1)
+        np.multiply(0.5j * params.hbar / params.mass_along(ax), d1, out=d1)
+        np.add(out if ax else drive, d1, out=out)
     return out
 
 
@@ -481,8 +504,28 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     drive = -1j * (potential_values(params.potential, grid) / params.hbar)
     mass0 = integrate_values(state0.density.values, grid)
 
-    def rhs(z):
-        return _madelung_rhs(z, ops, params, drive)
+    # one buffer per stage slope, the stage input and the slope sum, for
+    # the whole run; u itself is advanced in place
+    k1, k2, k3, k4, stage, acc = (np.empty_like(u) for _ in range(6))
+
+    def stage_input(k, step):
+        """u + step k, in stage."""
+        np.multiply(step, k, out=stage)
+        return np.add(u, stage, out=stage)
+
+    def rk4_substep():
+        """u + (h/6)(((k1 + 2 k2) + 2 k3) + k4), in u."""
+        _madelung_rhs(u, ops, params, drive, out=k1)
+        _madelung_rhs(stage_input(k1, 0.5 * h), ops, params, drive, out=k2)
+        _madelung_rhs(stage_input(k2, 0.5 * h), ops, params, drive, out=k3)
+        _madelung_rhs(stage_input(k3, h), ops, params, drive, out=k4)
+        np.multiply(2.0, k2, out=acc)
+        np.add(k1, acc, out=acc)
+        np.multiply(2.0, k3, out=stage)
+        np.add(acc, stage, out=acc)
+        np.add(acc, k4, out=acc)
+        np.multiply(h / 6.0, acc, out=acc)
+        np.add(u, acc, out=u)
 
     log_floor = np.log(ABORT_FLOOR)
 
@@ -513,11 +556,7 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     for step in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             for sub in range(substeps):
-                k1 = rhs(u)
-                k2 = rhs(u + 0.5 * h * k1)
-                k3 = rhs(u + 0.5 * h * k2)
-                k4 = rhs(u + h * k3)
-                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rk4_substep()
                 check_floor(2.0 * u.real, (step - 1) * dt + (sub + 1) * h)
         t = step * dt
         if step % store_every == 0 or step == steps:

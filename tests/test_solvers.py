@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from varq import cli, solvers
 from varq.bipartite import BipartiteParams, three_route_comparison
 from varq.constraints import StationarityReport, stationarity_residuals
-from varq.fields import Harmonic, MadelungState, PhysicalParams, Polynomial
+from varq.fields import (
+    Harmonic,
+    MadelungState,
+    PhysicalParams,
+    Polynomial,
+    potential_values,
+)
 from varq.grid import (
     DEFAULT_ORDER,
     DIRICHLET,
@@ -460,6 +466,139 @@ def test_non_finite_u_gives_a_non_finite_rhs_at_its_node(grid, mass, bad):
             got = solvers._madelung_rhs(u, ops, params,
                                         np.zeros(grid.shape, complex))
         assert not np.isfinite(got.flat[node].real)
+
+
+RHS_GRIDS = [
+    (GridSpec.line(40, -3.0, 2.0, DIRICHLET), 0.7),
+    (GridSpec.line(33, 0.0, 5.0, PERIODIC), 1.3),
+    (GridSpec((Axis(20, -2.0, 2.0, DIRICHLET),
+               Axis(27, 0.0, 3.0, PERIODIC))), (0.6, 2.1)),
+]
+RHS_IDS = ["1d-dirichlet", "1d-periodic", "2d"]
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("grid, mass", RHS_GRIDS, ids=RHS_IDS)
+def test_stacked_operator_keeps_the_stencils_entry_order(grid, mass):
+    # a sorted copy (what astype makes) sums each row in another order
+    from scipy import sparse
+
+    for ax, (stacked, *_) in enumerate(solvers._rhs_operators(grid)):
+        axis = grid.axes[ax]
+        ref = sparse.vstack(
+            [stencil_operator(axis, DEFAULT_ORDER, d).numerators
+             for d in (1, 2)], format="csr")
+        assert stacked.dtype == complex
+        assert np.array_equal(stacked.indices, ref.indices)
+        assert np.array_equal(stacked.indptr, ref.indptr)
+        assert np.array_equal(stacked.data, ref.data)
+
+
+@pytest.mark.parametrize("grid, mass", RHS_GRIDS, ids=RHS_IDS)
+def test_rhs_written_into_out_has_the_allocating_calls_bits(grid, mass):
+    rng = np.random.default_rng(11)
+    params = PhysicalParams(hbar=0.9, mass=mass)
+    ops = solvers._rhs_operators(grid)
+    drive = -1j * (rng.normal(size=grid.shape) / params.hbar)
+    buf = np.empty(grid.shape, complex)
+    for _ in range(5):
+        u = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        got = solvers._madelung_rhs(u, ops, params, drive, out=buf)
+        assert got is buf
+        assert same_bits(buf, solvers._madelung_rhs(u, ops, params, drive))
+
+
+@pytest.mark.parametrize("bad", [
+    np.inf, -np.inf, np.nan, complex(np.inf, 2.0), complex(2.0, np.inf),
+    complex(2.0, -np.inf), complex(np.nan, 0.0), complex(0.0, np.nan)],
+    ids=["inf", "-inf", "nan", "inf+2j", "2+infj", "2-infj", "nan+0j",
+         "0+nanj"])
+@pytest.mark.parametrize("grid, mass", [RHS_GRIDS[0], RHS_GRIDS[2]],
+                         ids=["1d-dirichlet", "2d"])
+def test_non_finite_u_written_into_out_is_non_finite_at_its_node(grid, mass,
+                                                                 bad):
+    # the in-place path must lose no non-finite value of the allocating one
+    params = PhysicalParams(hbar=0.9, mass=mass)
+    ops = solvers._rhs_operators(grid)
+    drive = np.zeros(grid.shape, complex)
+    buf = np.empty(grid.shape, complex)
+    for node in (0, 5, grid.n_nodes - 1):
+        u = np.full(grid.shape, 0.1 + 0.2j)
+        u.flat[node] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            solvers._madelung_rhs(u, ops, params, drive, out=buf)
+            fresh = solvers._madelung_rhs(u, ops, params, drive)
+        assert not np.isfinite(buf.flat[node].real)
+        assert same_bits(buf, fresh)
+
+
+def smooth_start(grid):
+    """A positive density with a moving, curved phase on any 1D or 2D
+    grid: a Gaussian in each hard-wall coordinate, a cosine bump in each
+    periodic one."""
+    log_rho = np.zeros(grid.shape)
+    s = np.zeros(grid.shape)
+    for x, axis in zip(grid.meshes(), grid.axes):
+        if axis.boundary == PERIODIC:
+            phase = 2.0 * np.pi * (x - axis.x_min) / axis.span
+            log_rho = log_rho + 0.3 * np.cos(phase)
+            s = s + 0.2 * np.sin(phase)
+        else:
+            log_rho = log_rho - (x - 0.2) ** 2
+            s = s + 0.4 * x - 0.1 * x * x
+    return MadelungState(RealField(grid, np.exp(log_rho)), RealField(grid, s))
+
+
+@pytest.mark.parametrize("grid, mass", RHS_GRIDS, ids=RHS_IDS)
+def test_in_place_rk4_matches_a_textbook_loop_bit_for_bit(grid, mass):
+    # every stored state is compared, so none may alias the advancing u
+    params = PhysicalParams(hbar=0.9, mass=mass, potential=Harmonic(k=0.8))
+    state = smooth_start(grid)
+    dt, steps, substeps = 2e-3, 12, 3
+    traj = propagate_madelung(state, params, dt=dt, steps=steps,
+                              store_every=1, substeps=substeps)
+    v = potential_values(params.potential, grid)
+
+    def rhs(z):
+        return rhs_from_two_products(z, grid, params, v)
+
+    h = dt / substeps
+    u = (0.5 * np.log(state.density.values)
+         + 1j * (state.action.values / params.hbar))
+    expected = [(state.density.values, state.action.values)]
+    for _ in range(steps):
+        for _ in range(substeps):
+            k1 = rhs(u)
+            k2 = rhs(u + 0.5 * h * k1)
+            k3 = rhs(u + 0.5 * h * k2)
+            k4 = rhs(u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append((np.exp(2.0 * u.real), params.hbar * u.imag))
+    assert len(traj.states) == len(expected) == steps + 1
+    for got, (rho, s) in zip(traj.states, expected):
+        assert same_bits(got.density.values, rho)
+        assert same_bits(got.action.values, s)
+
+
+@pytest.mark.parametrize("substeps", [None, 3])
+def test_each_rk4_stage_counts_one_rhs_evaluation(monkeypatch, substeps):
+    # the benchmark tracer's solvers.rhs_evals reads this module-level name
+    calls = []
+    rhs = solvers._madelung_rhs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_madelung_rhs", counted)
+    grid = harmonic_grid(128, 6.0)
+    traj = propagate_madelung(smooth_start(grid), HARMONIC, dt=1e-3, steps=5,
+                              store_every=2, substeps=substeps)
+    assert traj.substeps_per_step >= 1
+    assert len(calls) == 4 * traj.substeps_per_step * 5
 
 
 def rk4_factor(z):
