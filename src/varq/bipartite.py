@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import bohm_potential, information_metric
+from .action import information_metric
 from .constraints import LocalMomentum, stationary_trajectory
 from .fields import (
     PairwiseRelative,
@@ -171,7 +171,6 @@ class ThreeRouteReport:
     action_residual_max: float
     total_momentum: float
     relative_density: float
-    mass_ratio_deviation: float
     information_a: float
     information_b: float
     separation_mode: RealField
@@ -233,11 +232,6 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
                 raise UnresolvedLevelError(
                     "level 0 is unresolved: the ground state has no "
                     "density gradient on the pair grid")
-            qa = bohm_potential(rho, phys2, axis=0, order=2).values
-            qb = bohm_potential(rho, phys2, axis=1, order=2).values
-            num = np.abs(params.mass_a * qa - params.mass_b * qb)[keep]
-            den = np.max(np.abs(params.mass_b * qb)[keep])
-            ratio_dev = float(np.max(num) / den)
             hj_max, act_max = rest_residuals(rho, e_ext, phys2, keep)
             # on the middle slice, S = -E dt, where the residuals are read
             total_p = LocalMomentum().value(
@@ -252,6 +246,5 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
                             action_residual_max=act_max,
                             total_momentum=total_p,
                             relative_density=rel_d,
-                            mass_ratio_deviation=ratio_dev,
                             information_a=ia, information_b=ib,
                             separation_mode=spec.eigenfunctions[0])

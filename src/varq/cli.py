@@ -592,7 +592,6 @@ def _run_three_route(v, plots):
         "action_residual": rep.action_residual_max,
         "total_momentum": rep.total_momentum,
         "relative_density": rep.relative_density,
-        "mass_ratio_deviation": rep.mass_ratio_deviation,
     }
     return results, []
 

@@ -45,18 +45,16 @@ from .grid import Axis, GridSpec, RealField
 # Gaussian's mass outside
 MIN_WINDOW_SIGMAS = 6.0
 
-# default window half-width: at least 6 length units and at least 8 sigma
-_WINDOW_FLOOR = 6.0
+# default window half-width in sigma: erfc(8 / sqrt 2) = 1.2e-15 outside
 _WINDOW_SIGMAS = 8.0
 
 POINTS_PER_SIGMA = 10
 _MAX_POINTS_1D = 524_289
 _MAX_POINTS_2D = 2_049
-_MIN_POINTS = 129
 
 _SAMPLE_CHUNK = 1 << 16
 
-# the optimizer stops once one step changes the objective by less
+# the optimizer stops once one step changes the objective by less (in hbar)
 _CONVERGED = 1e-12
 # the optimizer's step, the fraction of the way each iteration moves the
 # log density toward the zero of its gradient, and its iteration cap
@@ -69,22 +67,27 @@ class NonConvergenceError(RuntimeError):
 
 
 def fluctuation_sigma(params: PhysicalParams, dt: float) -> tuple[float, ...]:
-    """Per-axis standard deviation sqrt(hbar dt / 2 m)."""
+    """Per-axis standard deviation sqrt(hbar dt / 2 m). It and the grid
+    terms one spacing dx = sigma / POINTS_PER_SIGMA off center (dx^2,
+    m dx^2 and the cost m dx^2 / (2 dt)) must be finite normal floats."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     masses = params.mass if isinstance(params.mass, tuple) else (params.mass,)
     sig = tuple(float(np.sqrt(params.hbar * dt / (2.0 * m))) for m in masses)
+    n2 = POINTS_PER_SIGMA**2
     for ax, s in enumerate(sig):
-        if not 0.0 < s < np.inf:
-            raise ValueError(
-                f"sigma = sqrt(hbar dt / 2m) on axis {ax} evaluates to {s}; "
-                f"it must be positive and finite")
+        for term, value in (("sigma", s), ("dx^2", s * s / n2),
+                            ("m dx^2", params.hbar * dt / (2 * n2)),
+                            ("m dx^2 / (2 dt)", params.hbar / (4 * n2))):
+            if not np.finfo(float).tiny <= value < np.inf:
+                raise ValueError(
+                    f"sigma = sqrt(hbar dt / 2m) on axis {ax} is {s:.6g}: "
+                    f"{term} = {value:.3g} is not a finite normal float")
     return sig
 
 
 def default_window(params: PhysicalParams, dt: float) -> tuple[float, ...]:
-    sig = fluctuation_sigma(params, dt)
-    return tuple(max(_WINDOW_FLOOR, _WINDOW_SIGMAS * s) for s in sig)
+    return tuple(_WINDOW_SIGMAS * s for s in fluctuation_sigma(params, dt))
 
 
 def window_problems(window: tuple[float, ...],
@@ -102,7 +105,9 @@ def window_problems(window: tuple[float, ...],
 
 def transition_grid(params: PhysicalParams, dt: float,
                     window: tuple[float, ...] | None = None) -> GridSpec:
-    """Displacement-space grid resolving the fluctuation scale."""
+    """Displacement-space grid resolving the fluctuation scale: an odd
+    count of POINTS_PER_SIGMA nodes per sigma across the window, 161 for
+    the default one; only an explicit window can reach the point cap."""
     sig = fluctuation_sigma(params, dt)
     if window is None:
         window = default_window(params, dt)
@@ -112,8 +117,7 @@ def transition_grid(params: PhysicalParams, dt: float,
     cap = _MAX_POINTS_1D if len(sig) == 1 else _MAX_POINTS_2D
     axes = []
     for w, s in zip(window, sig):
-        n = int(np.ceil(2.0 * w / s * POINTS_PER_SIGMA))
-        n = min(max(n | 1, _MIN_POINTS), cap)
+        n = min(int(np.ceil(2.0 * w / s * POINTS_PER_SIGMA)) | 1, cap)
         axes.append(Axis(n, -w, w, "dirichlet"))
     return GridSpec(tuple(axes))
 
@@ -261,7 +265,7 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
     one weighted sum and one dot product over the grid. Returns
     (distribution, iterations). Raises NonConvergenceError if the
     objective is not finite or its change never falls below _CONVERGED
-    within _MAX_ITER iterations.
+    hbar within _MAX_ITER iterations.
     """
     grid = transition_grid(params, dt, window)
     vols = grid.node_volumes()
@@ -272,6 +276,7 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
     # -(hbar/2) ln prior for the uniform prior 1 / sum(vols)
     prior_term = half_hbar * float(np.log(np.sum(vols)))
     rate = _STEP / half_hbar
+    tol = _CONVERGED * params.hbar  # the objective is measured in hbar
     w = np.empty(grid.shape)
     g = np.empty(grid.shape)
     prev = 0.0
@@ -286,14 +291,14 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
             raise NonConvergenceError(
                 f"objective is {cur} at iteration {it}: the kinetic cost or "
                 f"the log density overflows on this grid")
-        if it and abs(cur - prev) < _CONVERGED:
+        if it and abs(cur - prev) < tol:
             # the result copies w: free the other grids first
             del vols, cost, lr, g
             return TransitionDistribution(grid, w, dt, params), it
         prev = cur
     raise NonConvergenceError(
-        f"objective change still above {_CONVERGED} after {_MAX_ITER} "
-        f"iterations")
+        f"objective change still above {_CONVERGED} hbar after "
+        f"{_MAX_ITER} iterations")
 
 
 def kl_divergence(p: TransitionDistribution, q: TransitionDistribution) -> float:

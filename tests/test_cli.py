@@ -231,12 +231,20 @@ class TestValidation:
 
     @pytest.mark.parametrize("overrides, complaint", [
         ({"window": [1e200]}, "window[0] = 1e+200 is too wide"),
-        # the default window of a heavy mass over a tiny step
-        ({"system": {"mass": 1e300}, "dt": 1e-10}, "window[0] = 6 is too wide"),
+        # the default window of 8 sigma = 1.8e154 at a huge hbar
+        ({"system": {"hbar": 1e308, "mass": 1.0}},
+         "window[0] = 1.78885e+154 is too wide"),
         # each axis alone is finite; their sum overflows at the corners
         ({"system": {"mass": [1.0, 1.0]}, "dt": 0.5,
           "window": [1e154, 1e154]}, "window[1] = 1e+154 is too wide"),
-    ], ids=["explicit", "default", "corner"])
+        # or underflows: dx^2 = (sigma / 10)^2 is 0, and the report would
+        # read a variance of 0 and a wrong KL, for any window
+        *(({"system": {"hbar": 1e-300, "mass": 1.0}, "dt": 1e-23, **window},
+           "sigma = sqrt(hbar dt / 2m) on axis 0 is 2.22276e-162: dx^2 = 0 "
+           "is not a finite normal float")
+          for window in ({"window": [1.778e-161]}, {})),
+    ], ids=["explicit", "default", "corner", "subnormal-explicit",
+            "subnormal-default"])
     def test_overflowing_kinetic_cost_exits_two(self, tmp_path, capsys,
                                                overrides, complaint):
         cfg = write_config(tmp_path, {
@@ -808,9 +816,9 @@ class TestFieldKinds:
         assert "Traceback" not in err
 
     def test_capped_transition_grid_warns(self, tmp_path, capsys):
-        # the default 6-unit window needs 1.7 million nodes at 10 per
+        # a 6-unit window needs 1.7 million nodes at 10 per
         # sigma = sqrt(hbar dt / 2m) = 7.1e-5; the 1D cap is 524,289
-        cfg = self.fluctuate_config(tmp_path, dt=1e-8)
+        cfg = self.fluctuate_config(tmp_path, dt=1e-8, window=[6.0])
         out = tmp_path / "out"
         assert cli.main(["fluctuate", "--config", cfg,
                          "--out", str(out)]) == cli.EXIT_OK
@@ -1118,6 +1126,35 @@ def test_fluctuate_config_fuzz(tmp_path, cfg):
     assert "Traceback" not in err.getvalue()
     if code == cli.EXIT_CONFIG:
         assert err.getvalue().startswith("config error: ")
+
+
+# any positive scale, log-uniform over almost the whole float range
+LOG_UNIFORM = st.floats(-305.0, 305.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hbar=LOG_UNIFORM, masses=st.lists(LOG_UNIFORM, min_size=1, max_size=2),
+       dt=LOG_UNIFORM)
+def test_every_fluctuate_report_is_right_at_any_scale(tmp_path, hbar, masses,
+                                                      dt):
+    # a scale the transition grid cannot hold ends in exit 1 or 2, never
+    # in a report of a wrong distribution
+    cfg = {"system": {"hbar": hbar,
+                      "mass": masses if len(masses) == 2 else masses[0]},
+           "dt": dt, "samples": 100, "seed": 3}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    with contextlib.redirect_stderr(io.StringIO()), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["fluctuate", "--config", path, "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_RUNTIME, cli.EXIT_CONFIG)
+    if code != cli.EXIT_OK:
+        return
+    res = json.loads((out / "fluctuate_report.json").read_text())["results"]
+    assert res["kl_numeric_vs_closed"] <= 1e-8
+    assert np.allclose(res["optimized_variance"], res["analytic_variance"],
+                       rtol=2e-4, atol=0.0)
 
 
 # -- config fuzz of the other scenarios --------------------------------------

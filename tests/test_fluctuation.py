@@ -47,10 +47,31 @@ def test_sigma_that_underflows_or_overflows_is_rejected():
 
 
 def test_default_window_floor_and_sigma_scaling():
-    assert default_window(P1, DT)[0] == 6.0
-    p = PhysicalParams(mass=1e-4)
-    sig = fluctuation_sigma(p, DT)[0]
-    assert default_window(p, DT)[0] == pytest.approx(8.0 * sig)
+    # the default window has no floor in length units: it is 8 sigma
+    # with 161 nodes per axis, the same grid in units of sigma at every
+    # scale
+    for p in (P1, PhysicalParams(mass=1e-4), P2,
+              PhysicalParams(hbar=1e-34, mass=(1e-30, 3e-30))):
+        sig = fluctuation_sigma(p, DT)
+        assert default_window(p, DT) == tuple(8.0 * s for s in sig)
+        assert transition_grid(p, DT).shape == (161,) * len(sig)
+
+
+@pytest.mark.parametrize("hbar, mass, dt, term", [
+    # sigma^2 / 100 on the heavy axis alone
+    (1.0, (1.0, 1e300), 1e-8, "on axis 1 .* dx\\^2 = 5e-311"),
+    # m dx^2 = hbar dt / 200
+    (1e-300, 1e-300, 1e-8, "on axis 0 .* m dx\\^2 = 5e-311"),
+    # the kinetic cost m dx^2 / (2 dt) = hbar / 400
+    (1e-306, 1.0, 1e10, "on axis 0 .* m dx\\^2 / \\(2 dt\\) = 2.5e-309"),
+], ids=["dx2", "m_dx2", "cost"])
+def test_transition_scale_below_the_normal_floats_is_rejected(hbar, mass, dt,
+                                                              term):
+    # one spacing sigma / 10 off center, each of these is subnormal
+    p = PhysicalParams(hbar=hbar, mass=mass)
+    with pytest.raises(ValueError, match=f"sigma .*{term} is not a finite "
+                                         f"normal float"):
+        transition_grid(p, dt)
 
 
 def test_window_too_small_raises_with_bound():
@@ -120,6 +141,19 @@ def test_optimizer_from_uniform_matches_closed_form():
     assert kl_divergence(num, closed) <= 1e-8
     assert kl_divergence(closed, num) <= 1e-8
     assert iters < 200
+
+
+@pytest.mark.parametrize("hbar, mass", [(1e-34, 1e-30), (1e-6, 1.0),
+                                        (0.7, 1.0), (1e200, 1.0)])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_optimizer_stops_alike_at_every_hbar(hbar, mass, dim):
+    # the objective is measured in hbar and so is the stopping test: the
+    # default problem is one problem in units of sigma and hbar
+    p = PhysicalParams(hbar=hbar, mass=mass if dim == 1 else (mass, 2 * mass))
+    closed = optimal_transition(p, DT)
+    num, iters = optimize_transition_numeric(p, DT)
+    assert iters == 20
+    assert kl_divergence(num, closed) <= 1e-8
 
 
 def test_optimizer_objective_not_above_closed_form():
@@ -249,10 +283,10 @@ def test_shipped_configs_take_twenty_iterations(name):
     assert iters == 20
 
 
-# the perfbench fluctuate grids: the pair grid of the 37.9 and 53.7 sigma
-# that the default 6-unit window gives the shipped pair config (759 x 1075
-# nodes), and a 40-sigma line. Both reach exp underflow, to subnormal
-# masses and to 0, in their tails
+# the perfbench fluctuate grids: the pair grid of a 6-unit window on the
+# shipped pair config, 37.9 and 53.7 sigma (759 x 1075 nodes), and a
+# 40-sigma line. Only such explicit wide windows reach exp underflow, to
+# subnormal masses and to 0, in their tails: the default 8 sigma does not
 TAIL_DT = 0.05
 
 
@@ -401,7 +435,7 @@ def test_draw_counts_equal_the_count_of_each_draw(make_dist, n):
 def test_draw_counts_hold_one_chunk_of_draws():
     # one int64 per draw would take 8 MB; one chunk's uniforms, node
     # indices and offsets take 1.5 MB, about 2.4 MB with the cdf and counts
-    dist = optimal_transition(P1, 0.05)
+    dist = optimal_transition(P1, 0.05, (6.0,))
     assert dist.grid.shape == (759,)
     tracemalloc.start()
     try:
@@ -417,11 +451,11 @@ def test_optimizer_frees_its_work_grids_before_the_result_copies_w():
     # weights, gradient) and a boolean mask; the returned distribution
     # copies the weights, which would make six if the other four grids
     # were still alive then
-    grid = transition_grid(P2, 0.05)
+    grid = transition_grid(P2, 0.05, (6.0, 6.0))
     assert grid.shape == (759, 1075)
     tracemalloc.start()
     try:
-        optimize_transition_numeric(P2, 0.05)
+        optimize_transition_numeric(P2, 0.05, (6.0, 6.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

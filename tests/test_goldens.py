@@ -7,12 +7,16 @@ must match bit for bit; elsewhere results and warnings must match within
 the file's tolerances, and a warning says the exact check was skipped.
 """
 
+import importlib
 import json
+import pkgutil
 import warnings
 
 import pytest
 
+import varq
 from goldens import CONFIGS, GOLDEN, SCENARIOS, environment, moved, run_config
+from varq.grid import diff_values
 
 GOLDENS = json.loads(GOLDEN.read_text())
 
@@ -35,3 +39,38 @@ def test_report_matches_its_golden(name):
     golden, got = ({key: entry[key] for key in ("results", "warnings")}
                    for entry in (golden, got))
     assert moved(golden, got, (GOLDENS["rtol"], GOLDENS["atol"])) == []
+
+
+# shipped-report columns that hold an identity by construction: 0 on the
+# states these configs build, or the pair's mass ratio m_b / m_a
+IDENTITY_COLUMNS = {
+    "constraint_ground.json": ("local_momentum_value", "action_residual_max"),
+    "three_route.json": ("translation_residual", "action_residual",
+                         "total_momentum"),
+    "bipartite_ground.json": ("translation_residual",
+                              "translation_force_peak"),
+}
+
+
+@pytest.mark.parametrize("name, columns, axes", [
+    *((name, columns, (0, 1)) for name, columns in IDENTITY_COLUMNS.items()),
+    # the same shift along both particles' axes keeps the pair's
+    # information ratio at m_b / m_a, so shift axis 0 alone
+    ("bipartite_ground.json", ("information_ratio",), (0,)),
+], ids=[*IDENTITY_COLUMNS, "bipartite_ground.json-axis-0"])
+def test_identity_columns_are_computed_from_the_state(monkeypatch, name,
+                                                      columns, axes):
+    # a derivative off by one, in every module that binds diff_values,
+    # must move each column: none of them is typed in
+    def shifted(values, grid, axis=0, *args, **kwargs):
+        out = diff_values(values, grid, axis, *args, **kwargs)
+        return out + 1.0 if axis in axes else out
+
+    for info in pkgutil.iter_modules(varq.__path__):
+        module = importlib.import_module(f"varq.{info.name}")
+        if getattr(module, "diff_values", None) is diff_values:
+            monkeypatch.setattr(module, "diff_values", shifted)
+    golden = GOLDENS["configs"][name]["results"]
+    got = run_config(name)["results"]
+    for column in columns:
+        assert abs(got[column] - golden[column]) > 0.5, column
