@@ -14,7 +14,8 @@ mirror descent (Beck & Teboulle 2003): it steps the log density along the
 functional derivative of transition_objective alone, so it reaches the
 Gaussian without being told where it lies. The sampler counts how many
 draws land on each node of the transition grid, one sorted chunk of
-draws at a time, and reads its moments from that empirical distribution
+draws at a time, by searching the cdf values the chunk spans in its
+sorted draws, and reads its moments from that empirical distribution
 with the same methods as the closed form, so the module has one moments
 implementation. The kinetic cost and the moments read the displacement
 coordinates as open meshes, one broadcastable axis vector each, so no
@@ -325,11 +326,14 @@ def _draw_counts(dist: TransitionDistribution, n: int,
     substreams are assigned per fixed-size chunk, so the counts for a seed
     are independent of any parallel split of the chunks.
 
-    Each chunk's uniforms are sorted in place before the inverse-cdf
-    search: counts do not depend on draw order, the search then walks
-    the cdf in one direction, and the node indices come out sorted, so
-    the chunk's counts are added only over the range of nodes it
-    reaches. Only one chunk of draws is held at a time, never n of them.
+    A draw u lands on node i = searchsorted(cdf, u, "right"), that is
+    where cdf[i-1] <= u < cdf[i], so node i holds #{u < cdf[i]} less
+    #{u < cdf[i-1]} draws. Each chunk's uniforms are sorted in place
+    (counts do not depend on draw order), its first and last draw give
+    the nodes lo and hi it reaches, and the cdf values of lo..hi are
+    searched in the sorted draws: the chunk costs the nodes it spans
+    times log(chunk), not the chunk times log(grid). Only one chunk of
+    draws is held at a time, never n of them.
     """
     cdf = np.cumsum(dist.mass.reshape(-1))
     cdf[-1] = 1.0
@@ -339,8 +343,11 @@ def _draw_counts(dist: TransitionDistribution, n: int,
         u = np.random.Generator(base.jumped(chunk)).random(
             min(_SAMPLE_CHUNK, n - start))
         u.sort()
-        nodes = np.searchsorted(cdf, u, side="right")
-        counts[nodes[0]:nodes[-1] + 1] += np.bincount(nodes - nodes[0])
+        lo = int(np.searchsorted(cdf, u[0], side="right"))
+        hi = int(np.searchsorted(cdf, u[-1], side="right"))
+        below = np.searchsorted(u, cdf[lo:hi + 1], side="left")
+        counts[lo] += below[0]
+        counts[lo + 1:hi + 1] += np.diff(below)
     return counts.reshape(dist.grid.shape)
 
 
@@ -379,7 +386,8 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
     cov = cov_sigma = None
     if len(var) == 2:
         cov = drawn.covariance(mu) * unbias
-        cov_sigma = float(np.sqrt(var[0] * var[1] / n))
+        # roots first: var[0] * var[1] can overflow or underflow
+        cov_sigma = float(np.sqrt(var[0]) * (np.sqrt(var[1]) / np.sqrt(n)))
     return FluctuationSample(
         mean=mean, variance=var, covariance=cov, covariance_mc_sigma=cov_sigma,
         position_momentum_product=prod, expected_product=0.5 * p.hbar)

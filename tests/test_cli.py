@@ -1157,6 +1157,22 @@ def test_every_fluctuate_report_is_right_at_any_scale(tmp_path, hbar, masses,
                        rtol=2e-4, atol=0.0)
 
 
+def test_pair_with_huge_sigmas_writes_its_covariance_sigma(tmp_path):
+    # sample variances 1.1e259 and 9.3e190: their product overflows, so
+    # covariance_mc_sigma takes the square roots first
+    cfg = {"system": {"hbar": 7.9e199, "mass": [1.65e-115, 1.69e-47]},
+           "dt": 4.09e-56, "samples": 100, "seed": 3}
+    out = tmp_path / "out"
+    assert cli.main(["fluctuate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == cli.EXIT_OK
+    res = json.loads((out / "fluctuate_report.json").read_text())["results"]
+    var_a, var_b = res["sample_variance"]
+    assert var_a * var_b == math.inf
+    assert res["covariance_mc_sigma"] == pytest.approx(
+        math.sqrt(var_a) * math.sqrt(var_b) / 10.0, rel=1e-15)
+    assert res["covariance_mc_sigma"] == pytest.approx(1.005e224, rel=1e-3)
+
+
 # -- config fuzz of the other scenarios --------------------------------------
 
 _LINE = {"grid": {"points": 32, "min": -6.0, "max": 6.0},

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from varq import fluctuation
@@ -432,9 +434,61 @@ def test_draw_counts_equal_the_count_of_each_draw(make_dist, n):
         assert counts[0, 0] > 0 and counts[-1, -1] > 0
 
 
+@st.composite
+def mass_grids(draw):
+    """A 1D or 2D distribution whose masses hold runs of zeros, all sit
+    on one node, or sum in flat order to a cdf that rounds above 1 before
+    its last node (a tiny last mass), with that last case's flag."""
+    kind = draw(st.sampled_from(["zero-runs", "one-node", "overshoot"]))
+    # an axis has at least 8 nodes
+    shape = draw(st.tuples(st.integers(8, 400))
+                 | st.tuples(st.integers(8, 24), st.integers(8, 24)))
+    size = math.prod(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "one-node":
+        mass = np.zeros(size)
+        mass[rng.integers(size)] = rng.uniform(0.1, 10.0)
+    elif kind == "zero-runs":
+        mass = rng.uniform(0.0, 1.0, size)
+        for _ in range(rng.integers(0, 4)):
+            a = rng.integers(size)
+            mass[a:a + rng.integers(1, size + 1)] = 0.0
+        if not mass.any():
+            mass[rng.integers(size)] = 1.0
+    else:
+        # one try in ten rounds past 1 on 8 nodes, one in three on 400
+        while True:
+            mass = rng.uniform(0.0, 1.0, size)
+            mass[-1] = 1e-300
+            if np.cumsum(mass / mass.sum())[-2] > 1.0:
+                break
+    grid = GridSpec(tuple(Axis(k, -1.0, 1.0) for k in shape))
+    dist = TransitionDistribution(grid, mass.reshape(shape), DT,
+                                  P1 if len(shape) == 1 else P2)
+    return dist, kind == "overshoot"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(case=mass_grids(), chunks=st.integers(0, 2),
+       extra=st.integers(2, 8_000))
+def test_draw_counts_equal_the_count_of_each_draw_for_any_masses(
+        case, chunks, extra):
+    # 2 to 139,072 draws: whole 65,536-draw chunks and a partial one
+    n = chunks * fluctuation._SAMPLE_CHUNK + extra
+    dist, overshoot = case
+    if overshoot:
+        assert np.cumsum(dist.mass.reshape(-1))[-2] > 1.0
+    counts = fluctuation._draw_counts(dist, n, seed=5)
+    expected = np.bincount(reference_nodes(dist, n, seed=5),
+                           minlength=dist.mass.size).reshape(dist.grid.shape)
+    assert np.array_equal(counts, expected)
+
+
 def test_draw_counts_hold_one_chunk_of_draws():
-    # one int64 per draw would take 8 MB; one chunk's uniforms, node
-    # indices and offsets take 1.5 MB, about 2.4 MB with the cdf and counts
+    # one int64 per draw would take 8 MB; one chunk's sorted uniforms
+    # take 0.5 MB (1 MB while the next chunk is drawn), and the int64
+    # below and its diff over the nodes the chunk spans 12 kB; 1 to 2 MB
+    # is traced in all
     dist = optimal_transition(P1, 0.05, (6.0,))
     assert dist.grid.shape == (759,)
     tracemalloc.start()
@@ -540,6 +594,24 @@ def test_bipartite_sampled_covariance_within_mc_noise():
     rep = sample_fluctuations(dist, 200_000, seed=23)
     assert rep.covariance is not None
     assert abs(rep.covariance) <= 3.0 * rep.covariance_mc_sigma
+
+
+@pytest.mark.parametrize("hbar, masses, dt", [
+    (7.9e199, (1.65e-115, 1.69e-47), 4.09e-56),
+    (3.7951171307974715e-157, (2.0369871489144177e-82, 2.237990915793447e-73),
+     3.646633266933113e-126)], ids=["overflow", "underflow"])
+def test_covariance_sigma_is_right_where_the_variance_product_is_not(
+        hbar, masses, dt):
+    # the product of the two sample variances overflows to inf (1.1e259
+    # times 9.3e190) or underflows to 0 (3.8e-201 times 3.0e-210)
+    n = 100
+    rep = sample_fluctuations(
+        optimal_transition(PhysicalParams(hbar=hbar, mass=masses), dt), n,
+        seed=3)
+    var_a, var_b = rep.variance
+    assert var_a * var_b in (0.0, np.inf)
+    exact = math.exp(0.5 * (math.log(var_a) + math.log(var_b) - math.log(n)))
+    assert rep.covariance_mc_sigma == pytest.approx(exact, rel=1e-13)
 
 
 def test_sample_count_validation():
