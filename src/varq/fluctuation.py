@@ -12,9 +12,10 @@ and a deterministic sampler with counter-based substreams so the draw
 does not depend on how the work is chunked. The optimizer is entropic
 mirror descent (Beck & Teboulle 2003): it steps the log density along the
 functional derivative of transition_objective alone, so it reaches the
-Gaussian without being told where it lies. The sampler counts how many
-draws land on each node of the transition grid, one sorted chunk of
-draws at a time, by searching the cdf values the chunk spans in its
+Gaussian without being told where it lies; that log density is kept
+unnormalized and normalized once, on return. The sampler counts how
+many draws land on each node of the transition grid, one sorted chunk
+of draws at a time, by searching the cdf steps the chunk spans in its
 sorted draws, and reads its moments from that empirical distribution
 with the same methods as the closed form, so the module has one moments
 implementation. The kinetic cost and the moments read the displacement
@@ -184,25 +185,25 @@ def _kinetic_cost(grid: GridSpec, params: PhysicalParams,
     return cost
 
 
-def _normal_mass_floor(vols: np.ndarray) -> float:
+def _normal_mass_floor(prior: np.ndarray) -> float:
     """Least log weight x, of weights shifted to a maximum x of 0, whose
-    mass vols exp(x) / z is sure to be a normal float: the normalizer
-    z = sum(vols exp(x)) is at most sum(vols), so the mass is at least
-    tiny wherever x >= ln(tiny sum(vols) / min(vols))."""
+    mass prior exp(x) / z is sure to be a normal float: the normalizer
+    z = sum(prior exp(x)) is at most sum(prior), so the mass is at least
+    tiny wherever x >= ln(tiny sum(prior) / min(prior)), at any scale."""
     tiny = np.finfo(float).tiny
-    return float(np.log(tiny) + np.log(np.sum(vols) / np.min(vols)))
+    return float(np.log(tiny) + np.log(np.sum(prior) / np.min(prior)))
 
 
-def _exp_weights(x: np.ndarray, vols: np.ndarray,
+def _exp_weights(x: np.ndarray, prior: np.ndarray,
                  floor: float) -> np.ndarray:
-    """Overwrite the log weights x with the weights vols exp(x), exactly 0
-    where x < floor, and return x. exp runs only at or above the floor,
+    """Overwrite the log weights x with the weights prior exp(x), exactly
+    0 where x < floor, and return x. exp runs only at or above the floor,
     so no weight is ever subnormal."""
     keep = x >= floor
     np.exp(x, out=x, where=keep)
     np.logical_not(keep, out=keep)
     x[keep] = 0.0
-    x *= vols
+    x *= prior
     return x
 
 
@@ -232,69 +233,62 @@ def transition_objective(dist: TransitionDistribution) -> float:
     return float(np.sum(dist.mass * cost) + 0.5 * dist.params.hbar * entropy.sum())
 
 
-def _normalize_and_score(lr: np.ndarray, vols: np.ndarray, floor: float,
-                         cost: np.ndarray, half_hbar: float, w: np.ndarray,
-                         g: np.ndarray) -> float:
-    """Normalize the log density lr in place and return sum(w g).
-
-    Fills w with the normalized mass vols exp(lr - top) / z, 0 below
-    floor (see _exp_weights), and g with cost + (hbar/2) lr, the
-    functional derivative of the objective in lr up to a constant. Since
-    w sums to one, the objective is the returned value less (hbar/2)
-    ln prior.
-    """
+def _score(lr: np.ndarray, prior: np.ndarray, floor: float,
+           pull: np.ndarray, rate: float, half_hbar: float,
+           w: np.ndarray) -> float:
+    """Transition objective of w / z, for the unnormalized log density lr
+    relative to prior: w = prior exp(lr - top), 0 below floor (see
+    _exp_weights), sums to z <= 1, and with pull = rate cost the score
+    is (w.cost + (hbar/2) w.lr) / z - (hbar/2) (top + ln z)."""
     top = float(np.max(lr))
     np.subtract(lr, top, out=w)
-    _exp_weights(w, vols, floor)
+    _exp_weights(w, prior, floor)
     z = float(np.sum(w))
-    w /= z
-    lr -= top + float(np.log(z))
-    np.multiply(lr, half_hbar, out=g)
-    g += cost
-    return float(np.dot(w.ravel(), g.ravel()))
+    w_cost = float(np.dot(w.ravel(), pull.ravel())) / rate
+    w_lr = float(np.dot(w.ravel(), lr.ravel()))
+    return (w_cost + half_hbar * w_lr) / z - half_hbar * (top + np.log(z))
 
 
 def optimize_transition_numeric(params: PhysicalParams, dt: float,
                                 window: tuple[float, ...] | None = None):
     """Entropic mirror descent on the transition objective.
 
-    Works on log densities lr, starting from the uniform density. Up to a
-    constant that normalization absorbs, the objective's functional
+    Works on log densities lr relative to the uniform prior, starting
+    from the prior. Up to a constant, the objective's functional
     derivative in lr is g = cost + (hbar/2) lr, and each iteration steps
-    lr <- lr - (2 _STEP / hbar) g and renormalizes; the closed form is
-    never consulted. One iteration makes one max pass, one exponential,
-    one weighted sum and one dot product over the grid. Returns
-    (distribution, iterations). Raises NonConvergenceError if the
-    objective is not finite or its change never falls below _CONVERGED
-    hbar within _MAX_ITER iterations.
+    lr <- lr - (2 _STEP / hbar) g = (1 - _STEP) lr - (2 _STEP / hbar) cost.
+    lr is never renormalized, since a constant leaves the distribution
+    and _score alike; the closed form is never consulted. One iteration
+    makes twelve passes over four grids. Returns (distribution,
+    iterations). Raises NonConvergenceError if the objective is not
+    finite or its change never falls below _CONVERGED hbar within
+    _MAX_ITER iterations.
     """
     grid = transition_grid(params, dt, window)
-    vols = grid.node_volumes()
-    floor = _normal_mass_floor(vols)
-    cost = _kinetic_cost(grid, params, dt)
-    lr = np.zeros(grid.shape)
+    prior = grid.node_volumes()
+    prior /= np.sum(prior)
+    floor = _normal_mass_floor(prior)
     half_hbar = 0.5 * params.hbar
-    # -(hbar/2) ln prior for the uniform prior 1 / sum(vols)
-    prior_term = half_hbar * float(np.log(np.sum(vols)))
     rate = _STEP / half_hbar
+    pull = _kinetic_cost(grid, params, dt)
+    pull *= rate
+    lr = np.zeros(grid.shape)
     tol = _CONVERGED * params.hbar  # the objective is measured in hbar
     w = np.empty(grid.shape)
-    g = np.empty(grid.shape)
     prev = 0.0
     # iteration 0 only scores the start; each later one steps first
     for it in range(_MAX_ITER + 1):
         if it:
-            g *= rate
-            lr -= g
-        cur = (_normalize_and_score(lr, vols, floor, cost, half_hbar, w, g)
-               + prior_term)
+            lr *= 1.0 - _STEP
+            lr -= pull
+        cur = _score(lr, prior, floor, pull, rate, half_hbar, w)
         if not np.isfinite(cur):
             raise NonConvergenceError(
                 f"objective is {cur} at iteration {it}: the kinetic cost or "
                 f"the log density overflows on this grid")
         if it and abs(cur - prev) < tol:
-            # the result copies w: free the other grids first
-            del vols, cost, lr, g
+            # the result normalizes a copy of w: free the other grids first
+            del prior, pull, lr
             return TransitionDistribution(grid, w, dt, params), it
         prev = cur
     raise NonConvergenceError(
@@ -315,7 +309,8 @@ def kl_divergence(p: TransitionDistribution, q: TransitionDistribution) -> float
     if float(p.mass[orphan].sum()) > 1e-15:
         return float("inf")
     keep = live & (q.mass > 0.0)
-    return float(np.sum(p.mass[keep] * np.log(p.mass[keep] / q.mass[keep])))
+    pk = p.mass[keep]
+    return float(np.sum(pk * np.log(pk / q.mass[keep])))
 
 
 # -- sampling ----------------------------------------------------------------
@@ -328,17 +323,20 @@ def _draw_counts(dist: TransitionDistribution, n: int,
 
     A draw u lands on node i = searchsorted(cdf, u, "right"), that is
     where cdf[i-1] <= u < cdf[i], so node i holds #{u < cdf[i]} less
-    #{u < cdf[i-1]} draws. Each chunk's uniforms are sorted in place
-    (counts do not depend on draw order), its first and last draw give
-    the nodes lo and hi it reaches, and the cdf values of lo..hi are
-    searched in the sorted draws: the chunk costs the nodes it spans
-    times log(chunk), not the chunk times log(grid). Only one chunk of
-    draws is held at a time, never n of them.
+    #{u < cdf[i-1]} draws, none where the cdf does not step. Each chunk's
+    uniforms are sorted in place (counts do not depend on draw order),
+    its first and last draw give the steps lo and hi it reaches, and the
+    cdf values of lo..hi are searched in the sorted draws: the chunk
+    costs the steps it spans times log(chunk), not the chunk times
+    log(grid). Only one chunk of draws is held at a time, never n.
     """
     cdf = np.cumsum(dist.mass.reshape(-1))
     cdf[-1] = 1.0
+    steps = np.flatnonzero(np.concatenate(([cdf[0] != 0.0],
+                                           cdf[1:] != cdf[:-1])))
+    cdf = cdf[steps]
     base = np.random.Philox(key=np.uint64(seed))
-    counts = np.zeros(cdf.size, dtype=np.int64)
+    held = np.zeros(steps.size, dtype=np.int64)
     for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
         u = np.random.Generator(base.jumped(chunk)).random(
             min(_SAMPLE_CHUNK, n - start))
@@ -346,8 +344,10 @@ def _draw_counts(dist: TransitionDistribution, n: int,
         lo = int(np.searchsorted(cdf, u[0], side="right"))
         hi = int(np.searchsorted(cdf, u[-1], side="right"))
         below = np.searchsorted(u, cdf[lo:hi + 1], side="left")
-        counts[lo] += below[0]
-        counts[lo + 1:hi + 1] += np.diff(below)
+        held[lo] += below[0]
+        held[lo + 1:hi + 1] += np.diff(below)
+    counts = np.zeros(dist.mass.size, dtype=np.int64)
+    counts[steps] = held
     return counts.reshape(dist.grid.shape)
 
 

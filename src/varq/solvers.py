@@ -163,11 +163,15 @@ def _hamiltonian_matrix(params: PhysicalParams,
     return (sparse.diags_array(v) - coeff * lap.numerators)[inner, inner].tocsc()
 
 
-def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int):
+def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int,
+                         eigvals_only: bool):
+    """Lowest k eigenvalues of H on the unknowns, and unless eigvals_only
+    their eigenvectors, as eigh_tridiagonal returns them."""
     from scipy.linalg import eigh_tridiagonal
 
     h = _hamiltonian_matrix(params, grid)
-    return eigh_tridiagonal(h.diagonal(), h.diagonal(1), select="i",
+    return eigh_tridiagonal(h.diagonal(), h.diagonal(1),
+                            eigvals_only=eigvals_only, select="i",
                             select_range=(0, k - 1))
 
 
@@ -183,7 +187,7 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
     n = grid.shape[0]
     if k < 1 or k > n - 2:
         raise ValueError(f"k must lie in 1..{n - 2}")
-    vals, vecs = _interior_eigensolve(params, grid, k)
+    vals, vecs = _interior_eigensolve(params, grid, k, eigvals_only=False)
     dx = grid.axes[0].dx
     weights = grid.node_volumes()
     inner = _unknowns(grid)
@@ -200,7 +204,7 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
     if richardson:
         ax = grid.axes[0]
         fine = GridSpec.line(2 * (n - 1) + 1, ax.x_min, ax.x_max, DIRICHLET)
-        fvals, _ = _interior_eigensolve(params, fine, k)
+        fvals = _interior_eigensolve(params, fine, k, eigvals_only=True)
         refined = (4.0 * fvals - vals) / 3.0
     return SpectrumResult(eigenvalues=vals, eigenfunctions=funcs,
                           residuals=residuals, refined_eigenvalues=refined)

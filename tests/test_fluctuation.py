@@ -186,26 +186,29 @@ def test_optimizer_overflowing_cost_stops_at_once():
 
 
 def score_pieces(dist):
-    """Log density, volumes, mass floor, cost and the two work arrays for
-    one score."""
+    """Log density relative to the uniform prior, the prior, its mass
+    floor, the pull grid, its rate and the weights' work array for one
+    score."""
     vols = dist.grid.node_volumes()
-    cost = fluctuation._kinetic_cost(dist.grid, dist.params, dist.dt)
-    return (np.log(dist.mass / vols), vols,
-            fluctuation._normal_mass_floor(vols), cost,
-            np.empty(vols.shape), np.empty(vols.shape))
+    prior = vols / np.sum(vols)
+    rate = fluctuation._STEP / (0.5 * dist.params.hbar)
+    pull = rate * fluctuation._kinetic_cost(dist.grid, dist.params, dist.dt)
+    return (np.log(dist.mass / prior), prior,
+            fluctuation._normal_mass_floor(prior), pull, rate,
+            np.empty(vols.shape))
 
 
 def test_step_gradient_is_the_objective_derivative_up_to_a_constant():
     # perturbing the log density at node j by +-h moves the objective by
-    # mass_j (g_j - c) per unit h, with one c for every node
+    # mass_j (g_j - c) per unit h, with one c for every node, where the
+    # step is lr <- lr - rate g
     p = PhysicalParams(hbar=1.3, mass=0.7)
     grid = GridSpec.line(17, -2.0, 2.0)
     rng = np.random.default_rng(4)
     mass = np.exp(rng.normal(0.0, 0.5, grid.shape)) * grid.node_volumes()
     dist = TransitionDistribution(grid, mass, DT, p)
-    lr, vols, floor, cost, w, g = score_pieces(dist)
-    fluctuation._normalize_and_score(lr, vols, floor, cost, 0.5 * p.hbar,
-                                     w, g)
+    lr, prior, _, pull, rate, _ = score_pieces(dist)
+    g = (lr - ((1.0 - fluctuation._STEP) * lr - pull)) / rate
     h = 1e-6
     shifted = []
     for j in range(grid.shape[0]):
@@ -214,7 +217,7 @@ def test_step_gradient_is_the_objective_derivative_up_to_a_constant():
             bumped = lr.copy()
             bumped[j] += sign * h
             sides.append(transition_objective(TransitionDistribution(
-                grid, np.exp(bumped) * vols, DT, p)))
+                grid, np.exp(bumped) * prior, DT, p)))
         shifted.append((sides[0] - sides[1]) / (2.0 * h * dist.mass[j]) - g[j])
     assert np.ptp(shifted) <= 1e-6 * np.max(np.abs(g))
 
@@ -223,12 +226,12 @@ def test_step_gradient_is_the_objective_derivative_up_to_a_constant():
     (P1, None), (PhysicalParams(hbar=0.7, mass=(1.0, 2.0)), (1.5, 1.0))])
 def test_score_is_the_transition_objective(params, window):
     dist, _ = optimize_transition_numeric(params, DT, window)
-    lr, vols, floor, cost, w, g = score_pieces(dist)
-    half_hbar = 0.5 * params.hbar
-    score = (fluctuation._normalize_and_score(lr, vols, floor, cost,
-                                              half_hbar, w, g)
-             + half_hbar * np.log(np.sum(vols)))
-    assert np.allclose(w, dist.mass, rtol=1e-12, atol=0.0)
+    lr, prior, floor, pull, rate, w = score_pieces(dist)
+    # an offset of lr moves neither the weights' distribution nor the score
+    lr += 3.0
+    score = fluctuation._score(lr, prior, floor, pull, rate,
+                               0.5 * params.hbar, w)
+    assert np.allclose(w / np.sum(w), dist.mass, rtol=1e-12, atol=0.0)
     assert score == pytest.approx(transition_objective(dist), rel=1e-13)
 
 
@@ -437,9 +440,11 @@ def test_draw_counts_equal_the_count_of_each_draw(make_dist, n):
 @st.composite
 def mass_grids(draw):
     """A 1D or 2D distribution whose masses hold runs of zeros, all sit
-    on one node, or sum in flat order to a cdf that rounds above 1 before
-    its last node (a tiny last mass), with that last case's flag."""
-    kind = draw(st.sampled_from(["zero-runs", "one-node", "overshoot"]))
+    on one node, hold runs of positive masses too small to move the cdf,
+    or sum in flat order to a cdf that rounds above 1 before its last
+    node (a tiny last mass), with that last case's flag."""
+    kind = draw(st.sampled_from(["zero-runs", "one-node", "flat-runs",
+                                 "overshoot"]))
     # an axis has at least 8 nodes
     shape = draw(st.tuples(st.integers(8, 400))
                  | st.tuples(st.integers(8, 24), st.integers(8, 24)))
@@ -455,6 +460,16 @@ def mass_grids(draw):
             mass[a:a + rng.integers(1, size + 1)] = 0.0
         if not mass.any():
             mass[rng.integers(size)] = 1.0
+    elif kind == "flat-runs":
+        # from node 0 on the cdf is at least 0.5 / 576, half an ulp of it
+        # above 5e-20, and the masses sum to at least 0.5, so a mass of
+        # 1e-20 normalizes to at most 2e-20 and every other one to above
+        # 8e-4
+        mass = rng.uniform(0.5, 1.0, size)
+        for _ in range(rng.integers(0, 4)):
+            a = rng.integers(1, size)
+            mass[a:a + rng.integers(1, size)] = 1e-20
+        mass[-1] = 1e-20
     else:
         # one try in ten rounds past 1 on 8 nodes, one in three on 400
         while True:
@@ -486,9 +501,10 @@ def test_draw_counts_equal_the_count_of_each_draw_for_any_masses(
 
 def test_draw_counts_hold_one_chunk_of_draws():
     # one int64 per draw would take 8 MB; one chunk's sorted uniforms
-    # take 0.5 MB (1 MB while the next chunk is drawn), and the int64
-    # below and its diff over the nodes the chunk spans 12 kB; 1 to 2 MB
-    # is traced in all
+    # take 0.5 MB (1 MB while the next chunk is drawn), the stepping cdf
+    # values, their node indices and counts 18 kB, and the int64 below
+    # and its diff over the steps the chunk spans 12 kB; 1 to 2 MB is
+    # traced in all
     dist = optimal_transition(P1, 0.05, (6.0,))
     assert dist.grid.shape == (759,)
     tracemalloc.start()
@@ -501,10 +517,10 @@ def test_draw_counts_hold_one_chunk_of_draws():
 
 
 def test_optimizer_frees_its_work_grids_before_the_result_copies_w():
-    # the loop holds five grids of float64 (volumes, cost, log density,
-    # weights, gradient) and a boolean mask; the returned distribution
-    # copies the weights, which would make six if the other four grids
-    # were still alive then
+    # the loop holds four grids of float64 (prior, pull, log density,
+    # weights) and a boolean mask; the returned distribution normalizes a
+    # copy of the weights, which would make five if the other three
+    # grids were still alive then
     grid = transition_grid(P2, 0.05, (6.0, 6.0))
     assert grid.shape == (759, 1075)
     tracemalloc.start()
@@ -513,7 +529,7 @@ def test_optimizer_frees_its_work_grids_before_the_result_copies_w():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * grid.n_nodes * 8
+    assert peak <= 4.5 * grid.n_nodes * 8
 
 
 def test_open_mesh_terms_equal_the_dense_mesh_formulas_bit_for_bit():

@@ -78,6 +78,23 @@ class TestEigensolve:
         assert refined < 1e-7
         assert refined < coarse / 100.0
 
+    def test_richardson_solves_the_fine_grid_for_eigenvalues_only(
+            self, monkeypatch):
+        # the doubled grid's eigenvectors would be discarded
+        import scipy.linalg
+
+        solve = scipy.linalg.eigh_tridiagonal
+        calls = []
+
+        def recording(d, e, **kwargs):
+            calls.append((d.size, kwargs["eigvals_only"]))
+            return solve(d, e, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+        spec = eigensolve_1d(HARMONIC, harmonic_grid(), k=5, richardson=True)
+        assert calls == [(1022, False), (2045, True)]
+        assert spec.refined_eigenvalues.shape == (5,)
+
     def test_operator_residuals(self):
         spec = eigensolve_1d(HARMONIC, harmonic_grid(), k=5)
         assert np.max(spec.residuals) < 1e-9
