@@ -158,11 +158,13 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
     h, so that the minus side stays a density; otherwise a ValueError
     names both.
 
-    Locality is checked, not assumed: if the integrand moved anywhere
-    outside the windows of the perturbed color, a ValueError names the
-    failure instead of a gradient being returned. The check uses no
-    analytic formula, so it stays independent of the expressions it
-    cross-checks.
+    Locality is checked, not assumed: one mask marks the nodes where the
+    plus or the minus side differs from the unperturbed integrand (a NaN
+    differs from everything), and if any of them lies outside the windows
+    of the perturbed color, the nodes whose box sum of the color is zero,
+    a ValueError names the failure instead of a gradient being returned.
+    The check uses no analytic formula, so it stays independent of the
+    expressions it cross-checks.
     """
     if component not in ("density", "action"):
         raise ValueError(f"unknown component {component!r}")
@@ -186,9 +188,8 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
             state, component, np.where(picked, base + GRADIENT_STEP, base)))
         minus = integrand(_with_component(
             state, component, np.where(picked, base - GRADIENT_STEP, base)))
-        outside = box_reduce(picked, grid, reach, np.add) == 0
-        if (np.any(plus[outside] != rest[outside])
-                or np.any(minus[outside] != rest[outside])):
+        if (((plus != rest) | (minus != rest))
+                & (box_reduce(picked, grid, reach, np.add) == 0)).any():
             raise ValueError(
                 f"integrand is not local: perturbing color {color} moved it "
                 f"farther than the stencil reach {tuple(reach)} from every "

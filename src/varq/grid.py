@@ -144,7 +144,7 @@ class _NodeField:
         if v.shape != self.grid.shape:
             raise GridMismatchError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteFieldError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
@@ -217,9 +217,9 @@ class Stencil:
 
     def apply(self, values: np.ndarray, axis: int) -> np.ndarray:
         """The derivative along array axis 0 or 1 of a 1D or 2D array."""
-        if axis == 0:
-            return (self.numerators @ values) / self.divisor
-        return (self.numerators @ values.T).T / self.divisor
+        out = self.numerators @ (values if axis == 0 else values.T)
+        out /= self.divisor
+        return out if axis == 0 else out.T
 
 
 # fd_weights times this are whole numbers for every built-in row
@@ -304,16 +304,35 @@ def box_reduce(values: np.ndarray, grid: GridSpec, reach: Sequence[int],
                reduce: np.ufunc) -> np.ndarray:
     """np.add or np.maximum over the box of the given per-axis half-widths
     around every node, around the ring on periodic axes and cut at
-    Dirichlet walls."""
+    Dirichlet walls.
+
+    Each axis in turn is padded by r nodes on each side, wrapped on a
+    periodic axis and filled with the reduction's identity beyond a wall,
+    and reduced over its 2r + 1 shifted slices, offset -r first: a node's
+    sum is ((v[-r] + v[-r+1]) + ...) + v[r]. For a window of at most 7
+    nodes that is the order of numpy's own add.reduce, so the sums equal
+    it, bit for bit but for one sign: a window of negative zeros sums to
+    -0.0, where numpy, starting from +0.0, gives +0.0. A maximum equals
+    numpy's in value for any window. A bool input is summed as int64.
+    """
+    if reduce not in _BOX_PAD:
+        raise ValueError(f"box_reduce has no wall fill for np.{reduce.__name__}")
+    if reduce is np.add and values.dtype == bool:
+        values = values.astype(np.int64)
     for ax, (axis, r) in enumerate(zip(grid.axes, reach)):
-        pad = [(0, 0)] * values.ndim
-        pad[ax] = (r, r)
+        n = axis.n_points
         if axis.boundary == PERIODIC:
-            padded = np.pad(values, pad, mode="wrap")
+            padded = values.take(np.arange(-r, n + r), axis=ax, mode="wrap")
         else:
-            padded = np.pad(values, pad, constant_values=_BOX_PAD[reduce])
-        values = reduce.reduce(np.lib.stride_tricks.sliding_window_view(
-            padded, 2 * r + 1, axis=ax), axis=-1)
+            wall = np.full(values.shape[:ax] + (r,) + values.shape[ax + 1:],
+                           _BOX_PAD[reduce], dtype=values.dtype)
+            padded = np.concatenate([wall, values, wall], axis=ax)
+        lead = (slice(None),) * ax
+        values = padded[lead + (slice(0, n),)]
+        for k in range(1, 2 * r + 1):
+            # the first call allocates the result, the later ones write into it
+            values = reduce(values, padded[lead + (slice(k, k + n),)],
+                            out=values if k > 1 else None)
     return values
 
 

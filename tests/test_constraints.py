@@ -354,10 +354,23 @@ def test_nonlocal_integrand_raises(boundary):
     def shifted(s):
         return np.roll(s.density.values, reach + 1)
 
-    with pytest.raises(ValueError, match="not local"):
-        numeric_functional_gradient(centered, state, "action", order=4)
-    with pytest.raises(ValueError, match="not local"):
-        numeric_functional_gradient(shifted, state, "density", order=4)
+    # reach + 1 nodes past a perturbed node lies outside every window of
+    # its color: nodes of one color are at least 2 reach + 2 apart
+    def minus_side_only(s):
+        lowered = s.action.values < state.action.values
+        return s.density.values * s.action.values + np.roll(lowered, reach + 1)
+
+    def nan_far(s):
+        out = s.density.values.copy()
+        moved = s.density.values != state.density.values
+        out[np.roll(moved, reach + 1)] = np.nan
+        return out
+
+    for integrand, component in [(centered, "action"), (shifted, "density"),
+                                 (minus_side_only, "action"),
+                                 (nan_far, "density")]:
+        with pytest.raises(ValueError, match="not local"):
+            numeric_functional_gradient(integrand, state, component, order=4)
 
 
 def test_numeric_density_gradient_needs_densities_above_the_step():

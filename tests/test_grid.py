@@ -437,7 +437,8 @@ def test_box_reduce_matches_a_loop_over_offsets(case):
     grid, values, reach, reduce = case
     got = box_reduce(values, grid, reach, reduce)
     want = loop_box_reduce(values, grid, reach, reduce)
-    if values.dtype == bool or reduce is np.maximum:
+    if values.dtype == bool or reduce is np.maximum or grid.dimension == 1:
+        # on a line the box adds offsets -r..r in order, as the loop does
         assert np.array_equal(got, want)
     else:
         # the box sums its axes one after the other, the loop offset by
@@ -445,3 +446,55 @@ def test_box_reduce_matches_a_loop_over_offsets(case):
         # magnitudes
         scale = loop_box_reduce(np.abs(values), grid, reach, np.add)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def windowed_box_reduce(values, grid, reach, reduce):
+    """numpy's own reduce over a sliding window of each axis in turn,
+    padded by np.pad: wrapped on periodic axes, filled beyond walls."""
+    fill = {np.add: 0, np.maximum: -np.inf}[reduce]
+    for ax, (axis, r) in enumerate(zip(grid.axes, reach)):
+        pad = [(0, 0)] * values.ndim
+        pad[ax] = (r, r)
+        if axis.boundary == PERIODIC:
+            padded = np.pad(values, pad, mode="wrap")
+        else:
+            padded = np.pad(values, pad, constant_values=fill)
+        values = reduce.reduce(np.lib.stride_tricks.sliding_window_view(
+            padded, 2 * r + 1, axis=ax), axis=-1)
+    return values
+
+
+@st.composite
+def oracle_cases(draw):
+    """box_cases with signed zeros among the floats, windows of at most 7
+    nodes for np.add and any reach for np.maximum."""
+    grid, values, reach, reduce = draw(box_cases())
+    if reduce is np.add:
+        reach = [min(r, 3) for r in reach]
+    if values.dtype != bool:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pick = rng.random(grid.shape)
+        values[pick < 0.2] = 0.0
+        values[pick > 0.8] = -0.0
+    return grid, values, reach, reduce
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+def test_box_reduce_equals_numpy_reduce_over_sliding_windows(case):
+    grid, values, reach, reduce = case
+    got = box_reduce(values, grid, reach, reduce)
+    want = windowed_box_reduce(values, grid, reach, reduce)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    if reduce is np.add:
+        # bit for bit once a window of negative zeros, which numpy sums
+        # from +0.0, is given the same start
+        assert (got + 0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_box_reduce_names_a_reduction_it_has_no_wall_fill_for(boundary):
+    grid = GridSpec.line(16, 0.0, 1.0, boundary)
+    with pytest.raises(ValueError, match="multiply"):
+        box_reduce(np.ones(16), grid, [1], np.multiply)
