@@ -14,13 +14,16 @@ cross-checks analytic functional derivatives. It perturbs a whole color
 of nodes at once, far enough apart that their stencil windows cannot
 meet, so it costs a few integrand evaluations set by the stencil width
 instead of two per node, and it checks at run time that the integrand
-is as local as that requires. The analytic ones, the quantum
-Hamilton-Jacobi and continuity expressions, are the gradients of
-`constraints.EnsembleHamiltonian`.
+is as local as that requires. Its colors, their locality masks and
+divisors depend only on the grid and the stencil order, so they are
+built once per (grid, order) and cached read-only. The analytic ones,
+the quantum Hamilton-Jacobi and continuity expressions, are the
+gradients of `constraints.EnsembleHamiltonian`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from .fields import DENSITY_FLOOR, MadelungState, PhysicalParams
 from .grid import (
     DEFAULT_ORDER,
+    GridSpec,
     RealField,
     box_reduce,
     diff_values,
@@ -165,6 +169,13 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
     a ValueError names the failure instead of a gradient being returned.
     The check uses no analytic formula, so it stays independent of the
     expressions it cross-checks.
+
+    What depends on the grid alone is built once per (grid, order) and
+    shared, read-only, by every later call: the colors, each color's
+    nodes, its mask of the nodes outside every window and its divisors
+    2 h vol_j. A call forms base + h and base - h once; the rest of its
+    work is the integrand evaluations and the window sums of
+    vol (I+ - I-).
     """
     if component not in ("density", "action"):
         raise ValueError(f"unknown component {component!r}")
@@ -175,28 +186,47 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
             f"the density step {GRADIENT_STEP:g} exceeds the smallest density "
             f"{np.min(base):.3g}: the minus side would be a negative density")
     reach = [stencil_reach(axis, order) for axis in grid.axes]
-    colors = [_block_offsets(axis.n_points, 2 * r + 2)
-              for axis, r in zip(grid.axes, reach)]
-    labels = np.ravel_multi_index(np.meshgrid(*colors, indexing="ij"),
-                                  [c.max() + 1 for c in colors])
     vols = grid.node_volumes()
+    up, down = base + GRADIENT_STEP, base - GRADIENT_STEP
     rest = integrand(state)
     out = np.empty(grid.shape)
-    for color in np.unique(labels):
-        picked = labels == color
+    for color, picked, outside, divisor in _colors(grid, order):
         plus = integrand(_with_component(
-            state, component, np.where(picked, base + GRADIENT_STEP, base)))
+            state, component, np.where(picked, up, base)))
         minus = integrand(_with_component(
-            state, component, np.where(picked, base - GRADIENT_STEP, base)))
-        if (((plus != rest) | (minus != rest))
-                & (box_reduce(picked, grid, reach, np.add) == 0)).any():
+            state, component, np.where(picked, down, base)))
+        if (((plus != rest) | (minus != rest)) & outside).any():
             raise ValueError(
                 f"integrand is not local: perturbing color {color} moved it "
                 f"farther than the stencil reach {tuple(reach)} from every "
                 "perturbed node")
         moved = box_reduce(vols * (plus - minus), grid, reach, np.add)
-        out[picked] = moved[picked] / (2.0 * GRADIENT_STEP * vols[picked])
+        out[picked] = moved[picked] / divisor
     return RealField(grid, out)
+
+
+@lru_cache(maxsize=16)
+def _colors(grid: GridSpec, order: int) -> tuple[
+        tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The colors of the node-perturbation gradient on a grid at a stencil
+    order, each as (id, its nodes, the nodes outside every window of its
+    nodes, 2 GRADIENT_STEP times the volume of each of its nodes). Built
+    once per (grid, order); every array is read-only."""
+    reach = [stencil_reach(axis, order) for axis in grid.axes]
+    offsets = [_block_offsets(axis.n_points, 2 * r + 2)
+               for axis, r in zip(grid.axes, reach)]
+    labels = np.ravel_multi_index(np.meshgrid(*offsets, indexing="ij"),
+                                  [c.max() + 1 for c in offsets])
+    vols = grid.node_volumes()
+    colors = []
+    for color in np.unique(labels):
+        picked = labels == color
+        outside = box_reduce(picked, grid, reach, np.add) == 0
+        divisor = 2.0 * GRADIENT_STEP * vols[picked]
+        for array in (picked, outside, divisor):
+            array.setflags(write=False)
+        colors.append((int(color), picked, outside, divisor))
+    return tuple(colors)
 
 
 def _block_offsets(n: int, spacing: int) -> np.ndarray:

@@ -313,11 +313,17 @@ def box_reduce(values: np.ndarray, grid: GridSpec, reach: Sequence[int],
     nodes that is the order of numpy's own add.reduce, so the sums equal
     it, bit for bit but for one sign: a window of negative zeros sums to
     -0.0, where numpy, starting from +0.0, gives +0.0. A maximum equals
-    numpy's in value for any window. A bool input is summed as int64.
+    numpy's in value for any window. A bool input is summed as int64; its
+    maximum is refused with a ValueError on either boundary, since the
+    wall fill -inf would read True.
     """
     if reduce not in _BOX_PAD:
         raise ValueError(f"box_reduce has no wall fill for np.{reduce.__name__}")
-    if reduce is np.add and values.dtype == bool:
+    if values.dtype == bool:
+        if reduce is np.maximum:
+            raise ValueError(
+                f"box_reduce takes no np.maximum of dtype {values.dtype}: "
+                "its wall fill -inf would read True")
         values = values.astype(np.int64)
     for ax, (axis, r) in enumerate(zip(grid.axes, reach)):
         n = axis.n_points

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from varq import action
 from varq.grid import (
     DEFAULT_ORDER,
     DIRICHLET,
     PERIODIC,
+    Axis,
     GridMismatchError,
     GridSpec,
     RealField,
@@ -406,6 +408,70 @@ def test_numeric_backend_cost_set_by_stencil_width(order, monkeypatch):
     reach = stencil_reach(state.grid.axes[0], order)
     colors = 2 * reach + 3
     assert counts[0] == counts[1] <= 2 * colors + 1
+
+
+def test_colored_gradient_builds_its_colors_once_per_grid_and_order(
+        monkeypatch):
+    masks = []
+    box_reduce = action.box_reduce
+
+    def counted(values, grid, reach, reduce):
+        if values.dtype == bool:
+            masks.append(grid)
+        return box_reduce(values, grid, reach, reduce)
+
+    monkeypatch.setattr(action, "box_reduce", counted)
+    action._colors.cache_clear()
+    state = random_smooth_state(np.random.default_rng(7), n=512)
+    # a 512-node ring at order 4: reach 2, blocks of 6 and 7 nodes
+    for built in (7, 0):
+        masks.clear()
+        functional_derivative(EnsembleHamiltonian(TRAP, order=4), state,
+                              "density", backend="numeric")
+        assert len(masks) == built
+    # another order, or the same nodes behind hard walls, is another key
+    walled = GridSpec.line(512, 0.0, 2 * np.pi, DIRICHLET)
+    walled_state = MadelungState(RealField(walled, state.density.values),
+                                 RealField(walled, state.action.values))
+    for other, order in [(state, 2), (walled_state, 4)]:
+        masks.clear()
+        functional_derivative(EnsembleHamiltonian(TRAP, order=order), other,
+                              "density", backend="numeric")
+        colors = action._colors(other.grid, order)
+        assert masks == [other.grid] * len(colors)
+    for _, *arrays in action._colors(state.grid, 4):
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+@hst.composite
+def colored_cases(draw):
+    if draw(hst.booleans()):
+        sizes = [draw(hst.integers(8, 48))]
+    else:
+        sizes = [draw(hst.integers(8, 12)) for _ in range(2)]
+    grid = GridSpec(tuple(
+        Axis(n, 0.0, 2 * np.pi, draw(hst.sampled_from([PERIODIC, DIRICHLET])))
+        for n in sizes))
+    return (grid, draw(hst.sampled_from([2, 4])),
+            draw(hst.sampled_from(["density", "action"])))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(colored_cases())
+def test_cached_colors_give_the_bits_of_freshly_built_ones(case):
+    grid, order, component = case
+    integrand = EnsembleHamiltonian(TRAP, order=order).integrand
+    state = smooth_state(grid)
+    numeric_functional_gradient(integrand, state, component, order)
+    cached = numeric_functional_gradient(integrand, state, component, order)
+    action._colors.cache_clear()
+    fresh = numeric_functional_gradient(integrand, state, component, order)
+    assert cached.values.tobytes() == fresh.values.tobytes()
+    loop = full_loop_gradient(integrand, state, component)
+    scale = np.max(np.abs(loop))
+    assert np.max(np.abs(cached.values - loop)) <= 1e-8 * scale
 
 
 # -- Poisson brackets --------------------------------------------------------

@@ -498,3 +498,12 @@ def test_box_reduce_names_a_reduction_it_has_no_wall_fill_for(boundary):
     grid = GridSpec.line(16, 0.0, 1.0, boundary)
     with pytest.raises(ValueError, match="multiply"):
         box_reduce(np.ones(16), grid, [1], np.multiply)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+def test_box_reduce_refuses_the_maximum_of_a_bool_array(boundary):
+    # the -inf wall fill reads True as a bool, so a Dirichlet wall would
+    # light up every node within reach of it
+    grid = GridSpec.line(8, 0.0, 1.0, boundary)
+    with pytest.raises(ValueError, match="maximum of dtype bool"):
+        box_reduce(np.zeros(8, bool), grid, [2], np.maximum)
