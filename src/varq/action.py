@@ -16,7 +16,11 @@ meet, so it costs a few integrand evaluations set by the stencil width
 instead of two per node, and it checks at run time that the integrand
 is as local as that requires. Its colors, their locality masks and
 divisors depend only on the grid and the stencil order, so they are
-built once per (grid, order) and cached read-only. The analytic ones,
+built once per (grid, order) and cached read-only. Every state it
+evaluates differs from the given one in the perturbed component alone,
+so `constraints.functional_derivative` hands it an integrand that holds
+the other component's term, built once per call and checked by
+identity; no value moves. The analytic ones,
 the quantum Hamilton-Jacobi and continuity expressions, are the
 gradients of `constraints.EnsembleHamiltonian`.
 """
@@ -176,6 +180,15 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
     2 h vol_j. A call forms base + h and base - h once; the rest of its
     work is the integrand evaluations and the window sums of
     vol (I+ - I-).
+
+    Every state the integrand is given shares `state`'s other component,
+    the very field object, so an integrand may hold that component's
+    term: `constraints.functional_derivative` passes
+    `integrand_holding(state, component)`, whose held term is built once
+    per call and checked by identity, and whose values are the full
+    integrand's bit for bit. A call then pays only for the perturbed
+    component's term in each evaluation; the locality check still
+    compares complete integrand values.
     """
     if component not in ("density", "action"):
         raise ValueError(f"unknown component {component!r}")

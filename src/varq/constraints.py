@@ -8,6 +8,12 @@ integrand. Each also carries analytic functional gradients, which a
 node-perturbation backend cross-checks. `EnsembleHamiltonian` is the one
 definition of the ensemble energy rho (kinetic + V) + (hbar/2) I; its
 gradients give the quantum Hamilton-Jacobi and continuity residuals.
+The backend perturbs one component and holds the other, so it evaluates
+`integrand_holding`: for the ensemble energy, the term of the held
+component (kinetic + V while the density moves, rho and (hbar/2) I
+while the action moves) is built once per gradient, checked by identity
+on every evaluation, and combined by the same formula as `integrand`, so
+every value keeps its bits.
 Both of the paper's constraints, vanishing local momentum on a line and
 joint translation of a pair, are `LocalMomentum`: the momentum that
 generates a rigid shift of every coordinate, `grid.shift_derivative`.
@@ -27,7 +33,7 @@ of motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,6 +79,14 @@ class ConstraintFunctional:
 
     def value(self, state: MadelungState, aux: RealField | None = None) -> float:
         return integrate_values(self.integrand(state, aux), state.grid)
+
+    def integrand_holding(self, state: MadelungState, component: str
+                          ) -> Callable[[MadelungState], np.ndarray]:
+        """The integrand of the states that share state's other component,
+        the one a perturbation of `component` holds. Here it is the
+        integrand itself; a functional whose integrand is a sum of a
+        density term and an action term builds the held one once."""
+        return self.integrand
 
     def gradient_density(self, state: MadelungState,
                          aux: RealField | None = None) -> RealField:
@@ -145,27 +159,80 @@ class EnsembleHamiltonian(ConstraintFunctional):
     order: int = DEFAULT_ORDER
 
     def integrand(self, state, aux=None):
-        kin = kinetic_density(state, self.params, self.order).values
-        v = potential_values(self.params.potential, state.grid)
-        info = information_density(state.density, self.params,
-                                   self.order).values
-        return state.density.values * (kin + v) + 0.5 * self.params.hbar * info
+        return _energy_density(state.density.values,
+                               self._kinetic_and_potential(state),
+                               self._half_information(state.density))
+
+    def integrand_holding(self, state, component):
+        """The integrand of the states that share state's action (when the
+        density moves) or its density (when the action moves). The held
+        term, kinetic + V or (hbar/2) information, is built once here;
+        each call checks that it is given that same held field object and
+        raises a ValueError naming it otherwise. Every value is the bits
+        of `integrand`'s."""
+        if component == "density":
+            held = state.action
+            kin_v = self._kinetic_and_potential(state)
+
+            def moving_density(s):
+                _check_held(s.action, held, "action", component)
+                return _energy_density(s.density.values, kin_v,
+                                       self._half_information(s.density))
+            return moving_density
+        if component == "action":
+            held = state.density
+            half_info = self._half_information(held)
+
+            def moving_action(s):
+                _check_held(s.density, held, "density", component)
+                return _energy_density(held.values,
+                                       self._kinetic_and_potential(s),
+                                       half_info)
+            return moving_action
+        raise ValueError(f"unknown component {component!r}")
 
     def gradient_density(self, state, aux=None):
-        kin = kinetic_density(state, self.params, self.order).values
-        v = potential_values(self.params.potential, state.grid)
         q = bohm_potential(state.density, self.params, order=self.order).values
-        return RealField(state.grid, kin + v + q)
+        return RealField(state.grid, self._kinetic_and_potential(state) + q)
 
     def gradient_action(self, state, aux=None):
         return RealField(state.grid,
                          -flux_divergence(state, self.params, self.order))
 
+    def _kinetic_and_potential(self, state):
+        kin = kinetic_density(state, self.params, self.order).values
+        return kin + potential_values(self.params.potential, state.grid)
+
+    def _half_information(self, rho):
+        info = information_density(rho, self.params, self.order).values
+        return 0.5 * self.params.hbar * info
+
+
+def _energy_density(rho: np.ndarray, kin_v: np.ndarray,
+                    half_info: np.ndarray) -> np.ndarray:
+    """rho (kinetic + V) + (hbar/2) information, the one formula of the
+    ensemble energy's integrand."""
+    return rho * kin_v + half_info
+
+
+def _check_held(field: RealField, held: RealField, name: str,
+                component: str) -> None:
+    if field is not held:
+        raise ValueError(
+            f"the integrand holding the {name} was given another {name} "
+            f"field: only the {component} may move")
+
 
 def functional_derivative(func: ConstraintFunctional, state: MadelungState,
                           component: str,
                           backend: str = "analytic") -> RealField:
-    """Gradient of a constraint functional, analytic or node-perturbation."""
+    """Gradient of a constraint functional, analytic or node-perturbation.
+
+    The numeric backend hands `numeric_functional_gradient` the functional's
+    `integrand_holding(state, component)`: the integrand of the states
+    that share state's other component, whose term is built once per call
+    and checked by identity on every evaluation. Its values are those of
+    `integrand` bit for bit, and no analytic formula enters them."""
     if component not in ("density", "action"):
         raise ValueError(f"unknown component {component!r}")
     if backend == "analytic":
@@ -173,8 +240,9 @@ def functional_derivative(func: ConstraintFunctional, state: MadelungState,
             return func.gradient_density(state)
         return func.gradient_action(state)
     if backend == "numeric":
-        return numeric_functional_gradient(func.integrand, state, component,
-                                           func.order)
+        return numeric_functional_gradient(
+            func.integrand_holding(state, component), state, component,
+            func.order)
     raise ValueError(f"unknown backend {backend!r}")
 
 

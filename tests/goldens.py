@@ -15,7 +15,10 @@ Run from the repository root to rewrite the goldens on this environment:
 
     PYTHONPATH=src python tests/goldens.py
 
-It prints every value that moved, before and after, then writes the file.
+It says first when the goldens were written on another environment, as
+a value may then move with the build rather than the code. It prints
+every value that moved, before and after, writes the file and ends with
+their count, `0 values moved` when none did.
 """
 
 from __future__ import annotations
@@ -122,16 +125,24 @@ def moved(old, new, tolerance: tuple[float, float] | None = None,
 
 def main() -> int:
     configs = {name: run_config(name) for name in sorted(SCENARIOS)}
+    here, lines = environment(), []
     if GOLDEN.exists():
-        for line in moved(json.loads(GOLDEN.read_text())["configs"], configs):
+        recorded = json.loads(GOLDEN.read_text())
+        if recorded["environment"] != here:
+            print(f"the goldens were written on {recorded['environment']}, "
+                  f"this is {here}: a moved value may come from the build, "
+                  "not the code")
+        lines = moved(recorded["configs"], configs)
+        for line in lines:
             print(line)
     GOLDEN.write_text(json.dumps({
-        "environment": environment(),
+        "environment": here,
         "rtol": RTOL,
         "atol": ATOL,
         "configs": configs,
     }, sort_keys=True, indent=2) + "\n")
     print(f"wrote {GOLDEN}")
+    print(f"{len(lines)} value{'' if len(lines) == 1 else 's'} moved")
     return 0
 
 

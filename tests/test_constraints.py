@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from varq import action
+from varq import action, constraints
 from varq.grid import (
     DEFAULT_ORDER,
     DIRICHLET,
@@ -388,26 +388,75 @@ def test_numeric_density_gradient_needs_densities_above_the_step():
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_numeric_backend_cost_set_by_stencil_width(order, monkeypatch):
-    calls = []
-    integrand = EnsembleHamiltonian.integrand
+    calls, terms = [], []
+    holding = EnsembleHamiltonian.integrand_holding
 
-    def counted(self, state, aux=None):
-        calls.append(state.grid.n_nodes)
-        return integrand(self, state, aux)
+    def counted_holding(self, state, component):
+        integrand = holding(self, state, component)
 
-    monkeypatch.setattr(EnsembleHamiltonian, "integrand", counted)
+        def counted(s):
+            calls.append(s.grid.n_nodes)
+            return integrand(s)
+        return counted
+
+    def counted_term(name):
+        term = getattr(constraints, name)
+
+        def counted(*args, **kwargs):
+            terms.append(name)
+            return term(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(EnsembleHamiltonian, "integrand_holding",
+                        counted_holding)
+    for name in ("kinetic_density", "information_density"):
+        monkeypatch.setattr(constraints, name, counted_term(name))
     h = EnsembleHamiltonian(TRAP, order=order)
-    counts = []
-    for n in (64, 512):
-        state = random_smooth_state(np.random.default_rng(n), n=n)
-        calls.clear()
-        functional_derivative(h, state, "density", backend="numeric")
-        counts.append(len(calls))
-    # a color per offset in a block of 2 reach + 2 nodes, plus one where
-    # the blocks share a remainder; +-step per color and one unperturbed
-    reach = stencil_reach(state.grid.axes[0], order)
-    colors = 2 * reach + 3
-    assert counts[0] == counts[1] <= 2 * colors + 1
+    for component, held, moving in [
+            ("density", "kinetic_density", "information_density"),
+            ("action", "information_density", "kinetic_density")]:
+        counts = []
+        for n in (64, 512):
+            state = random_smooth_state(np.random.default_rng(n), n=n)
+            calls.clear()
+            terms.clear()
+            functional_derivative(h, state, component, backend="numeric")
+            counts.append(len(calls))
+            # the held term once per call, the moving one per evaluation
+            assert terms.count(held) == 1
+            assert terms.count(moving) == len(calls)
+        # a color per offset in a block of 2 reach + 2 nodes, plus one
+        # where the blocks share a remainder; +-step per color and one
+        # unperturbed
+        reach = stencil_reach(state.grid.axes[0], order)
+        colors = 2 * reach + 3
+        assert 0 < counts[0] == counts[1] <= 2 * colors + 1
+
+
+def nudged(state, component):
+    """state with its component moved at every node, the other component
+    the very same field object."""
+    base = (state.density if component == "density" else state.action).values
+    wobble = 1e-3 * np.cos(np.arange(base.size)).reshape(base.shape)
+    return action._with_component(state, component, base + wobble)
+
+
+@pytest.mark.parametrize("component, held", [("density", "action"),
+                                             ("action", "density")])
+def test_held_integrand_refuses_another_held_field(component, held):
+    state = smooth_state(GridSpec.line(32, 0.0, 2 * np.pi, PERIODIC))
+    integrand = EnsembleHamiltonian(TRAP).integrand_holding(state, component)
+    integrand(nudged(state, component))
+    fields = {"density": state.density, "action": state.action}
+    # equal values, but not the field the held term was built from
+    fields[held] = RealField(state.grid, fields[held].values.copy())
+    with pytest.raises(ValueError, match=f"holding the {held} was given "
+                       f"another {held} field: only the {component} may"):
+        integrand(MadelungState(fields["density"], fields["action"]))
+    momentum = LocalMomentum()
+    assert momentum.integrand_holding(state, component) == momentum.integrand
+    with pytest.raises(ValueError, match="unknown component 'phase'"):
+        EnsembleHamiltonian(TRAP).integrand_holding(state, "phase")
 
 
 def test_colored_gradient_builds_its_colors_once_per_grid_and_order(
@@ -472,6 +521,20 @@ def test_cached_colors_give_the_bits_of_freshly_built_ones(case):
     loop = full_loop_gradient(integrand, state, component)
     scale = np.max(np.abs(loop))
     assert np.max(np.abs(cached.values - loop)) <= 1e-8 * scale
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(colored_cases())
+def test_held_integrand_gives_the_bits_of_the_full_one(case):
+    grid, order, component = case
+    h = EnsembleHamiltonian(TRAP, order=order)
+    state = smooth_state(grid)
+    held = functional_derivative(h, state, component, "numeric")
+    full = numeric_functional_gradient(h.integrand, state, component, order)
+    assert held.values.tobytes() == full.values.tobytes()
+    integrand = h.integrand_holding(state, component)
+    for s in (state, nudged(state, component)):
+        assert integrand(s).tobytes() == h.integrand(s).tobytes()
 
 
 # -- Poisson brackets --------------------------------------------------------

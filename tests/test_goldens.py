@@ -7,6 +7,7 @@ must match bit for bit; elsewhere results and warnings must match within
 the file's tolerances, and a warning says the exact check was skipped.
 """
 
+import copy
 import importlib
 import json
 import pkgutil
@@ -14,6 +15,7 @@ import warnings
 
 import pytest
 
+import goldens
 import varq
 from goldens import CONFIGS, GOLDEN, SCENARIOS, environment, moved, run_config
 from varq.grid import diff_values
@@ -74,3 +76,28 @@ def test_identity_columns_are_computed_from_the_state(monkeypatch, name,
     got = run_config(name)["results"]
     for column in columns:
         assert abs(got[column] - golden[column]) > 0.5, column
+
+
+def test_rewrite_reports_the_environment_and_the_count(monkeypatch, tmp_path,
+                                                       capsys):
+    # the rewrite of a copy, with every config's run replaced by its golden
+    monkeypatch.setattr(goldens, "GOLDEN", tmp_path / GOLDEN.name)
+    runs = copy.deepcopy(GOLDENS["configs"])
+    monkeypatch.setattr(goldens, "run_config", lambda name: runs[name])
+    recorded = GOLDENS["environment"]
+    monkeypatch.setattr(goldens, "environment", lambda: recorded)
+    goldens.GOLDEN.write_text(json.dumps(GOLDENS))
+    assert goldens.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"wrote {goldens.GOLDEN}", "0 values moved"]
+    # one value moved, on another environment
+    runs["eigen_harmonic.json"]["warnings"] = ["moved"]
+    other = {**recorded, "numpy": "0.0"}
+    monkeypatch.setattr(goldens, "environment", lambda: other)
+    assert goldens.main() == 0
+    first, *lines = capsys.readouterr().out.splitlines()
+    assert first.startswith(f"the goldens were written on {recorded}, "
+                            f"this is {other}: a moved value may come from "
+                            "the build")
+    assert lines == ["eigen_harmonic.json.warnings: [] -> ['moved']",
+                     f"wrote {goldens.GOLDEN}", "1 value moved"]
