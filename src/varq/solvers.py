@@ -30,19 +30,19 @@ stationary trajectory S = -E t. One builder reads every
 vanishing-momentum branch, the flat one too, through them.
 
 scipy is imported inside the functions that call it: scipy.sparse where
-H or the stacked RHS operators are built, scipy.linalg in the
-eigensolve and scipy.sparse.linalg in the Crank-Nicolson set-up. Each
-runs once per eigensolve or propagation, never per step; one
-Crank-Nicolson factorization serves a whole run, whether it advances
-one state or the vanishing-momentum scenario's block of every
-eigenstate. Importing this module (hence `varq.cli`) then loads numpy
-alone.
+the stacked RHS operators are built, scipy.linalg in the eigensolve and
+its LAPACK tridiagonal routines in the Crank-Nicolson set-up. Both read
+H as three bands, so no sparse H is built and scipy.sparse.linalg is
+never loaded. Each import runs once per eigensolve or propagation,
+never per step; one Crank-Nicolson factorization serves a whole run,
+whether it advances one state or the vanishing-momentum scenario's
+block of every eigenstate. Importing this module (hence `varq.cli`)
+then loads numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -75,9 +75,6 @@ from .grid import (
     stencil_operator,
     stencil_reach,
 )
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 # a node announces itself as a narrow dip: abort once the density anywhere
 # falls this far below its own neighborhood (17-cell window), which leaves
@@ -149,18 +146,23 @@ def _unknowns(grid: GridSpec) -> slice:
     return slice(None) if grid.axes[0].boundary == PERIODIC else slice(1, -1)
 
 
-def _hamiltonian_matrix(params: PhysicalParams,
-                        grid: GridSpec) -> sparse.csc_array:
-    """1D H on the unknowns: the interior block of the order-2 d2/dx2."""
-    from scipy import sparse
-
+def _hamiltonian_bands(params: PhysicalParams, grid: GridSpec
+                       ) -> tuple[np.ndarray, np.ndarray, float]:
+    """1D H on the unknowns, the interior block of the order-2 d2/dx2 plus
+    V, as its diagonal, its off-diagonal (H is symmetric) and wrap, the
+    corner entry that couples the ends of a periodic line (0.0 between
+    hard walls)."""
     ax = grid.axes[0]
     lap = stencil_operator(ax, 2, 2)
     coeff = params.hbar**2 / (2.0 * params.mass_along(0) * ax.dx * ax.dx
                               * lap.denominator)
     v = potential_values(params.potential, grid)
-    inner = _unknowns(grid)
-    return (sparse.diags_array(v) - coeff * lap.numerators)[inner, inner].tocsc()
+    num = lap.numerators
+    diag = v - coeff * num.diagonal(0)
+    off = -(coeff * num.diagonal(1))
+    if ax.boundary == PERIODIC:
+        return diag, off, float(-(coeff * num.diagonal(ax.n_points - 1)[0]))
+    return diag[1:-1], off[1:-1], 0.0
 
 
 def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int,
@@ -169,9 +171,8 @@ def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int,
     their eigenvectors, as eigh_tridiagonal returns them."""
     from scipy.linalg import eigh_tridiagonal
 
-    h = _hamiltonian_matrix(params, grid)
-    return eigh_tridiagonal(h.diagonal(), h.diagonal(1),
-                            eigvals_only=eigvals_only, select="i",
+    diag, off, _ = _hamiltonian_bands(params, grid)
+    return eigh_tridiagonal(diag, off, eigvals_only=eigvals_only, select="i",
                             select_range=(0, k - 1))
 
 
@@ -234,16 +235,6 @@ class WavefunctionTrajectory:
         return float(np.max(np.abs(self.norms - self.norms[0])))
 
 
-def _cn_matrices(params: PhysicalParams, grid: GridSpec, dt: float):
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    h = _hamiltonian_matrix(params, grid)
-    z = 0.5j * dt / params.hbar
-    eye = sparse.identity(h.shape[0], format="csc")
-    return splu(eye + z * h), (eye - z * h).tocsr()
-
-
 def wall_violation(values: np.ndarray, grid: GridSpec) -> str | None:
     """Why a 1D wavefunction cannot start on this grid, or None: small
     tail values are clamped to a hard wall, large ones mean a mismatched
@@ -261,9 +252,21 @@ def _crank_nicolson(values: np.ndarray, grid: GridSpec,
     """Crank-Nicolson run of one 1D state, or of one state per column of
     an (n, k) block: checks the run and each column's wall values, then
     yields (step, unknowns) at step 0, every store_every steps and at the
-    last. One factorization serves the run and one solve per step all
-    its columns, each column with the floats of its own single-state run.
+    last.
+
+    The step (I + zH)^-1 (I - zH), z = i dt / 2 hbar, is written
+    2 (I + zH)^-1 - I, so a step is one LAPACK tridiagonal solve, zgttrs,
+    with the one zgttrf factorization of I + zH that serves the run. On a
+    periodic line I + zH also couples the ends: the factored matrix
+    moves that corner onto its first and last diagonal entries, and one
+    Sherman-Morrison correction per step, with its vector solved at
+    set-up, restores it. zgttrs treats each column on its own, so every
+    column of a block keeps the floats of its own single-state run. A
+    band or factor that is not finite raises NonFiniteFieldError, a
+    nonzero LAPACK info LinAlgError. No yielded array is written again.
     """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     if dt <= 0 or steps < 1:
         raise ValueError("need positive dt and at least one step")
     if store_every < 1:
@@ -272,11 +275,54 @@ def _crank_nicolson(values: np.ndarray, grid: GridSpec,
         problem = wall_violation(column, grid)
         if problem:
             raise ValueError(problem)
-    lu, b_mat = _cn_matrices(params, grid, dt)
-    cur = values[_unknowns(grid)]
+    diag, off, wrap = _hamiltonian_bands(params, grid)
+    z = 0.5j * dt / params.hbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, band, corner = 1.0 + z * diag, z * off, z * wrap
+        # I + zH = T + u v^T with u = (gamma, 0, ..., corner) and v = (1,
+        # 0, ..., corner / gamma); gamma = -d[0] keeps T's first diagonal
+        # entry, 2 d[0], clear of cancellation
+        gamma = -d[0]
+        ratio = corner / gamma
+        if corner:
+            d[0] -= gamma
+            d[-1] -= corner * ratio
+    if not all(np.isfinite(a).all() for a in (d, band, ratio)):
+        raise NonFiniteFieldError(
+            "the Crank-Nicolson matrix I + i dt H / 2 hbar is not finite")
+
+    def lapack_checked(result, routine):
+        *out, info = result
+        if info:
+            raise np.linalg.LinAlgError(
+                f"{routine} failed on I + i dt H / 2 hbar (info {info})")
+        return out
+
+    factors = lapack_checked(zgttrf(band, d, band), "zgttrf")
+    correction = ()
+    if corner:
+        u = np.zeros(d.size, dtype=complex)
+        u[0], u[-1] = gamma, corner
+        q, = lapack_checked(zgttrs(*factors, u), "zgttrs")
+        correction = (q, 1.0 + q[0] + ratio * q[-1])
+    if not all(np.isfinite(a).all() for a in (*factors[:4], *correction)):
+        raise NonFiniteFieldError(
+            "the Crank-Nicolson factors of I + i dt H / 2 hbar are not "
+            "finite")
+    # Fortran order: every column is contiguous, and zgttrs copies the
+    # right-hand side as it is
+    cur = np.asfortranarray(values[_unknowns(grid)], dtype=complex)
     yield 0, cur
     for step in range(1, steps + 1):
-        cur = lu.solve(b_mat @ cur)
+        new, = lapack_checked(zgttrs(*factors, cur), "zgttrs")
+        if correction:
+            q, denom = correction
+            for col in new.reshape(new.shape[0], -1).T:
+                col -= q * ((col[0] + ratio * col[-1]) / denom)
+        # 2 (I + zH)^-1 psi - psi, in the new array: cur has been yielded
+        new += new
+        new -= cur
+        cur = new
         if step % store_every == 0 or step == steps:
             yield step, cur
 
@@ -698,15 +744,15 @@ def vanishing_momentum_scenario(params: PhysicalParams, grid: GridSpec,
     p_c, and V + Q - E must vanish where the density is meaningful.
     Density stationarity is checked by one Crank-Nicolson run of all k
     eigenstates over steps * dt, as one block of columns through one
-    factorization; each column's floats are those of its own
-    propagate_wavefunction run. The uniform-density flat branch,
-    on a periodic line of length 10 with no potential, goes through the
-    same builder, _branch, and is reported alongside.
+    tridiagonal factorization and one solve per step; each column's
+    floats are those of its own propagate_wavefunction run. The
+    uniform-density flat branch, on a periodic line of length 10 with no
+    potential, goes through the same builder, _branch, and is reported
+    alongside.
     """
     spec = eigensolve_1d(params, grid, k)
     block = np.stack([psi.values for psi in spec.eigenfunctions], axis=1)
-    *_, (_, end) = _crank_nicolson(block.astype(complex), grid, params, dt,
-                                   steps, steps)
+    *_, (_, end) = _crank_nicolson(block, grid, params, dt, steps, steps)
     # an overflowed run fails as a field of propagate_wavefunction would
     if not np.all(np.isfinite(end)):
         raise NonFiniteFieldError("field contains non-finite values")

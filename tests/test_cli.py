@@ -923,6 +923,45 @@ class TestRuntimeFailures:
         assert [w for w in recwarn if w.category is RuntimeWarning] == []
         assert not (out / f"{scenario}_report.json").exists()
 
+    # the propagator system above, with a packet of width 1e149 that is
+    # finite everywhere and vanishes on the walls: its set-up overflows
+    UNITARY_OVERFLOW = {
+        "grid": {"points": 16, "min": -1e150, "max": 1e150},
+        "system": {"hbar": 1e-300, "mass": 1e-300,
+                   "potential": {"kind": "harmonic"}},
+        "initial": {"center": 0.0, "width": 1e149},
+        "dt": 0.001, "steps": 2}
+
+    def test_overflowing_unitary_evolve_exits_one(self, tmp_path, capsys,
+                                                  recwarn):
+        # I + i dt H / 2 hbar has an infinite diagonal; LAPACK would solve
+        # with it without complaint and step psi to a finite -psi
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path,
+                           dict(self.UNITARY_OVERFLOW, method="unitary"))
+        code = cli.main(["evolve", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_RUNTIME
+        assert "runtime error: the run overflowed" in err
+        assert "Crank-Nicolson" in err
+        assert "Traceback" not in err
+        assert [w for w in recwarn if w.category is RuntimeWarning] == []
+        assert not (out / "evolve_report.json").exists()
+
+    def test_overflowing_comparison_stops_at_validation(self, tmp_path,
+                                                        capsys):
+        # the fields route's stiffness check reads the same system first,
+        # so compare-propagators never reaches the unitary route
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, self.UNITARY_OVERFLOW)
+        code = cli.main(["compare-propagators", "--config", cfg, "--out",
+                         str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+        assert not (out / "compare-propagators_report.json").exists()
+
     def test_successful_run_still_shows_its_warnings(self, tmp_path, recwarn,
                                                      monkeypatch):
         solve = cli.eigensolve_1d

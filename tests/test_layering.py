@@ -22,9 +22,10 @@ package root binds no name: each name is imported from the module that
 defines it, the one path there is to it. Only `grid.stencil_operator`
 builds a `Stencil`, so every operator shares its one-sided wall rows.
 One function of `solvers` holds the Crank-Nicolson step loop: it alone
-factors I + i dt H / 2 hbar and solves with it. The transition layer
-calls no `GridSpec.meshes`: its grid terms broadcast open meshes instead
-of dense coordinate arrays. Its one exponential is
+factors I + i dt H / 2 hbar (LAPACK zgttrf) and solves with it
+(zgttrs), so no unitary run loads scipy.sparse.linalg. The transition
+layer calls no `GridSpec.meshes`: its grid terms broadcast open meshes
+instead of dense coordinate arrays. Its one exponential is
 `fluctuation._exp_weights`, which never makes a subnormal mass.
 """
 
@@ -94,6 +95,23 @@ def test_a_fluctuate_run_loads_no_scipy(config, tmp_path):
     lines = fresh_python(probe).stdout.splitlines()
     assert lines[-2:] == ["0", "[]"]
     assert (tmp_path / "fluctuate_report.json").exists()
+
+
+def test_unitary_runs_load_no_sparse_solver(tmp_path):
+    # the Crank-Nicolson steps are LAPACK tridiagonal solves: neither
+    # scenario that runs them may pull in scipy.sparse.linalg (SuperLU,
+    # ARPACK and the rest), whose import the runs would pay for in
+    # time and memory
+    runs = [("compare-propagators", "compare_propagators.json"),
+            ("vanishing-momentum", "vanishing_momentum.json")]
+    probe = "import sys; from varq import cli; codes = [" + "".join(
+        f"cli.main([{scenario!r}, '--config', "
+        f"{str(REPO / 'configs' / config)!r}, '--out', {str(tmp_path)!r}]), "
+        for scenario, config in runs) + (
+        "]; print(codes, 'scipy.sparse.linalg' in sys.modules)")
+    assert fresh_python(probe).stdout.splitlines()[-1] == "[0, 0] False"
+    for scenario, _ in runs:
+        assert (tmp_path / f"{scenario}_report.json").exists()
 
 
 def scipy_imports_at_import_time(tree: ast.Module) -> list[str]:
@@ -365,10 +383,8 @@ def test_solvers_have_one_crank_nicolson_step_loop():
     # single states and the vanishing-momentum block share one loop over
     # one factorization; a second caller of the factorization, or a
     # second function that solves with it, would be a second loop
-    solvers = [site for site in call_sites("solve")
-               if site.startswith("solvers.")]
-    assert sorted(set(solvers)) == ["solvers._crank_nicolson"]
-    assert call_sites("_cn_matrices") == ["solvers._crank_nicolson"]
+    assert call_sites("zgttrf") == ["solvers._crank_nicolson"]
+    assert sorted(set(call_sites("zgttrs"))) == ["solvers._crank_nicolson"]
 
 
 def test_transition_layer_builds_no_dense_mesh():

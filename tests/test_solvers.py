@@ -137,7 +137,9 @@ class TestEigensolve:
         grid = GridSpec((Axis(8, 0.0, 7.0),))
         params = PhysicalParams(hbar=2.0, mass=0.5,
                                 potential=Harmonic(k=1.0, center=3.5))
-        h = solvers._hamiltonian_matrix(params, grid).toarray()
+        diag, off, wrap = solvers._hamiltonian_bands(params, grid)
+        h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert wrap == 0.0
         x = grid.coordinates()[0][1:-1]
         second = (np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
                   - 2.0 * np.eye(6))
@@ -762,19 +764,114 @@ def test_block_run_is_bit_identical_to_single_state_runs(points, half, k,
         assert reports[j].density_rate_max == rate
 
 
+# unit roundoff of a float64
+UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def unknowns_hamiltonian(params, grid):
+    """Dense H on a 1D solver's unknowns, one column per unit vector
+    through apply_hamiltonian, the apply independent of the bands."""
+    inner = (slice(None) if grid.axes[0].boundary == PERIODIC
+             else slice(1, -1))
+    return np.stack([apply_hamiltonian(e, grid, params)[inner]
+                     for e in np.eye(grid.shape[0])[inner]], axis=1)
+
+
+def crank_nicolson_roundoff(params, grid, dt, steps):
+    """Bound on what roundoff may move a Crank-Nicolson run, per unit of
+    the starting norm, after each step: A = I + i dt H / 2 hbar has
+    singular values between 1 and sqrt(1 + (dt |H| / 2 hbar)^2), with |H|
+    at most max|V| + 2 hbar^2 / (m dx^2) by Gershgorin. A backward-stable
+    tridiagonal solve moves its solution by at most cond(A) times about
+    n u; a step doubles it and subtracts, and the errors of the steps
+    add, with a factor 4 for the slack in "about"."""
+    dx = grid.axes[0].dx
+    h_norm = (np.max(np.abs(potential_values(params.potential, grid)))
+              + 2.0 * params.hbar**2 / (params.mass_along(0) * dx * dx))
+    cond = np.sqrt(1.0 + (dt * h_norm / (2.0 * params.hbar))**2)
+    n = grid.shape[0]
+    return (4.0 * 2.0 * n * UNIT_ROUNDOFF * cond * np.arange(steps + 1),
+            h_norm)
+
+
+@st.composite
+def cyclic_runs(draw):
+    """A random state on a periodic line of 8-64 points with a trap and
+    a few steps."""
+    length = draw(st.floats(0.5, 20.0))
+    params = PhysicalParams(
+        hbar=draw(st.floats(0.3, 3.0)), mass=draw(st.floats(0.3, 3.0)),
+        potential=Harmonic(k=draw(st.floats(0.0, 10.0)),
+                           center=draw(st.floats(0.0, length))))
+    grid = GridSpec.line(draw(st.integers(8, 64)), 0.0, length, PERIODIC)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = (rng.standard_normal(grid.shape)
+           + 1j * rng.standard_normal(grid.shape))
+    return (params, ComplexField(grid, psi),
+            draw(st.floats(1e-4, 1.0)), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(cyclic_runs())
+def test_periodic_steps_match_a_dense_crank_nicolson(run):
+    # the tridiagonal solve plus the Sherman-Morrison correction for the
+    # corner against np.linalg.solve on the full cyclic matrix
+    params, psi0, dt, steps = run
+    grid = psi0.grid
+    h = unknowns_hamiltonian(params, grid)
+    z = 0.5j * dt / params.hbar
+    eye = np.eye(grid.shape[0])
+    traj = propagate_wavefunction(psi0, params, dt, steps)
+    bound, _ = crank_nicolson_roundoff(params, grid, dt, steps)
+    scale = np.linalg.norm(psi0.values)
+    ref = psi0.values
+    for step in range(1, steps + 1):
+        ref = np.linalg.solve(eye + z * h, (eye - z * h) @ ref)
+        gap = np.linalg.norm(traj.states[step].values - ref)
+        assert gap <= bound[step] * scale
+
+
+@pytest.mark.parametrize("boundary", [DIRICHLET, PERIODIC])
+def test_crank_nicolson_conserves_norm_and_energy(boundary):
+    # the implicit midpoint rule keeps every quadratic invariant of a
+    # Hermitian H: the norm and <psi, H psi> move by roundoff alone
+    grid = GridSpec.line(256, -6.0, 6.0, boundary)
+    x = grid.coordinates()[0]
+    params = PhysicalParams(hbar=1.0, mass=1.0,
+                            potential=Harmonic(k=1.0, center=0.3))
+    # a moving packet, so that the density does change
+    psi0 = ComplexField(grid, np.exp(-(x - 1.0)**2 + 2j * x))
+    dt, steps = 1e-2, 400
+    bound, h_norm = crank_nicolson_roundoff(params, grid, dt, steps)
+    traj = propagate_wavefunction(psi0, params, dt, steps)
+    inner = solvers._unknowns(grid)
+    h = unknowns_hamiltonian(params, grid)
+    states = np.array([s.values[inner] for s in traj.states])
+    norms = np.einsum("sj,sj->s", states.conj(), states).real
+    energies = np.einsum("sj,jk,sk->s", states.conj(), h, states).real
+    start = norms[0]
+    # |psi|^2 moves by at most twice the state's move, <psi, H psi> by
+    # twice that times |H|
+    assert np.all(np.abs(norms - norms[0]) <= 2.0 * bound * start)
+    assert np.all(np.abs(energies - energies[0])
+                  <= 2.0 * h_norm * bound * start)
+    moved = np.abs(states[-1])**2 - np.abs(states[0])**2
+    assert np.max(np.abs(moved)) > 0.1 * np.max(np.abs(states[0])**2)
+
+
 @pytest.mark.parametrize("k", [1, 5])
 def test_vanishing_momentum_factors_crank_nicolson_once(monkeypatch, k):
-    # _cn_matrices imports splu inside the function, so the patch holds
-    from scipy.sparse import linalg
+    # _crank_nicolson imports zgttrf inside the function, so the patch holds
+    from scipy.linalg import lapack
 
     calls = []
-    splu = linalg.splu
+    zgttrf = lapack.zgttrf
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return splu(*args, **kwargs)
+        return zgttrf(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "splu", counted)
+    monkeypatch.setattr(lapack, "zgttrf", counted)
     vanishing_momentum_scenario(HARMONIC, harmonic_grid(128, 8.0), k=k,
                                 steps=2)
     assert len(calls) == 1
