@@ -349,6 +349,12 @@ def _substeps(v):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             per_step = stability_substeps(v["state"], v["params"], v["dt"])
+    except NonFiniteFieldError:  # Q, the one field it builds
+        spacing = " and ".join(f"{axis.dx:g}" for axis in v["grid"].axes)
+        yield ("the initial density's quantum potential overflows on this "
+               f"grid: Q is not finite for system.hbar = {v['system.hbar']:g}"
+               f", system.mass = {v['system.mass']}, grid spacing {spacing}")
+        return
     except ValueError as exc:
         yield str(exc)
         return

@@ -1,23 +1,25 @@
 """Uniform 1D/2D grids, finite-difference operators, and quadrature.
 
 Fields live on tensor products of up to two uniform axes. Every stencil
-row comes from fd_weights (Fornberg's recursion), and each operator is a
-sparse matrix built once per axis by stencil_operator. Derivatives use
-central rows of order 2 or 4, wrapped on periodic axes; on Dirichlet
-axes the edge rows are one-sided of the same order, so smooth fields
-that do not vanish there keep full accuracy, and no row reads beyond a
-wall. Quadrature is the rectangle rule on periodic axes (every node
-carries dx) and the trapezoidal rule on Dirichlet axes.
+row comes from fd_weights (exact Fractions), and each operator is a
+sparse matrix of whole numerators built once per axis by
+stencil_operator. Derivatives use central rows of order 2 or 4, wrapped
+on periodic axes; on Dirichlet axes the edge rows are one-sided of the
+same order, so smooth fields that do not vanish there keep full
+accuracy, and no row reads beyond a wall. Quadrature is the rectangle
+rule on periodic axes (every node carries dx) and the trapezoidal rule
+on Dirichlet axes.
 
 scipy.sparse is imported inside stencil_operator, the one place that
-builds a matrix, so importing this module loads numpy alone: scipy loads
-with the first stencil, and a run that never differentiates (fluctuate)
-never pays for it. The operators are cached, so the import runs once per
-process.
+builds a matrix, and fractions inside fd_weights, so importing this
+module loads numpy alone: both load with the first stencil, and a run
+that never differentiates (fluctuate) never pays for them. The weights
+and operators are cached, so the imports run once per process.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -167,53 +169,40 @@ Field = RealField | ComplexField
 
 
 @lru_cache(maxsize=None)
-def fd_weights(offsets: tuple, deriv: int) -> np.ndarray:
-    """Finite-difference weights at offset 0 for the given node offsets.
+def fd_weights(offsets: tuple, deriv: int) -> tuple:
+    """Finite-difference weights at offset 0 for the given integer node
+    offsets, as exact Fractions: node j's is the deriv-th derivative at 0
+    of its Lagrange basis polynomial. Caller divides by dx**deriv."""
+    from fractions import Fraction
 
-    Fornberg's recursion; exact for polynomials up to degree len(offsets)-1.
-    Caller divides by dx**deriv.
-    """
-    x = np.asarray(offsets, dtype=float)
-    n = len(x)
-    if n <= deriv:
+    if len(offsets) <= deriv:
         raise ValueError("not enough stencil points for requested derivative")
-    w = np.zeros((n, deriv + 1))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0]
-    for i in range(1, n):
-        mn = min(i, deriv)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[i, k] = c1 * (k * w[i - 1, k - 1] - c5 * w[i - 1, k]) / c2
-                w[i, 0] = -c1 * c5 * w[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                w[j, k] = (c4 * w[j, k] - k * w[j, k - 1]) / c3
-            w[j, 0] = c4 * w[j, 0] / c3
-        c1 = c2
-    res = w[:, deriv]
-    res.setflags(write=False)
-    return res
+    weights = []
+    for j, xj in enumerate(offsets):
+        others = offsets[:j] + offsets[j + 1:]
+        # coefficients, lowest degree first, of the product of (x - xk)
+        coeffs = [Fraction(1)]
+        for xk in others:
+            coeffs = [a - xk * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        weights.append(math.factorial(deriv) * coeffs[deriv]
+                       / math.prod(xj - xk for xk in others))
+    return tuple(weights)
 
 
 @dataclass(frozen=True, eq=False)
 class Stencil:
     """One derivative along one axis: numerators / (denominator dx^deriv).
 
-    The numerators are fd_weights times the denominator (small integers),
-    each row stored largest offset first. Dividing after the product keeps
-    constant fields cancelling exactly wherever the integer products are.
+    The numerators are fd_weights times the denominator (whole numbers),
+    each row stored largest offset first; reach is the farthest node a row
+    reads, the short way round. Dividing after the product keeps constant
+    fields cancelling exactly wherever the integer products are.
     """
 
     numerators: sparse.csr_array
-    denominator: float
+    denominator: int
     divisor: float
+    reach: int
 
     def apply(self, values: np.ndarray, axis: int) -> np.ndarray:
         """The derivative along array axis 0 or 1 of a 1D or 2D array."""
@@ -222,55 +211,53 @@ class Stencil:
         return out if axis == 0 else out.T
 
 
-# fd_weights times this are whole numbers for every built-in row
-_DENOMINATOR = {2: 2.0, 4: 12.0}
+# the denominator of every row of each order, so its numerators are whole
+_DENOMINATOR = {2: 2, 4: 12}
 
 
 @lru_cache(maxsize=128)
 def stencil_operator(axis: Axis, order: int, deriv: int) -> Stencil:
-    """d^deriv/dx^deriv along one axis, one-sided at Dirichlet edges."""
+    """d^deriv/dx^deriv along one axis, one-sided at Dirichlet edges; a
+    ValueError if a row is not whole at its order's denominator."""
     from scipy import sparse
 
     n, half = axis.n_points, order // 2
     width = order + deriv  # points of a one-sided edge row
+    denominator = _DENOMINATOR[order]
     # rows padded to `width` entries; zero weights are dropped below
     offsets = np.zeros((n, width), dtype=int)
     num = np.zeros((n, width))
 
     def put(rows, row):
+        scaled = [w * denominator for w in fd_weights(tuple(row), deriv)]
+        if any(w.denominator != 1 for w in scaled):
+            raise ValueError(f"d^{deriv}/dx^{deriv} row at offsets {list(row)} "
+                             f"is not whole at denominator {denominator}")
         offsets[rows, :len(row)] = row
-        num[rows, :len(row)] = fd_weights(tuple(row), deriv)
+        num[rows, :len(row)] = [int(w) for w in scaled]
 
     put(slice(None), range(half, -half - 1, -1))
     if axis.boundary == DIRICHLET:
         for i in range(half):
             put(i, range(width - 1 - i, -i - 1, -1))
             put(-1 - i, range(i, i - width, -1))
-    denominator = _DENOMINATOR[order]
-    num *= denominator
-    num = np.where(np.abs(num - np.rint(num)) < 1e-9, np.rint(num), num)
-    cols = np.arange(n)[:, None] + offsets
     keep = num != 0
+    dist = np.abs(offsets[keep])
+    cols = np.arange(n)[:, None] + offsets
     if axis.boundary == PERIODIC:
         cols %= n
+        dist = np.minimum(dist, n - dist)
     indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
     mat = sparse.csr_array((num[keep], cols[keep], indptr), shape=(n, n))
     divisor = denominator * axis.dx * (axis.dx if deriv == 2 else 1.0)
-    return Stencil(mat, denominator, divisor)
+    return Stencil(mat, denominator, divisor, int(dist.max()))
 
 
 @lru_cache(maxsize=128)
 def stencil_reach(axis: Axis, order: int) -> int:
     """Farthest node any row of d/dx or d2/dx2 reads along the axis: wrap
     rows measured the short way round, one-sided edge rows included."""
-    reach = 0
-    for deriv in (1, 2):
-        rows, cols = stencil_operator(axis, order, deriv).numerators.nonzero()
-        dist = np.abs(rows - cols)
-        if axis.boundary == PERIODIC:
-            dist = np.minimum(dist, axis.n_points - dist)
-        reach = max(reach, int(np.max(dist)))
-    return reach
+    return max(stencil_operator(axis, order, deriv).reach for deriv in (1, 2))
 
 
 def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,

@@ -246,6 +246,14 @@ def wall_violation(values: np.ndarray, grid: GridSpec) -> str | None:
     return None
 
 
+def _check_run(dt: float, steps: int, store_every: int) -> None:
+    """The run arguments both propagators take, or a ValueError."""
+    if dt <= 0 or steps < 1:
+        raise ValueError("need positive dt and at least one step")
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
+
+
 def _crank_nicolson(values: np.ndarray, grid: GridSpec,
                     params: PhysicalParams, dt: float, steps: int,
                     store_every: int):
@@ -267,10 +275,7 @@ def _crank_nicolson(values: np.ndarray, grid: GridSpec,
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
-    if dt <= 0 or steps < 1:
-        raise ValueError("need positive dt and at least one step")
-    if store_every < 1:
-        raise ValueError(f"store_every must be at least 1, got {store_every}")
+    _check_run(dt, steps, store_every)
     for column in values.reshape(values.shape[0], -1).T:
         problem = wall_violation(column, grid)
         if problem:
@@ -482,8 +487,8 @@ def _stiffest_rate(state: MadelungState, params: PhysicalParams) -> float:
     half = DEFAULT_ORDER // 2
     offsets = tuple(range(-half, half + 1))
     waves = np.exp(1j * np.outer(_MODES, offsets))
-    sigma1 = np.abs(waves @ fd_weights(offsets, 1))
-    sigma2 = np.abs(waves @ fd_weights(offsets, 2))
+    sigma1 = np.abs(waves @ np.array(fd_weights(offsets, 1), dtype=float))
+    sigma2 = np.abs(waves @ np.array(fd_weights(offsets, 2), dtype=float))
     rate = 0.0
     for ax_idx, axis in enumerate(grid.axes):
         dx = axis.dx
@@ -537,10 +542,7 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     develops such a dip. Total mass drift is logged, never corrected.
     """
     grid = state0.grid
-    if dt <= 0 or steps < 1:
-        raise ValueError("need positive dt and at least one step")
-    if store_every < 1:
-        raise ValueError(f"store_every must be at least 1, got {store_every}")
+    _check_run(dt, steps, store_every)
     if float(np.min(state0.density.values)) <= 0.0:
         raise ValueError(
             "initial density touches zero; the phase equations are "

@@ -25,7 +25,8 @@ from varq.solvers import (
     node_exclusion_mask,
     resolved_energy,
 )
-from varq.grid import DIRICHLET, PERIODIC, GridSpec, RealField, integrate_values
+from varq.grid import (
+    DIRICHLET, PERIODIC, Axis, GridSpec, RealField, integrate_values)
 
 from conftest import observed_order
 
@@ -53,9 +54,15 @@ class TestGeometry:
         with pytest.raises(ValueError, match="even"):
             pair_grid(95, 12.0)
 
-    def test_rejects_mismatched_grid(self):
-        grid = GridSpec.square(64, 0.0, 8.0, DIRICHLET)
-        with pytest.raises(ValueError, match="periodic"):
+    @pytest.mark.parametrize("grid, complaint", [
+        (GridSpec.line(64, 0.0, 8.0, PERIODIC), "two dimensional"),
+        (GridSpec.square(64, 0.0, 8.0, DIRICHLET), "periodic on both axes"),
+        (GridSpec((Axis(64, 0.0, 8.0, PERIODIC), Axis(64, 0.0, 9.0, PERIODIC))),
+         "axes must match"),
+        (GridSpec.square(9, 0.0, 8.0, PERIODIC), "even point count"),
+    ], ids=["line", "dirichlet", "mismatched-axes", "odd-count"])
+    def test_relative_grid_refuses(self, grid, complaint):
+        with pytest.raises(ValueError, match=complaint):
             relative_grid(grid)
 
     def test_rejects_bad_masses(self):

@@ -139,6 +139,19 @@ class TestExitCodes:
         assert (f"config error: cannot write {tmp_path / blocked}: "
                 in capsys.readouterr().err)
 
+    def test_output_under_a_file_is_a_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out"
+        code = cli.main(["eigen", "--config", eigen_config(tmp_path),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"config error: cannot create {out}: ")
+        assert "Traceback" not in err
+        assert blocker.read_text() == ""
+        assert not list(tmp_path.glob("**/eigen_report.json"))
+
     def test_unknown_scenario_rejected(self, tmp_path):
         cfg = eigen_config(tmp_path)
         with pytest.raises(SystemExit):
@@ -361,6 +374,33 @@ class TestValidation:
             "config error: initial.width = 1e-200 is too narrow: its square "
             "underflows to zero\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, payload, complaint", [
+        ("eigen", {"grid": {"points": 64, "min": -5.0, "max": 5.0},
+                   "system": {"hbar": 1.0, "mass": 1.0,
+                              "potential": {"kind": "polynomial"}}},
+         "system.potential.coefficients is required"),
+        # exp(-(x - 1000)^2 / w^2) underflows at every node of [-5, 5]
+        ("evolve", {"grid": {"points": 64, "min": -5.0, "max": 5.0},
+                    "system": dict(HARMONIC_SYSTEM),
+                    "initial": {"center": 1000.0, "width": 0.7},
+                    "dt": 0.001, "steps": 2},
+         "initial density vanishes on this grid"),
+        ("eigen", [], "top level must be a JSON object"),
+        ("fluctuate", {"system": {"mass": 1.0}, "dt": 0.1, "seed": 1,
+                       "window": [8.0, 8.0]},
+         "window must list one half-width per axis"),
+    ], ids=["polynomial-coefficients", "vanishing-density", "top-level-list",
+            "window-length"])
+    def test_config_error_writes_no_report(self, tmp_path, capsys, scenario,
+                                           payload, complaint):
+        out = tmp_path / "out"
+        code = cli.main([scenario, "--config", write_config(tmp_path, payload),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err == f"config error: {complaint}\n"
+        assert not (out / f"{scenario}_report.json").exists()
 
     def test_fluctuate_needs_two_samples(self, tmp_path, capsys):
         # a sample variance of one draw is NaN, so no report could be written
@@ -958,7 +998,11 @@ class TestRuntimeFailures:
                          str(out)])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert err.startswith("config error: ")
+        assert err.startswith("config error: the initial density's quantum "
+                              "potential overflows on this grid")
+        for named in ("system.hbar = 1e-300", "system.mass = 1e-300",
+                      "grid spacing 1.33333e+149"):
+            assert named in err
         assert "Traceback" not in err
         assert not (out / "compare-propagators_report.json").exists()
 

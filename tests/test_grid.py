@@ -1,10 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varq import grid as grid_module
 from varq.grid import (
     DIRICHLET,
     PERIODIC,
@@ -389,6 +391,68 @@ def test_stencil_reach_counts_wrap_and_edge_rows(order):
     # d2/dx2 edge row of order + 2 points reaches order + 1 into the grid
     assert stencil_reach(Axis(16, 0.0, 1.0, PERIODIC), order) == order // 2
     assert stencil_reach(Axis(16, 0.0, 1.0, DIRICHLET), order) == order + 1
+
+
+# every built-in row as whole numerators over its order's denominator,
+# largest offset first: the central row, then the one-sided rows of the
+# first nodes and of the last nodes (row -1 first), textbook values
+BUILT_IN_ROWS = {
+    (2, 1): ((1, 0, -1), [(-1, 4, -3)], [(3, -4, 1)]),
+    (2, 2): ((2, -4, 2), [(-2, 8, -10, 4)], [(4, -10, 8, -2)]),
+    (4, 1): ((-1, 8, 0, -8, 1),
+             [(-3, 16, -36, 48, -25), (1, -6, 18, -10, -3)],
+             [(25, -48, 36, -16, 3), (3, 10, -18, 6, -1)]),
+    (4, 2): ((-1, 16, -30, 16, -1),
+             [(-10, 61, -156, 214, -154, 45), (1, -6, 14, -4, -15, 10)],
+             [(45, -154, 214, -156, 61, -10), (10, -15, -4, 14, -6, 1)]),
+}
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("order, deriv", sorted(BUILT_IN_ROWS))
+def test_built_in_stencils_are_exact_integer_rows(order, deriv, boundary):
+    # the CSR arrays hold the exact weights times the denominator, zero
+    # weights dropped, with the textbook rows' values and layout
+    n, half, width = 10, order // 2, order + deriv
+    denominator = 12 if order == 4 else 2
+    central, first, last = BUILT_IN_ROWS[order, deriv]
+    rows = {i: (half, central) for i in range(n)}
+    if boundary == DIRICHLET:
+        for i in range(half):
+            rows[i] = (width - 1 - i, first[i])
+            rows[n - 1 - i] = (i, last[i])
+    data, indices, indptr = [], [], [0]
+    for i in range(n):
+        top, ints = rows[i]
+        offsets = tuple(range(top, top - len(ints), -1))
+        weights = fd_weights(offsets, deriv)
+        assert all(isinstance(w, Fraction) for w in weights)
+        assert [w * denominator for w in weights] == list(ints)
+        for off, num in zip(offsets, ints):
+            if num:
+                data.append(float(num))
+                indices.append((i + off) % n)
+        indptr.append(len(data))
+    stencil = stencil_operator(Axis(n, 0.0, 1.0, boundary), order, deriv)
+    mat = stencil.numerators
+    assert stencil.denominator == denominator
+    assert mat.data.dtype == np.float64
+    assert np.array_equal(mat.data, data)
+    assert np.array_equal(mat.indices, indices)
+    assert np.array_equal(mat.indptr, indptr)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
+@pytest.mark.parametrize("order, denominator", [(2, 1), (4, 6)])
+def test_row_not_whole_at_its_denominator_raises(monkeypatch, order,
+                                                 denominator, boundary):
+    # the central d/dx rows are (1, 0, -1) / 2 and (-1, 8, 0, -8, 1) / 12:
+    # halving the denominator leaves halves, which are refused, never
+    # truncated; __wrapped__ skips the cache of the true operators
+    monkeypatch.setitem(grid_module._DENOMINATOR, order, denominator)
+    with pytest.raises(ValueError, match=f"not whole at denominator "
+                                         f"{denominator}"):
+        stencil_operator.__wrapped__(Axis(16, 0.0, 1.0, boundary), order, 1)
 
 
 @st.composite

@@ -77,11 +77,13 @@ LOADED_SCIPY = ("print(sorted(name for name in sys.modules "
 
 
 def test_importing_the_cli_loads_neither_ndimage_nor_special():
+    # nor fractions and the decimal it imports: the exact stencil weights
+    # import them with the first stencil, never at start-up
     probe = ("import sys, varq.cli; print(sorted(name for name in "
-             "('scipy.ndimage', 'scipy.special') if name in sys.modules)); "
-             + LOADED_SCIPY)
-    ndimage_special, scipy = fresh_python(probe).stdout.splitlines()
-    assert ndimage_special == "[]"
+             "('scipy.ndimage', 'scipy.special', 'fractions', 'decimal') "
+             "if name in sys.modules)); " + LOADED_SCIPY)
+    unwanted, scipy = fresh_python(probe).stdout.splitlines()
+    assert unwanted == "[]"
     assert scipy == "[]"
 
 
