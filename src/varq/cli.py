@@ -82,6 +82,9 @@ MAX_PAIR_POINTS = 1_024
 # so the cap bounds substeps times nodes, which sets the run time.
 MAX_RUN_SUBSTEPS = 1_000_000
 _SUBSTEP_POINTS = 512
+# Most draws one fluctuate run may take: the sampler's multinomial counts
+# them in int64. The draw costs the same at any count up to it.
+MAX_SAMPLES = 2**63 - 1
 
 _STIFF_WARN = 0.1
 
@@ -351,9 +354,9 @@ def _substeps(v):
             per_step = stability_substeps(v["state"], v["params"], v["dt"])
     except NonFiniteFieldError:  # Q, the one field it builds
         spacing = " and ".join(f"{axis.dx:g}" for axis in v["grid"].axes)
-        yield ("the initial density's quantum potential overflows on this "
-               f"grid: Q is not finite for system.hbar = {v['system.hbar']:g}"
-               f", system.mass = {v['system.mass']}, grid spacing {spacing}")
+        yield ("the initial density's quantum potential Q is not finite on "
+               f"this grid for system.hbar = {v['system.hbar']:g}, "
+               f"system.mass = {v['system.mass']}, grid spacing {spacing}")
         return
     except ValueError as exc:
         yield str(exc)
@@ -645,7 +648,8 @@ SCENARIOS = {
         _run_compare),
     "fluctuate": (
         (("system.hbar", _POSITIVE, 1.0), ("system.mass", _MASSES, ...),
-         ("dt", _POSITIVE, ...), ("samples", _at_least(_COUNT, 2), 100_000),
+         ("dt", _POSITIVE, ...),
+         ("samples", _at_most(_at_least(_COUNT, 2), MAX_SAMPLES), 100_000),
          ("window", _NUMBERS, None)),
         (_system, _window, lambda v: () if v["seed"] is not None else (
             "fluctuate needs a seed (config key 'seed' or --seed)",)),

@@ -8,16 +8,18 @@ entropy against a uniform prior. The extremum is Gaussian,
 
 one independent factor per axis in the bipartite case. This module
 carries the closed form, an iterative optimizer used to cross-check it,
-and a deterministic sampler with counter-based substreams so the draw
-does not depend on how the work is chunked. The optimizer is entropic
-mirror descent (Beck & Teboulle 2003): it steps the log density along the
-functional derivative of transition_objective alone, so it reaches the
-Gaussian without being told where it lies; that log density is kept
-unnormalized and normalized once, on return. The sampler counts how
-many draws land on each node of the transition grid, one sorted chunk
-of draws at a time, by searching the cdf steps the chunk spans in its
-sorted draws, and reads its moments from that empirical distribution
-with the same methods as the closed form, so the module has one moments
+and a seeded sampler. The optimizer is entropic mirror descent (Beck &
+Teboulle 2003): it steps the log density along the functional
+derivative of transition_objective alone, so it reaches the Gaussian
+without being told where it lies; that log density is kept unnormalized
+and normalized once, on return. The sampler needs only how many of n
+independent draws land on each node of the transition grid. Those
+counts follow Multinomial(n, mass) exactly, so it draws them at once,
+as conditional binomials over the nodes (Devroye 1986, ch. XI), in work
+that grows with the node count and not with n. A seed's counts are
+reproducible within one numpy build, as the reports are. The sampler
+reads its moments from that empirical distribution with the same
+methods as the closed form, so the module has one moments
 implementation. The kinetic cost and the moments read the displacement
 coordinates as open meshes, one broadcastable axis vector each, so no
 dense coordinate array of the grid's shape is ever built. Likewise
@@ -53,8 +55,6 @@ _WINDOW_SIGMAS = 8.0
 POINTS_PER_SIGMA = 10
 _MAX_POINTS_1D = 524_289
 _MAX_POINTS_2D = 2_049
-
-_SAMPLE_CHUNK = 1 << 16
 
 # the optimizer stops once one step changes the objective by less (in hbar)
 _CONVERGED = 1e-12
@@ -317,37 +317,23 @@ def kl_divergence(p: TransitionDistribution, q: TransitionDistribution) -> float
 
 def _draw_counts(dist: TransitionDistribution, n: int,
                  seed: int) -> np.ndarray:
-    """How many of n draws land on each grid node. Counter-based Philox
-    substreams are assigned per fixed-size chunk, so the counts for a seed
-    are independent of any parallel split of the chunks.
+    """How many of n independent draws from dist land on each grid node:
+    one Multinomial(n, mass) variate from a Philox stream keyed by seed,
+    so a seed gives the same counts on every run of one numpy build.
 
-    A draw u lands on node i = searchsorted(cdf, u, "right"), that is
-    where cdf[i-1] <= u < cdf[i], so node i holds #{u < cdf[i]} less
-    #{u < cdf[i-1]} draws, none where the cdf does not step. Each chunk's
-    uniforms are sorted in place (counts do not depend on draw order),
-    its first and last draw give the steps lo and hi it reaches, and the
-    cdf values of lo..hi are searched in the sorted draws: the chunk
-    costs the steps it spans times log(chunk), not the chunk times
-    log(grid). Only one chunk of draws is held at a time, never n.
+    numpy draws a multinomial as conditional binomials over the nodes in
+    flat order and hands its last category whatever the binomials before
+    it left, roundoff of their probabilities included. So the categories
+    end at the last node that holds mass, and no draw lands where the law
+    puts none: a zero-mass node before it has conditional probability
+    exactly 0, and the binomial of probability 0 is 0. Time and memory
+    grow with the node count, not with n.
     """
-    cdf = np.cumsum(dist.mass.reshape(-1))
-    cdf[-1] = 1.0
-    steps = np.flatnonzero(np.concatenate(([cdf[0] != 0.0],
-                                           cdf[1:] != cdf[:-1])))
-    cdf = cdf[steps]
-    base = np.random.Philox(key=np.uint64(seed))
-    held = np.zeros(steps.size, dtype=np.int64)
-    for chunk, start in enumerate(range(0, n, _SAMPLE_CHUNK)):
-        u = np.random.Generator(base.jumped(chunk)).random(
-            min(_SAMPLE_CHUNK, n - start))
-        u.sort()
-        lo = int(np.searchsorted(cdf, u[0], side="right"))
-        hi = int(np.searchsorted(cdf, u[-1], side="right"))
-        below = np.searchsorted(u, cdf[lo:hi + 1], side="left")
-        held[lo] += below[0]
-        held[lo + 1:hi + 1] += np.diff(below)
-    counts = np.zeros(dist.mass.size, dtype=np.int64)
-    counts[steps] = held
+    flat = dist.mass.reshape(-1)
+    end = flat.size - int(np.argmax(flat[::-1] > 0.0))
+    counts = np.zeros(flat.size, dtype=np.int64)
+    counts[:end] = np.random.Generator(
+        np.random.Philox(key=np.uint64(seed))).multinomial(n, flat[:end])
     return counts.reshape(dist.grid.shape)
 
 
@@ -367,8 +353,9 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
                         seed: int) -> FluctuationSample:
     """Draw n displacements and report the uncertainty-product estimate.
 
-    The moments are those of the empirical distribution of the draws
-    over the grid nodes, with variance and covariance scaled by n/(n-1)
+    The draws are read as their counts per grid node (_draw_counts). The
+    moments are those of the empirical distribution of the draws over
+    the grid nodes, with variance and covariance scaled by n/(n-1)
     to the unbiased sample estimates. The product estimate per axis is
     m * var(w) / dt, whose target is hbar/2 for the extremal
     distribution.

@@ -43,6 +43,7 @@ then loads numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -478,17 +479,29 @@ def _dip_cause(grid: GridSpec, node: int) -> str:
     return "a node is forming"
 
 
+@lru_cache(maxsize=None)
+def _symbol_peaks(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """|sigma1| and |sigma2|, the symbols of the central d/dx and d2/dx2
+    rows of an order at each of _MODES. Built once per order; both
+    arrays are read-only."""
+    half = order // 2
+    offsets = tuple(range(-half, half + 1))
+    waves = np.exp(1j * np.outer(_MODES, offsets))
+    peaks = tuple(np.abs(waves @ np.array(fd_weights(offsets, deriv),
+                                          dtype=float))
+                  for deriv in (1, 2))
+    for sigma in peaks:
+        sigma.setflags(write=False)
+    return peaks
+
+
 def _stiffest_rate(state: MadelungState, params: PhysicalParams) -> float:
     """The joint-symbol bound on the spectral radius of the fields
     route's Jacobian at state, V + Q included (see stability_substeps)."""
     grid = state.grid
     hbar = params.hbar
     u = 0.5 * np.log(state.density.values) + 1j * (state.action.values / hbar)
-    half = DEFAULT_ORDER // 2
-    offsets = tuple(range(-half, half + 1))
-    waves = np.exp(1j * np.outer(_MODES, offsets))
-    sigma1 = np.abs(waves @ np.array(fd_weights(offsets, 1), dtype=float))
-    sigma2 = np.abs(waves @ np.array(fd_weights(offsets, 2), dtype=float))
+    sigma1, sigma2 = _symbol_peaks(DEFAULT_ORDER)
     rate = 0.0
     for ax_idx, axis in enumerate(grid.axes):
         dx = axis.dx

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 from varq import fluctuation
 from varq.fields import PhysicalParams
@@ -359,26 +359,12 @@ def test_kl_divergence_properties():
 
 # -- sampling ----------------------------------------------------------------
 
-def reference_nodes(dist, n, seed):
-    """Flat node index of each of n explicit draws, in draw order: the
-    sampler's chunked Philox substreams, each chunk searched in the cdf
-    as drawn, unsorted."""
-    cdf = np.cumsum(dist.mass.reshape(-1))
-    cdf[-1] = 1.0
-    base = np.random.Philox(key=np.uint64(seed))
-    chunks = []
-    for chunk, start in enumerate(range(0, n, fluctuation._SAMPLE_CHUNK)):
-        gen = np.random.Generator(base.jumped(chunk))
-        u = gen.random(min(fluctuation._SAMPLE_CHUNK, n - start))
-        chunks.append(np.searchsorted(cdf, u, side="right"))
-    return np.concatenate(chunks)
-
-
-def reference_moments(dist, n, seed):
-    """Sample mean, variance and (2D) covariance of the n draws of
-    reference_nodes, summed exactly by math.fsum in two passes."""
-    nodes = np.unravel_index(reference_nodes(dist, n, seed), dist.grid.shape)
-    draws = [w[i] for w, i in zip(dist.grid.coordinates(), nodes)]
+def reference_moments(dist, counts):
+    """Sample mean, variance and (2D) covariance of the n draws the counts
+    stand for, each node's coordinates repeated its count of times,
+    summed exactly by math.fsum in two passes."""
+    n = int(counts.sum())
+    draws = [np.repeat(w.ravel(), counts.ravel()) for w in dist.grid.meshes()]
     mean = [math.fsum(w) / n for w in draws]
     dev = [w - m for w, m in zip(draws, mean)]
     var = [math.fsum(d * d) / (n - 1) for d in dev]
@@ -389,13 +375,13 @@ def reference_moments(dist, n, seed):
 @pytest.mark.parametrize("params", [P1, PhysicalParams(mass=(1.0, 2.0))],
                          ids=["1d", "2d"])
 def test_sample_moments_equal_the_exact_sums_over_the_draws(params):
-    # 70,000 draws cross the 65,536-draw chunk boundary. Mean and
-    # covariance nearly cancel, so their roundoff is measured against
-    # their scales sigma and sigma_a sigma_b
+    # mean and covariance nearly cancel, so their roundoff is measured
+    # against their scales sigma and sigma_a sigma_b
     dist = optimal_transition(params, DT)
     n = 70_000
     rep = sample_fluctuations(dist, n, seed=7)
-    mean, var, cov = reference_moments(dist, n, seed=7)
+    mean, var, cov = reference_moments(
+        dist, fluctuation._draw_counts(dist, n, seed=7))
     sig = np.sqrt(var)
     assert np.allclose(rep.variance, var, rtol=1e-15, atol=0.0)
     assert np.all(np.abs(np.subtract(rep.mean, mean)) <= 1e-15 * sig)
@@ -407,16 +393,32 @@ def test_sample_moments_equal_the_exact_sums_over_the_draws(params):
 
 def uniform_pair():
     # few nodes and equal masses, so the draws reach node 0 and the last
-    # node: both ends of the range a sorted chunk is added over
+    # node, the multinomial's first and last categories
     grid = GridSpec((Axis(8, -1.0, 1.0), Axis(9, -1.0, 1.0)))
     return TransitionDistribution(grid, np.ones(grid.shape), DT, P2)
 
 
 def zero_mass_tails():
-    # zero-mass nodes at both ends and one inside repeat cdf values
+    # zero-mass nodes at both ends and one inside
     grid = GridSpec.line(11, -1.0, 1.0)
     mass = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0])
     return TransitionDistribution(grid, mass, DT, P1)
+
+
+def assert_counts_of_n_draws(dist, n, seed):
+    """The counts of seed's n draws from dist are n non-negative int64s,
+    none on a zero-mass node, the same again for seed, and other counts
+    for some other seed unless the law sits on one node."""
+    counts = fluctuation._draw_counts(dist, n, seed)
+    assert counts.dtype == np.int64 and counts.shape == dist.grid.shape
+    assert np.all(counts >= 0)
+    assert int(counts.sum()) == n
+    assert np.all(counts[dist.mass == 0.0] == 0)
+    assert np.array_equal(fluctuation._draw_counts(dist, n, seed), counts)
+    if np.count_nonzero(dist.mass) > 1:
+        assert any(not np.array_equal(
+            fluctuation._draw_counts(dist, n, other), counts)
+            for other in range(seed + 1, seed + 9))
 
 
 @pytest.mark.parametrize("make_dist", [
@@ -425,16 +427,31 @@ def zero_mass_tails():
     ids=["1d", "2d", "uniform-pair", "zero-mass-tails"])
 @pytest.mark.parametrize("n", [2, 70_001])
 def test_draw_counts_equal_the_count_of_each_draw(make_dist, n):
-    # 70,001 draws cross the 65,536-draw chunk boundary
+    # the counts stand for n draws; their law is test_draw_counts_fit_the_mass
+    assert_counts_of_n_draws(make_dist(), n, seed=7)
+
+
+def test_no_draw_lands_on_a_zero_mass_node_at_the_largest_count():
+    # numpy's multinomial gives its last category the draws that its
+    # binomials leave by roundoff: about 1.6e5 of 2**63 - 1 here, where
+    # the last rows of the grid hold no mass
+    dist = optimal_transition(P2, 0.05, (6.0, 6.0))
+    assert dist.mass[-1, -1] == 0.0
+    assert_counts_of_n_draws(dist, 2**63 - 1, seed=3)
+
+
+@pytest.mark.parametrize("make_dist", [uniform_pair, zero_mass_tails])
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_draw_counts_fit_the_mass(make_dist, seed):
+    # Pearson's chi-square over the nodes that hold mass, against its
+    # 1e-6 upper tail: a right sampler fails one seed in a million
     dist = make_dist()
-    counts = fluctuation._draw_counts(dist, n, seed=7)
-    expected = np.bincount(reference_nodes(dist, n, seed=7),
-                           minlength=dist.mass.size).reshape(dist.grid.shape)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, expected)
-    assert np.all(counts[dist.mass == 0.0] == 0)
-    if n > 2 and make_dist is uniform_pair:
-        assert counts[0, 0] > 0 and counts[-1, -1] > 0
+    n = 100_000
+    live = dist.mass > 0.0
+    counts = fluctuation._draw_counts(dist, n, seed)[live]
+    expected = n * dist.mass[live]
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    assert chi2 < stats.chi2.isf(1e-6, np.count_nonzero(live) - 1)
 
 
 @st.composite
@@ -484,36 +501,31 @@ def mass_grids(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(case=mass_grids(), chunks=st.integers(0, 2),
-       extra=st.integers(2, 8_000))
-def test_draw_counts_equal_the_count_of_each_draw_for_any_masses(
-        case, chunks, extra):
-    # 2 to 139,072 draws: whole 65,536-draw chunks and a partial one
-    n = chunks * fluctuation._SAMPLE_CHUNK + extra
+@given(case=mass_grids(), n=st.integers(2, 2**63 - 1))
+def test_draw_counts_equal_the_count_of_each_draw_for_any_masses(case, n):
+    # up to the command line's largest count, where the multinomial
+    # leaves draws by roundoff: none may land on a zero-mass node
     dist, overshoot = case
     if overshoot:
         assert np.cumsum(dist.mass.reshape(-1))[-2] > 1.0
-    counts = fluctuation._draw_counts(dist, n, seed=5)
-    expected = np.bincount(reference_nodes(dist, n, seed=5),
-                           minlength=dist.mass.size).reshape(dist.grid.shape)
-    assert np.array_equal(counts, expected)
+    assert_counts_of_n_draws(dist, n, seed=5)
 
 
-def test_draw_counts_hold_one_chunk_of_draws():
-    # one int64 per draw would take 8 MB; one chunk's sorted uniforms
-    # take 0.5 MB (1 MB while the next chunk is drawn), the stepping cdf
-    # values, their node indices and counts 18 kB, and the int64 below
-    # and its diff over the steps the chunk spans 12 kB; 1 to 2 MB is
-    # traced in all
+def test_draw_counts_peak_does_not_grow_with_n():
+    # the counts are drawn at once, never as draws: the traced peak at
+    # 1e15 draws is that at 1e6, a few arrays of the grid's 759 nodes
     dist = optimal_transition(P1, 0.05, (6.0,))
     assert dist.grid.shape == (759,)
-    tracemalloc.start()
-    try:
-        fluctuation._draw_counts(dist, 1_000_000, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_000_000
+    fluctuation._draw_counts(dist, 2, seed=3)  # numpy's one-time set-up
+    peaks = []
+    for n in (1_000_000, 10**15):
+        tracemalloc.start()
+        try:
+            fluctuation._draw_counts(dist, n, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] <= 8 * dist.grid.n_nodes * 8
 
 
 def test_optimizer_frees_its_work_grids_before_the_result_copies_w():
@@ -572,17 +584,6 @@ def test_sampling_deterministic_for_seed():
     a = sample_fluctuations(dist, 50_000, seed=42)
     assert sample_fluctuations(dist, 50_000, seed=42) == a
     assert sample_fluctuations(dist, 50_000, seed=43) != a
-
-
-def test_sampling_prefix_stable_under_larger_draw():
-    # chunked substreams: a longer draw repeats the shorter one's chunks,
-    # so it holds at least as many draws at every node
-    for params in (P1, PhysicalParams(mass=(1.0, 2.0))):
-        dist = optimal_transition(params, DT)
-        short = fluctuation._draw_counts(dist, 70_000, seed=7)
-        long = fluctuation._draw_counts(dist, 140_000, seed=7)
-        assert short.sum() == 70_000 and long.sum() == 140_000
-        assert np.all(long >= short)
 
 
 def test_sample_moments_and_product():
