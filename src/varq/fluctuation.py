@@ -6,37 +6,34 @@ entropy against a uniform prior. The extremum is Gaussian,
 
     density(w) ~ exp(-m w^2 / (hbar dt)),   variance = hbar dt / (2 m),
 
-one independent factor per axis in the bipartite case. This module
-carries the closed form, an iterative optimizer used to cross-check it,
-and a seeded sampler. The optimizer is entropic mirror descent (Beck &
-Teboulle 2003): it steps the log density along the functional
-derivative of transition_objective alone, so it reaches the Gaussian
-without being told where it lies; that log density is kept unnormalized
-and normalized once, on return. The sampler needs only how many of n
-independent draws land on each node of the transition grid. Those
-counts follow Multinomial(n, mass) exactly, so it draws them at once,
-as conditional binomials over the nodes (Devroye 1986, ch. XI), in work
-that grows with the node count and not with n. A seed's counts are
-reproducible within one numpy build, as the reports are. The sampler
-reads its moments from that empirical distribution with the same
-methods as the closed form, so the module has one moments
-implementation. The kinetic cost and the moments read the displacement
-coordinates as open meshes, one broadcastable axis vector each, so no
-dense coordinate array of the grid's shape is ever built. Likewise
-window_problems is the one window rule: a transition grid spans at
-least MIN_WINDOW_SIGMAS standard deviations each side, in the library
-and in the command line's configs alike.
+one independent factor per axis in the bipartite case. The cost is a
+sum of per-axis terms and the uniform prior a product, so a
+TransitionDistribution carries one mass vector per axis, and the closed
+form, the optimizer, the moments and the KL divergence work per axis.
+The optimizer is entropic mirror descent (Beck & Teboulle 2003) on
+transition_objective alone, so it reaches the Gaussian without being
+told where it lies. Only the sampler builds the joint law, the outer
+product of the factors: the counts of n independent draws per node
+follow Multinomial(n, mass) exactly, so it draws them at once, as
+conditional binomials (Devroye 1986, ch. XI), in work that grows with
+the node count and not with n. It reads the mean and variance from
+each axis's marginal counts with the closed form's own methods, so the
+module has one moments implementation. window_problems is the one
+window rule: a transition grid spans at least MIN_WINDOW_SIGMAS
+standard deviations each side, in the library and the configs alike.
 
 No transition mass is subnormal. _exp_weights, the module's one
-exponential, stores exactly 0 wherever the normalized mass could fall
-below the smallest normal float: on x86 an exp with a subnormal result,
-and a product, quotient, log or sum with a subnormal operand, take a
-slow path about ten to a hundred times the cost of a normal one, and a
-wide window's tails hold tens of thousands of such nodes.
+exponential, stores exactly 0 wherever a factor's normalized mass could
+fall below the smallest normal float, and the joint law stores 0 for
+every product below it: on x86 an exp with a subnormal result, and a
+product, quotient, log or sum with a subnormal operand, take a slow
+path ten to a hundred times the cost of a normal one, and a wide
+window's tails hold tens of thousands of such nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -126,63 +123,57 @@ def transition_grid(params: PhysicalParams, dt: float,
 
 @dataclass(frozen=True, eq=False)
 class TransitionDistribution:
-    """Probability mass per displacement-grid node, summing to one."""
+    """Product law on the displacement grid: one probability mass vector
+    per axis, each summing to one."""
 
     grid: GridSpec
-    mass: np.ndarray
+    masses: tuple[np.ndarray, ...]
     dt: float
     params: PhysicalParams
 
     def __post_init__(self):
-        m = np.asarray(self.mass, dtype=float)
-        if m.shape != self.grid.shape:
-            raise ValueError("mass array does not match the grid")
-        if np.any(m < 0):
-            raise ValueError("probability mass must be non-negative")
-        total = m.sum()
-        if not np.isfinite(total) or total <= 0:
-            raise ValueError("probability mass must have positive finite total")
-        object.__setattr__(self, "mass", m / total)
+        masses = [np.asarray(m, dtype=float) for m in self.masses]
+        if [m.shape for m in masses] != [(n,) for n in self.grid.shape]:
+            raise ValueError("mass vectors do not match the grid axes")
+        totals = [m.sum() for m in masses]
+        if any(np.any(m < 0) or not 0 < t < np.inf
+               for m, t in zip(masses, totals)):
+            raise ValueError("probability mass must be non-negative, "
+                             "with positive finite total")
+        object.__setattr__(self, "masses",
+                           tuple(m / t for m, t in zip(masses, totals)))
 
     @property
     def window(self) -> tuple[float, ...]:
         """Half-width of the displacement grid per axis."""
         return tuple(ax.x_max for ax in self.grid.axes)
 
+    def joint(self) -> np.ndarray:
+        """Mass per grid node, the outer product of the factors, with every
+        product below the smallest normal float stored as exactly 0."""
+        mass = math.prod(np.ix_(*self.masses))
+        mass[mass < np.finfo(float).tiny] = 0.0
+        return mass
+
     def density(self) -> RealField:
-        return RealField(self.grid, self.mass / self.grid.node_volumes())
+        return RealField(self.grid, self.joint() / self.grid.node_volumes())
 
     def mean(self) -> np.ndarray:
-        return np.array([float(np.sum(self.mass * w))
-                         for w in _open_meshes(self.grid)])
+        return np.array([float(np.sum(m * w)) for m, w in
+                         zip(self.masses, self.grid.coordinates())])
 
     def variance(self, mean: np.ndarray | None = None) -> np.ndarray:
         """Per-axis variance about mean, which defaults to self.mean()."""
         mu = self.mean() if mean is None else mean
-        return np.array([float(np.sum(self.mass * (w - m) ** 2))
-                         for w, m in zip(_open_meshes(self.grid), mu)])
-
-    def covariance(self, mean: np.ndarray | None = None) -> float:
-        """Cross covariance about mean, which defaults to self.mean()."""
-        if self.grid.dimension != 2:
-            raise ValueError("cross covariance needs a 2D distribution")
-        mu = self.mean() if mean is None else mean
-        wa, wb = _open_meshes(self.grid)
-        return float(np.sum(self.mass * (wa - mu[0]) * (wb - mu[1])))
+        return np.array([float(np.sum(m * (w - c) ** 2)) for m, w, c in
+                         zip(self.masses, self.grid.coordinates(), mu)])
 
 
-def _open_meshes(grid: GridSpec) -> tuple[np.ndarray, ...]:
-    """Node coordinates per axis, shaped to broadcast against the grid:
-    the floats of GridSpec.meshes without its full-shape copies."""
-    return tuple(np.meshgrid(*grid.coordinates(), indexing="ij", sparse=True))
-
-
-def _kinetic_cost(grid: GridSpec, params: PhysicalParams,
-                  dt: float) -> np.ndarray:
-    cost = np.zeros(grid.shape)
-    for ax, w in enumerate(_open_meshes(grid)):
-        cost += params.mass_along(ax) * w**2 / (2.0 * dt)
-    return cost
+def _axis_costs(grid: GridSpec, params: PhysicalParams,
+                dt: float) -> list[np.ndarray]:
+    """Kinetic cost m w^2 / (2 dt) along each axis; a node's is their sum."""
+    return [params.mass_along(ax) * w**2 / (2.0 * dt)
+            for ax, w in enumerate(grid.coordinates())]
 
 
 def _normal_mass_floor(prior: np.ndarray) -> float:
@@ -212,41 +203,46 @@ def optimal_transition(params: PhysicalParams, dt: float,
                        ) -> TransitionDistribution:
     """Closed-form extremal distribution, one Gaussian factor per axis."""
     grid = transition_grid(params, dt, window)
-    vols = grid.node_volumes()
-    log_density = _kinetic_cost(grid, params, dt)
-    log_density *= -2.0
-    log_density /= params.hbar
-    log_density -= np.max(log_density)
-    mass = _exp_weights(log_density, vols, _normal_mass_floor(vols))
-    return TransitionDistribution(grid, mass, dt, params)
+    masses = []
+    for ax, log_density in zip(grid.axes, _axis_costs(grid, params, dt)):
+        vols = ax.quadrature_weights()
+        log_density *= -2.0
+        log_density /= params.hbar
+        log_density -= np.max(log_density)
+        masses.append(
+            _exp_weights(log_density, vols, _normal_mass_floor(vols)))
+    return TransitionDistribution(grid, tuple(masses), dt, params)
 
 
 def transition_objective(dist: TransitionDistribution) -> float:
-    """Kinetic cost plus (hbar/2) relative entropy against the uniform prior."""
-    cost = _kinetic_cost(dist.grid, dist.params, dist.dt)
+    """Kinetic cost plus (hbar/2) relative entropy against the uniform
+    prior, node by node over the joint law: the per-axis _score's check."""
+    mass = dist.joint()
+    cost = sum(np.ix_(*_axis_costs(dist.grid, dist.params, dist.dt)))
     vols = dist.grid.node_volumes()
     prior = 1.0 / float(np.sum(vols))
-    dens = dist.mass / vols
-    live = dist.mass > 0.0
-    entropy = np.zeros(dist.grid.shape)
-    entropy[live] = dist.mass[live] * np.log(dens[live] / prior)
-    return float(np.sum(dist.mass * cost) + 0.5 * dist.params.hbar * entropy.sum())
+    live = mass > 0.0
+    entropy = mass[live] * np.log(mass[live] / vols[live] / prior)
+    return float(np.sum(mass * cost)
+                 + 0.5 * dist.params.hbar * np.sum(entropy))
 
 
-def _score(lr: np.ndarray, prior: np.ndarray, floor: float,
-           pull: np.ndarray, rate: float, half_hbar: float,
-           w: np.ndarray) -> float:
-    """Transition objective of w / z, for the unnormalized log density lr
-    relative to prior: w = prior exp(lr - top), 0 below floor (see
-    _exp_weights), sums to z <= 1, and with pull = rate cost the score
-    is (w.cost + (hbar/2) w.lr) / z - (hbar/2) (top + ln z)."""
-    top = float(np.max(lr))
-    np.subtract(lr, top, out=w)
-    _exp_weights(w, prior, floor)
-    z = float(np.sum(w))
-    w_cost = float(np.dot(w.ravel(), pull.ravel())) / rate
-    w_lr = float(np.dot(w.ravel(), lr.ravel()))
-    return (w_cost + half_hbar * w_lr) / z - half_hbar * (top + np.log(z))
+def _score(axes: list[tuple[np.ndarray, ...]], rate: float,
+           half_hbar: float) -> float:
+    """Transition objective of the law whose factors are the weights
+    w / z, summed over the axes' (lr, prior, floor, pull, w): for a log
+    density lr relative to prior, w = prior exp(lr - top), 0 below floor
+    (see _exp_weights), sums to z <= 1, and with pull = rate cost an
+    axis scores (w.cost + (hbar/2) w.lr) / z - (hbar/2) (top + ln z)."""
+    score = 0.0
+    for lr, prior, floor, pull, w in axes:
+        top = float(np.max(lr))
+        _exp_weights(np.subtract(lr, top, out=w), prior, floor)
+        z = float(np.sum(w))
+        w_cost = float(np.dot(w, pull)) / rate
+        score += ((w_cost + half_hbar * float(np.dot(w, lr))) / z
+                  - half_hbar * (top + np.log(z)))
+    return score
 
 
 def optimize_transition_numeric(params: PhysicalParams, dt: float,
@@ -257,39 +253,39 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
     from the prior. Up to a constant, the objective's functional
     derivative in lr is g = cost + (hbar/2) lr, and each iteration steps
     lr <- lr - (2 _STEP / hbar) g = (1 - _STEP) lr - (2 _STEP / hbar) cost.
+    The cost is a sum of per-axis terms, so lr stays a sum of per-axis
+    vectors, each stepped alone; the run stops on their summed score.
     lr is never renormalized, since a constant leaves the distribution
-    and _score alike; the closed form is never consulted. One iteration
-    makes twelve passes over four grids. Returns (distribution,
-    iterations). Raises NonConvergenceError if the objective is not
-    finite or its change never falls below _CONVERGED hbar within
-    _MAX_ITER iterations.
+    and _score alike. Returns (distribution, iterations). Raises
+    NonConvergenceError if the objective is not finite or its change
+    never falls below _CONVERGED hbar within _MAX_ITER iterations.
     """
     grid = transition_grid(params, dt, window)
-    prior = grid.node_volumes()
-    prior /= np.sum(prior)
-    floor = _normal_mass_floor(prior)
     half_hbar = 0.5 * params.hbar
     rate = _STEP / half_hbar
-    pull = _kinetic_cost(grid, params, dt)
-    pull *= rate
-    lr = np.zeros(grid.shape)
+    axes = []
+    for ax, pull in zip(grid.axes, _axis_costs(grid, params, dt)):
+        prior = ax.quadrature_weights()
+        prior /= np.sum(prior)
+        pull *= rate
+        axes.append((np.zeros(ax.n_points), prior, _normal_mass_floor(prior),
+                     pull, np.empty(ax.n_points)))
     tol = _CONVERGED * params.hbar  # the objective is measured in hbar
-    w = np.empty(grid.shape)
     prev = 0.0
     # iteration 0 only scores the start; each later one steps first
     for it in range(_MAX_ITER + 1):
         if it:
-            lr *= 1.0 - _STEP
-            lr -= pull
-        cur = _score(lr, prior, floor, pull, rate, half_hbar, w)
+            for lr, _, _, pull, _ in axes:
+                lr *= 1.0 - _STEP
+                lr -= pull
+        cur = _score(axes, rate, half_hbar)
         if not np.isfinite(cur):
             raise NonConvergenceError(
                 f"objective is {cur} at iteration {it}: the kinetic cost or "
                 f"the log density overflows on this grid")
         if it and abs(cur - prev) < tol:
-            # the result normalizes a copy of w: free the other grids first
-            del prior, pull, lr
-            return TransitionDistribution(grid, w, dt, params), it
+            return TransitionDistribution(
+                grid, tuple(w for *_, w in axes), dt, params), it
         prev = cur
     raise NonConvergenceError(
         f"objective change still above {_CONVERGED} hbar after "
@@ -297,29 +293,30 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
 
 
 def kl_divergence(p: TransitionDistribution, q: TransitionDistribution) -> float:
-    """sum p log(p/q) over nodes; inf if q vanishes where p carries mass.
-
-    Nodes where q underflowed to zero while p still holds a roundoff-level
-    total (below 1e-15) are dropped instead of poisoning the sum.
-    """
+    """sum p log(p/q) over nodes, the sum of the two product laws'
+    per-axis KLs; inf if q vanishes where p carries mass, save that on
+    each axis a roundoff-level total of it (below 1e-15) is dropped."""
     if p.grid != q.grid:
         raise ValueError("distributions live on different grids")
-    live = p.mass > 0.0
-    orphan = live & (q.mass == 0.0)
-    if float(p.mass[orphan].sum()) > 1e-15:
-        return float("inf")
-    keep = live & (q.mass > 0.0)
-    pk = p.mass[keep]
-    return float(np.sum(pk * np.log(pk / q.mass[keep])))
+    kl = 0.0
+    for pm, qm in zip(p.masses, q.masses):
+        live = pm > 0.0
+        orphan = live & (qm == 0.0)
+        if float(pm[orphan].sum()) > 1e-15:
+            return float("inf")
+        keep = live & (qm > 0.0)
+        pk = pm[keep]
+        kl += float(np.sum(pk * np.log(pk / qm[keep])))
+    return kl
 
 
 # -- sampling ----------------------------------------------------------------
 
-def _draw_counts(dist: TransitionDistribution, n: int,
-                 seed: int) -> np.ndarray:
-    """How many of n independent draws from dist land on each grid node:
-    one Multinomial(n, mass) variate from a Philox stream keyed by seed,
-    so a seed gives the same counts on every run of one numpy build.
+def _draw_counts(mass: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """How many of n independent draws from the grid-shaped mass land on
+    each node: one Multinomial(n, mass) variate from a Philox stream
+    keyed by seed, so a seed gives the same counts on every run of one
+    numpy build.
 
     numpy draws a multinomial as conditional binomials over the nodes in
     flat order and hands its last category whatever the binomials before
@@ -329,12 +326,12 @@ def _draw_counts(dist: TransitionDistribution, n: int,
     exactly 0, and the binomial of probability 0 is 0. Time and memory
     grow with the node count, not with n.
     """
-    flat = dist.mass.reshape(-1)
+    flat = mass.reshape(-1)
     end = flat.size - int(np.argmax(flat[::-1] > 0.0))
     counts = np.zeros(flat.size, dtype=np.int64)
     counts[:end] = np.random.Generator(
         np.random.Philox(key=np.uint64(seed))).multinomial(n, flat[:end])
-    return counts.reshape(dist.grid.shape)
+    return counts.reshape(mass.shape)
 
 
 @dataclass(frozen=True)
@@ -353,16 +350,18 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
                         seed: int) -> FluctuationSample:
     """Draw n displacements and report the uncertainty-product estimate.
 
-    The draws are read as their counts per grid node (_draw_counts). The
-    moments are those of the empirical distribution of the draws over
-    the grid nodes, with variance and covariance scaled by n/(n-1)
-    to the unbiased sample estimates. The product estimate per axis is
-    m * var(w) / dt, whose target is hbar/2 for the extremal
-    distribution.
+    The draws are read as their counts per node of the joint law
+    (_draw_counts); the mean and variance are those of each axis's
+    marginal counts, and the covariance is one pass over the counts.
+    Variance and covariance are scaled by n/(n-1) to the unbiased sample
+    estimates. The product estimate per axis is m * var(w) / dt, whose
+    target is hbar/2 for the extremal distribution.
     """
     if n < 2:
         raise ValueError("a sample variance needs at least 2 draws")
-    drawn = TransitionDistribution(dist.grid, _draw_counts(dist, n, seed),
+    counts = _draw_counts(dist.joint(), n, seed)
+    drawn = TransitionDistribution(dist.grid, (counts,) if counts.ndim == 1
+                                   else (counts.sum(1), counts.sum(0)),
                                    dist.dt, dist.params)
     unbias = n / (n - 1)
     mu = drawn.mean()
@@ -372,7 +371,8 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
     prod = tuple(p.mass_along(ax) * v / dist.dt for ax, v in enumerate(var))
     cov = cov_sigma = None
     if len(var) == 2:
-        cov = drawn.covariance(mu) * unbias
+        wa, wb = (w - m for w, m in zip(dist.grid.coordinates(), mu))
+        cov = float(wa @ counts @ wb) / n * unbias
         # roots first: var[0] * var[1] can overflow or underflow
         cov_sigma = float(np.sqrt(var[0]) * (np.sqrt(var[1]) / np.sqrt(n)))
     return FluctuationSample(

@@ -169,12 +169,28 @@ def _hamiltonian_bands(params: PhysicalParams, grid: GridSpec
 def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int,
                          eigvals_only: bool):
     """Lowest k eigenvalues of H on the unknowns, and unless eigvals_only
-    their eigenvectors, as eigh_tridiagonal returns them."""
+    their eigenvectors, as eigh_tridiagonal returns them.
+
+    LAPACK's bisection and inverse iteration square the band entries and
+    multiply the squares by the band norm and powers of the order: with
+    bands of 2^480 the eigenvectors come back NaN, below 2^-509 the
+    squares are subnormal and the eigenvalues wrong. Bands whose largest
+    entry lies outside [2^-256, 2^256), whose squares leave 2^512 of
+    headroom each side, are solved scaled by 2^-e to [1/2, 1) (e that
+    entry's exponent), an exact scaling, and the eigenvalues scaled back.
+    Other bands are solved as they are, so their bits do not move.
+    """
     from scipy.linalg import eigh_tridiagonal
 
     diag, off, _ = _hamiltonian_bands(params, grid)
-    return eigh_tridiagonal(diag, off, eigvals_only=eigvals_only, select="i",
-                            select_range=(0, k - 1))
+    peak = max(np.max(np.abs(diag)), np.max(np.abs(off)))
+    e = 0 if 2.0**-256 <= peak < 2.0**256 else int(np.frexp(peak)[1])
+    out = eigh_tridiagonal(np.ldexp(diag, -e), np.ldexp(off, -e),
+                           eigvals_only=eigvals_only, select="i",
+                           select_range=(0, k - 1))
+    if eigvals_only:
+        return np.ldexp(out, e)
+    return np.ldexp(out[0], e), out[1]
 
 
 def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,

@@ -915,8 +915,11 @@ class TestRuntimeFailures:
         assert "runtime error: level 7 is unresolved" in err
         assert not (out / "three-route_report.json").exists()
 
-    def test_unconverged_eigensolve_exits_one(self, tmp_path, capsys):
-        # a mass of 1e-300 puts 1e300 entries in the tridiagonal matrix
+    def test_eigensolve_with_overflowing_residuals_exits_one(
+            self, tmp_path, capsys, recwarn):
+        # a mass of 1e-300 puts 1e300 entries in the tridiagonal matrix:
+        # the scaled eigensolve converges, but the squares of the
+        # residuals overflow, and the report refuses the inf
         cfg = write_config(tmp_path, {
             "grid": {"points": 32, "min": -6.0, "max": 6.0},
             "system": {"mass": 1e-300}, "count": 2})
@@ -924,7 +927,7 @@ class TestRuntimeFailures:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_RUNTIME
         assert capsys.readouterr().err.startswith(
-            "runtime error: stebz (eigh_tridiagonal) did not converge")
+            "runtime error: report not written: Out of range float values")
 
     def test_single_node_ground_state_exits_one(self, tmp_path, capsys):
         # a trap of strength 1e300 holds the separation mode on one node
@@ -1102,6 +1105,36 @@ def test_richardson_refines_a_polynomial_trap(tmp_path):
     harmonic, polynomial = results
     for key in ("eigenvalues", "refined_eigenvalues", "residuals"):
         assert polynomial[key] == harmonic[key]
+
+
+@pytest.mark.parametrize("name", ["eigen_harmonic.json",
+                                  "vanishing_momentum.json",
+                                  "constraint_ground.json"])
+def test_trap_in_a_time_unit_of_1e_minus_72_runs(tmp_path, name):
+    # T = 1e-72 turns hbar = 1 into 1e72 and a strength of 1 into 1e144:
+    # a valid config whose Hamiltonian bands are about 1e147, beyond what
+    # LAPACK's eigensolver holds unscaled. Eigenvalues scale by
+    # hbar w = 1e144. The bisection stops within about 2 eps |H|_1, with
+    # |H|_1 about 5.3e3 hbar w on this grid, so 2.3e-12 hbar w, or
+    # 4.7e-12 of the lowest eigenvalue hbar w / 2; the decimal units add
+    # a few ulps. The bound is 1e-11, relative
+    scenario = CONFIG_SCENARIOS[name]
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    if scenario == "eigen":
+        cfg["richardson"] = False
+    reports = []
+    for hbar, strength in ((1.0, 1.0), (1e72, 1e144)):
+        cfg["system"]["hbar"] = hbar
+        cfg["system"]["potential"]["strength"] = strength
+        out = tmp_path / str(len(reports))
+        code = cli.main([scenario, "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        reports.append(json.loads(
+            (out / f"{scenario}_report.json").read_text())["results"])
+    if scenario == "eigen":
+        unit, scaled = (np.array(r["eigenvalues"]) for r in reports)
+        assert np.all(np.abs(scaled / 1e144 - unit) <= 1e-11 * unit)
 
 
 def config_fields(node, prefix=""):

@@ -24,9 +24,10 @@ builds a `Stencil`, so every operator shares its one-sided wall rows.
 One function of `solvers` holds the Crank-Nicolson step loop: it alone
 factors I + i dt H / 2 hbar (LAPACK zgttrf) and solves with it
 (zgttrs), so no unitary run loads scipy.sparse.linalg. The transition
-layer calls no `GridSpec.meshes`: its grid terms broadcast open meshes
-instead of dense coordinate arrays. Its one exponential is
-`fluctuation._exp_weights`, which never makes a subnormal mass.
+layer calls no `GridSpec.meshes`: its law is one mass vector per axis,
+and only the sampler forms the joint law, their outer product. Its one
+exponential is `fluctuation._exp_weights`, which never makes a
+subnormal mass.
 """
 
 import ast
