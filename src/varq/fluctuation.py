@@ -12,15 +12,14 @@ TransitionDistribution carries one mass vector per axis, and the closed
 form, the optimizer, the moments and the KL divergence work per axis.
 The optimizer is entropic mirror descent (Beck & Teboulle 2003) on
 transition_objective alone, so it reaches the Gaussian without being
-told where it lies. Only the sampler builds the joint law, the outer
-product of the factors: the counts of n independent draws per node
-follow Multinomial(n, mass) exactly, so it draws them at once, as
-conditional binomials (Devroye 1986, ch. XI), in work that grows with
-the node count and not with n. It reads the mean and variance from
-each axis's marginal counts with the closed form's own methods, so the
-module has one moments implementation. window_problems is the one
-window rule: a transition grid spans at least MIN_WINDOW_SIGMAS
-standard deviations each side, in the library and the configs alike.
+told where it lies. The sampler draws through the factors too (see
+_draw_counts), and reads the mean and variance from each axis's
+marginal counts with the closed form's own methods, so the module has
+one moments implementation. Only density() and transition_objective,
+the optimizer's independent check, build the joint law, the outer
+product of the factors (joint()). window_problems is the one window
+rule: a transition grid spans at least MIN_WINDOW_SIGMAS standard
+deviations each side, in the library and the configs alike.
 
 No transition mass is subnormal. _exp_weights, the module's one
 exponential, stores exactly 0 wherever a factor's normalized mass could
@@ -51,6 +50,8 @@ _WINDOW_SIGMAS = 8.0
 
 POINTS_PER_SIGMA = 10
 _MAX_POINTS_1D = 524_289
+# per axis of a pair grid: it bounds the sampler's live-row block of int64
+# axis-1 counts and its float copy, 2,049^2 x 8 B = 34 MB each
 _MAX_POINTS_2D = 2_049
 
 # the optimizer stops once one step changes the objective by less (in hbar)
@@ -312,26 +313,41 @@ def kl_divergence(p: TransitionDistribution, q: TransitionDistribution) -> float
 
 # -- sampling ----------------------------------------------------------------
 
-def _draw_counts(mass: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """How many of n independent draws from the grid-shaped mass land on
-    each node: one Multinomial(n, mass) variate from a Philox stream
-    keyed by seed, so a seed gives the same counts on every run of one
-    numpy build.
+def _multinomial(gen: np.random.Generator, n, mass: np.ndarray) -> np.ndarray:
+    """gen.multinomial(n, mass), its categories ending at the last node
+    that holds mass; n may be one count per row of the result."""
+    end = mass.size - int(np.argmax(mass[::-1] > 0.0))
+    return gen.multinomial(n, mass[:end])
 
-    numpy draws a multinomial as conditional binomials over the nodes in
-    flat order and hands its last category whatever the binomials before
-    it left, roundoff of their probabilities included. So the categories
-    end at the last node that holds mass, and no draw lands where the law
-    puts none: a zero-mass node before it has conditional probability
-    exactly 0, and the binomial of probability 0 is 0. Time and memory
-    grow with the node count, not with n.
+
+def _draw_counts(masses: tuple[np.ndarray, ...], n: int,
+                 seed: int) -> tuple[np.ndarray, ...]:
+    """Counts of n independent draws from the product law of the factors
+    `masses`, from a Philox stream keyed by seed (the same counts on
+    every run of one numpy build): (rows,) on a line, (rows, block) on a
+    pair grid. rows ~ Multinomial(n, masses[0]) counts the draws on each
+    axis-0 node; block[k] ~ Multinomial(rows[i], masses[1]) counts the
+    axis-1 nodes below block.shape[1] of the k-th row i that holds
+    draws. By the chain rule for multinomials (Devroye 1986, ch. XI)
+    these are the counts of Multinomial(n, joint mass), drawn with no
+    grid-shaped array, in work that grows with the axes' node counts and
+    the rows that hold draws, not with n.
+
+    numpy draws a multinomial as conditional binomials over the
+    categories in order and hands its last category whatever the
+    binomials before it left, roundoff included. So each axis's
+    categories end at its last node that holds mass, and no draw lands
+    where a factor puts none: the binomial of probability 0 is 0. A node
+    whose product of masses is below the smallest normal float, which
+    joint() stores as 0, can still take a row's last-category roundoff.
     """
-    flat = mass.reshape(-1)
-    end = flat.size - int(np.argmax(flat[::-1] > 0.0))
-    counts = np.zeros(flat.size, dtype=np.int64)
-    counts[:end] = np.random.Generator(
-        np.random.Philox(key=np.uint64(seed))).multinomial(n, flat[:end])
-    return counts.reshape(mass.shape)
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rows = np.zeros(masses[0].size, dtype=np.int64)
+    drawn = _multinomial(gen, n, masses[0])
+    rows[:drawn.size] = drawn
+    if len(masses) == 1:
+        return (rows,)
+    return rows, _multinomial(gen, rows[rows > 0], masses[1])
 
 
 @dataclass(frozen=True)
@@ -350,19 +366,24 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
                         seed: int) -> FluctuationSample:
     """Draw n displacements and report the uncertainty-product estimate.
 
-    The draws are read as their counts per node of the joint law
-    (_draw_counts); the mean and variance are those of each axis's
-    marginal counts, and the covariance is one pass over the counts.
+    The draws are read as their counts, drawn through the factors
+    (_draw_counts): the mean and variance are those of each axis's
+    marginal counts, the axis-0 counts and the column sums of the live
+    rows' axis-1 counts, and the covariance is one pass over those rows.
     Variance and covariance are scaled by n/(n-1) to the unbiased sample
     estimates. The product estimate per axis is m * var(w) / dt, whose
     target is hbar/2 for the extremal distribution.
     """
     if n < 2:
         raise ValueError("a sample variance needs at least 2 draws")
-    counts = _draw_counts(dist.joint(), n, seed)
-    drawn = TransitionDistribution(dist.grid, (counts,) if counts.ndim == 1
-                                   else (counts.sum(1), counts.sum(0)),
-                                   dist.dt, dist.params)
+    counts = _draw_counts(dist.masses, n, seed)
+    marginals = [counts[0]]
+    if len(counts) == 2:
+        cols = np.zeros(dist.grid.shape[1], dtype=np.int64)
+        cols[:counts[1].shape[1]] = counts[1].sum(0)
+        marginals.append(cols)
+    drawn = TransitionDistribution(dist.grid, tuple(marginals), dist.dt,
+                                   dist.params)
     unbias = n / (n - 1)
     mu = drawn.mean()
     mean = tuple(float(m) for m in mu)
@@ -372,7 +393,9 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
     cov = cov_sigma = None
     if len(var) == 2:
         wa, wb = (w - m for w, m in zip(dist.grid.coordinates(), mu))
-        cov = float(wa @ counts @ wb) / n * unbias
+        rows, block = counts
+        cov = (float(wa[rows > 0] @ (block @ wb[:block.shape[1]])) / n
+               * unbias)
         # roots first: var[0] * var[1] can overflow or underflow
         cov_sigma = float(np.sqrt(var[0]) * (np.sqrt(var[1]) / np.sqrt(n)))
     return FluctuationSample(

@@ -169,7 +169,8 @@ def _hamiltonian_bands(params: PhysicalParams, grid: GridSpec
 def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int,
                          eigvals_only: bool):
     """Lowest k eigenvalues of H on the unknowns, and unless eigvals_only
-    their eigenvectors, as eigh_tridiagonal returns them.
+    their eigenvectors, as eigh_tridiagonal returns them, and the
+    exponent e of the scaling below (0 where the bands were not scaled).
 
     LAPACK's bisection and inverse iteration square the band entries and
     multiply the squares by the band norm and powers of the order: with
@@ -190,7 +191,7 @@ def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int,
                            select_range=(0, k - 1))
     if eigvals_only:
         return np.ldexp(out, e)
-    return np.ldexp(out[0], e), out[1]
+    return np.ldexp(out[0], e), out[1], e
 
 
 def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
@@ -205,7 +206,7 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
     n = grid.shape[0]
     if k < 1 or k > n - 2:
         raise ValueError(f"k must lie in 1..{n - 2}")
-    vals, vecs = _interior_eigensolve(params, grid, k, eigvals_only=False)
+    vals, vecs, e = _interior_eigensolve(params, grid, k, eigvals_only=False)
     dx = grid.axes[0].dx
     weights = grid.node_volumes()
     inner = _unknowns(grid)
@@ -216,7 +217,10 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
         full[inner] = vecs[:, j] / np.sqrt(dx)
         full = _fix_sign(full, weights)
         err = (apply_hamiltonian(full, grid, params) - vals[j] * full)[inner]
-        residuals[j] = float(np.sqrt(np.sum(err**2 * weights[inner])))
+        # in the eigensolve's units 2^e, whose squares cannot overflow
+        err = np.ldexp(err, -e)
+        residuals[j] = float(
+            np.ldexp(np.sqrt(np.sum(err**2 * weights[inner])), e))
         funcs.append(RealField(grid, full))
     refined = None
     if richardson:

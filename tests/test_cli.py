@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from varq import cli
@@ -915,20 +915,6 @@ class TestRuntimeFailures:
         assert "runtime error: level 7 is unresolved" in err
         assert not (out / "three-route_report.json").exists()
 
-    def test_eigensolve_with_overflowing_residuals_exits_one(
-            self, tmp_path, capsys, recwarn):
-        # a mass of 1e-300 puts 1e300 entries in the tridiagonal matrix:
-        # the scaled eigensolve converges, but the squares of the
-        # residuals overflow, and the report refuses the inf
-        cfg = write_config(tmp_path, {
-            "grid": {"points": 32, "min": -6.0, "max": 6.0},
-            "system": {"mass": 1e-300}, "count": 2})
-        code = cli.main(["eigen", "--config", cfg,
-                         "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_RUNTIME
-        assert capsys.readouterr().err.startswith(
-            "runtime error: report not written: Out of range float values")
-
     def test_single_node_ground_state_exits_one(self, tmp_path, capsys):
         # a trap of strength 1e300 holds the separation mode on one node
         cfg = write_config(tmp_path, {
@@ -1137,6 +1123,25 @@ def test_trap_in_a_time_unit_of_1e_minus_72_runs(tmp_path, name):
         assert np.all(np.abs(scaled / 1e144 - unit) <= 1e-11 * unit)
 
 
+def test_eigensolve_with_huge_bands_writes_finite_residuals(tmp_path):
+    # a mass of 1e-300 puts 1e300 entries in the tridiagonal matrix, and
+    # 1e-200 puts 1e200: the residuals are read in the eigensolve's
+    # power-of-two units, so their squares do not overflow. A residual is
+    # a few eps |H|_1, and |H|_1 is about 390 ground energies here, so a
+    # residual is about 1e-13 of an eigenvalue
+    for mass in (1e-300, 1e-200):
+        cfg = write_config(tmp_path, {
+            "grid": {"points": 32, "min": -6.0, "max": 6.0},
+            "system": {"mass": mass}, "count": 2})
+        out = tmp_path / "out"
+        assert cli.main(["eigen", "--config", cfg,
+                         "--out", str(out)]) == cli.EXIT_OK
+        res = json.loads((out / "eigen_report.json").read_text())["results"]
+        vals, resid = np.array(res["eigenvalues"]), np.array(res["residuals"])
+        assert np.all(np.isfinite(resid))
+        assert np.all(resid <= 1e-12 * vals)
+
+
 def config_fields(node, prefix=""):
     """(dotted path, value) for every key of a config, blocks included."""
     for key, value in node.items():
@@ -1292,8 +1297,72 @@ def test_every_fluctuate_report_is_right_at_any_scale(tmp_path, hbar, masses,
                        rtol=2e-4, atol=0.0)
 
 
+# fluctuate report key -> its dimension as powers of length, mass and time;
+# every other key (iterations, kl_numeric_vs_closed, samples, seed) is a
+# pure number
+FLUCTUATE_DIMENSIONS = {
+    "sigma": (1, 0, 0), "window": (1, 0, 0), "sample_mean": (1, 0, 0),
+    "analytic_variance": (2, 0, 0), "optimized_variance": (2, 0, 0),
+    "sample_variance": (2, 0, 0), "sample_covariance": (2, 0, 0),
+    "covariance_mc_sigma": (2, 0, 0),
+    "uncertainty_product": (2, 1, -1), "expected_product": (2, 1, -1),
+}
+
+
+def run_fluctuate_in_units(tmp_path, name, units):
+    """Exit code and report of a shipped fluctuate config in units of
+    length, mass and time 2^units: hbar scales by M L^2 / T."""
+    l, m, t = units
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    system = cfg["system"]
+    system["hbar"] = math.ldexp(system["hbar"], 2 * l + m - t)
+    system["mass"] = (math.ldexp(system["mass"], m)
+                      if isinstance(system["mass"], float)
+                      else [math.ldexp(x, m) for x in system["mass"]])
+    cfg["dt"] = math.ldexp(cfg["dt"], t)
+    out = tmp_path / "_".join(map(str, units))
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["fluctuate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_RUNTIME, cli.EXIT_CONFIG)
+    if code != cli.EXIT_OK:
+        assert err.getvalue().startswith(("config error: ", "runtime error: "))
+        return code, None
+    return code, json.loads((out / "fluctuate_report.json").read_text())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["fluctuate_single.json", "fluctuate_pair.json"]),
+       units=st.tuples(*[st.integers(-200, 200)] * 3))
+@example(name="fluctuate_pair.json", units=(3, -5, 7))
+@example(name="fluctuate_pair.json", units=(40, 20, -30))
+@example(name="fluctuate_single.json", units=(-100, 60, 90))
+def test_fluctuate_reports_scale_with_power_of_two_units(tmp_path, name,
+                                                         units):
+    # a power-of-two change of units scales every product, quotient and
+    # square root exactly, and leaves the transition masses and so the
+    # draws alike: an exit-0 report is the unit report times each key's
+    # dimension, bit for bit
+    code, report = run_fluctuate_in_units(tmp_path, name, units)
+    if code != cli.EXIT_OK:
+        return
+    _, unit = run_fluctuate_in_units(tmp_path, name, (0, 0, 0))
+    assert report["warnings"] == unit["warnings"]
+    assert report["results"].keys() == unit["results"].keys()
+    for key, value in unit["results"].items():
+        if key not in FLUCTUATE_DIMENSIONS or value is None:
+            assert report["results"][key] == value, key
+            continue
+        power = sum(d * u for d, u in zip(FLUCTUATE_DIMENSIONS[key], units))
+        scaled = ([math.ldexp(v, power) for v in value]
+                  if isinstance(value, list) else math.ldexp(value, power))
+        assert report["results"][key] == scaled, key
+
+
 def test_pair_with_huge_sigmas_writes_its_covariance_sigma(tmp_path):
-    # sample variances 9.3e258 and 7.3e190: their product overflows, so
+    # sample variances 1.3e259 and 8.8e190: their product overflows, so
     # covariance_mc_sigma takes the square roots first
     cfg = {"system": {"hbar": 7.9e199, "mass": [1.65e-115, 1.69e-47]},
            "dt": 4.09e-56, "samples": 100, "seed": 3}
@@ -1305,7 +1374,7 @@ def test_pair_with_huge_sigmas_writes_its_covariance_sigma(tmp_path):
     assert var_a * var_b == math.inf
     assert res["covariance_mc_sigma"] == pytest.approx(
         math.sqrt(var_a) * math.sqrt(var_b) / 10.0, rel=1e-15)
-    assert res["covariance_mc_sigma"] == pytest.approx(8.269e223, rel=1e-3)
+    assert res["covariance_mc_sigma"] == pytest.approx(1.061e224, rel=1e-3)
 
 
 # -- config fuzz of the other scenarios --------------------------------------

@@ -456,6 +456,22 @@ def reference_moments(dist, counts):
     return mean, var, cov
 
 
+def count_grid(masses, counts):
+    """The counts _draw_counts gives for the factors `masses`, placed on
+    their grid: a 2D block holds the axis-1 counts of the rows that hold
+    draws, up to its width."""
+    if len(counts) == 1:
+        return counts[0]
+    rows, block = counts
+    grid = np.zeros((masses[0].size, masses[1].size), dtype=np.int64)
+    grid[rows > 0, :block.shape[1]] = block
+    return grid
+
+
+def draw_grid(masses, n, seed):
+    return count_grid(masses, fluctuation._draw_counts(masses, n, seed))
+
+
 @pytest.mark.parametrize("params", [P1, PhysicalParams(mass=(1.0, 2.0))],
                          ids=["1d", "2d"])
 def test_sample_moments_equal_the_exact_sums_over_the_draws(params):
@@ -464,8 +480,8 @@ def test_sample_moments_equal_the_exact_sums_over_the_draws(params):
     dist = optimal_transition(params, DT)
     n = 70_000
     rep = sample_fluctuations(dist, n, seed=7)
-    mean, var, cov = reference_moments(
-        dist, fluctuation._draw_counts(dist.joint(), n, seed=7))
+    mean, var, cov = reference_moments(dist,
+                                       draw_grid(dist.masses, n, seed=7))
     sig = np.sqrt(var)
     assert np.allclose(rep.variance, var, rtol=1e-15, atol=0.0)
     assert np.all(np.abs(np.subtract(rep.mean, mean)) <= 1e-15 * sig)
@@ -489,68 +505,88 @@ def zero_mass_tails():
     return TransitionDistribution(grid, (mass,), DT, P1)
 
 
-def assert_counts_of_n_draws(mass, n, seed):
-    """The counts of seed's n draws from the grid-shaped mass are n
-    non-negative int64s, none on a zero-mass node, the same again for
-    seed, and other counts for some other seed unless the law sits on
-    one node."""
-    counts = fluctuation._draw_counts(mass, n, seed)
-    assert counts.dtype == np.int64 and counts.shape == mass.shape
+def zero_mass_pair():
+    # factors with zero-mass nodes at both ends and one inside
+    grid = GridSpec((Axis(9, -1.0, 1.0), Axis(8, -1.0, 1.0)))
+    masses = (np.array([0.0, 1.0, 2.0, 0.0, 3.0, 2.0, 1.0, 0.0, 0.0]),
+              np.array([0.0, 0.0, 2.0, 1.0, 0.0, 1.0, 3.0, 0.0]))
+    return TransitionDistribution(grid, masses, DT, P2)
+
+
+def assert_counts_of_n_draws(masses, n, seed):
+    """The counts of seed's n draws from the product law of the factors
+    `masses` are n non-negative int64s, none on a node where a factor
+    puts no mass, the same again for seed, and other counts for some
+    other seed unless the law sits on one node. On a pair grid the block
+    holds one row of axis-1 counts per axis-0 node that holds draws,
+    summing to its count."""
+    parts = fluctuation._draw_counts(masses, n, seed)
+    assert all(c.dtype == np.int64 for c in parts)
+    rows = parts[0]
+    assert rows.shape == masses[0].shape
+    if len(masses) == 2:
+        assert np.array_equal(parts[1].sum(axis=1), rows[rows > 0])
+    counts = count_grid(masses, parts)
+    support = masses[0] > 0.0
+    for m in masses[1:]:
+        support = np.logical_and.outer(support, m > 0.0)
     assert np.all(counts >= 0)
     assert int(counts.sum()) == n
-    assert np.all(counts[mass == 0.0] == 0)
-    assert np.array_equal(fluctuation._draw_counts(mass, n, seed), counts)
-    if np.count_nonzero(mass) > 1:
-        assert any(not np.array_equal(
-            fluctuation._draw_counts(mass, n, other), counts)
-            for other in range(seed + 1, seed + 9))
+    assert np.all(counts[~support] == 0)
+    assert np.array_equal(draw_grid(masses, n, seed), counts)
+    if np.count_nonzero(support) > 1:
+        assert any(not np.array_equal(draw_grid(masses, n, other), counts)
+                   for other in range(seed + 1, seed + 9))
 
 
 @pytest.mark.parametrize("make_dist", [
     lambda: optimal_transition(P1, DT), lambda: optimal_transition(P2, DT),
-    uniform_pair, zero_mass_tails],
-    ids=["1d", "2d", "uniform-pair", "zero-mass-tails"])
+    uniform_pair, zero_mass_tails, zero_mass_pair],
+    ids=["1d", "2d", "uniform-pair", "zero-mass-tails", "zero-mass-pair"])
 @pytest.mark.parametrize("n", [2, 70_001])
 def test_draw_counts_equal_the_count_of_each_draw(make_dist, n):
     # the counts stand for n draws; their law is test_draw_counts_fit_the_mass
-    assert_counts_of_n_draws(make_dist().joint(), n, seed=7)
+    assert_counts_of_n_draws(make_dist().masses, n, seed=7)
 
 
 def test_no_draw_lands_on_a_zero_mass_node_at_the_largest_count():
     # numpy's multinomial gives its last category the draws that its
-    # binomials leave by roundoff: about 1.6e5 of 2**63 - 1 here, where
-    # the last rows of the grid hold no mass
-    mass = optimal_transition(P2, 0.05, (6.0, 6.0)).joint()
-    assert mass[-1, -1] == 0.0
-    assert_counts_of_n_draws(mass, 2**63 - 1, seed=3)
+    # binomials leave by roundoff, on axis 0 and in each live row, where
+    # both factors end in nodes that hold no mass. The last column that
+    # holds mass (1.8e-305) takes 35 such draws in rows whose product
+    # with it is below the smallest normal float, which joint() stores
+    # as 0; the law of the factors puts mass there
+    dist = optimal_transition(P2, 0.05, (6.0, 6.0))
+    assert all(m[-1] == 0.0 for m in dist.masses)
+    assert dist.joint()[-1, -1] == 0.0
+    assert_counts_of_n_draws(dist.masses, 2**63 - 1, seed=3)
 
 
-@pytest.mark.parametrize("make_dist", [uniform_pair, zero_mass_tails])
+@pytest.mark.parametrize("make_dist", [uniform_pair, zero_mass_tails,
+                                       zero_mass_pair])
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_draw_counts_fit_the_mass(make_dist, seed):
-    # Pearson's chi-square over the nodes that hold mass, against its
-    # 1e-6 upper tail: a right sampler fails one seed in a million
-    mass = make_dist().joint()
+    # Pearson's chi-square of the counts drawn through the factors over
+    # the nodes where the joint law holds mass, against its 1e-6 upper
+    # tail: a right sampler fails one seed in a million
+    dist = make_dist()
+    mass = dist.joint()
     n = 100_000
     live = mass > 0.0
-    counts = fluctuation._draw_counts(mass, n, seed)[live]
+    counts = draw_grid(dist.masses, n, seed)[live]
     expected = n * mass[live]
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < stats.chi2.isf(1e-6, np.count_nonzero(live) - 1)
 
 
 @st.composite
-def mass_grids(draw):
-    """A normalized 1D or 2D mass whose entries hold runs of zeros, all
-    sit on one node, hold runs of positive masses too small to move the
-    cdf, or sum in flat order to a cdf that rounds above 1 before its
-    last node (a tiny last mass), with that last case's flag."""
+def mass_vectors(draw, size):
+    """A normalized mass vector of `size` nodes whose entries hold runs of
+    zeros, all sit on one node, hold runs of positive masses too small to
+    move the cdf, or sum to a cdf that rounds above 1 before its last
+    node (a tiny last mass), with that last case's flag."""
     kind = draw(st.sampled_from(["zero-runs", "one-node", "flat-runs",
                                  "overshoot"]))
-    # an axis has at least 8 nodes
-    shape = draw(st.tuples(st.integers(8, 400))
-                 | st.tuples(st.integers(8, 24), st.integers(8, 24)))
-    size = math.prod(shape)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "one-node":
         mass = np.zeros(size)
@@ -563,13 +599,14 @@ def mass_grids(draw):
         if not mass.any():
             mass[rng.integers(size)] = 1.0
     elif kind == "flat-runs":
-        # from node 0 on the cdf is at least 0.5 / 576, half an ulp of it
+        # from node 0 on the cdf is at least 0.5 / 400, half an ulp of it
         # above 5e-20, and the masses sum to at least 0.5, so a mass of
         # 1e-20 normalizes to at most 2e-20 and every other one to above
-        # 8e-4
+        # 1.2e-3; the runs start at node 2, so two nodes keep their mass
+        # and the law does not sit on one node up to 1e-19
         mass = rng.uniform(0.5, 1.0, size)
         for _ in range(rng.integers(0, 4)):
-            a = rng.integers(1, size)
+            a = rng.integers(2, size)
             mass[a:a + rng.integers(1, size)] = 1e-20
         mass[-1] = 1e-20
     else:
@@ -579,7 +616,17 @@ def mass_grids(draw):
             mass[-1] = 1e-300
             if np.cumsum(mass / mass.sum())[-2] > 1.0:
                 break
-    return (mass / mass.sum()).reshape(shape), kind == "overshoot"
+    return mass / mass.sum(), kind == "overshoot"
+
+
+@st.composite
+def mass_grids(draw):
+    """The factors of a 1D or 2D product law, each one of mass_vectors'
+    kinds, with their overshoot flags."""
+    # an axis has at least 8 nodes
+    shape = draw(st.tuples(st.integers(8, 400))
+                 | st.tuples(st.integers(8, 24), st.integers(8, 24)))
+    return tuple(zip(*(draw(mass_vectors(size)) for size in shape)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -587,23 +634,25 @@ def mass_grids(draw):
 def test_draw_counts_equal_the_count_of_each_draw_for_any_masses(case, n):
     # up to the command line's largest count, where the multinomial
     # leaves draws by roundoff: none may land on a zero-mass node
-    mass, overshoot = case
-    if overshoot:
-        assert np.cumsum(mass.reshape(-1))[-2] > 1.0
-    assert_counts_of_n_draws(mass, n, seed=5)
+    masses, overshoots = case
+    for mass, overshoot in zip(masses, overshoots):
+        if overshoot:
+            assert np.cumsum(mass)[-2] > 1.0
+    assert_counts_of_n_draws(masses, n, seed=5)
 
 
 def test_draw_counts_peak_does_not_grow_with_n():
     # the counts are drawn at once, never as draws: the traced peak at
     # 1e15 draws is that at 1e6, a few arrays of the grid's 759 nodes
-    mass = optimal_transition(P1, 0.05, (6.0,)).joint()
+    masses = optimal_transition(P1, 0.05, (6.0,)).masses
+    (mass,) = masses
     assert mass.shape == (759,)
-    fluctuation._draw_counts(mass, 2, seed=3)  # numpy's one-time set-up
+    fluctuation._draw_counts(masses, 2, seed=3)  # numpy's one-time set-up
     peaks = []
     for n in (1_000_000, 10**15):
         tracemalloc.start()
         try:
-            fluctuation._draw_counts(mass, n, seed=3)
+            fluctuation._draw_counts(masses, n, seed=3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -626,6 +675,30 @@ def test_transition_layer_builds_no_grid_shaped_array(build):
     finally:
         tracemalloc.stop()
     assert peak < 8 * grid.n_nodes
+
+
+def test_sampler_builds_no_grid_shaped_array(monkeypatch):
+    # the draws go through the factors, so the sampler never forms the
+    # joint law: on the benchmark's 759 x 1075 pair grid, 10^6 draws hold
+    # less than one float64 grid at their peak
+    p = PhysicalParams(mass=(1.2, 0.8))
+    window = tuple(k * s for k, s in
+                   zip((37.9, 53.7), fluctuation_sigma(p, 0.05)))
+    dist = optimal_transition(p, 0.05, window)
+    assert dist.grid.shape == (759, 1075)
+
+    def no_joint(self):
+        raise AssertionError("the sampler formed the joint law")
+
+    monkeypatch.setattr(TransitionDistribution, "joint", no_joint)
+    sample_fluctuations(dist, 2, seed=3)  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        sample_fluctuations(dist, 1_000_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dist.grid.n_nodes
 
 
 def test_per_axis_moments_equal_the_dense_mesh_formulas():
@@ -657,7 +730,7 @@ def test_sample_moments_read_the_mean_once():
     n = 70_000
     dist = optimal_transition(P2, DT)
     rep = sample_fluctuations(dist, n, seed=7)
-    counts = fluctuation._draw_counts(dist.joint(), n, seed=7)
+    counts = draw_grid(dist.masses, n, seed=7)
     drawn = TransitionDistribution(
         dist.grid, (counts.sum(axis=1), counts.sum(axis=0)), DT, P2)
     unbias = n / (n - 1)
@@ -705,8 +778,8 @@ def test_bipartite_sampled_covariance_within_mc_noise():
      3.646633266933113e-126)], ids=["overflow", "underflow"])
 def test_covariance_sigma_is_right_where_the_variance_product_is_not(
         hbar, masses, dt):
-    # the product of the two sample variances overflows to inf (1.1e259
-    # times 9.3e190) or underflows to 0 (3.8e-201 times 3.0e-210)
+    # the product of the two sample variances overflows to inf (1.3e259
+    # times 8.8e190) or underflows to 0 (4.4e-201 times 2.9e-210)
     n = 100
     rep = sample_fluctuations(
         optimal_transition(PhysicalParams(hbar=hbar, mass=masses), dt), n,

@@ -25,7 +25,8 @@ One function of `solvers` holds the Crank-Nicolson step loop: it alone
 factors I + i dt H / 2 hbar (LAPACK zgttrf) and solves with it
 (zgttrs), so no unitary run loads scipy.sparse.linalg. The transition
 layer calls no `GridSpec.meshes`: its law is one mass vector per axis,
-and only the sampler forms the joint law, their outer product. Its one
+the sampler draws through those vectors, and only density() and the
+reference objective form the joint law, their outer product. Its one
 exponential is `fluctuation._exp_weights`, which never makes a
 subnormal mass.
 """
@@ -391,7 +392,8 @@ def test_solvers_have_one_crank_nicolson_step_loop():
 
 
 def test_transition_layer_builds_no_dense_mesh():
-    # the kinetic cost and the moments broadcast open meshes; a dense
+    # the costs, moments and draws are per-axis vectors, and joint() and
+    # transition_objective broadcast open meshes (np.ix_); a dense
     # GridSpec.meshes array per axis costs a full grid of floats each
     tree = ast.parse((SRC / "fluctuation.py").read_text())
     calls = [node.lineno for node in ast.walk(tree)
