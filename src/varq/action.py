@@ -10,19 +10,22 @@ summed over axes with their own masses in 2D. Its integrand at one time
 slice is rho dS/dt plus `constraints.EnsembleHamiltonian.integrand`.
 Here are the local densities both are built from, the time derivatives
 of a trajectory's slices, and a node-perturbation numeric gradient that
-cross-checks analytic functional derivatives. It perturbs a whole color
-of nodes at once, far enough apart that their stencil windows cannot
-meet, so it costs a few integrand evaluations set by the stencil width
-instead of two per node, and it checks at run time that the integrand
-is as local as that requires. Its colors, their locality masks and
-divisors depend only on the grid and the stencil order, so they are
-built once per (grid, order) and cached read-only. Every state it
-evaluates differs from the given one in the perturbed component alone,
-so `constraints.functional_derivative` hands it an integrand that holds
-the other component's term, built once per call and checked by
-identity; no value moves. The analytic ones,
-the quantum Hamilton-Jacobi and continuity expressions, are the
-gradients of `constraints.EnsembleHamiltonian`.
+cross-checks analytic functional derivatives. The kinetic and
+information densities take value arrays, one field or a stack of them
+on leading axes, so one call serves every field of a stack. The
+gradient perturbs a whole color of nodes at once, far enough apart that
+their stencil windows cannot meet, and stacks the +h and -h copies of
+every color with the unperturbed field, so it evaluates the integrand
+once, on a stack whose size is set by the stencil width instead of the
+grid size, and it checks at run time that the integrand is as local as
+that requires. Its colors, their locality masks and divisors depend
+only on the grid and the stencil order, so they are built once per
+(grid, order) and cached read-only. The integrand is a function of the
+perturbed component's values alone: `constraints.functional_derivative`
+hands it `integrand_holding(state, component)`, whose held term is
+built once per call; no value moves. The analytic ones, the quantum
+Hamilton-Jacobi and continuity expressions, are the gradients of
+`constraints.EnsembleHamiltonian`.
 """
 
 from __future__ import annotations
@@ -47,38 +50,43 @@ from .grid import (
 GRADIENT_STEP = 1e-6
 
 
-def low_density_mask(rho: RealField, floor: float = DENSITY_FLOOR) -> np.ndarray:
-    """Nodes where the density is numerically zero (relative floor)."""
-    return rho.values < floor * np.max(rho.values)
+def low_density_mask(rho: np.ndarray, grid: GridSpec,
+                     floor: float = DENSITY_FLOOR) -> np.ndarray:
+    """Nodes where the density is numerically zero: below `floor` times the
+    peak of its own field, each field of a stack against its own."""
+    return rho < floor * rho.max(axis=tuple(range(-grid.dimension, 0)),
+                                 keepdims=True)
 
 
-def kinetic_density(state: MadelungState, params: PhysicalParams,
-                    order: int = DEFAULT_ORDER) -> RealField:
-    """sum_axes (dS/dx_axis)^2 / 2 m_axis at every node."""
-    grid = state.grid
-    total = np.zeros(grid.shape)
+def kinetic_density(action: np.ndarray, grid: GridSpec,
+                    params: PhysicalParams,
+                    order: int = DEFAULT_ORDER) -> np.ndarray:
+    """sum_axes (dS/dx_axis)^2 / 2 m_axis at every node, of one action
+    field or of each field of a stack."""
+    total = np.zeros(action.shape)
     for ax in range(grid.dimension):
-        ds = diff_values(state.action.values, grid, axis=ax, order=order)
+        ds = diff_values(action, grid, axis=ax, order=order)
         total += ds**2 / (2.0 * params.mass_along(ax))
-    return RealField(grid, total)
+    return total
 
 
-def information_density(rho: RealField, params: PhysicalParams,
+def information_density(rho: np.ndarray, grid: GridSpec,
+                        params: PhysicalParams,
                         order: int = DEFAULT_ORDER,
-                        axis: int | None = None) -> RealField:
-    """sum_axes (hbar / 4 m_axis) (d rho/dx_axis)^2 / rho, zero where the
-    density is below DENSITY_FLOOR of its peak (only the given axis's
-    term unless axis=None)."""
-    grid = rho.grid
-    dead = low_density_mask(rho)
-    safe = np.where(dead, 1.0, rho.values)
+                        axis: int | None = None) -> np.ndarray:
+    """sum_axes (hbar / 4 m_axis) (d rho/dx_axis)^2 / rho, of one density
+    field or of each field of a stack, zero where the density is below
+    DENSITY_FLOOR of its field's peak (only the given axis's term unless
+    axis=None)."""
+    dead = low_density_mask(rho, grid)
+    safe = np.where(dead, 1.0, rho)
     axes = range(grid.dimension) if axis is None else (axis,)
-    total = np.zeros(grid.shape)
+    total = np.zeros(rho.shape)
     for ax in axes:
-        dr = diff_values(rho.values, grid, axis=ax, order=order)
+        dr = diff_values(rho, grid, axis=ax, order=order)
         total += params.hbar * dr**2 / (4.0 * params.mass_along(ax) * safe)
     total[dead] = 0.0
-    return RealField(grid, total)
+    return total
 
 
 def information_metric(rho: RealField, params: PhysicalParams,
@@ -86,7 +94,8 @@ def information_metric(rho: RealField, params: PhysicalParams,
                        axis: int | None = None) -> float:
     """Spatial integral of the information density (one time slice)."""
     return integrate_values(
-        information_density(rho, params, order, axis=axis).values, rho.grid)
+        information_density(rho.values, rho.grid, params, order, axis=axis),
+        rho.grid)
 
 
 def bohm_potential(rho: RealField, params: PhysicalParams,
@@ -98,7 +107,7 @@ def bohm_potential(rho: RealField, params: PhysicalParams,
     axis=None sums the per-axis contributions with their own masses.
     """
     grid = rho.grid
-    dead = low_density_mask(rho)
+    dead = low_density_mask(rho.values, grid)
     amp = np.sqrt(rho.values)
     # guard only the division; the stencil must see the true amplitudes
     denom = np.where(dead, 1.0, amp)
@@ -144,11 +153,16 @@ def flux_divergence(state: MadelungState, params: PhysicalParams,
     return div
 
 
-def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray],
+def numeric_functional_gradient(integrand: Callable[[np.ndarray], np.ndarray],
                                 state: MadelungState, component: str,
                                 order: int = DEFAULT_ORDER) -> RealField:
     """Colored central-difference gradient of the grid integral of a local
     integrand.
+
+    The integrand is a function of the perturbed component's values
+    alone, the other component held at state's: given a stack of fields
+    on a leading axis, it returns the integrand of each, as
+    `constraints.ConstraintFunctional.integrand_holding` builds it.
 
     The continuum functional derivative at node j is the partial
     derivative with respect to the node value divided by the node's
@@ -160,35 +174,28 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
     windows of one color are disjoint with at least one node between
     them. A whole color is perturbed at once, by +h and by -h with
     h = GRADIENT_STEP, and node j's functional derivative is sum over
-    window(j) of vol (I+ - I-), divided by 2 h vol_j. That is 2 colors + 1
-    integrand evaluations, a number set by the stencil width, not the
-    grid size. The density component needs every density to be at least
-    h, so that the minus side stays a density; otherwise a ValueError
-    names both.
+    window(j) of vol (I+ - I-), divided by 2 h vol_j. The 2 C perturbed
+    copies of C colors and the unperturbed one are one stack, so the
+    integrand is evaluated once per gradient, on 2 C + 1 fields, a
+    number set by the stencil width, not the grid size. The density
+    component needs every density to be at least h, so that the minus
+    side stays a density; otherwise a ValueError names both.
 
     Locality is checked, not assumed: one mask marks the nodes where the
     plus or the minus side differs from the unperturbed integrand (a NaN
     differs from everything), and if any of them lies outside the windows
     of the perturbed color, the nodes whose box sum of the color is zero,
-    a ValueError names the failure instead of a gradient being returned.
-    The check uses no analytic formula, so it stays independent of the
-    expressions it cross-checks.
+    a ValueError names the first such color instead of a gradient being
+    returned. The check uses no analytic formula, so it stays independent
+    of the expressions it cross-checks.
 
     What depends on the grid alone is built once per (grid, order) and
-    shared, read-only, by every later call: the colors, each color's
-    nodes, its mask of the nodes outside every window and its divisors
-    2 h vol_j. A call forms base + h and base - h once; the rest of its
-    work is the integrand evaluations and the window sums of
-    vol (I+ - I-).
-
-    Every state the integrand is given shares `state`'s other component,
-    the very field object, so an integrand may hold that component's
-    term: `constraints.functional_derivative` passes
-    `integrand_holding(state, component)`, whose held term is built once
-    per call and checked by identity, and whose values are the full
-    integrand's bit for bit. A call then pays only for the perturbed
-    component's term in each evaluation; the locality check still
-    compares complete integrand values.
+    shared, read-only, by every later call: the colors and, stacked one
+    field per color, their nodes and their masks of the nodes outside
+    every window, where each node's own color sits in such a stack, and
+    the divisors 2 h vol_j. A call forms the stack, evaluates the
+    integrand once and sums vol (I+ - I-) over the windows of every
+    color in one box reduction.
     """
     if component not in ("density", "action"):
         raise ValueError(f"unknown component {component!r}")
@@ -199,47 +206,48 @@ def numeric_functional_gradient(integrand: Callable[[MadelungState], np.ndarray]
             f"the density step {GRADIENT_STEP:g} exceeds the smallest density "
             f"{np.min(base):.3g}: the minus side would be a negative density")
     reach = [stencil_reach(axis, order) for axis in grid.axes]
-    vols = grid.node_volumes()
-    up, down = base + GRADIENT_STEP, base - GRADIENT_STEP
-    rest = integrand(state)
-    out = np.empty(grid.shape)
-    for color, picked, outside, divisor in _colors(grid, order):
-        plus = integrand(_with_component(
-            state, component, np.where(picked, up, base)))
-        minus = integrand(_with_component(
-            state, component, np.where(picked, down, base)))
-        if (((plus != rest) | (minus != rest)) & outside).any():
-            raise ValueError(
-                f"integrand is not local: perturbing color {color} moved it "
-                f"farther than the stencil reach {tuple(reach)} from every "
-                "perturbed node")
-        moved = box_reduce(vols * (plus - minus), grid, reach, np.add)
-        out[picked] = moved[picked] / divisor
-    return RealField(grid, out)
+    colors, picked, outside, own, divisor = _colors(grid, order)
+    n = len(colors)
+    values = integrand(np.concatenate([
+        np.where(picked, base + GRADIENT_STEP, base),
+        np.where(picked, base - GRADIENT_STEP, base), base[None]]))
+    plus, minus, rest = values[:n], values[n:2 * n], values[2 * n]
+    far = (((plus != rest) | (minus != rest)) & outside).reshape(n, -1)
+    if far.any():
+        color = colors[far.any(axis=1).argmax()]
+        raise ValueError(
+            f"integrand is not local: perturbing color {color} moved it "
+            f"farther than the stencil reach {tuple(reach)} from every "
+            "perturbed node")
+    moved = box_reduce(grid.node_volumes() * (plus - minus), grid, reach,
+                       np.add)
+    return RealField(grid, moved.take(own) / divisor)
 
 
 @lru_cache(maxsize=16)
 def _colors(grid: GridSpec, order: int) -> tuple[
-        tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
+        tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The colors of the node-perturbation gradient on a grid at a stencil
-    order, each as (id, its nodes, the nodes outside every window of its
-    nodes, 2 GRADIENT_STEP times the volume of each of its nodes). Built
-    once per (grid, order); every array is read-only."""
+    order: their ids; stacked one field per color, each color's nodes and
+    the nodes outside every window of them; at each node, the flat index
+    into such a stack of that node in its own color's field; and
+    2 GRADIENT_STEP times each node's volume. Built once per
+    (grid, order); every array is read-only."""
     reach = [stencil_reach(axis, order) for axis in grid.axes]
     offsets = [_block_offsets(axis.n_points, 2 * r + 2)
                for axis, r in zip(grid.axes, reach)]
     labels = np.ravel_multi_index(np.meshgrid(*offsets, indexing="ij"),
                                   [c.max() + 1 for c in offsets])
-    vols = grid.node_volumes()
-    colors = []
-    for color in np.unique(labels):
-        picked = labels == color
-        outside = box_reduce(picked, grid, reach, np.add) == 0
-        divisor = 2.0 * GRADIENT_STEP * vols[picked]
-        for array in (picked, outside, divisor):
-            array.setflags(write=False)
-        colors.append((int(color), picked, outside, divisor))
-    return tuple(colors)
+    colors, color_of = np.unique(labels, return_inverse=True)
+    color_of = color_of.reshape(grid.shape)
+    picked = color_of == np.arange(len(colors)).reshape(
+        (-1,) + (1,) * grid.dimension)
+    outside = box_reduce(picked, grid, reach, np.add) == 0
+    own = color_of * grid.n_nodes + np.arange(grid.n_nodes).reshape(grid.shape)
+    divisor = 2.0 * GRADIENT_STEP * grid.node_volumes()
+    for array in (picked, outside, own, divisor):
+        array.setflags(write=False)
+    return tuple(int(c) for c in colors), picked, outside, own, divisor
 
 
 def _block_offsets(n: int, spacing: int) -> np.ndarray:
@@ -251,10 +259,3 @@ def _block_offsets(n: int, spacing: int) -> np.ndarray:
     starts = np.arange(blocks) * n // blocks
     nodes = np.arange(n)
     return nodes - starts[np.searchsorted(starts, nodes, side="right") - 1]
-
-
-def _with_component(state: MadelungState, component: str,
-                    values: np.ndarray) -> MadelungState:
-    if component == "density":
-        return MadelungState(RealField(state.grid, values), state.action)
-    return MadelungState(state.density, RealField(state.grid, values))

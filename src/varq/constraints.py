@@ -9,11 +9,13 @@ node-perturbation backend cross-checks. `EnsembleHamiltonian` is the one
 definition of the ensemble energy rho (kinetic + V) + (hbar/2) I; its
 gradients give the quantum Hamilton-Jacobi and continuity residuals.
 The backend perturbs one component and holds the other, so it evaluates
-`integrand_holding`: for the ensemble energy, the term of the held
-component (kinetic + V while the density moves, rho and (hbar/2) I
-while the action moves) is built once per gradient, checked by identity
-on every evaluation, and combined by the same formula as `integrand`, so
-every value keeps its bits.
+`integrand_holding(state, component)`, the integrand as a function of
+the moving component's values alone, once per gradient on the stack of
+all its perturbed copies. The held component's term (for the ensemble
+energy, kinetic + V while the density moves, (hbar/2) I while the
+action moves) is built once, when the callable is made, and `integrand`
+is the action's callable on the state's own action, so both share one
+formula and every value keeps its bits.
 Both of the paper's constraints, vanishing local momentum on a line and
 joint translation of a pair, are `LocalMomentum`: the momentum that
 generates a rigid shift of every coordinate, `grid.shift_derivative`.
@@ -81,12 +83,14 @@ class ConstraintFunctional:
         return integrate_values(self.integrand(state, aux), state.grid)
 
     def integrand_holding(self, state: MadelungState, component: str
-                          ) -> Callable[[MadelungState], np.ndarray]:
-        """The integrand of the states that share state's other component,
-        the one a perturbation of `component` holds. Here it is the
-        integrand itself; a functional whose integrand is a sum of a
-        density term and an action term builds the held one once."""
-        return self.integrand
+                          ) -> Callable[[np.ndarray], np.ndarray]:
+        """The integrand as a function of `component`'s values alone, the
+        other component held at state's: it maps a field of values, or a
+        stack of them on leading axes, to the integrand of each. The held
+        component's term is built once, here; the numeric backend
+        evaluates the callable once per gradient, on all its perturbed
+        copies."""
+        raise NotImplementedError
 
     def gradient_density(self, state: MadelungState,
                          aux: RealField | None = None) -> RealField:
@@ -107,8 +111,18 @@ class LocalMomentum(ConstraintFunctional):
     order: int = DEFAULT_ORDER
 
     def integrand(self, state, aux=None):
-        ds = shift_derivative(state.action.values, state.grid, self.order)
-        return state.density.values * (ds - self.p_c)
+        return self.integrand_holding(state, "action")(state.action.values)
+
+    def integrand_holding(self, state, component):
+        grid = state.grid
+        if component == "density":
+            ds = shift_derivative(state.action.values, grid, self.order)
+            return lambda rho: rho * (ds - self.p_c)
+        if component == "action":
+            rho = state.density.values
+            return lambda s: rho * (
+                shift_derivative(s, grid, self.order) - self.p_c)
+        raise ValueError(f"unknown component {component!r}")
 
     def gradient_density(self, state, aux=None):
         ds = shift_derivative(state.action.values, state.grid, self.order)
@@ -159,52 +173,40 @@ class EnsembleHamiltonian(ConstraintFunctional):
     order: int = DEFAULT_ORDER
 
     def integrand(self, state, aux=None):
-        return _energy_density(state.density.values,
-                               self._kinetic_and_potential(state),
-                               self._half_information(state.density))
+        return self.integrand_holding(state, "action")(state.action.values)
 
     def integrand_holding(self, state, component):
-        """The integrand of the states that share state's action (when the
-        density moves) or its density (when the action moves). The held
-        term, kinetic + V or (hbar/2) information, is built once here;
-        each call checks that it is given that same held field object and
-        raises a ValueError naming it otherwise. Every value is the bits
-        of `integrand`'s."""
+        """The held term, kinetic + V while the density moves or (hbar/2)
+        information while the action moves, is built once here, and each
+        call adds the moving one; `integrand` is the action's callable on
+        state's own action, so both share one formula and its bits."""
+        grid = state.grid
         if component == "density":
-            held = state.action
-            kin_v = self._kinetic_and_potential(state)
-
-            def moving_density(s):
-                _check_held(s.action, held, "action", component)
-                return _energy_density(s.density.values, kin_v,
-                                       self._half_information(s.density))
-            return moving_density
+            kin_v = self._kinetic_and_potential(state.action.values, grid)
+            return lambda rho: _energy_density(
+                rho, kin_v, self._half_information(rho, grid))
         if component == "action":
-            held = state.density
-            half_info = self._half_information(held)
-
-            def moving_action(s):
-                _check_held(s.density, held, "density", component)
-                return _energy_density(held.values,
-                                       self._kinetic_and_potential(s),
-                                       half_info)
-            return moving_action
+            rho = state.density.values
+            half_info = self._half_information(rho, grid)
+            return lambda s: _energy_density(
+                rho, self._kinetic_and_potential(s, grid), half_info)
         raise ValueError(f"unknown component {component!r}")
 
     def gradient_density(self, state, aux=None):
         q = bohm_potential(state.density, self.params, order=self.order).values
-        return RealField(state.grid, self._kinetic_and_potential(state) + q)
+        kin_v = self._kinetic_and_potential(state.action.values, state.grid)
+        return RealField(state.grid, kin_v + q)
 
     def gradient_action(self, state, aux=None):
         return RealField(state.grid,
                          -flux_divergence(state, self.params, self.order))
 
-    def _kinetic_and_potential(self, state):
-        kin = kinetic_density(state, self.params, self.order).values
-        return kin + potential_values(self.params.potential, state.grid)
+    def _kinetic_and_potential(self, action, grid):
+        kin = kinetic_density(action, grid, self.params, self.order)
+        return kin + potential_values(self.params.potential, grid)
 
-    def _half_information(self, rho):
-        info = information_density(rho, self.params, self.order).values
+    def _half_information(self, rho, grid):
+        info = information_density(rho, grid, self.params, self.order)
         return 0.5 * self.params.hbar * info
 
 
@@ -215,24 +217,16 @@ def _energy_density(rho: np.ndarray, kin_v: np.ndarray,
     return rho * kin_v + half_info
 
 
-def _check_held(field: RealField, held: RealField, name: str,
-                component: str) -> None:
-    if field is not held:
-        raise ValueError(
-            f"the integrand holding the {name} was given another {name} "
-            f"field: only the {component} may move")
-
-
 def functional_derivative(func: ConstraintFunctional, state: MadelungState,
                           component: str,
                           backend: str = "analytic") -> RealField:
     """Gradient of a constraint functional, analytic or node-perturbation.
 
     The numeric backend hands `numeric_functional_gradient` the functional's
-    `integrand_holding(state, component)`: the integrand of the states
-    that share state's other component, whose term is built once per call
-    and checked by identity on every evaluation. Its values are those of
-    `integrand` bit for bit, and no analytic formula enters them."""
+    `integrand_holding(state, component)`: the integrand as a function of
+    the component's values, the other component's term built once per
+    call. Its values are those of `integrand` bit for bit, and no
+    analytic formula enters them."""
     if component not in ("density", "action"):
         raise ValueError(f"unknown component {component!r}")
     if backend == "analytic":

@@ -205,10 +205,19 @@ class Stencil:
     reach: int
 
     def apply(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """The derivative along array axis 0 or 1 of a 1D or 2D array."""
-        out = self.numerators @ (values if axis == 0 else values.T)
+        """The derivative along one array axis (a negative one counts from
+        the end); every other axis passes through. A 1D array is one
+        vector product; any other is one multi-vector product over the
+        rest of the axes, which sums each row in the vector's order, so
+        every field of a stack gets the bits it gets alone."""
+        if values.ndim == 1:
+            out = self.numerators @ values
+            out /= self.divisor
+            return out
+        front = values.swapaxes(0, axis)
+        out = self.numerators @ front.reshape(len(front), -1)
         out /= self.divisor
-        return out if axis == 0 else out.T
+        return out.reshape(front.shape).swapaxes(0, axis)
 
 
 # the denominator of every row of each order, so its numerators are whole
@@ -262,7 +271,9 @@ def stencil_reach(axis: Axis, order: int) -> int:
 
 def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,
                 order: int = DEFAULT_ORDER, deriv: int = 1) -> np.ndarray:
-    """Array-level derivative along one axis (used by hot loops)."""
+    """Array-level derivative along one grid axis (used by hot loops). The
+    grid's axes are the array's last ones, so a stack of fields on leading
+    axes gets each field's derivative."""
     if order not in _DENOMINATOR:
         raise ValueError(
             f"stencil order must be one of {tuple(_DENOMINATOR)}, got {order}")
@@ -270,7 +281,8 @@ def diff_values(values: np.ndarray, grid: GridSpec, axis: int = 0,
         raise ValueError("only first and second derivatives are provided")
     if not 0 <= axis < grid.dimension:
         raise ValueError(f"axis {axis} out of range for {grid.dimension}D grid")
-    return stencil_operator(grid.axes[axis], order, deriv).apply(values, axis)
+    return stencil_operator(grid.axes[axis], order, deriv).apply(
+        values, axis - grid.dimension)
 
 
 def shift_derivative(values: np.ndarray, grid: GridSpec,
@@ -302,7 +314,8 @@ def box_reduce(values: np.ndarray, grid: GridSpec, reach: Sequence[int],
     -0.0, where numpy, starting from +0.0, gives +0.0. A maximum equals
     numpy's in value for any window. A bool input is summed as int64; its
     maximum is refused with a ValueError on either boundary, since the
-    wall fill -inf would read True.
+    wall fill -inf would read True. The grid's axes are the array's last
+    ones, so a stack of fields on leading axes is reduced field by field.
     """
     if reduce not in _BOX_PAD:
         raise ValueError(f"box_reduce has no wall fill for np.{reduce.__name__}")
@@ -312,7 +325,8 @@ def box_reduce(values: np.ndarray, grid: GridSpec, reach: Sequence[int],
                 f"box_reduce takes no np.maximum of dtype {values.dtype}: "
                 "its wall fill -inf would read True")
         values = values.astype(np.int64)
-    for ax, (axis, r) in enumerate(zip(grid.axes, reach)):
+    for ax, (axis, r) in enumerate(zip(grid.axes, reach),
+                                   values.ndim - grid.dimension):
         n = axis.n_points
         if axis.boundary == PERIODIC:
             padded = values.take(np.arange(-r, n + r), axis=ax, mode="wrap")

@@ -42,6 +42,7 @@ then loads numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -155,8 +156,9 @@ def _hamiltonian_bands(params: PhysicalParams, grid: GridSpec
     hard walls)."""
     ax = grid.axes[0]
     lap = stencil_operator(ax, 2, 2)
-    coeff = params.hbar**2 / (2.0 * params.mass_along(0) * ax.dx * ax.dx
-                              * lap.denominator)
+    square, scale = _hbar_squared(params)
+    coeff = square / (2.0 * params.mass_along(0) * ax.dx * ax.dx
+                      * lap.denominator) * scale * scale
     v = potential_values(params.potential, grid)
     num = lap.numerators
     diag = v - coeff * num.diagonal(0)
@@ -170,22 +172,24 @@ def _interior_eigensolve(params: PhysicalParams, grid: GridSpec, k: int,
                          eigvals_only: bool):
     """Lowest k eigenvalues of H on the unknowns, and unless eigvals_only
     their eigenvectors, as eigh_tridiagonal returns them, and the
-    exponent e of the scaling below (0 where the bands were not scaled).
+    exponent e of the scaling below.
 
     LAPACK's bisection and inverse iteration square the band entries and
     multiply the squares by the band norm and powers of the order: with
     bands of 2^480 the eigenvectors come back NaN, below 2^-509 the
-    squares are subnormal and the eigenvalues wrong. Bands whose largest
-    entry lies outside [2^-256, 2^256), whose squares leave 2^512 of
-    headroom each side, are solved scaled by 2^-e to [1/2, 1) (e that
-    entry's exponent), an exact scaling, and the eigenvalues scaled back.
-    Other bands are solved as they are, so their bits do not move.
+    squares are subnormal and the eigenvalues wrong. Nor is its inverse
+    iteration free of scale: bands 2^-64 times the harmonic trap's give
+    eigenvectors that differ in their last bits. So the bands are solved
+    scaled by 2^-e to [1/2, 1) (e their largest entry's exponent), an
+    exact scaling, and the eigenvalues scaled back: bands a power of two
+    apart are one LAPACK problem, and a power-of-two change of units
+    moves no bit of the spectrum.
     """
     from scipy.linalg import eigh_tridiagonal
 
     diag, off, _ = _hamiltonian_bands(params, grid)
     peak = max(np.max(np.abs(diag)), np.max(np.abs(off)))
-    e = 0 if 2.0**-256 <= peak < 2.0**256 else int(np.frexp(peak)[1])
+    e = int(np.frexp(peak)[1])
     out = eigh_tridiagonal(np.ldexp(diag, -e), np.ldexp(off, -e),
                            eigvals_only=eigvals_only, select="i",
                            select_range=(0, k - 1))
@@ -210,15 +214,26 @@ def eigensolve_1d(params: PhysicalParams, grid: GridSpec, k: int = 1,
     dx = grid.axes[0].dx
     weights = grid.node_volumes()
     inner = _unknowns(grid)
+    # the exponents, over v's peak, of what apply_hamiltonian forms from
+    # v: v itself, its d2/dx2, that over 2 m, and H v
+    d2_exp = -2 * int(np.frexp(dx)[1])
+    mass_exp = int(np.frexp(2.0 * params.mass_along(0))[1])
+    forms = [0, d2_exp, d2_exp - mass_exp, e]
+    shift = -(min(forms) + max(forms)) // 2
     funcs = []
     residuals = np.empty(k)
     for j in range(k):
         full = np.zeros(n)
         full[inner] = vecs[:, j] / np.sqrt(dx)
         full = _fix_sign(full, weights)
-        err = (apply_hamiltonian(full, grid, params) - vals[j] * full)[inner]
-        # in the eigensolve's units 2^e, whose squares cannot overflow
-        err = np.ldexp(err, -e)
+        # H is applied to v times 2^s, which centers those exponents on
+        # 0, so none is subnormal or overflows unless their spread forces
+        # it; the residual is read in the eigensolve's units 2^e, whose
+        # squares cannot overflow
+        s = shift - int(np.frexp(np.max(np.abs(full)))[1])
+        scaled = np.ldexp(full, s)
+        err = apply_hamiltonian(scaled, grid, params) - vals[j] * scaled
+        err = np.ldexp(err[inner], -e - s)
         residuals[j] = float(
             np.ldexp(np.sqrt(np.sum(err**2 * weights[inner])), e))
         funcs.append(RealField(grid, full))
@@ -237,10 +252,21 @@ def apply_hamiltonian(values: np.ndarray, grid: GridSpec,
     """H values with the propagator's order-2 stencil; on a hard wall the
     edge rows are one-sided d2/dx2, not H: read the interior only."""
     out = potential_values(params.potential, grid) * values
+    square, scale = _hbar_squared(params)
     for ax_idx, ax in enumerate(grid.axes):
         d2 = stencil_operator(ax, 2, 2).apply(values, ax_idx)
-        out = out - params.hbar**2 * d2 / (2.0 * params.mass_along(ax_idx))
+        kinetic = square * d2 / (2.0 * params.mass_along(ax_idx))
+        out = out - kinetic * scale * scale
     return out
+
+
+def _hbar_squared(params: PhysicalParams) -> tuple[float, float]:
+    """hbar^2 as its mantissa's square times a power of two squared. A
+    quantity formed with the square and multiplied by the power twice
+    after has the bits of one formed with hbar^2 wherever that is a
+    normal float, and keeps them where hbar^2 alone would underflow."""
+    mantissa, exponent = math.frexp(params.hbar)
+    return mantissa * mantissa, math.ldexp(1.0, exponent)
 
 
 # -- unitary wavefunction propagation ----------------------------------------
@@ -706,7 +732,7 @@ def resolved_nodes(rho: RealField, near_node: np.ndarray,
                    level: int) -> np.ndarray:
     """Nodes with density at least RESOLVED_FLOOR times its peak, outside
     near_node. Raises UnresolvedLevelError when there is none."""
-    keep = ~low_density_mask(rho, RESOLVED_FLOOR) & ~near_node
+    keep = ~low_density_mask(rho.values, rho.grid, RESOLVED_FLOOR) & ~near_node
     if not keep.any():
         raise UnresolvedLevelError(
             f"level {level} is unresolved: every node has density below "

@@ -7,7 +7,13 @@ from varq.grid import (
     RealField,
     integrate_values,
 )
-from varq.fields import Free, Harmonic, MadelungState, PhysicalParams
+from varq.fields import (
+    DENSITY_FLOOR,
+    Free,
+    Harmonic,
+    MadelungState,
+    PhysicalParams,
+)
 from varq.action import (
     bohm_potential,
     information_density,
@@ -70,10 +76,30 @@ def test_information_density_floors_dead_nodes():
     x = g.coordinates()[0]
     rho = np.where(np.abs(x) < 0.5, np.cos(np.pi * x) ** 2, 0.0)
     rho /= np.sum(rho * g.node_volumes())
-    f = information_density(RealField(g, rho), PhysicalParams())
-    dead = low_density_mask(RealField(g, rho))
-    assert np.all(f.values[dead] == 0.0)
-    assert np.all(np.isfinite(f.values))
+    f = information_density(rho, g, PhysicalParams())
+    dead = low_density_mask(rho, g)
+    assert np.all(f[dead] == 0.0)
+    assert np.all(np.isfinite(f))
+
+
+@pytest.mark.parametrize("grid", [GridSpec.line(256, -1.0, 1.0),
+                                  GridSpec.square(32, -1.0, 1.0)])
+def test_each_density_of_a_stack_keeps_its_own_floor(grid):
+    # peaks 1e-12 apart: against the stack's one peak, the small density
+    # would be dead everywhere
+    r2 = sum(x**2 for x in grid.meshes())
+    rho = np.where(r2 < 0.25, np.cos(np.pi * np.sqrt(r2)) ** 2, 0.0) + 1e-30
+    stack = np.stack([rho, 1e-12 * rho, 1e6 * np.roll(rho, 3)])
+    dead = low_density_mask(stack, grid)
+    assert (dead != (stack < DENSITY_FLOOR * stack.max())).any()
+    p = PhysicalParams()
+    info = information_density(stack, grid, p)
+    for member, member_dead, member_info in zip(stack, dead, info):
+        assert np.array_equal(member_dead, low_density_mask(member, grid))
+        assert 0 < member_dead.sum() < member_dead.size
+        alone = information_density(member, grid, p)
+        assert member_info.tobytes() == alone.tobytes()
+        assert np.all(member_info[member_dead] == 0.0)
 
 
 # -- Bohm potential ----------------------------------------------------------
@@ -85,7 +111,7 @@ def test_bohm_potential_gaussian_formula():
     q = bohm_potential(st.density, PhysicalParams(), order=4)
     x = g.coordinates()[0]
     expected = 0.25 - x**2 / 8.0
-    keep = ~low_density_mask(st.density)
+    keep = ~low_density_mask(st.density.values, g)
     err = np.max(np.abs(q.values[keep] - expected[keep]))
     assert err <= 1e-6 * np.max(np.abs(expected[keep]))
 
@@ -94,7 +120,7 @@ def test_bohm_potential_zero_at_dead_nodes():
     g = GridSpec.line(512, -30.0, 30.0)
     st = gaussian_state(g, sigma=1.0)
     q = bohm_potential(st.density, PhysicalParams())
-    dead = low_density_mask(st.density)
+    dead = low_density_mask(st.density.values, g)
     assert np.any(dead)
     assert np.all(q.values[dead] == 0.0)
 
@@ -138,8 +164,8 @@ def test_information_variation_equals_bohm_potential():
     p = PhysicalParams()
     st = random_smooth_state(rng, n=512)
 
-    def half_hbar_info(s):
-        return 0.5 * p.hbar * information_density(s.density, p).values
+    def half_hbar_info(rho):
+        return 0.5 * p.hbar * information_density(rho, st.grid, p)
 
     num = numeric_functional_gradient(half_hbar_info, st, "density")
     q = bohm_potential(st.density, p)
@@ -152,8 +178,8 @@ def test_information_variation_equals_bohm_potential():
 def test_kinetic_density_plane_phase():
     g = GridSpec.line(512, -8.0, 8.0)
     st = gaussian_state(g, momentum=1.5)
-    kin = kinetic_density(st, PhysicalParams(mass=2.0))
-    assert np.allclose(kin.values, 1.5**2 / 4.0, atol=1e-8)
+    kin = kinetic_density(st.action.values, g, PhysicalParams(mass=2.0))
+    assert np.allclose(kin, 1.5**2 / 4.0, atol=1e-8)
 
 
 # -- time derivatives along a trajectory -------------------------------------
@@ -176,11 +202,13 @@ def test_time_derivatives_validation():
 
 # -- functional gradients ----------------------------------------------------
 
-def slice_action(state, params, ds_dt):
-    """Total-action integrand of one frozen slice: rho dS/dt plus the
-    ensemble Hamiltonian's."""
-    return (state.density.values * ds_dt
-            + EnsembleHamiltonian(params).integrand(state))
+def slice_action(state, params, ds_dt, component):
+    """Total-action integrand of one frozen slice, rho dS/dt plus the
+    ensemble Hamiltonian's, as a function of the component's values."""
+    energy = EnsembleHamiltonian(params).integrand_holding(state, component)
+    if component == "density":
+        return lambda rho: rho * ds_dt + energy(rho)
+    return lambda s: state.density.values * ds_dt + energy(s)
 
 
 def test_hamilton_jacobi_residual_on_ground_state():
@@ -189,7 +217,7 @@ def test_hamilton_jacobi_residual_on_ground_state():
     st = harmonic_ground_state(g)
     p = PhysicalParams(potential=Harmonic())
     res = -0.5 + EnsembleHamiltonian(p).gradient_density(st).values
-    keep = ~low_density_mask(st.density, floor=1e-6)
+    keep = ~low_density_mask(st.density.values, g, floor=1e-6)
     assert np.max(np.abs(res[keep])) <= 1e-5
 
 
@@ -208,7 +236,7 @@ def test_numeric_gradient_matches_analytic_density_component():
     st = random_smooth_state(rng, n=512)
     ds_dt = np.full(st.grid.shape, -0.3)
     num = numeric_functional_gradient(
-        lambda s: slice_action(s, p, ds_dt), st, "density")
+        slice_action(st, p, ds_dt, "density"), st, "density")
     ana = ds_dt + EnsembleHamiltonian(p).gradient_density(st).values
     scale = np.max(np.abs(ana))
     assert np.max(np.abs(num.values - ana)) <= 1e-5 * scale
@@ -221,7 +249,7 @@ def test_numeric_gradient_matches_analytic_action_component():
     st = random_smooth_state(rng, n=512)
     ds_dt = np.zeros(st.grid.shape)
     num = numeric_functional_gradient(
-        lambda s: slice_action(s, p, ds_dt), st, "action")
+        slice_action(st, p, ds_dt, "action"), st, "action")
     ana = EnsembleHamiltonian(p).gradient_action(st).values
     scale = max(np.max(np.abs(ana)), 1e-3)
     assert np.max(np.abs(num.values - ana)) <= 1e-5 * scale
@@ -236,8 +264,7 @@ def test_functional_gradient_validation():
     with pytest.raises(ValueError):
         functional_derivative(h, st, "density", backend="symbolic")
     with pytest.raises(ValueError):
-        numeric_functional_gradient(lambda s: np.zeros(s.grid.shape), st,
-                                    "phase")
+        numeric_functional_gradient(np.zeros_like, st, "phase")
 
 
 def test_grid_mismatch_in_residuals():

@@ -175,7 +175,8 @@ class TestThreeRoutes:
         _, keep = resolved_energy(rho, pair_params.as_physical(),
                                   np.zeros(pair.shape, dtype=bool), 0)
         assert not keep.all()
-        assert np.array_equal(keep, ~low_density_mask(rho, RESOLVED_FLOOR))
+        assert np.array_equal(
+            keep, ~low_density_mask(rho.values, pair, RESOLVED_FLOOR))
 
     def test_symmetry_constraints_vanish(self, report):
         assert abs(report.total_momentum) < 1e-15

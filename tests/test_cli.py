@@ -1309,9 +1309,10 @@ FLUCTUATE_DIMENSIONS = {
 }
 
 
-def run_fluctuate_in_units(tmp_path, name, units):
-    """Exit code and report of a shipped fluctuate config in units of
-    length, mass and time 2^units: hbar scales by M L^2 / T."""
+def run_in_units(tmp_path, scenario, name, units):
+    """Exit code and report of a shipped config in units of length, mass
+    and time 2^units: hbar scales by M L^2 / T, a mass by M, a trap
+    strength by M / T^2, a coordinate by L and a time step by T."""
     l, m, t = units
     cfg = json.loads((CONFIG_DIR / name).read_text())
     system = cfg["system"]
@@ -1319,17 +1320,25 @@ def run_fluctuate_in_units(tmp_path, name, units):
     system["mass"] = (math.ldexp(system["mass"], m)
                       if isinstance(system["mass"], float)
                       else [math.ldexp(x, m) for x in system["mass"]])
-    cfg["dt"] = math.ldexp(cfg["dt"], t)
+    if "potential" in system:
+        trap = system["potential"]
+        trap["strength"] = math.ldexp(trap["strength"], m - 2 * t)
+        trap["center"] = math.ldexp(trap["center"], l)
+    if "grid" in cfg:
+        for key in ("min", "max"):
+            cfg["grid"][key] = math.ldexp(cfg["grid"][key], l)
+    if "dt" in cfg:
+        cfg["dt"] = math.ldexp(cfg["dt"], t)
     out = tmp_path / "_".join(map(str, units))
     with contextlib.redirect_stderr(io.StringIO()) as err, \
             contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["fluctuate", "--config", write_config(tmp_path, cfg),
+        code = cli.main([scenario, "--config", write_config(tmp_path, cfg),
                          "--out", str(out)])
     assert code in (cli.EXIT_OK, cli.EXIT_RUNTIME, cli.EXIT_CONFIG)
     if code != cli.EXIT_OK:
         assert err.getvalue().startswith(("config error: ", "runtime error: "))
         return code, None
-    return code, json.loads((out / "fluctuate_report.json").read_text())
+    return code, json.loads((out / f"{scenario}_report.json").read_text())
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
@@ -1345,10 +1354,10 @@ def test_fluctuate_reports_scale_with_power_of_two_units(tmp_path, name,
     # square root exactly, and leaves the transition masses and so the
     # draws alike: an exit-0 report is the unit report times each key's
     # dimension, bit for bit
-    code, report = run_fluctuate_in_units(tmp_path, name, units)
+    code, report = run_in_units(tmp_path, "fluctuate", name, units)
     if code != cli.EXIT_OK:
         return
-    _, unit = run_fluctuate_in_units(tmp_path, name, (0, 0, 0))
+    _, unit = run_in_units(tmp_path, "fluctuate", name, (0, 0, 0))
     assert report["warnings"] == unit["warnings"]
     assert report["results"].keys() == unit["results"].keys()
     for key, value in unit["results"].items():
@@ -1358,6 +1367,34 @@ def test_fluctuate_reports_scale_with_power_of_two_units(tmp_path, name,
         power = sum(d * u for d, u in zip(FLUCTUATE_DIMENSIONS[key], units))
         scaled = ([math.ldexp(v, power) for v in value]
                   if isinstance(value, list) else math.ldexp(value, power))
+        assert report["results"][key] == scaled, key
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(units=st.tuples(st.integers(-100, 100).map(lambda a: 2 * a),
+                       st.integers(-200, 200), st.integers(-200, 200)))
+@example(units=(0, 100, 550))
+@example(units=(0, 100, 530))
+@example(units=(0, -100, -550))
+@example(units=(40, 20, -30))
+def test_eigen_reports_scale_with_power_of_two_units(tmp_path, units):
+    # every eigen result is an energy, E M L^2 / T^2: an exit-0 report is
+    # the unit report times it, bit for bit, also where the bands are
+    # scaled for LAPACK. Lengths change by even powers of two, since the
+    # eigenfunctions scale by the square root of the length unit
+    code, report = run_in_units(tmp_path, "eigen", "eigen_harmonic.json",
+                                units)
+    if code != cli.EXIT_OK:
+        return
+    _, unit = run_in_units(tmp_path, "eigen", "eigen_harmonic.json",
+                           (0, 0, 0))
+    l, m, t = units
+    assert report["warnings"] == unit["warnings"]
+    assert report["results"].keys() == unit["results"].keys() == {
+        "eigenvalues", "residuals", "refined_eigenvalues"}
+    for key, values in unit["results"].items():
+        scaled = [math.ldexp(v, 2 * l + m - 2 * t) for v in values]
         assert report["results"][key] == scaled, key
 
 

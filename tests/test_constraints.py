@@ -12,6 +12,7 @@ from varq.grid import (
     GridMismatchError,
     GridSpec,
     RealField,
+    box_reduce,
     diff_values,
     integrate_values,
     shift_derivative,
@@ -283,6 +284,10 @@ def test_integrand_moves_only_within_a_stencil_reach(case):
 
 # -- colored node perturbation -----------------------------------------------
 
+def values_of(state, component):
+    return (state.density if component == "density" else state.action).values
+
+
 def with_component(state, component, values):
     fields = {"density": state.density.values, "action": state.action.values}
     fields[component] = values
@@ -295,7 +300,7 @@ def full_loop_gradient(integrand, state, component, step=1e-6):
     per node. Their difference is integrated over the whole grid, which
     keeps the loop's own roundoff far below the tolerance it is held to."""
     grid = state.grid
-    base = (state.density if component == "density" else state.action).values
+    base = values_of(state, component)
     vols = grid.node_volumes()
     out = np.zeros(grid.shape)
     for node in np.ndindex(grid.shape):
@@ -306,6 +311,34 @@ def full_loop_gradient(integrand, state, component, step=1e-6):
             ends.append(integrand(with_component(state, component, nudged)))
         out[node] = (integrate_values(ends[0] - ends[1], grid)
                      / (2.0 * step * vols[node]))
+    return out
+
+
+def color_loop_gradient(integrand, state, component, order):
+    """The colored gradient one color and one whole state at a time: per
+    color, the integrand of the plus and of the minus state, the locality
+    check and the window sums of that color alone. `integrand` takes a
+    state. The stacked gradient must give its bits and its errors."""
+    grid = state.grid
+    base = values_of(state, component)
+    reach = [stencil_reach(axis, order) for axis in grid.axes]
+    vols = grid.node_volumes()
+    up, down = base + GRADIENT_STEP, base - GRADIENT_STEP
+    rest = integrand(state)
+    out = np.empty(grid.shape)
+    colors, picks, outsides, _, divisor = action._colors(grid, order)
+    for color, picked, outside in zip(colors, picks, outsides):
+        plus = integrand(with_component(
+            state, component, np.where(picked, up, base)))
+        minus = integrand(with_component(
+            state, component, np.where(picked, down, base)))
+        if (((plus != rest) | (minus != rest)) & outside).any():
+            raise ValueError(
+                f"integrand is not local: perturbing color {color} moved it "
+                f"farther than the stencil reach {tuple(reach)} from every "
+                "perturbed node")
+        moved = box_reduce(vols * (plus - minus), grid, reach, np.add)
+        out[picked] = moved[picked] / divisor[picked]
     return out
 
 
@@ -327,13 +360,13 @@ COLORED_CASES = [
     (GridSpec.square(16, 0.0, 2 * np.pi, PERIODIC),
      lambda order: LocalMomentum(order=order)),
 ]
+COLORED_IDS = ["line_periodic", "line_dirichlet", "momentum_dirichlet",
+               "pair_periodic"]
 
 
 @pytest.mark.parametrize("component", ["density", "action"])
 @pytest.mark.parametrize("order", [2, 4])
-@pytest.mark.parametrize("grid, make", COLORED_CASES,
-                         ids=["line_periodic", "line_dirichlet",
-                              "momentum_dirichlet", "pair_periodic"])
+@pytest.mark.parametrize("grid, make", COLORED_CASES, ids=COLORED_IDS)
 def test_colored_gradient_matches_full_loop(grid, make, order, component):
     func = make(order)
     state = smooth_state(grid)
@@ -344,35 +377,63 @@ def test_colored_gradient_matches_full_loop(grid, make, order, component):
     assert np.max(np.abs(colored - loop)) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("component", ["density", "action"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("grid, make", COLORED_CASES, ids=COLORED_IDS)
+def test_stacked_gradient_gives_the_bits_of_the_color_loop(grid, make, order,
+                                                           component):
+    func = make(order)
+    state = smooth_state(grid)
+    stacked = functional_derivative(func, state, component, backend="numeric")
+    loop = color_loop_gradient(func.integrand, state, component, order)
+    assert stacked.values.tobytes() == loop.tobytes()
+
+
 @pytest.mark.parametrize("boundary", [PERIODIC, DIRICHLET])
 def test_nonlocal_integrand_raises(boundary):
     grid = GridSpec.line(32, 0.0, 2 * np.pi, boundary)
     state = smooth_state(grid)
+    rho = state.density.values
     reach = stencil_reach(grid.axes[0], 4)
 
+    # each integrand takes one field or a stack of them
     def centered(s):
-        return s.density.values * (s.action.values - np.mean(s.action.values))
+        return rho * (s - np.mean(s, axis=-1, keepdims=True))
 
-    def shifted(s):
-        return np.roll(s.density.values, reach + 1)
+    def shifted(r):
+        return np.roll(r, reach + 1, axis=-1)
 
     # reach + 1 nodes past a perturbed node lies outside every window of
     # its color: nodes of one color are at least 2 reach + 2 apart
     def minus_side_only(s):
-        lowered = s.action.values < state.action.values
-        return s.density.values * s.action.values + np.roll(lowered, reach + 1)
+        lowered = s < state.action.values
+        return rho * s + np.roll(lowered, reach + 1, axis=-1)
 
-    def nan_far(s):
-        out = s.density.values.copy()
-        moved = s.density.values != state.density.values
-        out[np.roll(moved, reach + 1)] = np.nan
+    def nan_far(r):
+        out = r.copy()
+        moved = r != rho
+        out[np.roll(moved, reach + 1, axis=-1)] = np.nan
         return out
 
-    for integrand, component in [(centered, "action"), (shifted, "density"),
-                                 (minus_side_only, "action"),
-                                 (nan_far, "density")]:
-        with pytest.raises(ValueError, match="not local"):
+    # node 3 moves the integrand reach + 1 nodes away: only its color,
+    # color 3, reaches too far
+    def one_far_node(s):
+        out = rho * s
+        out[..., 3 + reach + 1] += s[..., 3] - state.action.values[3]
+        return out
+
+    for integrand, component, color in [
+            (centered, "action", 0), (shifted, "density", 0),
+            (minus_side_only, "action", 0), (nan_far, "density", 0),
+            (one_far_node, "action", 3)]:
+        with pytest.raises(ValueError, match=f"perturbing color {color} "
+                           "moved it") as stacked:
             numeric_functional_gradient(integrand, state, component, order=4)
+        with pytest.raises(ValueError) as looped:
+            color_loop_gradient(
+                lambda s: integrand(values_of(s, component)), state,
+                component, 4)
+        assert str(stacked.value) == str(looped.value)
 
 
 def test_numeric_density_gradient_needs_densities_above_the_step():
@@ -388,15 +449,15 @@ def test_numeric_density_gradient_needs_densities_above_the_step():
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_numeric_backend_cost_set_by_stencil_width(order, monkeypatch):
-    calls, terms = [], []
+    stacks, terms = [], []
     holding = EnsembleHamiltonian.integrand_holding
 
     def counted_holding(self, state, component):
         integrand = holding(self, state, component)
 
-        def counted(s):
-            calls.append(s.grid.n_nodes)
-            return integrand(s)
+        def counted(values):
+            stacks.append(values.shape)
+            return integrand(values)
         return counted
 
     def counted_term(name):
@@ -415,48 +476,39 @@ def test_numeric_backend_cost_set_by_stencil_width(order, monkeypatch):
     for component, held, moving in [
             ("density", "kinetic_density", "information_density"),
             ("action", "information_density", "kinetic_density")]:
-        counts = []
+        sizes = []
         for n in (64, 512):
             state = random_smooth_state(np.random.default_rng(n), n=n)
-            calls.clear()
+            stacks.clear()
             terms.clear()
             functional_derivative(h, state, component, backend="numeric")
-            counts.append(len(calls))
-            # the held term once per call, the moving one per evaluation
-            assert terms.count(held) == 1
-            assert terms.count(moving) == len(calls)
+            # the held term built once, the moving one evaluated once, on
+            # one stack of fields of the grid's shape
+            assert terms == [held, moving]
+            assert len(stacks) == 1
+            assert stacks[0][1:] == state.grid.shape
+            sizes.append(stacks[0][0])
         # a color per offset in a block of 2 reach + 2 nodes, plus one
         # where the blocks share a remainder; +-step per color and one
         # unperturbed
         reach = stencil_reach(state.grid.axes[0], order)
         colors = 2 * reach + 3
-        assert 0 < counts[0] == counts[1] <= 2 * colors + 1
+        assert 0 < sizes[0] == sizes[1] <= 2 * colors + 1
 
 
 def nudged(state, component):
     """state with its component moved at every node, the other component
     the very same field object."""
-    base = (state.density if component == "density" else state.action).values
+    base = values_of(state, component)
     wobble = 1e-3 * np.cos(np.arange(base.size)).reshape(base.shape)
-    return action._with_component(state, component, base + wobble)
+    return with_component(state, component, base + wobble)
 
 
-@pytest.mark.parametrize("component, held", [("density", "action"),
-                                             ("action", "density")])
-def test_held_integrand_refuses_another_held_field(component, held):
+@pytest.mark.parametrize("func", [EnsembleHamiltonian(TRAP), LocalMomentum()])
+def test_held_integrand_names_an_unknown_component(func):
     state = smooth_state(GridSpec.line(32, 0.0, 2 * np.pi, PERIODIC))
-    integrand = EnsembleHamiltonian(TRAP).integrand_holding(state, component)
-    integrand(nudged(state, component))
-    fields = {"density": state.density, "action": state.action}
-    # equal values, but not the field the held term was built from
-    fields[held] = RealField(state.grid, fields[held].values.copy())
-    with pytest.raises(ValueError, match=f"holding the {held} was given "
-                       f"another {held} field: only the {component} may"):
-        integrand(MadelungState(fields["density"], fields["action"]))
-    momentum = LocalMomentum()
-    assert momentum.integrand_holding(state, component) == momentum.integrand
     with pytest.raises(ValueError, match="unknown component 'phase'"):
-        EnsembleHamiltonian(TRAP).integrand_holding(state, "phase")
+        func.integrand_holding(state, "phase")
 
 
 def test_colored_gradient_builds_its_colors_once_per_grid_and_order(
@@ -472,12 +524,14 @@ def test_colored_gradient_builds_its_colors_once_per_grid_and_order(
     monkeypatch.setattr(action, "box_reduce", counted)
     action._colors.cache_clear()
     state = random_smooth_state(np.random.default_rng(7), n=512)
-    # a 512-node ring at order 4: reach 2, blocks of 6 and 7 nodes
-    for built in (7, 0):
+    # a 512-node ring at order 4: reach 2, blocks of 6 and 7 nodes, so 7
+    # colors, whose windows are one stacked box sum
+    for built in (1, 0):
         masks.clear()
         functional_derivative(EnsembleHamiltonian(TRAP, order=4), state,
                               "density", backend="numeric")
         assert len(masks) == built
+    assert len(action._colors(state.grid, 4)[0]) == 7
     # another order, or the same nodes behind hard walls, is another key
     walled = GridSpec.line(512, 0.0, 2 * np.pi, DIRICHLET)
     walled_state = MadelungState(RealField(walled, state.density.values),
@@ -486,12 +540,10 @@ def test_colored_gradient_builds_its_colors_once_per_grid_and_order(
         masks.clear()
         functional_derivative(EnsembleHamiltonian(TRAP, order=order), other,
                               "density", backend="numeric")
-        colors = action._colors(other.grid, order)
-        assert masks == [other.grid] * len(colors)
-    for _, *arrays in action._colors(state.grid, 4):
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+        assert masks == [other.grid]
+    for array in action._colors(state.grid, 4)[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @hst.composite
@@ -511,14 +563,15 @@ def colored_cases(draw):
 @given(colored_cases())
 def test_cached_colors_give_the_bits_of_freshly_built_ones(case):
     grid, order, component = case
-    integrand = EnsembleHamiltonian(TRAP, order=order).integrand
+    h = EnsembleHamiltonian(TRAP, order=order)
     state = smooth_state(grid)
+    integrand = h.integrand_holding(state, component)
     numeric_functional_gradient(integrand, state, component, order)
     cached = numeric_functional_gradient(integrand, state, component, order)
     action._colors.cache_clear()
     fresh = numeric_functional_gradient(integrand, state, component, order)
     assert cached.values.tobytes() == fresh.values.tobytes()
-    loop = full_loop_gradient(integrand, state, component)
+    loop = full_loop_gradient(h.integrand, state, component)
     scale = np.max(np.abs(loop))
     assert np.max(np.abs(cached.values - loop)) <= 1e-8 * scale
 
@@ -527,14 +580,21 @@ def test_cached_colors_give_the_bits_of_freshly_built_ones(case):
 @given(colored_cases())
 def test_held_integrand_gives_the_bits_of_the_full_one(case):
     grid, order, component = case
-    h = EnsembleHamiltonian(TRAP, order=order)
-    state = smooth_state(grid)
-    held = functional_derivative(h, state, component, "numeric")
-    full = numeric_functional_gradient(h.integrand, state, component, order)
-    assert held.values.tobytes() == full.values.tobytes()
-    integrand = h.integrand_holding(state, component)
-    for s in (state, nudged(state, component)):
-        assert integrand(s).tobytes() == h.integrand(s).tobytes()
+    for func in (EnsembleHamiltonian(TRAP, order=order),
+                 LocalMomentum(p_c=0.3, order=order)):
+        state = smooth_state(grid)
+        held = functional_derivative(func, state, component, "numeric")
+        loop = color_loop_gradient(func.integrand, state, component, order)
+        assert held.values.tobytes() == loop.tobytes()
+        # on one field and on a stack, each value is the full integrand's
+        integrand = func.integrand_holding(state, component)
+        states = [state, nudged(state, component)]
+        fields = [values_of(s, component) for s in states]
+        stack = integrand(np.stack(fields))
+        for s, values, got in zip(states, fields, stack):
+            want = func.integrand(s).tobytes()
+            assert integrand(values).tobytes() == want
+            assert got.tobytes() == want
 
 
 # -- Poisson brackets --------------------------------------------------------
@@ -609,7 +669,7 @@ def test_stationarity_residuals_on_ground_state_trajectory():
     rep = stationarity_residuals(states, 0.01, p,
                                  [LocalMomentum(), DensityStationarity()],
                                  [0.0, 0.0])
-    keep = ~low_density_mask(states[2].density, RESOLVED_FLOOR)
+    keep = ~low_density_mask(states[2].density.values, g, RESOLVED_FLOOR)
     assert np.max(np.abs(rep.density_residual.values[keep])) <= 1e-5
     assert np.max(np.abs(rep.action_residual.values[keep])) <= 1e-10
     assert LocalMomentum().value(states[2]) == pytest.approx(0.0, abs=1e-10)
@@ -624,7 +684,7 @@ def test_stationarity_residuals_detect_wrong_energy():
         s = np.full(g.shape, -0.75 * j * 0.01)  # wrong phase rate
         states.append(MadelungState(base.density, RealField(g, s)))
     rep = stationarity_residuals(states, 0.01, p)
-    keep = ~low_density_mask(states[2].density, RESOLVED_FLOOR)
+    keep = ~low_density_mask(states[2].density.values, g, RESOLVED_FLOOR)
     assert (np.max(np.abs(rep.density_residual.values[keep]))
             == pytest.approx(0.25, abs=1e-4))
 

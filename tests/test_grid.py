@@ -21,6 +21,7 @@ from varq.grid import (
     fd_weights,
     integrate_values,
     l2_norm,
+    shift_derivative,
     stencil_operator,
     stencil_reach,
 )
@@ -571,3 +572,37 @@ def test_box_reduce_refuses_the_maximum_of_a_bool_array(boundary):
     grid = GridSpec.line(8, 0.0, 1.0, boundary)
     with pytest.raises(ValueError, match="maximum of dtype bool"):
         box_reduce(np.zeros(8, bool), grid, [2], np.maximum)
+
+
+@st.composite
+def stack_cases(draw):
+    """A stack of 1-5 fields on a line or a pair grid, each axis periodic
+    or walled, and a box reach of 0-4 per axis."""
+    grid = GridSpec(tuple(
+        Axis(draw(st.integers(8, 24)), 0.0, 1.0,
+             draw(st.sampled_from([PERIODIC, DIRICHLET])))
+        for _ in range(draw(st.integers(1, 2)))))
+    shape = (draw(st.integers(1, 5)),) + grid.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+    return grid, stack, [draw(st.integers(0, 4)) for _ in grid.axes]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(stack_cases())
+def test_a_stack_of_fields_gets_the_bits_of_each_field_alone(case):
+    # the grid's axes are the last ones: leading axes ride along in one
+    # multi-vector product or one box reduction, field by field
+    grid, stack, reach = case
+    ops = [lambda v, a=axis, o=order, d=deriv: diff_values(v, grid, a, o, d)
+           for axis in range(grid.dimension)
+           for order in (2, 4) for deriv in (1, 2)]
+    ops += [lambda v, o=order: shift_derivative(v, grid, o) for order in (2, 4)]
+    ops += [lambda v, r=reduce: box_reduce(v, grid, reach, r)
+            for reduce in (np.add, np.maximum)]
+    ops.append(lambda v: box_reduce(v > 0, grid, reach, np.add))
+    for op in ops:
+        alone = np.stack([op(values) for values in stack])
+        together = op(stack)
+        assert together.dtype == alone.dtype
+        assert together.tobytes() == alone.tobytes()

@@ -11,9 +11,11 @@ reductions and the transition window rule need numpy alone). A
 `fluctuate` run never calls scipy, so it loads none either. The
 perfbench tracer and worker name varq functions in strings, so a rename
 must reach them too, or a per-layer metric reads zero; likewise every
-report key the perfbench workloads check must be one the CLI writes. A
-default that no call in the repository overrides is a constant in the
-signature, so each one must be passed somewhere. Likewise every public function and class
+report key the perfbench workloads check must be one the CLI writes,
+and every argument a tracer hook binds by name must be a parameter of
+the function it hooks. A default that no call in the repository
+overrides is a constant in the signature, so each one must be passed
+somewhere. Likewise every public function and class
 needs a caller outside the unit tests, and every field of a varq class
 needs a reader there: a field that only unit tests read is computed on
 every run for nobody. Every name a varq module imports must be used in
@@ -191,6 +193,45 @@ def test_every_perfbench_name_is_a_traced_layer_function():
     # the tracer wraps a private function only when EXTRA names it
     assert [f"{layer}.{name}" for layer, name in split
             if name.startswith("_") and f"{layer}.{name}" not in extra] == []
+
+
+def hooked_arguments() -> dict[str, set[str]]:
+    """`layer.function` -> the arguments its perfbench tracer hook reads
+    by name, as `_bound(fn, args, kwargs)["name"]`."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    hooks = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "HOOKS"):
+            hooks = {ast.literal_eval(key): value.id
+                     for key, value in zip(node.value.keys, node.value.values)}
+    read = {node.name: {sub.slice.value for sub in ast.walk(node)
+                        if isinstance(sub, ast.Subscript)
+                        and isinstance(sub.value, ast.Call)
+                        and getattr(sub.value.func, "id", None) == "_bound"}
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return {qual: read[hook] for qual, hook in hooks.items()}
+
+
+def parameters(layer: str, name: str) -> set[str]:
+    for node in ast.parse((SRC / f"{layer}.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            args = node.args
+            return {arg.arg for arg in
+                    args.posonlyargs + args.args + args.kwonlyargs}
+    return set()
+
+
+def test_every_argument_a_tracer_hook_binds_is_a_parameter():
+    # a hook that binds a renamed parameter raises inside the traced
+    # round, so `run.py --trace 1` would break; the floor is the hooks
+    # that read an argument today (state, steps, n)
+    hooked = hooked_arguments()
+    assert sum(len(names) for names in hooked.values()) >= 3
+    missing = [f"{qual}({name})" for qual, names in sorted(hooked.items())
+               for name in sorted(names)
+               if name not in parameters(*qual.split("."))]
+    assert missing == []
 
 
 def test_the_package_root_is_its_docstring_alone():
