@@ -7,7 +7,7 @@ information metric
     I = integral dt dx (hbar / 4 m) (d rho / dx)^2 / rho,
 
 summed over axes with their own masses in 2D. Its integrand at one time
-slice is rho dS/dt plus `constraints.EnsembleHamiltonian.integrand`.
+slice is rho dS/dt plus `constraints.EnsembleHamiltonian`'s integrand.
 Here are the local densities both are built from, the time derivatives
 of a trajectory's slices, and a node-perturbation numeric gradient that
 cross-checks analytic functional derivatives. The kinetic and
@@ -22,10 +22,10 @@ that requires. Its colors, their locality masks and divisors depend
 only on the grid and the stencil order, so they are built once per
 (grid, order) and cached read-only. The integrand is a function of the
 perturbed component's values alone: `constraints.functional_derivative`
-hands it `integrand_holding(state, component)`, whose held term is
-built once per call; no value moves. The analytic ones, the quantum
-Hamilton-Jacobi and continuity expressions, are the gradients of
-`constraints.EnsembleHamiltonian`.
+closes a functional's `integrand_values` over the other component's
+values, so that component's term is computed once, on one field. The
+analytic gradients, the quantum Hamilton-Jacobi and continuity
+expressions, are those of `constraints.EnsembleHamiltonian`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import DENSITY_FLOOR, MadelungState, PhysicalParams
+from .fields import DENSITY_FLOOR, MadelungState, PhysicalParams, hbar_squared
 from .grid import (
     DEFAULT_ORDER,
     GridSpec,
@@ -112,10 +112,12 @@ def bohm_potential(rho: RealField, params: PhysicalParams,
     # guard only the division; the stencil must see the true amplitudes
     denom = np.where(dead, 1.0, amp)
     axes = range(grid.dimension) if axis is None else (axis,)
+    square, scale = hbar_squared(params)
     total = np.zeros(grid.shape)
     for ax in axes:
         d2 = diff_values(amp, grid, axis=ax, order=order, deriv=2)
-        total += -params.hbar**2 * d2 / (2.0 * params.mass_along(ax) * denom)
+        total += (-square * d2 / (2.0 * params.mass_along(ax) * denom)
+                  * scale * scale)
     total[dead] = 0.0
     return RealField(grid, total)
 
@@ -162,7 +164,8 @@ def numeric_functional_gradient(integrand: Callable[[np.ndarray], np.ndarray],
     The integrand is a function of the perturbed component's values
     alone, the other component held at state's: given a stack of fields
     on a leading axis, it returns the integrand of each, as
-    `constraints.ConstraintFunctional.integrand_holding` builds it.
+    `constraints.functional_derivative` closes a functional's
+    `integrand_values` over the other component.
 
     The continuum functional derivative at node j is the partial
     derivative with respect to the node value divided by the node's

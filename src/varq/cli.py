@@ -37,6 +37,7 @@ from .fields import (
     MadelungState,
     PhysicalParams,
     Polynomial,
+    hbar_squared,
     potential_values,
 )
 from .fluctuation import (
@@ -245,8 +246,11 @@ def _finite_hamiltonian(params: PhysicalParams, grid: GridSpec, path: str):
     """H = -(hbar^2 / 2m) d2/dx2 + V must have finite entries on the grid."""
     dx = grid.axes[0].dx
     scale = 2.0 * params.mass_along(0) * dx * dx
-    # an overflowing hbar^2 makes the ratio inf, or NaN over an inf scale
-    if scale == 0.0 or not math.isfinite(params.hbar * params.hbar / scale):
+    square, power = hbar_squared(params)
+    # formed as the bands form it; over an inf 2 m dx^2 they read 0, which
+    # only a finite hbar^2 allows
+    if scale == 0.0 or not math.isfinite(square / scale * power * power) or (
+            scale == math.inf and math.isinf(square * power * power)):
         yield (f"the kinetic scale hbar^2 / (2 m dx^2) overflows at grid "
                f"spacing {dx:.3g}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -376,8 +380,9 @@ def _slice_action(v):
     that bound times 2 SLICE_DT / dx."""
     params, grid = v["params"], v["grid"]
     dx, m = grid.axes[0].dx, params.mass_along(0)
+    square, power = hbar_squared(params)
     bound = (float(np.max(np.abs(potential_values(params.potential, grid))))
-             + 4.0 * params.hbar * params.hbar / (2.0 * m * dx * dx))
+             + 4.0 * square / (2.0 * m * dx * dx) * power * power)
     slope = bound * 2.0 * SLICE_DT / dx
     if not math.isfinite(slope * slope / (2.0 * m)):
         yield (f"the energy bound max|V| + 2 hbar^2 / (m dx^2) = {bound:.3g} "

@@ -1,21 +1,19 @@
 """Constraint functionals, Poisson brackets, and stationarity residuals.
 
 Constraints are scalar functionals of the (density, action) pair added to
-the total action with Lagrange multipliers. Each defines a local
-`integrand`, whose value at a node reads the fields only within one
-stencil width of it; `value` is always the grid integral of the
-integrand. Each also carries analytic functional gradients, which a
-node-perturbation backend cross-checks. `EnsembleHamiltonian` is the one
-definition of the ensemble energy rho (kinetic + V) + (hbar/2) I; its
-gradients give the quantum Hamilton-Jacobi and continuity residuals.
-The backend perturbs one component and holds the other, so it evaluates
-`integrand_holding(state, component)`, the integrand as a function of
-the moving component's values alone, once per gradient on the stack of
-all its perturbed copies. The held component's term (for the ensemble
-energy, kinetic + V while the density moves, (hbar/2) I while the
-action moves) is built once, when the callable is made, and `integrand`
-is the action's callable on the state's own action, so both share one
-formula and every value keeps its bits.
+the total action with Lagrange multipliers. Each defines one local
+integrand, `integrand_values(rho, action, grid)`, whose value at a node
+reads the fields only within one stencil width of it; either argument
+may be a stack of fields on leading axes that broadcasts against the
+other. `integrand(state)` applies it to the state's fields, and `value`
+is always the grid integral of that. Each also carries analytic
+functional gradients, which the node-perturbation backend of
+`functional_derivative` cross-checks: it holds one component at the
+state's values and evaluates `integrand_values` once per gradient, on
+the stack of every perturbed copy of the other. `EnsembleHamiltonian`
+is the one definition of the ensemble energy rho (kinetic + V) +
+(hbar/2) I; its gradients give the quantum Hamilton-Jacobi and
+continuity residuals.
 Both of the paper's constraints, vanishing local momentum on a line and
 joint translation of a pair, are `LocalMomentum`: the momentum that
 generates a rigid shift of every coordinate, `grid.shift_derivative`.
@@ -35,7 +33,7 @@ of motion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,22 +73,19 @@ class ConstraintFunctional:
 
     requires_aux: bool = False
 
+    def integrand_values(self, rho: np.ndarray, action: np.ndarray,
+                         grid: GridSpec) -> np.ndarray:
+        """The local integrand of density and action values; either may be
+        a stack of fields on leading axes, broadcast against the other."""
+        raise NotImplementedError
+
     def integrand(self, state: MadelungState,
                   aux: RealField | None = None) -> np.ndarray:
-        raise NotImplementedError
+        return self.integrand_values(state.density.values,
+                                     state.action.values, state.grid)
 
     def value(self, state: MadelungState, aux: RealField | None = None) -> float:
         return integrate_values(self.integrand(state, aux), state.grid)
-
-    def integrand_holding(self, state: MadelungState, component: str
-                          ) -> Callable[[np.ndarray], np.ndarray]:
-        """The integrand as a function of `component`'s values alone, the
-        other component held at state's: it maps a field of values, or a
-        stack of them on leading axes, to the integrand of each. The held
-        component's term is built once, here; the numeric backend
-        evaluates the callable once per gradient, on all its perturbed
-        copies."""
-        raise NotImplementedError
 
     def gradient_density(self, state: MadelungState,
                          aux: RealField | None = None) -> RealField:
@@ -110,19 +105,8 @@ class LocalMomentum(ConstraintFunctional):
     p_c: float = 0.0
     order: int = DEFAULT_ORDER
 
-    def integrand(self, state, aux=None):
-        return self.integrand_holding(state, "action")(state.action.values)
-
-    def integrand_holding(self, state, component):
-        grid = state.grid
-        if component == "density":
-            ds = shift_derivative(state.action.values, grid, self.order)
-            return lambda rho: rho * (ds - self.p_c)
-        if component == "action":
-            rho = state.density.values
-            return lambda s: rho * (
-                shift_derivative(s, grid, self.order) - self.p_c)
-        raise ValueError(f"unknown component {component!r}")
+    def integrand_values(self, rho, action, grid):
+        return rho * (shift_derivative(action, grid, self.order) - self.p_c)
 
     def gradient_density(self, state, aux=None):
         ds = shift_derivative(state.action.values, state.grid, self.order)
@@ -172,25 +156,10 @@ class EnsembleHamiltonian(ConstraintFunctional):
     params: PhysicalParams
     order: int = DEFAULT_ORDER
 
-    def integrand(self, state, aux=None):
-        return self.integrand_holding(state, "action")(state.action.values)
-
-    def integrand_holding(self, state, component):
-        """The held term, kinetic + V while the density moves or (hbar/2)
-        information while the action moves, is built once here, and each
-        call adds the moving one; `integrand` is the action's callable on
-        state's own action, so both share one formula and its bits."""
-        grid = state.grid
-        if component == "density":
-            kin_v = self._kinetic_and_potential(state.action.values, grid)
-            return lambda rho: _energy_density(
-                rho, kin_v, self._half_information(rho, grid))
-        if component == "action":
-            rho = state.density.values
-            half_info = self._half_information(rho, grid)
-            return lambda s: _energy_density(
-                rho, self._kinetic_and_potential(s, grid), half_info)
-        raise ValueError(f"unknown component {component!r}")
+    def integrand_values(self, rho, action, grid):
+        info = information_density(rho, grid, self.params, self.order)
+        return (rho * self._kinetic_and_potential(action, grid)
+                + 0.5 * self.params.hbar * info)
 
     def gradient_density(self, state, aux=None):
         q = bohm_potential(state.density, self.params, order=self.order).values
@@ -205,28 +174,16 @@ class EnsembleHamiltonian(ConstraintFunctional):
         kin = kinetic_density(action, grid, self.params, self.order)
         return kin + potential_values(self.params.potential, grid)
 
-    def _half_information(self, rho, grid):
-        info = information_density(rho, grid, self.params, self.order)
-        return 0.5 * self.params.hbar * info
-
-
-def _energy_density(rho: np.ndarray, kin_v: np.ndarray,
-                    half_info: np.ndarray) -> np.ndarray:
-    """rho (kinetic + V) + (hbar/2) information, the one formula of the
-    ensemble energy's integrand."""
-    return rho * kin_v + half_info
-
 
 def functional_derivative(func: ConstraintFunctional, state: MadelungState,
                           component: str,
                           backend: str = "analytic") -> RealField:
     """Gradient of a constraint functional, analytic or node-perturbation.
 
-    The numeric backend hands `numeric_functional_gradient` the functional's
-    `integrand_holding(state, component)`: the integrand as a function of
-    the component's values, the other component's term built once per
-    call. Its values are those of `integrand` bit for bit, and no
-    analytic formula enters them."""
+    The numeric backend hands `numeric_functional_gradient` the
+    functional's `integrand_values` with the other component held at
+    state's values, so no analytic formula enters it. It takes no
+    d rho/dt field, so a functional that needs one is refused."""
     if component not in ("density", "action"):
         raise ValueError(f"unknown component {component!r}")
     if backend == "analytic":
@@ -234,9 +191,20 @@ def functional_derivative(func: ConstraintFunctional, state: MadelungState,
             return func.gradient_density(state)
         return func.gradient_action(state)
     if backend == "numeric":
-        return numeric_functional_gradient(
-            func.integrand_holding(state, component), state, component,
-            func.order)
+        if func.requires_aux:
+            raise ValueError(
+                "the numeric backend takes no d rho/dt field, which "
+                f"{type(func).__name__} needs")
+        rho, action, grid = (state.density.values, state.action.values,
+                             state.grid)
+        if component == "density":
+            def integrand(values):
+                return func.integrand_values(values, action, grid)
+        else:
+            def integrand(values):
+                return func.integrand_values(rho, values, grid)
+        return numeric_functional_gradient(integrand, state, component,
+                                           func.order)
     raise ValueError(f"unknown backend {backend!r}")
 
 

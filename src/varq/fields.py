@@ -9,6 +9,7 @@ potential as one on the config grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -124,6 +125,16 @@ class PhysicalParams:
         if isinstance(self.mass, tuple):
             return float(self.mass[axis])
         return float(self.mass)
+
+
+def hbar_squared(params: PhysicalParams) -> tuple[float, float]:
+    """hbar^2 as a square in [1, 4) and a power of two p, hbar^2 = square
+    p p, with p finite for every finite hbar. A quantity formed with the
+    square and multiplied by p twice after has the bits of one formed
+    with hbar^2 wherever that is a normal float; it stays finite where
+    only hbar^2 overflows, and nonzero where only hbar^2 underflows."""
+    mantissa, exponent = math.frexp(params.hbar)
+    return 4.0 * mantissa * mantissa, math.ldexp(1.0, exponent - 1)
 
 
 # -- Madelung state ----------------------------------------------------------

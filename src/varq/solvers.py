@@ -42,7 +42,6 @@ then loads numpy alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +58,7 @@ from .fields import (
     RESOLVED_FLOOR,
     MadelungState,
     PhysicalParams,
+    hbar_squared,
     potential_values,
 )
 from .grid import (
@@ -156,7 +156,7 @@ def _hamiltonian_bands(params: PhysicalParams, grid: GridSpec
     hard walls)."""
     ax = grid.axes[0]
     lap = stencil_operator(ax, 2, 2)
-    square, scale = _hbar_squared(params)
+    square, scale = hbar_squared(params)
     coeff = square / (2.0 * params.mass_along(0) * ax.dx * ax.dx
                       * lap.denominator) * scale * scale
     v = potential_values(params.potential, grid)
@@ -252,21 +252,12 @@ def apply_hamiltonian(values: np.ndarray, grid: GridSpec,
     """H values with the propagator's order-2 stencil; on a hard wall the
     edge rows are one-sided d2/dx2, not H: read the interior only."""
     out = potential_values(params.potential, grid) * values
-    square, scale = _hbar_squared(params)
+    square, scale = hbar_squared(params)
     for ax_idx, ax in enumerate(grid.axes):
         d2 = stencil_operator(ax, 2, 2).apply(values, ax_idx)
         kinetic = square * d2 / (2.0 * params.mass_along(ax_idx))
         out = out - kinetic * scale * scale
     return out
-
-
-def _hbar_squared(params: PhysicalParams) -> tuple[float, float]:
-    """hbar^2 as its mantissa's square times a power of two squared. A
-    quantity formed with the square and multiplied by the power twice
-    after has the bits of one formed with hbar^2 wherever that is a
-    normal float, and keeps them where hbar^2 alone would underflow."""
-    mantissa, exponent = math.frexp(params.hbar)
-    return mantissa * mantissa, math.ldexp(1.0, exponent)
 
 
 # -- unitary wavefunction propagation ----------------------------------------

@@ -205,10 +205,11 @@ def test_time_derivatives_validation():
 def slice_action(state, params, ds_dt, component):
     """Total-action integrand of one frozen slice, rho dS/dt plus the
     ensemble Hamiltonian's, as a function of the component's values."""
-    energy = EnsembleHamiltonian(params).integrand_holding(state, component)
+    h = EnsembleHamiltonian(params)
+    rho, s, grid = state.density.values, state.action.values, state.grid
     if component == "density":
-        return lambda rho: rho * ds_dt + energy(rho)
-    return lambda s: state.density.values * ds_dt + energy(s)
+        return lambda r: r * ds_dt + h.integrand_values(r, s, grid)
+    return lambda a: rho * ds_dt + h.integrand_values(rho, a, grid)
 
 
 def test_hamilton_jacobi_residual_on_ground_state():

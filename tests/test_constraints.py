@@ -449,31 +449,27 @@ def test_numeric_density_gradient_needs_densities_above_the_step():
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_numeric_backend_cost_set_by_stencil_width(order, monkeypatch):
-    stacks, terms = [], []
-    holding = EnsembleHamiltonian.integrand_holding
+    stacks, terms = [], {}
+    integrand_values = EnsembleHamiltonian.integrand_values
 
-    def counted_holding(self, state, component):
-        integrand = holding(self, state, component)
-
-        def counted(values):
-            stacks.append(values.shape)
-            return integrand(values)
-        return counted
+    def counted_values(self, rho, action, grid):
+        stacks.append(np.broadcast_shapes(rho.shape, action.shape))
+        return integrand_values(self, rho, action, grid)
 
     def counted_term(name):
         term = getattr(constraints, name)
 
-        def counted(*args, **kwargs):
-            terms.append(name)
-            return term(*args, **kwargs)
+        def counted(values, *args, **kwargs):
+            terms.setdefault(name, []).append(values.shape)
+            return term(values, *args, **kwargs)
         return counted
 
-    monkeypatch.setattr(EnsembleHamiltonian, "integrand_holding",
-                        counted_holding)
+    monkeypatch.setattr(EnsembleHamiltonian, "integrand_values",
+                        counted_values)
     for name in ("kinetic_density", "information_density"):
         monkeypatch.setattr(constraints, name, counted_term(name))
     h = EnsembleHamiltonian(TRAP, order=order)
-    for component, held, moving in [
+    for component, fixed, moving in [
             ("density", "kinetic_density", "information_density"),
             ("action", "information_density", "kinetic_density")]:
         sizes = []
@@ -482,11 +478,12 @@ def test_numeric_backend_cost_set_by_stencil_width(order, monkeypatch):
             stacks.clear()
             terms.clear()
             functional_derivative(h, state, component, backend="numeric")
-            # the held term built once, the moving one evaluated once, on
-            # one stack of fields of the grid's shape
-            assert terms == [held, moving]
+            # one evaluation, on one stack of fields of the grid's shape:
+            # the fixed component's term once, on its one field, and the
+            # moving one's once, on the stack
             assert len(stacks) == 1
             assert stacks[0][1:] == state.grid.shape
+            assert terms == {fixed: [state.grid.shape], moving: [stacks[0]]}
             sizes.append(stacks[0][0])
         # a color per offset in a block of 2 reach + 2 nodes, plus one
         # where the blocks share a remainder; +-step per color and one
@@ -504,11 +501,31 @@ def nudged(state, component):
     return with_component(state, component, base + wobble)
 
 
+def holding(func, state, component):
+    """func's value-level integrand as a function of the component's
+    values, the other component held at state's."""
+    rho, s, grid = state.density.values, state.action.values, state.grid
+    if component == "density":
+        return lambda values: func.integrand_values(values, s, grid)
+    return lambda values: func.integrand_values(rho, values, grid)
+
+
 @pytest.mark.parametrize("func", [EnsembleHamiltonian(TRAP), LocalMomentum()])
 def test_held_integrand_names_an_unknown_component(func):
     state = smooth_state(GridSpec.line(32, 0.0, 2 * np.pi, PERIODIC))
-    with pytest.raises(ValueError, match="unknown component 'phase'"):
-        func.integrand_holding(state, "phase")
+    for backend in ("analytic", "numeric"):
+        with pytest.raises(ValueError, match="unknown component 'phase'"):
+            functional_derivative(func, state, "phase", backend=backend)
+
+
+def test_numeric_backend_refuses_a_functional_that_needs_aux():
+    # its integrand reads d rho/dt, which no value array carries
+    state = smooth_state(GridSpec.line(32, 0.0, 2 * np.pi, PERIODIC))
+    for component in ("density", "action"):
+        with pytest.raises(ValueError, match="the numeric backend takes no "
+                           "d rho/dt field, which DensityStationarity needs"):
+            functional_derivative(DensityStationarity(), state, component,
+                                  backend="numeric")
 
 
 def test_colored_gradient_builds_its_colors_once_per_grid_and_order(
@@ -565,7 +582,7 @@ def test_cached_colors_give_the_bits_of_freshly_built_ones(case):
     grid, order, component = case
     h = EnsembleHamiltonian(TRAP, order=order)
     state = smooth_state(grid)
-    integrand = h.integrand_holding(state, component)
+    integrand = holding(h, state, component)
     numeric_functional_gradient(integrand, state, component, order)
     cached = numeric_functional_gradient(integrand, state, component, order)
     action._colors.cache_clear()
@@ -586,15 +603,18 @@ def test_held_integrand_gives_the_bits_of_the_full_one(case):
         held = functional_derivative(func, state, component, "numeric")
         loop = color_loop_gradient(func.integrand, state, component, order)
         assert held.values.tobytes() == loop.tobytes()
-        # on one field and on a stack, each value is the full integrand's
-        integrand = func.integrand_holding(state, component)
-        states = [state, nudged(state, component)]
-        fields = [values_of(s, component) for s in states]
-        stack = integrand(np.stack(fields))
-        for s, values, got in zip(states, fields, stack):
-            want = func.integrand(s).tobytes()
-            assert integrand(values).tobytes() == want
-            assert got.tobytes() == want
+        # a stack of either component broadcast against one field of the
+        # other: each field gets the bits it gets alone, integrand's
+        for moving in ("density", "action"):
+            integrand = holding(func, state, moving)
+            states = [state, nudged(state, moving)]
+            fields = [values_of(s, moving) for s in states]
+            stack = integrand(np.stack(fields))
+            assert stack.shape == (2,) + grid.shape
+            for s, values, got in zip(states, fields, stack):
+                want = func.integrand(s).tobytes()
+                assert integrand(values).tobytes() == want
+                assert got.tobytes() == want
 
 
 # -- Poisson brackets --------------------------------------------------------

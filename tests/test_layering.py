@@ -23,10 +23,12 @@ that module, so a deletion cannot leave a dead import behind. The
 package root binds no name: each name is imported from the module that
 defines it, the one path there is to it. Only `grid.stencil_operator`
 builds a `Stencil`, so every operator shares its one-sided wall rows.
-One function of `solvers` holds the Crank-Nicolson step loop: it alone
-factors I + i dt H / 2 hbar (LAPACK zgttrf) and solves with it
-(zgttrs), so no unitary run loads scipy.sparse.linalg. The transition
-layer calls no `GridSpec.meshes`: its law is one mass vector per axis,
+Every constraint functional writes its integrand once, on value arrays,
+and inherits `integrand(state)`; only one that needs a d rho/dt field
+writes `integrand` instead. One function of `solvers` holds the
+Crank-Nicolson step loop: it alone factors I + i dt H / 2 hbar (LAPACK
+zgttrf) and solves with it (zgttrs), so no unitary run loads
+scipy.sparse.linalg. The transition layer calls no `GridSpec.meshes`: its law is one mass vector per axis,
 the sampler draws through those vectors, and only density() and the
 reference objective form the joint law, their outer product. Its one
 exponential is `fluctuation._exp_weights`, which never makes a
@@ -430,6 +432,44 @@ def test_solvers_have_one_crank_nicolson_step_loop():
     # second function that solves with it, would be a second loop
     assert call_sites("zgttrf") == ["solvers._crank_nicolson"]
     assert sorted(set(call_sites("zgttrs"))) == ["solvers._crank_nicolson"]
+
+
+def integrand_definitions() -> dict[str, list[str]]:
+    """For every class in src/varq that derives from ConstraintFunctional:
+    the integrand methods it defines, with "requires_aux" first where it
+    sets that flag."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    getattr(base, "id", getattr(base, "attr", None))
+                    == "ConstraintFunctional" for base in cls.bases)):
+                continue
+            flags = [target.id for node in cls.body
+                     if isinstance(node, (ast.Assign, ast.AnnAssign))
+                     for target in (node.targets
+                                    if isinstance(node, ast.Assign)
+                                    else [node.target])
+                     if getattr(target, "id", None) == "requires_aux"
+                     and getattr(node.value, "value", None) is True]
+            found[f"{path.stem}.{cls.name}"] = flags + [
+                node.name for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name in ("integrand", "integrand_values")]
+    return found
+
+
+def test_each_constraint_functional_defines_its_integrand_once():
+    # the value-level integrand serves integrand(state), the base class's,
+    # and the numeric gradient alike; only a functional that needs a
+    # d rho/dt field, which the values do not carry, writes integrand
+    found = integrand_definitions()
+    assert {"constraints.LocalMomentum", "constraints.DensityStationarity",
+            "constraints.EnsembleHamiltonian"} <= found.keys()
+    assert found == {name: (["requires_aux", "integrand"]
+                            if "requires_aux" in methods
+                            else ["integrand_values"])
+                     for name, methods in found.items()}
 
 
 def test_transition_layer_builds_no_dense_mesh():
