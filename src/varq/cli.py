@@ -51,8 +51,9 @@ from .fluctuation import (
     sample_fluctuations,
     window_problems,
 )
-from .grid import (DIRICHLET, PERIODIC, ComplexField, GridSpec,
-                   NonFiniteFieldError, RealField, integrate_values)
+from .grid import (DEFAULT_ORDER, DIRICHLET, PERIODIC, ComplexField,
+                   GridSpec, NonFiniteFieldError, RealField,
+                   integrate_values, stencil_divisor)
 from .solvers import (
     DensityFloorError,
     UnresolvedLevelError,
@@ -245,7 +246,8 @@ def _analytic(v, block: str):
 def _finite_hamiltonian(params: PhysicalParams, grid: GridSpec, path: str):
     """H = -(hbar^2 / 2m) d2/dx2 + V must have finite entries on the grid."""
     dx = grid.axes[0].dx
-    scale = 2.0 * params.mass_along(0) * dx * dx
+    mass = params.mass_along(0)
+    scale = 2.0 * mass * dx * dx
     square, power = hbar_squared(params)
     # formed as the bands form it; over an inf 2 m dx^2 they read 0, which
     # only a finite hbar^2 allows
@@ -253,6 +255,18 @@ def _finite_hamiltonian(params: PhysicalParams, grid: GridSpec, path: str):
             scale == math.inf and math.isinf(square * power * power)):
         yield (f"the kinetic scale hbar^2 / (2 m dx^2) overflows at grid "
                f"spacing {dx:.3g}")
+    elif (scale == math.inf or
+          stencil_divisor(grid.axes[0], DEFAULT_ORDER, 2) == math.inf):
+        # the bands (over 2 m dx^2) or the fields route's d2/dx2 (over its
+        # divisor) then read the kinetic term as 0: true only when the
+        # scale, formed from the factors' mantissas and exponents, is
+        # below the normal range
+        (h, eh), (m, em), (d, ed) = map(math.frexp, (params.hbar, mass, dx))
+        kinetic = math.ldexp(h * h / (2.0 * m * d * d), 2 * eh - em - 2 * ed)
+        if kinetic >= sys.float_info.min:
+            yield (f"the kinetic scale hbar^2 / (2 m dx^2) = {kinetic:.3g} "
+                   f"cannot be formed at grid spacing {dx:.3g}: 2 m dx^2 "
+                   "or dx^2 overflows")
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.all(np.isfinite(potential_values(params.potential, grid))):
             yield f"{path} is not finite at every grid node"

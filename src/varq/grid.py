@@ -224,6 +224,11 @@ class Stencil:
 _DENOMINATOR = {2: 2, 4: 12}
 
 
+def stencil_divisor(axis: Axis, order: int, deriv: int) -> float:
+    """What each d^deriv/dx^deriv row of stencil_operator is divided by."""
+    return _DENOMINATOR[order] * axis.dx * (axis.dx if deriv == 2 else 1.0)
+
+
 @lru_cache(maxsize=128)
 def stencil_operator(axis: Axis, order: int, deriv: int) -> Stencil:
     """d^deriv/dx^deriv along one axis, one-sided at Dirichlet edges; a
@@ -258,8 +263,8 @@ def stencil_operator(axis: Axis, order: int, deriv: int) -> Stencil:
         dist = np.minimum(dist, n - dist)
     indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
     mat = sparse.csr_array((num[keep], cols[keep], indptr), shape=(n, n))
-    divisor = denominator * axis.dx * (axis.dx if deriv == 2 else 1.0)
-    return Stencil(mat, denominator, divisor, int(dist.max()))
+    return Stencil(mat, denominator, stencil_divisor(axis, order, deriv),
+                   int(dist.max()))
 
 
 @lru_cache(maxsize=128)

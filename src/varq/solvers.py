@@ -14,17 +14,17 @@ grid mode. It carries both fields as one complex array
 u = ln(rho)/2 + i S/hbar, whose equation per axis is
 u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar, so each right-hand side costs
 one sparse product per axis, d/dx and d2/dx2 stacked into one operator
-with complex data, built once per run in the stencils' own entry order.
+with complex data, built once per grid in the stencils' own entry order.
 _madelung_rhs writes into an optional out= array and returns it, with
 the bits of its allocating call; the RK4 loop holds its four slopes,
-one stage input and one slope sum for the whole run and advances u in
-place, each sum in the association of the textbook formula. It never
-forms psi = exp(u), which keeps it independent of the wavefunction
-route it is compared with. Its node check takes each node's
-neighborhood maximum with `grid.box_reduce`, the box reduction the
-colored gradient of `action` sums with. Every state at rest (density
-rho, S = 0, energy E) that a scenario checks is read here:
-resolved_energy gives its V + Q energy and resolved nodes,
+one stage input, one slope sum and 2 Re u for the whole run and
+advances u in place, each sum in the association of the textbook
+formula. It never forms psi = exp(u), which keeps it
+independent of the wavefunction route it is compared with. Its node
+check takes each node's neighborhood maximum with `grid.box_reduce`,
+the box reduction the colored gradient of `action` sums with. Every
+state at rest (density rho, S = 0, energy E) that a scenario checks is
+read here: resolved_energy gives its V + Q energy and resolved nodes,
 rest_residuals its Hamilton-Jacobi and continuity residuals on the
 stationary trajectory S = -E t. One builder reads every
 vanishing-momentum branch, the flat one too, through them.
@@ -405,14 +405,16 @@ class MadelungTrajectory:
     substeps_per_step: int
 
 
-def _rhs_operators(grid: GridSpec) -> list:
+@lru_cache(maxsize=16)
+def _rhs_operators(grid: GridSpec) -> tuple:
     """Per axis, the DEFAULT_ORDER d/dx and d2/dx2 stacked into one CSR
     operator [D1; D2] with complex data, the reciprocal of each half's
     divisor laid out to scale the float view of the stacked product
     (taken along the axis, before any transpose), and the index of each
     half of that product once it is back in the field's layout. The
     stacked rows are the stencils' own, so each half equals its
-    Stencil.apply to the bit."""
+    Stencil.apply to the bit. Built once per grid; its arrays are
+    read-only."""
     from scipy import sparse
 
     ops = []
@@ -433,13 +435,15 @@ def _rhs_operators(grid: GridSpec) -> list:
         scale = np.repeat([1.0 / first.divisor, 1.0 / second.divisor], n)
         scale = (np.repeat(scale, 2) if grid.dimension == 1
                  else scale[:, None])
+        for array in (stacked.data, stacked.indices, stacked.indptr, scale):
+            array.setflags(write=False)
         head = (slice(None),) * ax
         ops.append((stacked, scale, head + (slice(None, n),),
                     head + (slice(n, None),)))
-    return ops
+    return tuple(ops)
 
 
-def _madelung_rhs(u: np.ndarray, ops: list, params: PhysicalParams,
+def _madelung_rhs(u: np.ndarray, ops: tuple, params: PhysicalParams,
                   drive: np.ndarray, out: np.ndarray | None = None
                   ) -> np.ndarray:
     """Time derivative of u = ln(rho)/2 + i S/hbar.
@@ -590,6 +594,8 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     DensityFloorError with its location; a smooth tail alone does not
     trip it, but one that starts far below the peak at a hard wall soon
     develops such a dip. Total mass drift is logged, never corrected.
+    A substep costs four _madelung_rhs calls, the RK4 arithmetic in place
+    on arrays held for the run, and one dip screen, _cannot_dip.
     """
     grid = state0.grid
     _check_run(dt, steps, store_every)
@@ -606,41 +612,25 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
     drive = -1j * (potential_values(params.potential, grid) / params.hbar)
     mass0 = integrate_values(state0.density.values, grid)
 
-    # one buffer per stage slope, the stage input and the slope sum, for
-    # the whole run; u itself is advanced in place
+    # held for the run: the slopes, the stage input, the slope sum and
+    # 2 Re u; u advances in place
     k1, k2, k3, k4, stage, acc = (np.empty_like(u) for _ in range(6))
-
-    def stage_input(k, step):
-        """u + step k, in stage."""
-        np.multiply(step, k, out=stage)
-        return np.add(u, stage, out=stage)
-
-    def rk4_substep():
-        """u + (h/6)(((k1 + 2 k2) + 2 k3) + k4), in u."""
-        _madelung_rhs(u, ops, params, drive, out=k1)
-        _madelung_rhs(stage_input(k1, 0.5 * h), ops, params, drive, out=k2)
-        _madelung_rhs(stage_input(k2, 0.5 * h), ops, params, drive, out=k3)
-        _madelung_rhs(stage_input(k3, h), ops, params, drive, out=k4)
-        np.multiply(2.0, k2, out=acc)
-        np.add(k1, acc, out=acc)
-        np.multiply(2.0, k3, out=stage)
-        np.add(acc, stage, out=acc)
-        np.add(acc, k4, out=acc)
-        np.multiply(h / 6.0, acc, out=acc)
-        np.add(u, acc, out=u)
-
+    log_rho = 2.0 * u.real
+    # the step constants, cast to complex as numpy casts a Python float
+    # for a complex multiply, held as 0-d arrays so no call converts them
+    half, whole, two, sixth = (np.array(c, dtype=complex)
+                               for c in (0.5 * h, h, 2.0, h / 6.0))
     log_floor = np.log(ABORT_FLOOR)
+    rhs, mul, add = _madelung_rhs, np.multiply, np.add
 
-    def check_floor(lr, t):
-        if _cannot_dip(lr, grid, log_floor):
-            return
-        if not np.isfinite(lr).all():
-            bad = int(np.argmin(np.isfinite(lr).ravel()))
+    def abort_if_dipped(t):
+        if not np.isfinite(log_rho).all():
+            bad = int(np.argmin(np.isfinite(log_rho).ravel()))
             raise DensityFloorError(
                 f"propagation produced non-finite values at t={t:.6g} "
                 f"(flat node {bad}); the state is lost", t, bad, float("nan"))
-        depth = lr - box_reduce(lr, grid, [_DIP_WINDOW // 2] * grid.dimension,
-                                np.maximum)
+        depth = log_rho - box_reduce(
+            log_rho, grid, [_DIP_WINDOW // 2] * grid.dimension, np.maximum)
         low = float(np.min(depth))
         if low < log_floor:
             node = int(np.argmin(depth))
@@ -653,19 +643,33 @@ def propagate_madelung(state0: MadelungState, params: PhysicalParams,
 
     states = [MadelungState(RealField(grid, state0.density.values.copy()),
                             RealField(grid, state0.action.values.copy()))]
-    times = [0.0]
-    drift = [0.0]
+    times, drift = [0.0], [0.0]
     for step in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             for sub in range(substeps):
-                rk4_substep()
-                check_floor(2.0 * u.real, (step - 1) * dt + (sub + 1) * h)
-        t = step * dt
+                # stages u + s k, then u += (h/6)(((k1 + 2 k2) + 2 k3) + k4)
+                rhs(u, ops, params, drive, out=k1)
+                mul(half, k1, out=stage)
+                rhs(add(u, stage, out=stage), ops, params, drive, out=k2)
+                mul(half, k2, out=stage)
+                rhs(add(u, stage, out=stage), ops, params, drive, out=k3)
+                mul(whole, k3, out=stage)
+                rhs(add(u, stage, out=stage), ops, params, drive, out=k4)
+                mul(two, k2, out=acc)
+                add(k1, acc, out=acc)
+                mul(two, k3, out=stage)
+                add(acc, stage, out=acc)
+                add(acc, k4, out=acc)
+                mul(sixth, acc, out=acc)
+                add(u, acc, out=u)
+                mul(2.0, u.real, out=log_rho)
+                if not _cannot_dip(log_rho, grid, log_floor):
+                    abort_if_dipped((step - 1) * dt + (sub + 1) * h)
         if step % store_every == 0 or step == steps:
-            rho = np.exp(2.0 * u.real)
+            rho = np.exp(log_rho)
             states.append(MadelungState(RealField(grid, rho),
                                         RealField(grid, params.hbar * u.imag)))
-            times.append(t)
+            times.append(step * dt)
             drift.append(integrate_values(rho, grid) - mass0)
     return MadelungTrajectory(times=np.asarray(times), states=states,
                               mass_drift=np.asarray(drift),

@@ -329,6 +329,30 @@ class TestValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mass, scale", [(1.0, "0.00484"),
+                                             (1e-10, "4.84e+07")],
+                             ids=["2m_dx2", "dx2"])
+    @pytest.mark.parametrize("scenario", ["eigen", "compare-propagators"])
+    def test_kinetic_scale_lost_to_an_overflowing_spacing_rejected(
+            self, tmp_path, capsys, scenario, mass, scale):
+        # dx ~ 1e155: dx^2 overflows, and with mass 1 so does 2 m dx^2, yet
+        # hbar^2 / (2 m dx^2) is a normal float that the run would read as 0
+        cfg = evolve_config(tmp_path, **{
+            "grid": {"points": 64, "min": -3.2e156, "max": 3.2e156,
+                     "boundary": "dirichlet"},
+            "system": {"hbar": 1e154, "mass": mass,
+                       "potential": {"kind": "free"}},
+            "initial": {"center": 0.0, "width": 5e155}, "count": 2})
+        out = tmp_path / "out"
+        code = cli.main([scenario, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(
+            f"config error: the kinetic scale hbar^2 / (2 m dx^2) = {scale} "
+            "cannot be formed")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", ["evolve", "compare-propagators"])
     def test_initial_density_that_is_not_a_number_rejected(
             self, tmp_path, capsys, scenario):

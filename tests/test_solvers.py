@@ -620,6 +620,81 @@ def test_each_rk4_stage_counts_one_rhs_evaluation(monkeypatch, substeps):
     assert len(calls) == 4 * traj.substeps_per_step * 5
 
 
+@st.composite
+def rk4_runs(draw):
+    """A 1D or 2D grid of 8-48 points per axis (each axis its own span
+    and boundary), a trap with its own hbar and masses, and 1-4
+    substeps."""
+    axes = tuple(
+        Axis(draw(st.integers(8, 48)), -draw(st.floats(1.5, 3.0)),
+             draw(st.floats(1.5, 3.0)),
+             draw(st.sampled_from([PERIODIC, DIRICHLET])))
+        for _ in range(draw(st.integers(1, 2))))
+    masses = tuple(draw(st.floats(0.3, 3.0)) for _ in axes)
+    params = PhysicalParams(hbar=draw(st.floats(0.3, 3.0)),
+                            mass=masses if len(axes) == 2 else masses[0],
+                            potential=Harmonic(k=draw(st.floats(0.0, 2.0))))
+    return GridSpec(axes), params, draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rk4_runs())
+def test_rk4_loop_matches_the_textbook_formula_on_drawn_runs(run):
+    # the substep loop inlines its stage inputs and slope sum and holds
+    # its step constants as 0-d complex arrays; every stored state must
+    # keep the textbook formula's bits
+    grid, params, substeps = run
+    state = smooth_start(grid)
+    steps = 4
+    # half the RK4 stability limit per substep, so no run blows up
+    dt = 1.4 * substeps / solvers._stiffest_rate(state, params)
+    traj = propagate_madelung(state, params, dt=dt, steps=steps,
+                              store_every=1, substeps=substeps)
+    v = potential_values(params.potential, grid)
+    h = dt / substeps
+    u = (0.5 * np.log(state.density.values)
+         + 1j * (state.action.values / params.hbar))
+    expected = [(state.density.values, state.action.values)]
+    for _ in range(steps):
+        for _ in range(substeps):
+            k1 = rhs_from_two_products(u, grid, params, v)
+            k2 = rhs_from_two_products(u + 0.5 * h * k1, grid, params, v)
+            k3 = rhs_from_two_products(u + 0.5 * h * k2, grid, params, v)
+            k4 = rhs_from_two_products(u + h * k3, grid, params, v)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        expected.append((np.exp(2.0 * u.real), params.hbar * u.imag))
+    assert len(traj.states) == len(expected)
+    for got, (rho, s) in zip(traj.states, expected):
+        assert same_bits(got.density.values, rho)
+        assert same_bits(got.action.values, s)
+
+
+def test_rhs_operators_are_built_once_per_grid(monkeypatch):
+    from scipy import sparse
+
+    builds = []
+    vstack = sparse.vstack
+
+    def counted(blocks, **kwargs):
+        builds.append(1)
+        return vstack(blocks, **kwargs)
+
+    monkeypatch.setattr(sparse, "vstack", counted)
+    solvers._rhs_operators.cache_clear()
+    (line, _), _, (pair, _) = RHS_GRIDS
+    # one stacked operator per axis, on the first run on each grid only
+    for grid, built in [(line, 1), (line, 0), (pair, 2)]:
+        builds.clear()
+        propagate_madelung(smooth_start(grid), HARMONIC, dt=1e-4, steps=2,
+                           substeps=1)
+        assert len(builds) == built
+    for grid in (line, pair):
+        for stacked, scale, *_ in solvers._rhs_operators(grid):
+            for array in (stacked.data, stacked.indices, stacked.indptr,
+                          scale):
+                assert not array.flags.writeable
+
+
 def rk4_factor(z):
     return 1.0 + z + z * z / 2.0 + z**3 / 6.0 + z**4 / 24.0
 
