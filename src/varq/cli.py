@@ -257,10 +257,10 @@ def _finite_hamiltonian(params: PhysicalParams, grid: GridSpec, path: str):
                f"spacing {dx:.3g}")
     elif (scale == math.inf or
           stencil_divisor(grid.axes[0], DEFAULT_ORDER, 2) == math.inf):
-        # the bands (over 2 m dx^2) or the fields route's d2/dx2 (over its
-        # divisor) then read the kinetic term as 0: true only when the
-        # scale, formed from the factors' mantissas and exponents, is
-        # below the normal range
+        # the bands (over 2 m dx^2) or a d2/dx2 stencil (over d dx^2; Q and
+        # the fields route's stability rate apply one) then read the
+        # kinetic term as 0: true only when the scale, formed from the
+        # factors' mantissas and exponents, is below the normal range
         (h, eh), (m, em), (d, ed) = map(math.frexp, (params.hbar, mass, dx))
         kinetic = math.ldexp(h * h / (2.0 * m * d * d), 2 * eh - em - 2 * ed)
         if kinetic >= sys.float_info.min:
@@ -298,6 +298,11 @@ def _pair(v):
     v["pair"] = BipartiteParams(
         mass_a=v["pair.mass_a"], mass_b=v["pair.mass_b"],
         interaction=_analytic(v, "pair.interaction"), hbar=v["pair.hbar"])
+    # the separation grid spans [-L/2, L/2]
+    if 0.5 * v["pair.length"] == 0.0:
+        yield (f"pair.length {v['pair.length']:.3g} is too small: half of "
+               "it, the separation grid's bound, rounds to 0")
+        return
     v["pair_grid"] = pair_grid(v["pair.points"], v["pair.length"])
     if not 0.0 < v["pair"].reduced_mass < math.inf:
         yield ("pair.mass_a and pair.mass_b give a reduced mass "

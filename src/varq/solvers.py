@@ -13,12 +13,13 @@ reporting cadence to stay inside the stability region of the stiffest
 grid mode. It carries both fields as one complex array
 u = ln(rho)/2 + i S/hbar, whose equation per axis is
 u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar, so each right-hand side costs
-one sparse product per axis, d/dx and d2/dx2 stacked into one operator
-with complex data, built once per grid in the stencils' own entry order.
-_madelung_rhs writes into an optional out= array and returns it, with
-the bits of its allocating call; the RK4 loop holds its four slopes,
-one stage input, one slope sum and 2 Re u for the whole run and
-advances u in place, each sum in the association of the textbook
+one sparse product per axis, the d/dx and d2/dx2 numerators N1 and
+d N2 (d the stencils' denominator) stacked into one operator with
+complex data, built once per grid in the stencils' own entry order, and
+one scale per axis: ((N1 u)^2 + d N2 u) / (d dx)^2 is u'' + u'^2.
+_madelung_rhs writes into the array it is given; the RK4 loop holds its
+four slopes, one stage input, one slope sum and 2 Re u for the whole run
+and advances u in place, each sum in the association of the textbook
 formula. It never forms psi = exp(u), which keeps it
 independent of the wavefunction route it is compared with. Its node
 check takes each node's neighborhood maximum with `grid.box_reduce`,
@@ -407,13 +408,12 @@ class MadelungTrajectory:
 
 @lru_cache(maxsize=16)
 def _rhs_operators(grid: GridSpec) -> tuple:
-    """Per axis, the DEFAULT_ORDER d/dx and d2/dx2 stacked into one CSR
-    operator [D1; D2] with complex data, the reciprocal of each half's
-    divisor laid out to scale the float view of the stacked product
-    (taken along the axis, before any transpose), and the index of each
-    half of that product once it is back in the field's layout. The
-    stacked rows are the stencils' own, so each half equals its
-    Stencil.apply to the bit. Built once per grid; its arrays are
+    """Per axis, the DEFAULT_ORDER d/dx and d2/dx2 numerators stacked into
+    one CSR operator [N1; d N2] with complex data (d the stencils'
+    denominator), the d/dx divisor d dx, and the index of each half of
+    the product once it is back in the field's layout. Its entries are
+    whole numbers in the stencils' own order, so its halves are those of
+    N1 and d N2 to the bit. Built once per grid; its arrays are
     read-only."""
     from scipy import sparse
 
@@ -422,60 +422,56 @@ def _rhs_operators(grid: GridSpec) -> tuple:
         first = stencil_operator(axis, DEFAULT_ORDER, 1)
         second = stencil_operator(axis, DEFAULT_ORDER, 2)
         n = axis.n_points
-        stacked = sparse.vstack([first.numerators, second.numerators],
-                                format="csr")
+        # a scalar multiply keeps each row's entry order
+        stacked = sparse.vstack(
+            [first.numerators, second.denominator * second.numerators],
+            format="csr")
         # complex data, so no product recasts the operator; built from the
         # stencils' own arrays, since astype sorts each row's indices and
         # so changes the order in which a product sums its terms
         stacked = sparse.csr_array(
             (stacked.data.astype(complex), stacked.indices, stacked.indptr),
             shape=stacked.shape)
-        # numpy divides complex by real as a multiply by the reciprocal;
-        # in the float view each complex entry is two adjacent floats
-        scale = np.repeat([1.0 / first.divisor, 1.0 / second.divisor], n)
-        scale = (np.repeat(scale, 2) if grid.dimension == 1
-                 else scale[:, None])
-        for array in (stacked.data, stacked.indices, stacked.indptr, scale):
+        for array in (stacked.data, stacked.indices, stacked.indptr):
             array.setflags(write=False)
         head = (slice(None),) * ax
-        ops.append((stacked, scale, head + (slice(None, n),),
+        ops.append((stacked, first.divisor, head + (slice(None, n),),
                     head + (slice(n, None),)))
     return tuple(ops)
 
 
 def _madelung_rhs(u: np.ndarray, ops: tuple, params: PhysicalParams,
-                  drive: np.ndarray, out: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """Time derivative of u = ln(rho)/2 + i S/hbar.
+                  drive: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Time derivative of u = ln(rho)/2 + i S/hbar, written into out (a
+    complex array of u's shape that shares no memory with u or drive)
+    and returned.
 
     Per axis, u_t = i (hbar/2m)(u'' + u'^2) - i V/hbar: the real part is
     the continuity equation for ln rho, the imaginary part the quantum
     Hamilton-Jacobi equation for S, curvature potential included. ops
-    comes from _rhs_operators, so each axis costs one sparse product and
-    one real multiply of its float view; drive is -i V/hbar. The sum is
-    drive + c (d2 + d1 d1) with c = i hbar / 2m on axis 0, each later
-    axis's term added to it. It is written into out when given (a
-    complex array of u's shape that shares no memory with u or drive)
-    and returned, with the bits of the allocating call. Nothing divides
-    by the amplitude, but a density that starts far below its peak still
-    breaks the route: a squeezed packet (trap strength 1.5, 0.8 of the
-    ground width, center 1) on [-6, 6] starts near 1e-41 of its peak at
-    the far wall and aborts there at t ~ 0.06.
+    comes from _rhs_operators, so each axis costs one sparse product:
+    with d the stencils' denominator, (N1 u / (d dx))^2 + N2 u / (d dx^2)
+    = ((N1 u)^2 + d N2 u) / (d dx)^2, so one scale
+    kappa = (i hbar / 2m) / (d dx) / (d dx) per axis serves both
+    derivatives. (d dx)^2 alone would overflow where d dx^2 does not. The
+    sum is drive + kappa ((N1 u)^2 + d N2 u) on axis 0, each later axis's
+    term added to it; drive is -i V/hbar. Nothing divides by the
+    amplitude, but a density that starts far below its peak still breaks
+    the route: a squeezed packet (trap strength 1.5, 0.8 of the ground
+    width, center 1) on [-6, 6] starts near 1e-41 of its peak at the far
+    wall and aborts there at t ~ 0.06.
     """
-    if out is None:
-        out = np.empty_like(drive)
-    for ax, (stacked, scale, first, second) in enumerate(ops):
+    for ax, (stacked, divisor, first, second) in enumerate(ops):
         both = stacked @ (u if ax == 0 else u.T)
-        floats = both.view(float)
-        np.multiply(floats, scale, out=floats)
         if ax:
             both = both.T
-        # the product is this call's own array: square d1 in place, then
-        # fold d2 and c into it
+        # the product is this call's own array: square N1 u in place, then
+        # fold d N2 u and kappa into it
         d1 = both[first]
         np.multiply(d1, d1, out=d1)
         np.add(both[second], d1, out=d1)
-        np.multiply(0.5j * params.hbar / params.mass_along(ax), d1, out=d1)
+        np.multiply(0.5j * params.hbar / params.mass_along(ax) / divisor
+                    / divisor, d1, out=d1)
         np.add(out if ax else drive, d1, out=out)
     return out
 

@@ -292,11 +292,18 @@ class TestValidation:
            "pair.mass_a and pair.mass_b give a reduced mass")
           for mass in (1e-300, 1e300)
           for scenario in ("bipartite", "three-route")),
+        # half the length, the separation grid's bound, rounds to 0
+        *((scenario, {"pair": {"mass_a": 1.0, "mass_b": 1.0, "points": 16,
+                               "length": 5e-324}},
+           "pair.length 4.94e-324 is too small")
+          for scenario in ("bipartite", "three-route")),
     ], ids=["span", "potential", "spacing", "pair_spacing", "interaction",
             "reduced_mass_underflow_bipartite",
             "reduced_mass_underflow_three_route",
             "reduced_mass_overflow_bipartite",
-            "reduced_mass_overflow_three_route"])
+            "reduced_mass_overflow_three_route",
+            "half_length_underflow_bipartite",
+            "half_length_underflow_three_route"])
     def test_unrepresentable_hamiltonian_rejected(self, tmp_path, capsys,
                                                   scenario, cfg, complaint):
         if "grid" in cfg:

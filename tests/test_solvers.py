@@ -18,6 +18,7 @@ from varq import cli, solvers
 from varq.bipartite import BipartiteParams, three_route_comparison
 from varq.constraints import StationarityReport, stationarity_residuals
 from varq.fields import (
+    Free,
     Harmonic,
     MadelungState,
     PhysicalParams,
@@ -435,13 +436,51 @@ class TestMadelungPropagation:
 
 def rhs_from_two_products(u, grid, params, v):
     """The fields route's RHS with each derivative from its own
-    Stencil.apply, in the order _madelung_rhs adds the terms."""
+    Stencil.apply, over its own divisor: the unfolded formula, summed in
+    the order _madelung_rhs adds the terms."""
     out = -1j * (v / params.hbar)
     for ax, axis in enumerate(grid.axes):
         d1 = stencil_operator(axis, 4, 1).apply(u, ax)
         out = out + (0.5j * params.hbar / params.mass_along(ax)) * (
             stencil_operator(axis, 4, 2).apply(u, ax) + d1 * d1)
     return out
+
+
+def numerator_product(numerators, u, ax):
+    """numerators times u along axis ax, as Stencil.apply takes it but
+    with complex data built from the operator's own arrays (so each row
+    sums in its stored order) and no divisor."""
+    from scipy import sparse
+
+    op = sparse.csr_array((numerators.data.astype(complex),
+                           numerators.indices, numerators.indptr),
+                          shape=numerators.shape)
+    front = u.swapaxes(0, ax)
+    out = op @ front.reshape(len(front), -1)
+    return out.reshape(front.shape).swapaxes(0, ax)
+
+
+def folded_rhs(u, grid, params, v):
+    """The fields route's RHS folded to one scale per axis, from the
+    stencils' own numerators: kappa ((N1 u)^2 + d N2 u) with
+    kappa = (i hbar / 2m) / (d dx) / (d dx), added to -i V/hbar in axis
+    order."""
+    out = -1j * (v / params.hbar)
+    for ax, axis in enumerate(grid.axes):
+        first, second = (stencil_operator(axis, DEFAULT_ORDER, d)
+                         for d in (1, 2))
+        p = numerator_product(first.numerators, u, ax)
+        q = numerator_product(second.denominator * second.numerators, u, ax)
+        kappa = (0.5j * params.hbar / params.mass_along(ax) / first.divisor
+                 / first.divisor)
+        out = out + kappa * (q + p * p)
+    return out
+
+
+def madelung_rhs(u, grid, params, v):
+    return solvers._madelung_rhs(u, solvers._rhs_operators(grid), params,
+                                 -1j * (v / params.hbar),
+                                 out=np.empty(grid.shape, complex))
 
 
 @pytest.mark.parametrize("grid, mass", [
@@ -455,9 +494,58 @@ def test_stacked_rhs_is_bit_identical_to_two_stencil_products(grid, mass):
     params = PhysicalParams(hbar=0.9, mass=mass)
     u = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     v = rng.normal(size=grid.shape)
-    got = solvers._madelung_rhs(u, solvers._rhs_operators(grid), params,
-                                -1j * (v / params.hbar))
-    assert np.array_equal(got, rhs_from_two_products(u, grid, params, v))
+    assert np.array_equal(madelung_rhs(u, grid, params, v),
+                          folded_rhs(u, grid, params, v))
+
+
+@st.composite
+def fold_cases(draw):
+    """A 1D or 2D grid of 8-40 points per axis (each axis its own span
+    and boundary), a drawn hbar and masses, and a seed for the fields."""
+    axes = tuple(
+        Axis(draw(st.integers(8, 40)), -draw(st.floats(0.1, 20.0)),
+             draw(st.floats(0.1, 20.0)),
+             draw(st.sampled_from([PERIODIC, DIRICHLET])))
+        for _ in range(draw(st.integers(1, 2))))
+    masses = tuple(draw(st.floats(0.1, 10.0)) for _ in axes)
+    params = PhysicalParams(hbar=draw(st.floats(0.1, 10.0)),
+                            mass=masses if len(axes) == 2 else masses[0])
+    return GridSpec(axes), params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fold_cases())
+def test_folded_rhs_matches_the_unfolded_formula_to_roundoff(case):
+    # Per axis both formulas round each of at most w = DEFAULT_ORDER + 2
+    # products of a row and its w - 1 additions (gamma_w of the row's
+    # absolute sum A = |N1| |u| or B = |N2| |u|); the square doubles that
+    # relative error and adds two roundings. The unfolded formula divides
+    # each half (two roundings each), adds, and rounds c = i hbar / 2m
+    # once and c times the sum once: 2(w + 2) + 2 + 1 + 2 = 2w + 9. The
+    # folded one adds, rounds kappa thrice and kappa times the sum once:
+    # 2w + 2 + 1 + 3 + 1 = 2w + 7. Both add the axes' terms to the
+    # drive, one rounding each. So they differ by at most
+    # (4w + 16 + 2 dim) eps/2 of M = |V|/hbar + sum over axes of
+    # |c| (B / (d dx^2) + (A / (d dx))^2).
+    grid, params, seed = case
+    rng = np.random.default_rng(seed)
+    u = rng.normal(0.0, 3.0, grid.shape) + 1j * rng.normal(0.0, 3.0,
+                                                          grid.shape)
+    v = rng.normal(0.0, 3.0, grid.shape)
+    got = madelung_rhs(u, grid, params, v)
+    scale = np.abs(v) / params.hbar
+    for ax, axis in enumerate(grid.axes):
+        first, second = (stencil_operator(axis, DEFAULT_ORDER, d)
+                         for d in (1, 2))
+        a, b = (numerator_product(abs(op.numerators), np.abs(u), ax).real
+                / op.divisor for op in (first, second))
+        scale = scale + 0.5 * params.hbar / params.mass_along(ax) * (
+            b + a * a)
+    rounds = 4 * (DEFAULT_ORDER + 2) + 16 + 2 * grid.dimension
+    bound = rounds * np.finfo(float).eps / 2 * (1.0 + 1e-9) * scale
+    diff = got - rhs_from_two_products(u, grid, params, v)
+    assert np.all(np.abs(diff.real) <= bound)
+    assert np.all(np.abs(diff.imag) <= bound)
 
 
 @pytest.mark.parametrize("bad", [
@@ -471,11 +559,11 @@ def test_stacked_rhs_is_bit_identical_to_two_stencil_products(grid, mass):
                Axis(27, 0.0, 3.0, PERIODIC))), (0.6, 2.1)),
 ], ids=["1d-dirichlet", "2d"])
 def test_non_finite_u_gives_a_non_finite_rhs_at_its_node(grid, mass, bad):
-    # the divisors scale the float view of the stacked product, so a
-    # non-finite entry meets no complex division (inf + 2j keeps a finite
-    # imaginary part); the real part must still go non-finite at the
-    # node, or the isfinite check of propagate_madelung's ln rho would
-    # not fire
+    # the stacked product meets no division: one complex scale kappa
+    # multiplies (N1 u)^2 + d N2 u, and a complex multiply can leave one
+    # part of a non-finite entry finite (inf + 2j does); the real part
+    # must still go non-finite at the node, or the isfinite check of
+    # propagate_madelung's ln rho would not fire
     params = PhysicalParams(hbar=0.9, mass=mass)
     ops = solvers._rhs_operators(grid)
     for node in (0, 5, grid.n_nodes - 1):
@@ -483,7 +571,8 @@ def test_non_finite_u_gives_a_non_finite_rhs_at_its_node(grid, mass, bad):
         u.flat[node] = bad
         with np.errstate(over="ignore", invalid="ignore"):
             got = solvers._madelung_rhs(u, ops, params,
-                                        np.zeros(grid.shape, complex))
+                                        np.zeros(grid.shape, complex),
+                                        out=np.empty(grid.shape, complex))
         assert not np.isfinite(got.flat[node].real)
 
 
@@ -506,28 +595,15 @@ def test_stacked_operator_keeps_the_stencils_entry_order(grid, mass):
     from scipy import sparse
 
     for ax, (stacked, *_) in enumerate(solvers._rhs_operators(grid)):
-        axis = grid.axes[ax]
+        first, second = (stencil_operator(grid.axes[ax], DEFAULT_ORDER, d)
+                         for d in (1, 2))
         ref = sparse.vstack(
-            [stencil_operator(axis, DEFAULT_ORDER, d).numerators
-             for d in (1, 2)], format="csr")
+            [first.numerators, second.denominator * second.numerators],
+            format="csr")
         assert stacked.dtype == complex
         assert np.array_equal(stacked.indices, ref.indices)
         assert np.array_equal(stacked.indptr, ref.indptr)
         assert np.array_equal(stacked.data, ref.data)
-
-
-@pytest.mark.parametrize("grid, mass", RHS_GRIDS, ids=RHS_IDS)
-def test_rhs_written_into_out_has_the_allocating_calls_bits(grid, mass):
-    rng = np.random.default_rng(11)
-    params = PhysicalParams(hbar=0.9, mass=mass)
-    ops = solvers._rhs_operators(grid)
-    drive = -1j * (rng.normal(size=grid.shape) / params.hbar)
-    buf = np.empty(grid.shape, complex)
-    for _ in range(5):
-        u = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-        got = solvers._madelung_rhs(u, ops, params, drive, out=buf)
-        assert got is buf
-        assert same_bits(buf, solvers._madelung_rhs(u, ops, params, drive))
 
 
 @pytest.mark.parametrize("bad", [
@@ -539,7 +615,8 @@ def test_rhs_written_into_out_has_the_allocating_calls_bits(grid, mass):
                          ids=["1d-dirichlet", "2d"])
 def test_non_finite_u_written_into_out_is_non_finite_at_its_node(grid, mass,
                                                                  bad):
-    # the in-place path must lose no non-finite value of the allocating one
+    # the RK4 loop reuses its slope arrays, so what a call left in out,
+    # non-finite values included, must never reach the next call's bits
     params = PhysicalParams(hbar=0.9, mass=mass)
     ops = solvers._rhs_operators(grid)
     drive = np.zeros(grid.shape, complex)
@@ -549,7 +626,8 @@ def test_non_finite_u_written_into_out_is_non_finite_at_its_node(grid, mass,
         u.flat[node] = bad
         with np.errstate(over="ignore", invalid="ignore"):
             solvers._madelung_rhs(u, ops, params, drive, out=buf)
-            fresh = solvers._madelung_rhs(u, ops, params, drive)
+            fresh = solvers._madelung_rhs(u, ops, params, drive,
+                                          out=np.zeros(grid.shape, complex))
         assert not np.isfinite(buf.flat[node].real)
         assert same_bits(buf, fresh)
 
@@ -582,7 +660,7 @@ def test_in_place_rk4_matches_a_textbook_loop_bit_for_bit(grid, mass):
     v = potential_values(params.potential, grid)
 
     def rhs(z):
-        return rhs_from_two_products(z, grid, params, v)
+        return folded_rhs(z, grid, params, v)
 
     h = dt / substeps
     u = (0.5 * np.log(state.density.values)
@@ -657,10 +735,10 @@ def test_rk4_loop_matches_the_textbook_formula_on_drawn_runs(run):
     expected = [(state.density.values, state.action.values)]
     for _ in range(steps):
         for _ in range(substeps):
-            k1 = rhs_from_two_products(u, grid, params, v)
-            k2 = rhs_from_two_products(u + 0.5 * h * k1, grid, params, v)
-            k3 = rhs_from_two_products(u + 0.5 * h * k2, grid, params, v)
-            k4 = rhs_from_two_products(u + h * k3, grid, params, v)
+            k1 = folded_rhs(u, grid, params, v)
+            k2 = folded_rhs(u + 0.5 * h * k1, grid, params, v)
+            k3 = folded_rhs(u + 0.5 * h * k2, grid, params, v)
+            k4 = folded_rhs(u + h * k3, grid, params, v)
             u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         expected.append((np.exp(2.0 * u.real), params.hbar * u.imag))
     assert len(traj.states) == len(expected)
@@ -689,9 +767,8 @@ def test_rhs_operators_are_built_once_per_grid(monkeypatch):
                            substeps=1)
         assert len(builds) == built
     for grid in (line, pair):
-        for stacked, scale, *_ in solvers._rhs_operators(grid):
-            for array in (stacked.data, stacked.indices, stacked.indptr,
-                          scale):
+        for stacked, *_ in solvers._rhs_operators(grid):
+            for array in (stacked.data, stacked.indices, stacked.indptr):
                 assert not array.flags.writeable
 
 
@@ -1041,15 +1118,34 @@ def test_complex_rhs_matches_the_per_field_equations(case):
     grid, params, seed = case
     rng = np.random.default_rng(seed)
     log_rho, s, v = (rng.normal(0.0, 3.0, grid.shape) for _ in range(3))
-    got = solvers._madelung_rhs(0.5 * log_rho + 1j * (s / params.hbar),
-                                solvers._rhs_operators(grid), params,
-                                -1j * (v / params.hbar))
+    assert_rhs_matches_the_per_field_equations(log_rho, s, grid, params, v)
+
+
+def assert_rhs_matches_the_per_field_equations(log_rho, s, grid, params, v):
+    got = madelung_rhs(0.5 * log_rho + 1j * (s / params.hbar), grid, params,
+                       v)
     log_terms, s_terms = reference_rhs_terms(log_rho, s, grid, params, v,
                                              DEFAULT_ORDER)
     for value, terms in ((2.0 * got.real, log_terms),
                          (params.hbar * got.imag, s_terms)):
         scale = sum(np.abs(t) for t in terms)
         assert np.all(np.abs(value - sum(terms)) <= 1e-13 * scale)
+
+
+def test_rhs_scale_survives_a_spacing_whose_squared_divisor_overflows():
+    # kappa = (i hbar / 2m) / (d dx) / (d dx) is a normal float here, but
+    # (d dx)^2 is not, while the d2/dx2 divisor d dx^2 is
+    grid = GridSpec.line(16, -1.2e154, 1.2e154)
+    params = PhysicalParams(hbar=1e153, mass=1.0, potential=Free())
+    divisor = stencil_operator(grid.axes[0], DEFAULT_ORDER, 1).divisor
+    assert np.isinf(divisor * divisor)
+    assert np.isfinite(stencil_operator(grid.axes[0], DEFAULT_ORDER,
+                                        2).divisor)
+    rng = np.random.default_rng(3)
+    log_rho, phase = (rng.normal(0.0, 3.0, grid.shape) for _ in range(2))
+    assert_rhs_matches_the_per_field_equations(
+        log_rho, params.hbar * phase, grid, params,
+        potential_values(params.potential, grid))
 
 
 @st.composite
