@@ -233,7 +233,7 @@ def three_route_comparison(params: BipartiteParams, n: int, length: float,
                     "level 0 is unresolved: the ground state has no "
                     "density gradient on the pair grid")
             hj_max, act_max = rest_residuals(rho, e_ext, phys2, keep)
-            # on the middle slice, S = -E dt, where the residuals are read
+            # on the middle slice, S = 0, where the residuals are read
             total_p = LocalMomentum().value(
                 stationary_trajectory(rho, e_ext)[1])
             # the shift generator applied to the density: vanishes for a

@@ -25,7 +25,6 @@ from .bipartite import (
     three_route_comparison,
 )
 from .constraints import (
-    SLICE_DT,
     EnsembleHamiltonian,
     LocalMomentum,
     classical_consistency,
@@ -251,7 +250,8 @@ def _finite_hamiltonian(params: PhysicalParams, grid: GridSpec, path: str):
     square, power = hbar_squared(params)
     # formed as the bands form it; over an inf 2 m dx^2 they read 0, which
     # only a finite hbar^2 allows
-    if scale == 0.0 or not math.isfinite(square / scale * power * power) or (
+    kinetic = square / scale * power * power if scale else math.inf
+    if not math.isfinite(kinetic) or (
             scale == math.inf and math.isinf(square * power * power)):
         yield (f"the kinetic scale hbar^2 / (2 m dx^2) overflows at grid "
                f"spacing {dx:.3g}")
@@ -262,14 +262,21 @@ def _finite_hamiltonian(params: PhysicalParams, grid: GridSpec, path: str):
         # kinetic term as 0: true only when the scale, formed from the
         # factors' mantissas and exponents, is below the normal range
         (h, eh), (m, em), (d, ed) = map(math.frexp, (params.hbar, mass, dx))
-        kinetic = math.ldexp(h * h / (2.0 * m * d * d), 2 * eh - em - 2 * ed)
-        if kinetic >= sys.float_info.min:
-            yield (f"the kinetic scale hbar^2 / (2 m dx^2) = {kinetic:.3g} "
+        exact = math.ldexp(h * h / (2.0 * m * d * d), 2 * eh - em - 2 * ed)
+        if exact >= sys.float_info.min:
+            yield (f"the kinetic scale hbar^2 / (2 m dx^2) = {exact:.3g} "
                    f"cannot be formed at grid spacing {dx:.3g}: 2 m dx^2 "
                    "or dx^2 overflows")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(potential_values(params.potential, grid))):
+        v = potential_values(params.potential, grid)
+        # the bands' diagonal on the unknowns, numerators (2, -4, 2) over 2
+        inner = v if grid.axes[0].boundary == PERIODIC else v[1:-1]
+        if not np.all(np.isfinite(v)):
             yield f"{path} is not finite at every grid node"
+        elif math.isfinite(kinetic) and not np.all(np.isfinite(
+                inner + 2 * kinetic)):
+            yield (f"the diagonal V + hbar^2 / (m dx^2) of H overflows at "
+                   f"grid spacing {dx:.3g}")
 
 
 def _system(v):
@@ -390,23 +397,6 @@ def _substeps(v):
                f"{limit:,}")
         return
     v["substeps"] = per_step
-
-
-def _slice_action(v):
-    """constraint-check's trajectory S = -E t must have a finite kinetic
-    density. Gershgorin bounds |E| by max|V| + 2 hbar^2 / (m dx^2), taken
-    over the 2 m dx^2 that _system found nonzero, so |dS/dx| stays below
-    that bound times 2 SLICE_DT / dx."""
-    params, grid = v["params"], v["grid"]
-    dx, m = grid.axes[0].dx, params.mass_along(0)
-    square, power = hbar_squared(params)
-    bound = (float(np.max(np.abs(potential_values(params.potential, grid))))
-             + 4.0 * square / (2.0 * m * dx * dx) * power * power)
-    slope = bound * 2.0 * SLICE_DT / dx
-    if not math.isfinite(slope * slope / (2.0 * m)):
-        yield (f"the energy bound max|V| + 2 hbar^2 / (m dx^2) = {bound:.3g} "
-               f"is too large: the kinetic density (E 2 dt / dx)^2 / 2m of "
-               f"S = -E t overflows at dt = {SLICE_DT:g}")
 
 
 def _window(v):
@@ -681,8 +671,7 @@ SCENARIOS = {
     "constraint-check": (
         _PARTICLE + (("level", _at_least(_INTEGER, 0), 0),),
         (_grid, _system,
-         lambda v: _check_levels(v["grid"], v["level"] + 1, "level"),
-         _slice_action),
+         lambda v: _check_levels(v["grid"], v["level"] + 1, "level")),
         _run_constraint_check),
     "vanishing-momentum": (
         _PARTICLE + (("count", _COUNT, 3),),
@@ -795,8 +784,8 @@ def main(argv: list[str] | None = None) -> int:
 
     plots: dict = {}
     # warnings raised in the run, numpy's RuntimeWarnings among them, are
-    # shown only once it succeeds: a failed run's one runtime-error line
-    # explains the exit
+    # shown only once its report is written: a failed run's one
+    # runtime-error line explains the exit
     with warnings.catch_warnings(record=True) as held:
         try:
             results, notes = run(values, plots)
@@ -808,14 +797,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"runtime error: the run overflowed: {exc}",
                   file=sys.stderr)
             return EXIT_RUNTIME
-    for msg in held:
-        warnings.showwarning(msg.message, msg.category, msg.filename,
-                             msg.lineno, line=msg.line)
 
-    for note in notes:
-        print(f"warning: {note}", file=sys.stderr)
     try:
         path = write_report(out_dir, args.scenario, cfg, results, notes)
+        for msg in held:
+            warnings.showwarning(msg.message, msg.category, msg.filename,
+                                 msg.lineno, line=msg.line)
+        for note in notes:
+            print(f"warning: {note}", file=sys.stderr)
         print(f"wrote {path}")
         if args.emit_plots:
             sha = config_hash(cfg)

@@ -221,14 +221,19 @@ def poisson_bracket(f: ConstraintFunctional, g: ConstraintFunctional,
                     state: MadelungState,
                     aux_f: RealField | None = None,
                     aux_g: RealField | None = None) -> BracketReport:
-    """{F, G} on one state, classified against the gradient scale."""
+    """{F, G} on one state, weighed against the larger gradient norm of F
+    and G, each with its squares taken at 2^-e, e its peak's exponent."""
     f_rho = f.gradient_density(state, aux_f).values
     f_s = f.gradient_action(state, aux_f).values
     g_rho = g.gradient_density(state, aux_g).values
     g_s = g.gradient_action(state, aux_g).values
     value = integrate_values(f_rho * g_s - f_s * g_rho, state.grid)
-    scale = float(np.sqrt(max(integrate_values(f_rho**2 + f_s**2, state.grid),
-                              integrate_values(g_rho**2 + g_s**2, state.grid))))
+    norms = []
+    for d_rho, d_s in ((f_rho, f_s), (g_rho, g_s)):
+        e = int(np.frexp(max(np.max(np.abs(d_rho)), np.max(np.abs(d_s))))[1])
+        norms.append(np.ldexp(np.sqrt(integrate_values(
+            np.ldexp(d_rho, -e)**2 + np.ldexp(d_s, -e)**2, state.grid)), e))
+    scale = float(max(norms))
     return BracketReport(value=value, scale=scale,
                          consistent=weak_equality(value, scale))
 
@@ -245,10 +250,11 @@ class StationarityReport:
 
 def stationary_trajectory(rho: RealField,
                           energy: float) -> list[MadelungState]:
-    """Three slices SLICE_DT apart of a stationary state of the given
-    energy: density rho throughout, action S = -energy t."""
-    return [MadelungState(rho, RealField(rho.grid, np.full(
-        rho.grid.shape, -energy * i * SLICE_DT))) for i in range(3)]
+    """Three slices of a stationary state of the given energy: density rho
+    throughout, action S = -energy t at t = -SLICE_DT, 0 and SLICE_DT, so
+    the middle slice, where the residuals are read, is the state at rest."""
+    return [MadelungState(rho, RealField(rho.grid, np.full(rho.grid.shape, s)))
+            for s in (energy * SLICE_DT, 0.0, -energy * SLICE_DT)]
 
 
 def stationarity_residuals(states: Sequence[MadelungState], dt: float,

@@ -26,8 +26,8 @@ check takes each node's neighborhood maximum with `grid.box_reduce`,
 the box reduction the colored gradient of `action` sums with. Every
 state at rest (density rho, S = 0, energy E) that a scenario checks is
 read here: resolved_energy gives its V + Q energy and resolved nodes,
-rest_residuals its Hamilton-Jacobi and continuity residuals on the
-stationary trajectory S = -E t. One builder reads every
+rest_residuals its residuals on the stationary trajectory S = -E t
+centred on it, t = 0 on the middle slice. One builder reads every
 vanishing-momentum branch, the flat one too, through them.
 
 scipy is imported inside the functions that call it: scipy.sparse where
@@ -748,7 +748,8 @@ def rest_residuals(rho: RealField, energy: float, params: PhysicalParams,
                    keep: np.ndarray) -> tuple[float, float]:
     """Largest quantum Hamilton-Jacobi and continuity residuals over keep
     of the state at rest with density rho and energy E: the order-2
-    stationarity residuals of its stationary trajectory, S = -E t."""
+    stationarity residuals of S = -E t, read at t = 0, where S = 0 and
+    V + Q has the bits of resolved_energy's."""
     stat = stationarity_residuals(stationary_trajectory(rho, energy),
                                   SLICE_DT, params, order=2)
     return (float(np.max(np.abs(stat.density_residual.values[keep]))),

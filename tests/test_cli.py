@@ -205,6 +205,16 @@ class TestDeterminism:
         assert report["config_sha256"] == cli.config_hash(report["config"])
 
 
+# a line whose kinetic scale hbar^2 / (2 m dx^2) is finite, 1.277e308, but
+# whose Hamiltonian's diagonal V + 2 hbar^2 / (2 m dx^2) is not
+DIAGONAL_OVERFLOW = {
+    "grid": {"points": 49, "min": -5.352085520528632e-41,
+             "max": 5.352085520528632e-41},
+    "system": {"hbar": 2.2375292688229723e+76, "mass": 3.940245377363585e-73,
+               "potential": {"kind": "harmonic",
+                             "strength": 1.8981633854843374e-227}}}
+
+
 class TestValidation:
     def test_fluctuate_requires_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"system": {"mass": 1.0}, "dt": 0.1})
@@ -297,24 +307,44 @@ class TestValidation:
                                "length": 5e-324}},
            "pair.length 4.94e-324 is too small")
           for scenario in ("bipartite", "three-route")),
+        # hbar^2 / (2 m dx^2) is 1.277e308, but the bands' diagonal,
+        # V + 2 hbar^2 / (2 m dx^2), overflows
+        *((scenario, {**DIAGONAL_OVERFLOW, "count": 3, "level": 2},
+           "the diagonal V + hbar^2 / (m dx^2) of H overflows")
+          for scenario in ("eigen", "vanishing-momentum",
+                           "constraint-check")),
+        *((scenario, {"pair": {"mass_a": 7.88049075472717e-73,
+                               "mass_b": 7.88049075472717e-73,
+                               "hbar": 2.2375292688229723e+76, "points": 16,
+                               "length": 3.568e-41,
+                               "interaction": {"kind": "harmonic",
+                                               "strength": 1e-227}},
+                      "count": 2},
+           "the diagonal V + hbar^2 / (m dx^2) of H overflows")
+          for scenario in ("bipartite", "three-route")),
     ], ids=["span", "potential", "spacing", "pair_spacing", "interaction",
             "reduced_mass_underflow_bipartite",
             "reduced_mass_underflow_three_route",
             "reduced_mass_overflow_bipartite",
             "reduced_mass_overflow_three_route",
             "half_length_underflow_bipartite",
-            "half_length_underflow_three_route"])
+            "half_length_underflow_three_route",
+            "band_diagonal_eigen", "band_diagonal_vanishing_momentum",
+            "band_diagonal_constraint_check", "band_diagonal_bipartite",
+            "band_diagonal_three_route"])
     def test_unrepresentable_hamiltonian_rejected(self, tmp_path, capsys,
                                                   scenario, cfg, complaint):
         if "grid" in cfg:
-            cfg = {**cfg, "system": dict(HARMONIC_SYSTEM)}
+            cfg = {"system": dict(HARMONIC_SYSTEM), **cfg}
         out = tmp_path / "out"
         code = cli.main([scenario, "--config", write_config(tmp_path, cfg),
                          "--out", str(out)])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert f"config error: {complaint}" in err
-        assert "Traceback" not in err
+        # the one complaint: a potential that is not finite, or a kinetic
+        # scale that overflows, is not read again as an overflowing diagonal
+        assert err.startswith(f"config error: {complaint}")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", [
@@ -638,13 +668,13 @@ class TestValidation:
                        "the fields route is not finite\n")
         assert not out.exists()
 
-
-    @pytest.mark.parametrize("strength, bound", [(1e300, "1.8e+301"),
-                                                 (1e200, "1.8e+201")])
-    def test_constraint_check_energy_bound_overflow(self, tmp_path, capsys,
-                                                    strength, bound):
-        # the slope of S = -E t over two slices of 1e-3 squares to an
-        # infinity once the energy bound passes about 4e156 on this grid
+    @pytest.mark.parametrize("strength", [1e300, 1e200])
+    def test_trap_too_strong_for_its_grid_is_unresolved(
+            self, tmp_path, capsys, recwarn, strength):
+        # the first excited state of a trap far too strong for 32 points
+        # on [-6, 6] has density only beside its own node, where no
+        # residual is read: constraint-check ends as vanishing-momentum
+        # does on the same trap, on the unresolved level
         cfg = write_config(tmp_path, {
             "grid": {"points": 32, "min": -6.0, "max": 6.0},
             "system": {**HARMONIC_SYSTEM, "potential": {
@@ -655,12 +685,11 @@ class TestValidation:
         code = cli.main(["constraint-check", "--config", cfg, "--out",
                          str(out)])
         err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG
-        assert err == (f"config error: the energy bound max|V| + 2 hbar^2 / "
-                       f"(m dx^2) = {bound} is too large: the kinetic density "
-                       f"(E 2 dt / dx)^2 / 2m of S = -E t overflows at "
-                       f"dt = 0.001\n")
-        assert not out.exists()
+        assert code == cli.EXIT_RUNTIME
+        assert err.startswith("runtime error: level 1 is unresolved")
+        assert err.count("\n") == 1
+        assert [w for w in recwarn if w.category is RuntimeWarning] == []
+        assert not (out / "constraint-check_report.json").exists()
 
 
 class TestPlotData:
@@ -1064,6 +1093,30 @@ class TestRuntimeFailures:
                  if w.category is RuntimeWarning]
         assert len(shown) == 1 and "divide by zero" in shown[0]
 
+    def test_unwritable_report_shows_only_its_error(self, tmp_path, capsys,
+                                                    recwarn):
+        # a box 1.4e-97 wide: the ground density's gradient, about 1e194,
+        # squares past the float range in the information density, so
+        # ensemble_energy is inf. numpy's overflow warning on the way says
+        # nothing that the runtime-error line does not
+        cfg = write_config(tmp_path, {
+            "grid": {"points": 42, "min": -6.923373807343605e-98,
+                     "max": 6.923373807343605e-98},
+            "system": {"hbar": 8.91896350512529e-107,
+                       "mass": 1.0725388749644573e-25,
+                       "potential": {"kind": "harmonic",
+                                     "strength": 1.2695133484928664e-260}},
+            "level": 0})
+        out = tmp_path / "out"
+        code = cli.main(["constraint-check", "--config", cfg, "--out",
+                         str(out)])
+        assert code == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "runtime error: report not written: Out of range float values "
+            "are not JSON compliant: inf\n")
+        assert [w for w in recwarn if w.category is RuntimeWarning] == []
+        assert not (out / "constraint-check_report.json").exists()
+
     def test_non_finite_result_writes_no_report(self, tmp_path, capsys,
                                                 monkeypatch):
         solve = cli.eigensolve_1d
@@ -1344,21 +1397,26 @@ FLUCTUATE_DIMENSIONS = {
 def run_in_units(tmp_path, scenario, name, units):
     """Exit code and report of a shipped config in units of length, mass
     and time 2^units: hbar scales by M L^2 / T, a mass by M, a trap
-    strength by M / T^2, a coordinate by L and a time step by T."""
+    strength by M / T^2, a coordinate, width or length by L and a time
+    step by T."""
     l, m, t = units
     cfg = json.loads((CONFIG_DIR / name).read_text())
-    system = cfg["system"]
+    system = cfg.get("system") or cfg["pair"]
     system["hbar"] = math.ldexp(system["hbar"], 2 * l + m - t)
-    system["mass"] = (math.ldexp(system["mass"], m)
-                      if isinstance(system["mass"], float)
-                      else [math.ldexp(x, m) for x in system["mass"]])
-    if "potential" in system:
-        trap = system["potential"]
+    for key in ("mass", "mass_a", "mass_b"):
+        if key in system:
+            system[key] = (math.ldexp(system[key], m)
+                           if isinstance(system[key], float)
+                           else [math.ldexp(x, m) for x in system[key]])
+    trap = system.get("potential") or system.get("interaction")
+    if trap is not None:
         trap["strength"] = math.ldexp(trap["strength"], m - 2 * t)
         trap["center"] = math.ldexp(trap["center"], l)
-    if "grid" in cfg:
-        for key in ("min", "max"):
-            cfg["grid"][key] = math.ldexp(cfg["grid"][key], l)
+    for block, keys in (("grid", ("min", "max")),
+                        ("initial", ("center", "width")),
+                        ("pair", ("length",))):
+        for key in keys if block in cfg else ():
+            cfg[block][key] = math.ldexp(cfg[block][key], l)
     if "dt" in cfg:
         cfg["dt"] = math.ldexp(cfg["dt"], t)
     out = tmp_path / "_".join(map(str, units))
@@ -1435,6 +1493,119 @@ def test_eigen_reports_scale_with_power_of_two_units(tmp_path, units):
     for key, values in unit["results"].items():
         scaled = [math.ldexp(v, 2 * l + m - 2 * t) for v in values]
         assert report["results"][key] == scaled, key
+
+
+# shipped config -> (scenario, the step of its length exponent, its report
+# keys' dimensions as powers of length, mass and time). A key not listed
+# is a pure number, a flag or a label, and must keep its value; a key
+# listed as None does not scale by its definition, and is not compared:
+# - bracket_scale adds squares of different dimension in each of its two
+#   norms, (hbar / L)^2 with 1 / L^4, and E^2 with 1 / (L T)^2, and so
+#   bracket_consistent, which weighs a force against it and an absolute
+#   WEAK_ATOL, flips too: at 2^(-30, -94, -134) the bracket, -5.9e28, is
+#   above 1e-4 of the scale, 3.4e31;
+# - classical_force_vanishes weighs a force against 1e-10 max|V|, an
+#   energy, plus an absolute 1e-12;
+# - vanishing-momentum's density_rate comes from a Crank-Nicolson run of
+#   200 steps of dt = 1e-3 in the config's time unit.
+# Eigenstates scale by the square root of the length unit, so lengths
+# change by even powers of two. The fields route (evolve,
+# compare-propagators) keeps its bits under mass and time units only: in
+# another length unit u = ln(rho) / 2 of a density in 1 / L shifts by a
+# constant that no float holds exactly, so lengths are not changed there.
+ENERGY, MOMENTUM, FORCE = (2, 1, -2), (1, 1, -1), (1, 1, -2)
+SCALED_CONFIGS = {
+    "constraint_ground.json": ("constraint-check", 2, {
+        "energy": ENERGY, "ensemble_energy": ENERGY,
+        "density_residual_max": ENERGY, "action_residual_max": (-1, 0, -1),
+        "local_momentum_value": MOMENTUM, "bracket_value": FORCE,
+        "bracket_scale": None, "bracket_consistent": None,
+        "classical_force_peak": FORCE,
+        "classical_force_vanishes": None}),
+    "vanishing_momentum.json": ("vanishing-momentum", 2, {
+        "energy": ENERGY, "stationarity_residual": ENERGY,
+        "energy_gap": ENERGY, "multiplier": (1, 0, -1),
+        "momentum_gradient": MOMENTUM, "momentum_norm": MOMENTUM,
+        "amplitude_momentum_norm": MOMENTUM, "nonlinear_residual": MOMENTUM,
+        "density_rate": None}),
+    "three_route.json": ("three-route", 2, {
+        "energy_reduced": ENERGY, "energy_operator": ENERGY,
+        "energy_extremal": ENERGY, "max_gap": ENERGY,
+        "stationarity_residual": ENERGY, "action_residual": (-2, 0, -1),
+        "total_momentum": MOMENTUM, "relative_density": (-3, 0, 0)}),
+    "bipartite_ground.json": ("bipartite", 2, {
+        "ground_energy": ENERGY, "information_a": (0, 0, -1),
+        "information_b": (0, 0, -1), "translation_force_peak": FORCE}),
+    "evolve_coherent.json": ("evolve", 0, {
+        "times": (0, 0, 1), "final_mean": (1, 0, 0),
+        "final_variance": (2, 0, 0)}),
+    "compare_propagators.json": ("compare-propagators", 0, {
+        "elapsed_time": (0, 0, 1)}),
+}
+
+# (config, units) that must exit 0: energy units of 2^540 and 2^604, where
+# the wall rows' roundoff on the constant S = -E t of a slice with t != 0
+# squares past the float range in the kinetic density; the residuals are
+# read at t = 0, where S = 0
+MUST_SCALE = {("constraint_ground.json", (0, 0, -270)),
+              ("constraint_ground.json", (2, 0, -300)),
+              ("vanishing_momentum.json", (2, 0, -300))}
+
+
+def assert_scaled(report, unit, dims: dict, units, path="results"):
+    """report is unit with each number times 2^(its key's dimension .
+    units), bit for bit; rows of a list are compared key by key."""
+    assert report.keys() == unit.keys(), path
+    for key, value in unit.items():
+        got, dim = report[key], dims.get(key, (0, 0, 0))
+        if dim is None:
+            continue
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            assert len(got) == len(value), f"{path}.{key}"
+            for j, (row, unit_row) in enumerate(zip(got, value)):
+                assert_scaled(row, unit_row, dims, units, f"{path}.{key}[{j}]")
+            continue
+        power = sum(d * u for d, u in zip(dim, units))
+        scale = (lambda v: math.ldexp(v, power)
+                 if isinstance(v, float) else v)
+        expected = ([scale(v) for v in value] if isinstance(value, list)
+                    else scale(value))
+        assert got == expected, f"{path}.{key}"
+
+
+@st.composite
+def scaled_cases(draw):
+    name = draw(st.sampled_from(sorted(SCALED_CONFIGS)))
+    step = SCALED_CONFIGS[name][1]
+    return name, (step * draw(st.integers(-100, 100)),
+                  draw(st.integers(-200, 200)), draw(st.integers(-200, 200)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=scaled_cases())
+@example(case=("constraint_ground.json", (0, 0, -270)))
+@example(case=("constraint_ground.json", (2, 0, -300)))
+@example(case=("vanishing_momentum.json", (2, 0, -300)))
+@example(case=("three_route.json", (40, 20, -30)))
+@example(case=("bipartite_ground.json", (-100, 60, 90)))
+@example(case=("evolve_coherent.json", (0, -5, 7)))
+@example(case=("compare_propagators.json", (0, 20, -30)))
+def test_reports_scale_with_power_of_two_units(tmp_path, case):
+    # the other six shipped configs: an exit-0 report is the unit report
+    # times each key's dimension, bit for bit; run_in_units checks that
+    # any other exit prints its message
+    name, units = case
+    scenario, _, dims = SCALED_CONFIGS[name]
+    code, report = run_in_units(tmp_path, scenario, name, units)
+    if code != cli.EXIT_OK:
+        assert case not in MUST_SCALE
+        return
+    _, unit = run_in_units(tmp_path, scenario, name, (0, 0, 0))
+    assert report["warnings"] == unit["warnings"]
+    assert_scaled(report["results"], unit["results"], dims, units)
+    if scenario == "three-route":
+        assert report["results"]["total_momentum"] == 0.0
 
 
 def test_pair_with_huge_sigmas_writes_its_covariance_sigma(tmp_path):

@@ -34,6 +34,7 @@ from varq.fields import (
     potential_values,
 )
 from varq.constraints import (
+    SLICE_DT,
     BracketReport,
     DensityStationarity,
     EnsembleHamiltonian,
@@ -42,8 +43,10 @@ from varq.constraints import (
     functional_derivative,
     poisson_bracket,
     stationarity_residuals,
+    stationary_trajectory,
     weak_equality,
 )
+from varq.solvers import eigensolve_1d
 
 from conftest import harmonic_ground_state, random_smooth_state
 
@@ -715,6 +718,26 @@ def test_stationarity_residuals_multiplier_count_mismatch():
     with pytest.raises(ValueError):
         stationarity_residuals(states, 0.01, PhysicalParams(),
                                [LocalMomentum()], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("energy", [1.4998467974114555, -3.25, 0.0])
+def test_stationary_trajectory_is_centred_on_the_state_at_rest(energy):
+    # S = -E t at t = -SLICE_DT, 0 and SLICE_DT: the middle slice, where
+    # the residuals are read, is the state at rest, with S exactly 0, no
+    # kinetic term and so the order-2 dH/d rho of S = 0 bit for bit
+    g = GridSpec.line(512, -8.0, 8.0)
+    p = PhysicalParams(potential=Harmonic())
+    psi = eigensolve_1d(p, g, 2).eigenfunctions[1].values
+    rho = RealField(g, psi**2)
+    before, mid, after = stationary_trajectory(rho, energy)
+    assert all(s.density is rho for s in (before, mid, after))
+    at_rest = MadelungState(rho, RealField(g, np.zeros(g.shape)))
+    assert mid.action.values.tobytes() == at_rest.action.values.tobytes()
+    assert np.all(before.action.values == energy * SLICE_DT)
+    assert np.all(after.action.values == -energy * SLICE_DT)
+    h = EnsembleHamiltonian(p, order=2)
+    assert (h.gradient_density(mid).values.tobytes()
+            == h.gradient_density(at_rest).values.tobytes())
 
 
 def _drifting_trajectory(g, dt):
