@@ -9,6 +9,7 @@ failure, 2 invalid config with every violation listed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -728,7 +729,9 @@ def write_plot_data(out_dir: Path, scenario: str, name: str, sha: str,
     return path
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="varq",
         description="numerical scenarios for stationary-action quantization")
@@ -741,7 +744,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory for reports and plot data")
     parser.add_argument("--emit-plots", action="store_true",
                         help="also write plain-text plot columns")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = json.loads(Path(args.config).read_text())

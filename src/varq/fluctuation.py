@@ -313,41 +313,55 @@ def kl_divergence(p: TransitionDistribution, q: TransitionDistribution) -> float
 
 # -- sampling ----------------------------------------------------------------
 
-def _multinomial(gen: np.random.Generator, n, mass: np.ndarray) -> np.ndarray:
-    """gen.multinomial(n, mass), its categories ending at the last node
-    that holds mass; n may be one count per row of the result."""
-    end = mass.size - int(np.argmax(mass[::-1] > 0.0))
-    return gen.multinomial(n, mass[:end])
+def _multinomial(gen: np.random.Generator, n,
+                 mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, counts): the nodes that hold mass in order of falling mass
+    (stable, so tied masses keep node order) and gen.multinomial(n,
+    mass[order]), counts[..., j] the draws on node order[j]; n may be one
+    count per row of the counts.
+
+    A multinomial is exchangeable in its categories, so the order leaves
+    the law as it is. numpy draws the categories as conditional binomials
+    and stops once a row's draws are spent, so a row's work ends with its
+    bulk, not at the far tail. Its last category takes whatever the
+    binomials left, roundoff included: the smallest positive mass, so no
+    draw lands where the factor puts none."""
+    live = np.flatnonzero(mass > 0.0)
+    order = live[np.argsort(-mass[live], kind="stable")]
+    return order, gen.multinomial(n, mass[order])
 
 
 def _draw_counts(masses: tuple[np.ndarray, ...], n: int,
                  seed: int) -> tuple[np.ndarray, ...]:
     """Counts of n independent draws from the product law of the factors
     `masses`, from a Philox stream keyed by seed (the same counts on
-    every run of one numpy build): (rows,) on a line, (rows, block) on a
-    pair grid. rows ~ Multinomial(n, masses[0]) counts the draws on each
-    axis-0 node; block[k] ~ Multinomial(rows[i], masses[1]) counts the
-    axis-1 nodes below block.shape[1] of the k-th row i that holds
-    draws. By the chain rule for multinomials (Devroye 1986, ch. XI)
-    these are the counts of Multinomial(n, joint mass), drawn with no
-    grid-shaped array, in work that grows with the axes' node counts and
-    the rows that hold draws, not with n.
+    every run of one numpy build): (rows,) on a line, (rows, block,
+    order) on a pair grid. rows ~ Multinomial(n, masses[0]) counts the
+    draws on each axis-0 node; block[k] ~ Multinomial(rows[i],
+    masses[1][order]) counts the draws of the k-th row i that holds
+    draws, block[k, j] those on axis-1 node order[j]. By the chain rule
+    for multinomials (Devroye 1986, ch. XI) these are the counts of
+    Multinomial(n, joint mass), drawn with no grid-shaped array, in
+    work that grows with the rows that hold draws and the nodes each
+    row's draws reach, not with n.
 
-    numpy draws a multinomial as conditional binomials over the
-    categories in order and hands its last category whatever the
-    binomials before it left, roundoff included. So each axis's
-    categories end at its last node that holds mass, and no draw lands
-    where a factor puts none: the binomial of probability 0 is 0. A node
-    whose product of masses is below the smallest normal float, which
-    joint() stores as 0, can still take a row's last-category roundoff.
+    Each multinomial draws its factor's nodes that hold mass in order of
+    falling mass (_multinomial; Davis 1993): the law is unchanged, a
+    multinomial being exchangeable in its categories, a row's work ends
+    with its bulk, and numpy's roundoff leftovers land on the factor's
+    smallest positive mass, never where it puts none, though a node
+    whose product of masses is below the smallest normal float (0 in
+    joint()) can take them. The block stays in draw order, so no second
+    block-sized array is made.
     """
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     rows = np.zeros(masses[0].size, dtype=np.int64)
-    drawn = _multinomial(gen, n, masses[0])
-    rows[:drawn.size] = drawn
+    order, drawn = _multinomial(gen, n, masses[0])
+    rows[order] = drawn
     if len(masses) == 1:
         return (rows,)
-    return rows, _multinomial(gen, rows[rows > 0], masses[1])
+    order, block = _multinomial(gen, rows[rows > 0], masses[1])
+    return rows, block, order
 
 
 @dataclass(frozen=True)
@@ -367,20 +381,27 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
     """Draw n displacements and report the uncertainty-product estimate.
 
     The draws are read as their counts, drawn through the factors
-    (_draw_counts): the mean and variance are those of each axis's
-    marginal counts, the axis-0 counts and the column sums of the live
-    rows' axis-1 counts, and the covariance is one pass over those rows.
-    Variance and covariance are scaled by n/(n-1) to the unbiased sample
-    estimates. The product estimate per axis is m * var(w) / dt, whose
-    target is hbar/2 for the extremal distribution.
+    (_draw_counts) with each factor's nodes in order of falling mass: a
+    multinomial is exchangeable in its categories, so the law is the
+    same, a row's work ends with its bulk, and numpy's roundoff
+    leftovers land on each factor's smallest positive mass. The mean
+    and variance are those of each axis's marginal counts, the axis-0
+    counts and the column sums of the live rows' axis-1 counts, placed
+    on their nodes through the draw order; the covariance is one pass
+    over those rows in draw order, against the axis-1 coordinates taken
+    in the same order. Variance and covariance are scaled by n/(n-1) to
+    the unbiased sample estimates. The product estimate per axis is
+    m * var(w) / dt, whose target is hbar/2 for the extremal
+    distribution.
     """
     if n < 2:
         raise ValueError("a sample variance needs at least 2 draws")
-    counts = _draw_counts(dist.masses, n, seed)
-    marginals = [counts[0]]
-    if len(counts) == 2:
+    rows, *pair = _draw_counts(dist.masses, n, seed)
+    marginals = [rows]
+    if pair:
+        block, order = pair
         cols = np.zeros(dist.grid.shape[1], dtype=np.int64)
-        cols[:counts[1].shape[1]] = counts[1].sum(0)
+        cols[order] = block.sum(0)
         marginals.append(cols)
     drawn = TransitionDistribution(dist.grid, tuple(marginals), dist.dt,
                                    dist.params)
@@ -393,9 +414,7 @@ def sample_fluctuations(dist: TransitionDistribution, n: int,
     cov = cov_sigma = None
     if len(var) == 2:
         wa, wb = (w - m for w, m in zip(dist.grid.coordinates(), mu))
-        rows, block = counts
-        cov = (float(wa[rows > 0] @ (block @ wb[:block.shape[1]])) / n
-               * unbias)
+        cov = float(wa[rows > 0] @ (block @ wb[order])) / n * unbias
         # roots first: var[0] * var[1] can overflow or underflow
         cov_sigma = float(np.sqrt(var[0]) * (np.sqrt(var[1]) / np.sqrt(n)))
     return FluctuationSample(

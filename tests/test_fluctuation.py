@@ -459,12 +459,12 @@ def reference_moments(dist, counts):
 def count_grid(masses, counts):
     """The counts _draw_counts gives for the factors `masses`, placed on
     their grid: a 2D block holds the axis-1 counts of the rows that hold
-    draws, up to its width."""
+    draws, its columns those of the axis-1 nodes in its order."""
     if len(counts) == 1:
         return counts[0]
-    rows, block = counts
+    rows, block, order = counts
     grid = np.zeros((masses[0].size, masses[1].size), dtype=np.int64)
-    grid[rows > 0, :block.shape[1]] = block
+    grid[np.ix_(rows > 0, order)] = block
     return grid
 
 
@@ -519,13 +519,15 @@ def assert_counts_of_n_draws(masses, n, seed):
     puts no mass, the same again for seed, and other counts for some
     other seed unless the law sits on one node. On a pair grid the block
     holds one row of axis-1 counts per axis-0 node that holds draws,
-    summing to its count."""
+    summing to its count, and one column per axis-1 node in its order."""
     parts = fluctuation._draw_counts(masses, n, seed)
     assert all(c.dtype == np.int64 for c in parts)
     rows = parts[0]
     assert rows.shape == masses[0].shape
     if len(masses) == 2:
-        assert np.array_equal(parts[1].sum(axis=1), rows[rows > 0])
+        _, block, order = parts
+        assert np.array_equal(block.sum(axis=1), rows[rows > 0])
+        assert block.shape[1] == order.size == np.unique(order).size
     counts = count_grid(masses, parts)
     support = masses[0] > 0.0
     for m in masses[1:]:
@@ -552,31 +554,83 @@ def test_draw_counts_equal_the_count_of_each_draw(make_dist, n):
 def test_no_draw_lands_on_a_zero_mass_node_at_the_largest_count():
     # numpy's multinomial gives its last category the draws that its
     # binomials leave by roundoff, on axis 0 and in each live row, where
-    # both factors end in nodes that hold no mass. The last column that
-    # holds mass (1.8e-305) takes 35 such draws in rows whose product
-    # with it is below the smallest normal float, which joint() stores
-    # as 0; the law of the factors puts mass there
+    # both factors end in nodes that hold no mass. The last category is
+    # a factor's smallest positive mass: on axis 1 that is the last
+    # column that holds mass (1.8e-305), which takes 946 such draws in
+    # 55 rows. 4 draws land on nodes whose product of masses is below
+    # the smallest normal float, which joint() stores as 0; the law of
+    # the factors puts mass there
     dist = optimal_transition(P2, 0.05, (6.0, 6.0))
     assert all(m[-1] == 0.0 for m in dist.masses)
     assert dist.joint()[-1, -1] == 0.0
     assert_counts_of_n_draws(dist.masses, 2**63 - 1, seed=3)
 
 
+def wide_tails(params):
+    """The closed form in a window of 30 sigma per axis: each factor's
+    bulk sits mid-axis between long tails that hold mass down to
+    exp(-450), so the order of falling mass is far from node order."""
+    window = tuple(30.0 * s for s in fluctuation_sigma(params, DT))
+    return optimal_transition(params, DT, window)
+
+
+def wide_tail_pair():
+    return wide_tails(PhysicalParams(mass=(1.0, 3.0)))
+
+
+def wide_tail_line():
+    return wide_tails(PhysicalParams(mass=2.0))
+
+
 @pytest.mark.parametrize("make_dist", [uniform_pair, zero_mass_tails,
-                                       zero_mass_pair])
+                                       zero_mass_pair, wide_tail_pair,
+                                       wide_tail_line])
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_draw_counts_fit_the_mass(make_dist, seed):
     # Pearson's chi-square of the counts drawn through the factors over
     # the nodes where the joint law holds mass, against its 1e-6 upper
-    # tail: a right sampler fails one seed in a million
+    # tail: a right sampler fails one seed in a million. The nodes that
+    # expect fewer than 5 draws, in the wide tails only, are pooled
+    # into one cell, so that the statistic follows its chi-square law
     dist = make_dist()
     mass = dist.joint()
     n = 100_000
     live = mass > 0.0
     counts = draw_grid(dist.masses, n, seed)[live]
     expected = n * mass[live]
+    sparse = expected < 5.0
+    if sparse.any():
+        counts = np.append(counts[~sparse], counts[sparse].sum())
+        expected = np.append(expected[~sparse], expected[sparse].sum())
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    assert chi2 < stats.chi2.isf(1e-6, np.count_nonzero(live) - 1)
+    assert chi2 < stats.chi2.isf(1e-6, expected.size - 1)
+
+
+def falling_mass_order(mass):
+    """The nodes that hold mass, largest mass first, ties in node order."""
+    return np.array(sorted(np.flatnonzero(mass > 0.0),
+                           key=lambda i: (-mass[i], i)), dtype=np.intp)
+
+
+@pytest.mark.parametrize("make_dist", [zero_mass_tails, wide_tail_line,
+                                       zero_mass_pair, wide_tail_pair])
+def test_draw_counts_are_numpys_multinomial_in_falling_mass_order(make_dist):
+    # the same stream drawn by hand: numpy's multinomial over each
+    # factor's nodes in falling-mass order (the zero-mass cases hold
+    # tied masses), its counts placed back on the nodes
+    masses = make_dist().masses
+    n, seed = 70_001, 7
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    order = falling_mass_order(masses[0])
+    rows = np.zeros(masses[0].size, dtype=np.int64)
+    rows[order] = gen.multinomial(n, masses[0][order])
+    expected = rows
+    if len(masses) == 2:
+        order = falling_mass_order(masses[1])
+        expected = np.zeros((masses[0].size, masses[1].size), dtype=np.int64)
+        expected[np.ix_(rows > 0, order)] = gen.multinomial(
+            rows[rows > 0], masses[1][order])
+    assert np.array_equal(draw_grid(masses, n, seed), expected)
 
 
 @st.composite
