@@ -8,30 +8,30 @@ information metric
 
 summed over axes with their own masses in 2D. Its integrand at one time
 slice is rho dS/dt plus `constraints.EnsembleHamiltonian`'s integrand.
-Here are the local densities both are built from, the time derivatives
-of a trajectory's slices, and a node-perturbation numeric gradient that
-cross-checks analytic functional derivatives. The kinetic and
-information densities take value arrays, one field or a stack of them
-on leading axes, so one call serves every field of a stack. The
-gradient perturbs a whole color of nodes at once, far enough apart that
-their stencil windows cannot meet, and stacks the +h and -h copies of
-every color with the unperturbed field, so it evaluates the integrand
-once, on a stack whose size is set by the stencil width instead of the
-grid size, and it checks at run time that the integrand is as local as
-that requires. Its colors, their locality masks and divisors depend
-only on the grid and the stencil order, so they are built once per
-(grid, order) and cached read-only. The integrand is a function of the
-perturbed component's values alone: `constraints.functional_derivative`
-closes a functional's `integrand_values` over the other component's
-values, so that component's term is computed once, on one field. The
-analytic gradients, the quantum Hamilton-Jacobi and continuity
-expressions, are those of `constraints.EnsembleHamiltonian`.
+Here are the local densities both are built from and a node-perturbation
+numeric gradient that cross-checks analytic functional derivatives. The
+kinetic and information densities take value arrays, one field or a
+stack of them on leading axes, so one call serves every field of a
+stack. The gradient perturbs a whole color of nodes at once, far enough
+apart that their stencil windows cannot meet, and stacks the +h and -h
+copies of every color with the unperturbed field, so it evaluates the
+integrand once, on a stack whose size is set by the stencil width
+instead of the grid size, and it checks at run time that the integrand
+is as local as that requires. Its colors, their locality masks and
+divisors depend only on the grid and the stencil order, so they are
+built once per (grid, order) and cached read-only. The integrand is a
+function of the perturbed component's values alone:
+`constraints.functional_derivative` closes a functional's
+`integrand_values` over the other component's values, so that
+component's term is computed once, on one field. The analytic gradients,
+the quantum Hamilton-Jacobi and continuity expressions, are those of
+`constraints.EnsembleHamiltonian`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -87,9 +87,7 @@ def information_density(rho: np.ndarray, grid: GridSpec,
     axes = range(grid.dimension) if axis is None else (axis,)
     total = None
     for ax in axes:
-        # |d rho/dx| in C order: the stencil hands a stack back transposed,
-        # and a per-field peak over that layout costs several times more
-        term = np.abs(diff_values(rho, grid, axis=ax, order=order), order="C")
+        term = np.abs(diff_values(rho, grid, axis=ax, order=order))
         e = np.frexp(np.max(term, axis=fields, keepdims=True))[1]
         np.ldexp(term, -e, out=term)
         term *= term
@@ -132,27 +130,6 @@ def bohm_potential(rho: RealField, params: PhysicalParams,
                   * scale * scale)
     total[dead] = 0.0
     return RealField(grid, total)
-
-
-def time_derivatives(slices: Sequence[np.ndarray], dt: float) -> list[np.ndarray]:
-    """Second-order time derivative of each slice along a trajectory.
-
-    Centered differences inside, one-sided at the two ends.
-    """
-    if len(slices) < 3:
-        raise ValueError("need at least three time slices")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    out = []
-    for i in range(len(slices)):
-        if i == 0:
-            d = (-3.0 * slices[0] + 4.0 * slices[1] - slices[2]) / (2.0 * dt)
-        elif i == len(slices) - 1:
-            d = (3.0 * slices[-1] - 4.0 * slices[-2] + slices[-3]) / (2.0 * dt)
-        else:
-            d = (slices[i + 1] - slices[i - 1]) / (2.0 * dt)
-        out.append(d)
-    return out
 
 
 def flux_divergence(state: MadelungState, params: PhysicalParams,

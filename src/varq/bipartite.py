@@ -22,6 +22,7 @@ the ground state's information split and separation mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,9 +120,18 @@ def _check_pair(pair: GridSpec) -> None:
 def _by_difference(values: np.ndarray, pair: GridSpec) -> np.ndarray:
     """Separation-grid values at every pair node (i, j), by the index
     difference d = i - j wrapped to the nearest image."""
-    n = pair.axes[0].n_points
+    return values[_difference_index(pair.axes[0].n_points)]
+
+
+@lru_cache(maxsize=8)
+def _difference_index(n: int) -> np.ndarray:
+    """The separation-grid node of every pair node (i, j) of n x n, the
+    index difference d = i - j wrapped to the nearest image. Built once
+    per n; read-only."""
     d = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return values[np.where(d <= n // 2, d + n // 2, d - n // 2)]
+    index = np.where(d <= n // 2, d + n // 2, d - n // 2)
+    index.setflags(write=False)
+    return index
 
 
 def lift_relative(f: RealField, pair: GridSpec) -> RealField:

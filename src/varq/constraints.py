@@ -43,7 +43,6 @@ from .action import (
     information_density,
     kinetic_density,
     numeric_functional_gradient,
-    time_derivatives,
 )
 from .fields import MadelungState, PhysicalParams, potential_values
 from .grid import (
@@ -273,11 +272,16 @@ def stationarity_residuals(states: Sequence[MadelungState], dt: float,
         raise GridMismatchError("trajectory states live on different grids")
     if len(constraints) != len(multipliers):
         raise ValueError("one multiplier per constraint required")
+    if len(states) < 3:
+        raise ValueError("need at least three time slices")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     mid = len(states) // 2
-    st = states[mid]
-    ds_dt = time_derivatives([s.action.values for s in states], dt)[mid]
-    drho_dt_field = RealField(st.grid, time_derivatives(
-        [s.density.values for s in states], dt)[mid])
+    st, before, after = states[mid], states[mid - 1], states[mid + 1]
+    # the central differences in time of S and rho at the middle slice
+    ds_dt = (after.action.values - before.action.values) / (2.0 * dt)
+    drho_dt_field = RealField(
+        st.grid, (after.density.values - before.density.values) / (2.0 * dt))
     h = EnsembleHamiltonian(params, order)
     dens = ds_dt + h.gradient_density(st).values
     act = -drho_dt_field.values + h.gradient_action(st).values

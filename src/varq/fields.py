@@ -20,6 +20,7 @@ from .grid import (
     GridMismatchError,
     GridSpec,
     RealField,
+    sign_bits,
 )
 
 # densities below this fraction of unity are treated as numerically zero
@@ -79,12 +80,14 @@ def _eval_1d(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
 def potential_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
     """Samples of the external potential on every grid node, evaluated
     once per (spec, grid); the read-only samples are shared by every
-    later call."""
-    return _evaluated_values(spec, grid)
+    later call. They are built from the grid's coordinates, so they are
+    keyed also on the sign bits of its bounds, as the coordinates are."""
+    return _evaluated_values(spec, grid, sign_bits(grid.axes))
 
 
 @lru_cache(maxsize=8)
-def _evaluated_values(spec: PotentialSpec, grid: GridSpec) -> np.ndarray:
+def _evaluated_values(spec: PotentialSpec, grid: GridSpec,
+                      signs: tuple[bool, ...]) -> np.ndarray:
     if isinstance(spec, PairwiseRelative):
         if grid.dimension != 2:
             raise ValueError("pairwise-relative potential needs a 2D grid")

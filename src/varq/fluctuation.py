@@ -160,13 +160,13 @@ class TransitionDistribution:
         return RealField(self.grid, self.joint() / self.grid.node_volumes())
 
     def mean(self) -> np.ndarray:
-        return np.array([float(np.sum(m * w)) for m, w in
+        return np.array([float((m * w).sum()) for m, w in
                          zip(self.masses, self.grid.coordinates())])
 
     def variance(self, mean: np.ndarray | None = None) -> np.ndarray:
         """Per-axis variance about mean, which defaults to self.mean()."""
         mu = self.mean() if mean is None else mean
-        return np.array([float(np.sum(m * (w - c) ** 2)) for m, w, c in
+        return np.array([float((m * (w - c) ** 2).sum()) for m, w, c in
                          zip(self.masses, self.grid.coordinates(), mu)])
 
 
@@ -183,7 +183,7 @@ def _normal_mass_floor(prior: np.ndarray) -> float:
     z = sum(prior exp(x)) is at most sum(prior), so the mass is at least
     tiny wherever x >= ln(tiny sum(prior) / min(prior)), at any scale."""
     tiny = np.finfo(float).tiny
-    return float(np.log(tiny) + np.log(np.sum(prior) / np.min(prior)))
+    return float(np.log(tiny) + np.log(prior.sum() / prior.min()))
 
 
 def _exp_weights(x: np.ndarray, prior: np.ndarray,
@@ -194,7 +194,7 @@ def _exp_weights(x: np.ndarray, prior: np.ndarray,
     keep = x >= floor
     np.exp(x, out=x, where=keep)
     np.logical_not(keep, out=keep)
-    x[keep] = 0.0
+    np.copyto(x, 0.0, where=keep)
     x *= prior
     return x
 
@@ -209,7 +209,7 @@ def optimal_transition(params: PhysicalParams, dt: float,
         vols = ax.quadrature_weights()
         log_density *= -2.0
         log_density /= params.hbar
-        log_density -= np.max(log_density)
+        log_density -= log_density.max()
         masses.append(
             _exp_weights(log_density, vols, _normal_mass_floor(vols)))
     return TransitionDistribution(grid, tuple(masses), dt, params)
@@ -237,9 +237,9 @@ def _score(axes: list[tuple[np.ndarray, ...]], rate: float,
     axis scores (w.cost + (hbar/2) w.lr) / z - (hbar/2) (top + ln z)."""
     score = 0.0
     for lr, prior, floor, pull, w in axes:
-        top = float(np.max(lr))
+        top = float(lr.max())
         _exp_weights(np.subtract(lr, top, out=w), prior, floor)
-        z = float(np.sum(w))
+        z = float(w.sum())
         w_cost = float(np.dot(w, pull)) / rate
         score += ((w_cost + half_hbar * float(np.dot(w, lr))) / z
                   - half_hbar * (top + np.log(z)))
@@ -266,8 +266,8 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
     rate = _STEP / half_hbar
     axes = []
     for ax, pull in zip(grid.axes, _axis_costs(grid, params, dt)):
-        prior = ax.quadrature_weights()
-        prior /= np.sum(prior)
+        weights = ax.quadrature_weights()
+        prior = weights / weights.sum()
         pull *= rate
         axes.append((np.zeros(ax.n_points), prior, _normal_mass_floor(prior),
                      pull, np.empty(ax.n_points)))
@@ -280,7 +280,7 @@ def optimize_transition_numeric(params: PhysicalParams, dt: float,
                 lr *= 1.0 - _STEP
                 lr -= pull
         cur = _score(axes, rate, half_hbar)
-        if not np.isfinite(cur):
+        if not math.isfinite(cur):
             raise NonConvergenceError(
                 f"objective is {cur} at iteration {it}: the kinetic cost or "
                 f"the log density overflows on this grid")
@@ -307,7 +307,7 @@ def kl_divergence(p: TransitionDistribution, q: TransitionDistribution) -> float
             return float("inf")
         keep = live & (qm > 0.0)
         pk = pm[keep]
-        kl += float(np.sum(pk * np.log(pk / qm[keep])))
+        kl += float((pk * np.log(pk / qm[keep])).sum())
     return kl
 
 

@@ -13,8 +13,16 @@ on Dirichlet axes.
 scipy.sparse is imported inside stencil_operator, the one place that
 builds a matrix, and fractions inside fd_weights, so importing this
 module loads numpy alone: both load with the first stencil, and a run
-that never differentiates (fluctuate) never pays for them. The weights
-and operators are cached, so the imports run once per process.
+that never differentiates (fluctuate) never pays for them.
+
+What depends on an axis or a grid alone is built once per process, in
+a bounded cache, and shared read-only by every later call: the stencil
+weights (fd_weights) and operators (stencil_operator, stencil_reach),
+each axis's coordinates and quadrature weights, and a pair grid's node
+volumes (a line's are its axis weights). A caller that needs to write
+makes its own array. The coordinates are keyed also on the sign bits of
+the bounds (sign_bits), since -0.0 == 0.0 but a Dirichlet x_max of -0.0
+ends them with -0.0.
 """
 
 from __future__ import annotations
@@ -78,16 +86,14 @@ class Axis:
         return self.x_max - self.x_min
 
     def coordinates(self) -> np.ndarray:
-        if self.boundary == PERIODIC:
-            return self.x_min + self.dx * np.arange(self.n_points)
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """The node coordinates, x_min first; built once per axis and
+        read-only."""
+        return _coordinates(self, sign_bits((self,)))
 
     def quadrature_weights(self) -> np.ndarray:
-        w = np.full(self.n_points, self.dx)
-        if self.boundary == DIRICHLET:
-            w[0] *= 0.5
-            w[-1] *= 0.5
-        return w
+        """Each node's quadrature weight; built once per axis and
+        read-only."""
+        return _quadrature_weights(self)
 
 
 @dataclass(frozen=True)
@@ -130,9 +136,53 @@ class GridSpec:
         return tuple(np.meshgrid(*self.coordinates(), indexing="ij"))
 
     def node_volumes(self) -> np.ndarray:
-        """Per-node quadrature weight (outer product of the axis weights)."""
-        weights = [ax.quadrature_weights() for ax in self.axes]
-        return weights[0] if self.dimension == 1 else np.outer(*weights)
+        """Per-node quadrature weight, the outer product of the axis
+        weights (on a line, the axis weights themselves); built once per
+        grid and read-only."""
+        if self.dimension == 1:
+            return self.axes[0].quadrature_weights()
+        return _node_volumes(self)
+
+
+def sign_bits(axes: Sequence[Axis]) -> tuple[bool, ...]:
+    """The sign bit of each bound of the axes, x_min then x_max. -0.0 ==
+    0.0, so two equal axes can differ here, and a Dirichlet x_max of
+    -0.0 ends the coordinates with -0.0: a cache of arrays built from
+    coordinates keys on these too, so that no bit of its arrays depends
+    on which of two equal axes asked first."""
+    return tuple(math.copysign(1.0, x) < 0.0
+                 for ax in axes for x in (ax.x_min, ax.x_max))
+
+
+@lru_cache(maxsize=128)
+def _coordinates(axis: Axis, signs: tuple[bool, ...]) -> np.ndarray:
+    """Axis.coordinates, cached per axis and sign_bits of its bounds."""
+    if axis.boundary == PERIODIC:
+        x = axis.x_min + axis.dx * np.arange(axis.n_points)
+    else:
+        x = np.linspace(axis.x_min, axis.x_max, axis.n_points)
+    x.setflags(write=False)
+    return x
+
+
+@lru_cache(maxsize=128)
+def _quadrature_weights(axis: Axis) -> np.ndarray:
+    """Axis.quadrature_weights: dx at every node, halved at the two ends
+    of a Dirichlet axis."""
+    w = np.full(axis.n_points, axis.dx)
+    if axis.boundary == DIRICHLET:
+        w[0] *= 0.5
+        w[-1] *= 0.5
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=16)
+def _node_volumes(grid: GridSpec) -> np.ndarray:
+    """GridSpec.node_volumes of a pair grid."""
+    volumes = np.outer(*(ax.quadrature_weights() for ax in grid.axes))
+    volumes.setflags(write=False)
+    return volumes
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,18 +256,24 @@ class Stencil:
 
     def apply(self, values: np.ndarray, axis: int) -> np.ndarray:
         """The derivative along one array axis (a negative one counts from
-        the end); every other axis passes through. A 1D array is one
-        vector product; any other is one multi-vector product over the
-        rest of the axes, which sums each row in the vector's order, so
-        every field of a stack gets the bits it gets alone."""
+        the end), in C order; every other axis passes through. A 1D
+        array is one vector product; any other is one multi-vector
+        product over the rest of the axes, which sums each row in the
+        vector's order, so every field of a stack gets the bits it gets
+        alone. The product comes out with the derivative's axis first,
+        so off axis 0 the division writes it back in the field's
+        layout."""
         if values.ndim == 1:
             out = self.numerators @ values
             out /= self.divisor
             return out
         front = values.swapaxes(0, axis)
         out = self.numerators @ front.reshape(len(front), -1)
-        out /= self.divisor
-        return out.reshape(front.shape).swapaxes(0, axis)
+        out = out.reshape(front.shape).swapaxes(0, axis)
+        if out.flags.c_contiguous:
+            out /= self.divisor
+            return out
+        return np.divide(out, self.divisor, order="C")
 
 
 # the denominator of every row of each order, so its numerators are whole
@@ -232,7 +288,8 @@ def stencil_divisor(axis: Axis, order: int, deriv: int) -> float:
 @lru_cache(maxsize=128)
 def stencil_operator(axis: Axis, order: int, deriv: int) -> Stencil:
     """d^deriv/dx^deriv along one axis, one-sided at Dirichlet edges; a
-    ValueError if a row is not whole at its order's denominator."""
+    ValueError if a row is not whole at its order's denominator. Built
+    once per (axis, order, deriv); the matrix's arrays are read-only."""
     from scipy import sparse
 
     n, half = axis.n_points, order // 2
@@ -263,6 +320,8 @@ def stencil_operator(axis: Axis, order: int, deriv: int) -> Stencil:
         dist = np.minimum(dist, n - dist)
     indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
     mat = sparse.csr_array((num[keep], cols[keep], indptr), shape=(n, n))
+    for array in (mat.data, mat.indices, mat.indptr):
+        array.setflags(write=False)
     return Stencil(mat, denominator, stencil_divisor(axis, order, deriv),
                    int(dist.max()))
 

@@ -21,7 +21,6 @@ from varq.action import (
     kinetic_density,
     low_density_mask,
     numeric_functional_gradient,
-    time_derivatives,
 )
 from varq.constraints import (
     EnsembleHamiltonian,
@@ -182,22 +181,38 @@ def test_kinetic_density_plane_phase():
     assert np.allclose(kin, 1.5**2 / 4.0, atol=1e-8)
 
 
-# -- time derivatives along a trajectory -------------------------------------
+# -- the residuals' time derivative --------------------------------------------
 
-def test_time_derivatives_exact_on_quadratic():
+def test_stationarity_residuals_difference_the_middle_slice():
+    # rho and S quadratic in t: the central difference at the middle slice
+    # is exact, and it is the one time derivative the residuals read
+    g = GridSpec.line(64, -1.0, 1.0)
+    p = PhysicalParams()
+    base = gaussian_state(g, sigma=0.3, momentum=0.5)
     dt = 0.1
     ts = np.arange(5) * dt
-    slices = [2.0 + 3.0 * t - 1.5 * t**2 + np.zeros(4) for t in ts]
-    ds = time_derivatives(slices, dt)
-    for t, d in zip(ts, ds):
-        assert np.allclose(d, 3.0 - 3.0 * t, atol=1e-10)
+    states = [MadelungState(
+        RealField(g, base.density.values * (1.0 + t + t * t)),
+        RealField(g, base.action.values + 2.0 + 3.0 * t - 1.5 * t**2))
+        for t in ts]
+    rep = stationarity_residuals(states, dt, p)
+    h = EnsembleHamiltonian(p)
+    mid = states[2]
+    ds_dt = rep.density_residual.values - h.gradient_density(mid).values
+    drho_dt = h.gradient_action(mid).values - rep.action_residual.values
+    assert np.allclose(ds_dt, 3.0 - 3.0 * ts[2], rtol=0.0, atol=1e-10)
+    assert np.allclose(drho_dt, base.density.values * (1.0 + 2.0 * ts[2]),
+                       rtol=0.0, atol=1e-10)
 
 
-def test_time_derivatives_validation():
-    with pytest.raises(ValueError):
-        time_derivatives([np.zeros(3)] * 2, 0.1)
-    with pytest.raises(ValueError):
-        time_derivatives([np.zeros(3)] * 3, -0.1)
+def test_stationarity_residuals_need_three_slices_and_a_positive_step():
+    g = GridSpec.line(64, -1.0, 1.0)
+    st = gaussian_state(g, sigma=0.3)
+    with pytest.raises(ValueError, match="three time slices"):
+        stationarity_residuals([st] * 2, 0.1, PhysicalParams())
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            stationarity_residuals([st] * 3, dt, PhysicalParams())
 
 
 # -- functional gradients ----------------------------------------------------

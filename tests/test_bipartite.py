@@ -9,6 +9,7 @@ so route disagreements measure implementation drift, not grid error.
 import numpy as np
 import pytest
 
+from varq import bipartite
 from varq.bipartite import (
     BipartiteParams,
     lift_relative,
@@ -119,6 +120,22 @@ class TestLift:
         a = pair.meshes()[0]
         psi += 1e-3 * np.exp(-((a - 4.0) ** 2))
         assert translation_residual(psi, pair) > 1e-3
+
+    def test_pair_index_is_built_once_per_point_count(self):
+        bipartite._difference_index.cache_clear()
+        # a second span and a second profile on 16 points reuse its index
+        for n, length in [(16, 14.0), (16, 6.0), (8, 4.0), (16, 14.0)]:
+            pair = pair_grid(n, length)
+            rel = relative_grid(pair)
+            lift_relative(RealField(rel, np.cos(rel.coordinates()[0])), pair)
+        assert bipartite._difference_index.cache_info().misses == 2
+        for n in (8, 16):
+            index = bipartite._difference_index(n)
+            assert not index.flags.writeable
+            i, j = np.indices((n, n))
+            d = (i - j) % n
+            assert np.array_equal(index, np.where(d <= n // 2, d + n // 2,
+                                                  d - n // 2))
 
     @pytest.mark.parametrize("wrong", [
         GridSpec.line(64, -4.0, 4.0, DIRICHLET),

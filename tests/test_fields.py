@@ -48,6 +48,17 @@ def test_polynomial_potential_is_evaluated_on_every_grid():
     assert np.allclose(v, 0.5 * (a**2 + b**2), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("signed_first", [True, False])
+def test_potential_samples_keep_the_sign_of_a_zero_bound(signed_first):
+    # the two lines are equal, but x = -0.0 and x = 0.0 give 1 x + (-0.0)
+    # of either sign: each keeps its own bits whichever is sampled first
+    spec = Polynomial((-0.0, 1.0))
+    signed, unsigned = (GridSpec.line(8, -1.0, x_max) for x_max in (-0.0, 0.0))
+    assert signed == unsigned
+    for g in (signed, unsigned) if signed_first else (unsigned, signed):
+        assert np.signbit(potential_values(spec, g)[-1]) == (g is signed)
+
+
 def test_pairwise_relative_depends_on_difference_only():
     g = GridSpec.square(49, -1.0, 1.0)
     v = potential_values(PairwiseRelative(Harmonic(k=4.0)), g)

@@ -606,3 +606,101 @@ def test_a_stack_of_fields_gets_the_bits_of_each_field_alone(case):
         together = op(stack)
         assert together.dtype == alone.dtype
         assert together.tobytes() == alone.tobytes()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(stack_cases())
+def test_a_derivative_comes_back_in_c_order(case):
+    # along every axis, of one field or a stack: a per-field reduction over
+    # a transposed layout costs several times more
+    grid, stack, _ = case
+    for values in (stack, stack[0]):
+        for axis in range(grid.dimension):
+            assert diff_values(values, grid, axis).flags.c_contiguous
+
+
+# -- grid constants: built once, read-only ----------------------------------
+
+def constant_caches():
+    return (grid_module._coordinates, grid_module._quadrature_weights,
+            grid_module._node_volumes)
+
+
+def test_grid_constants_are_built_once_per_equal_axis_or_grid():
+    for cache in constant_caches():
+        cache.cache_clear()
+    # equal axes and grids built apart, one of them with int bounds
+    for ax in (Axis(16, -1.0, 1.0), Axis(16, -1, 1), Axis(16, -1.0, 1.0)):
+        pair = GridSpec((ax, Axis(9, 0.0, 2.0, PERIODIC)))
+        ax.coordinates(), ax.quadrature_weights(), pair.node_volumes()
+        pair.coordinates(), GridSpec((ax,)).node_volumes()
+    # the two axes' coordinates and weights, and one pair grid's volumes
+    assert [cache.cache_info().misses for cache in constant_caches()] == [
+        2, 2, 1]
+    line = GridSpec.line(16, -1.0, 1.0)
+    assert line.node_volumes() is line.axes[0].quadrature_weights()
+    assert Axis(16, -1, 1).coordinates() is line.coordinates()[0]
+
+
+def test_grid_constants_are_read_only():
+    pair = GridSpec((Axis(16, -1.0, 1.0), Axis(9, 0.0, 2.0, PERIODIC)))
+    arrays = [*pair.coordinates(), pair.node_volumes(),
+              *(ax.quadrature_weights() for ax in pair.axes)]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+@st.composite
+def constant_axes(draw):
+    """An axis of either boundary with 8-4,096 points whose one end is
+    often a zero of either sign, and its twin: the equal axis with the
+    sign of every zero bound flipped."""
+    n = draw(st.integers(8, 4096))
+    boundary = draw(st.sampled_from([PERIODIC, DIRICHLET]))
+    zero = draw(st.sampled_from([-0.0, 0.0]))
+    length = draw(st.floats(1e-3, 1e3))
+    x_min, x_max = draw(st.sampled_from([
+        (zero, length), (-length, zero),
+        (draw(st.floats(-1e3, 1e3)), None)]))
+    if x_max is None:
+        x_max = x_min + length
+    twin = [-x if x == 0.0 else x for x in (x_min, x_max)]
+    return Axis(n, x_min, x_max, boundary), Axis(n, *twin, boundary)
+
+
+def written_out(ax):
+    """The coordinates and quadrature weights of an axis, from the
+    formulas: n nodes dx apart from x_min with x_max left out on a ring,
+    n nodes from x_min to x_max between walls; dx at every node, halved
+    at the walls."""
+    n = ax.n_points
+    if ax.boundary == PERIODIC:
+        x = ax.x_min + (ax.x_max - ax.x_min) / n * np.arange(n)
+        w = np.full(n, (ax.x_max - ax.x_min) / n)
+    else:
+        x = np.linspace(ax.x_min, ax.x_max, n)
+        w = np.full(n, (ax.x_max - ax.x_min) / (n - 1))
+        w[[0, -1]] *= 0.5
+    return x, w
+
+
+@PROPERTY
+@given(constant_axes(), st.booleans())
+def test_grid_constants_match_the_formulas_bit_for_bit(axes, twin_first):
+    # an axis and its twin are equal, so they share one cache entry for the
+    # weights and volumes; neither's coordinates depend on which came first
+    for cache in constant_caches():
+        cache.cache_clear()
+    ax, twin = axes
+    assert ax == twin
+    for a in ((twin, ax) if twin_first else (ax, twin)):
+        x, w = written_out(a)
+        assert a.coordinates().tobytes() == x.tobytes()
+        assert a.quadrature_weights().tobytes() == w.tobytes()
+        other = Axis(8, 0.0, 1.0, DIRICHLET)
+        _, v = written_out(other)
+        pair = GridSpec((a, other))
+        assert pair.node_volumes().tobytes() == np.outer(w, v).tobytes()
+        assert GridSpec((a,)).node_volumes().tobytes() == w.tobytes()

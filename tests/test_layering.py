@@ -32,7 +32,9 @@ scipy.sparse.linalg. The transition layer calls no `GridSpec.meshes`: its law is
 the sampler draws through those vectors, and only density() and the
 reference objective form the joint law, their outer product. Its one
 exponential is `fluctuation._exp_weights`, which never makes a
-subnormal mass.
+subnormal mass. A cache hands one object to every caller, so every
+functools cache in src/varq has an entry in this file's table, and no
+array that entry holds is writeable.
 """
 
 import ast
@@ -492,3 +494,80 @@ def test_transition_layer_has_one_exponential():
                for node in ast.walk(top)
                if isinstance(node, ast.Attribute) and node.attr == "exp"]
     assert holders == ["_exp_weights"]
+
+
+def cached_functions() -> list[str]:
+    """`module.function` of every function in src/varq under a
+    functools cache decorator: lru_cache, lru_cache(...) or cache."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def cache_entries() -> dict:
+    """Every cache of src/varq and a call that fills one small entry of it."""
+    from varq import action, bipartite, cli, fields, grid, solvers
+
+    line = grid.GridSpec.line(16, -1.0, 1.0)
+    pair = grid.GridSpec((grid.Axis(12, 0.0, 2.0, grid.PERIODIC),
+                          grid.Axis(10, -1.0, 1.0)))
+    return {
+        "grid.fd_weights": lambda: grid.fd_weights((-1, 0, 1), 2),
+        "grid.stencil_operator":
+            lambda: grid.stencil_operator(line.axes[0], 4, 1),
+        "grid.stencil_reach": lambda: grid.stencil_reach(line.axes[0], 4),
+        "grid._coordinates":
+            lambda: grid._coordinates(line.axes[0], (False, False)),
+        "grid._quadrature_weights":
+            lambda: grid._quadrature_weights(line.axes[0]),
+        "grid._node_volumes": lambda: grid._node_volumes(pair),
+        "fields._evaluated_values": lambda: fields._evaluated_values(
+            fields.Harmonic(), pair, grid.sign_bits(pair.axes)),
+        "action._colors": lambda: action._colors(pair, 2),
+        "solvers._rhs_operators": lambda: solvers._rhs_operators(pair),
+        "solvers._symbol_peaks": lambda: solvers._symbol_peaks(4),
+        "bipartite._difference_index":
+            lambda: bipartite._difference_index(8),
+        "cli._parser": cli._parser,
+    }
+
+
+def held_arrays(value) -> list:
+    """Every numpy array a cached value holds: itself, the items of a
+    tuple or list, the fields of a dataclass and the index and data
+    arrays of a scipy sparse matrix, searched to any depth."""
+    import dataclasses
+
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in held_arrays(item)]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value)
+                for a in held_arrays(getattr(value, f.name))]
+    if hasattr(value, "indptr"):
+        return [value.data, value.indices, value.indptr]
+    return []
+
+
+def test_every_cache_has_a_read_only_check():
+    # a cache hands one object to every caller, so a cache that lands
+    # without an entry here could hand out an array that a caller writes
+    # into, and every later caller would read the write
+    assert sorted(cached_functions()) == sorted(cache_entries())
+
+
+@pytest.mark.parametrize("name", sorted(cache_entries()))
+def test_no_cached_array_is_writeable(name):
+    value = cache_entries()[name]()
+    assert [a.shape for a in held_arrays(value) if a.flags.writeable] == []

@@ -537,8 +537,11 @@ def test_folded_rhs_matches_the_unfolded_formula_to_roundoff(case):
     for ax, axis in enumerate(grid.axes):
         first, second = (stencil_operator(axis, DEFAULT_ORDER, d)
                          for d in (1, 2))
-        a, b = (numerator_product(abs(op.numerators), np.abs(u), ax).real
-                / op.divisor for op in (first, second))
+        # abs() sorts a matrix's indices in place, so it takes a copy: the
+        # cached stencils are read-only
+        a, b = (numerator_product(abs(op.numerators.copy()), np.abs(u),
+                                  ax).real / op.divisor
+                for op in (first, second))
         scale = scale + 0.5 * params.hbar / params.mass_along(ax) * (
             b + a * a)
     rounds = 4 * (DEFAULT_ORDER + 2) + 16 + 2 * grid.dimension
